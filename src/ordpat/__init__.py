@@ -11,7 +11,6 @@ classical tie-handling baselines for comparison.
 
 __version__ = "0.1.0"
 
-from ._kernels import backend
 from .dependence import (
     ClassSeries,
     DependenceEstimates,
@@ -21,6 +20,7 @@ from .dependence import (
     anti_estimates,
     block_bootstrap_ci,
     classical_dependence,
+    classical_total_score,
     coincidence_probability,
     comparison_value,
     confidence_interval,
@@ -103,10 +103,10 @@ __all__ = [
     "analyze_pair",
     "analyze_spatial",
     "anti_estimates",
-    "backend",
     "baseline_frequencies",
     "block_bootstrap_ci",
     "classical_dependence",
+    "classical_total_score",
     "classify_peak",
     "coherence_benchmark",
     "coincidence_probability",

@@ -1,37 +1,27 @@
 """Hot inner loops: window rank-encoding and pattern distances.
 
-Every kernel exists twice: a pure-numpy implementation (``*_numpy``) and,
-when numba is importable, an ``@njit`` loop version. The public names
-(``encode_windows``, ``df_rows``, ...) are bound to the numba path unless
-the environment variable ``ORDPAT_NO_NUMBA`` is set to a truthy value
-(``1``, ``true``, ``yes``), in which case the numpy path is used.
-
-Both paths are exact integer computations and return identical arrays;
-``benchmarks/bench_kernels.py`` compares their speed.
+All kernels are exact integer computations in numpy. Encoding works on
+windows of shape ``(..., n)``, so one call encodes a single series or a
+stack of series (for instance all bootstrap resamples of a chunk).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-_FLAG = "ORDPAT_NO_NUMBA"
+# Pattern keys pack n codes as base-(n+1) digits in an int64; (n+1)^n
+# stays below 2^63 up to n = 15.
+MAX_PATTERN_LENGTH = 15
 
 
-def _numba_requested() -> bool:
-    return os.environ.get(_FLAG, "").strip().lower() not in ("1", "true", "yes")
-
-
-if _numba_requested():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
+def check_pattern_length(n: int) -> None:
+    """Reject pattern lengths whose keys would overflow an int64."""
+    if n > MAX_PATTERN_LENGTH:
+        raise ValueError(
+            f"pattern length {n} exceeds {MAX_PATTERN_LENGTH}: "
+            f"its pattern keys (base {n + 1}, {n} digits) overflow int64"
+        )
 
 
 def window_count(length: int, n: int, stride: int) -> int:
@@ -41,210 +31,87 @@ def window_count(length: int, n: int, stride: int) -> int:
     return (length - n) // stride + 1
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def rank_codes(windows: np.ndarray) -> np.ndarray:
+    """Dense rank codes of windows along the last axis.
 
-def encode_windows_numpy(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
-    """Dense-rank every sliding window of ``values``.
-
-    Returns an int64 array of shape (num_windows, n); row w holds the rank
-    codes of ``values[w*stride : w*stride + n]``, where equal values share a
-    rank and ranks run 1..m over the m distinct values of the window.
+    The code of x_j is 1 plus the number of distinct window values below
+    x_j, each value counted once, at its first position. Equal values
+    share a code and the codes of m distinct values run 1..m. Values must
+    be comparable and not NaN.
     """
-    values = np.asarray(values)
-    num = window_count(values.shape[0], n, stride)
-    starts = np.arange(num) * stride
-    win = values[starts[:, None] + np.arange(n)[None, :]]
-    order = np.argsort(win, axis=1, kind="stable")
-    srt = np.take_along_axis(win, order, axis=1)
-    steps = np.zeros((num, n), dtype=np.int64)
-    steps[:, 1:] = srt[:, 1:] != srt[:, :-1]
-    ranks = 1 + np.cumsum(steps, axis=1)
-    codes = np.empty((num, n), dtype=np.int64)
-    np.put_along_axis(codes, order, ranks, axis=1)
+    windows = np.asarray(windows)
+    n = windows.shape[-1]
+    cols = [windows[..., j] for j in range(n)]
+    counts = [np.ones(windows.shape[:-1], dtype=np.int8) for _ in range(n)]
+    for k in range(n):
+        # x_k raises the code of every larger value, unless an earlier
+        # position already holds the same value
+        first = None
+        for i in range(k):
+            differs = cols[i] != cols[k]
+            first = differs if first is None else first & differs
+        for j in range(n):
+            if j != k:
+                below = cols[k] < cols[j]
+                if first is not None:
+                    below &= first
+                counts[j] += below
+    codes = np.empty(windows.shape, dtype=np.int64)
+    for j in range(n):
+        codes[..., j] = counts[j]
     return codes
 
 
-def _shift_min_l1_numpy(diff: np.ndarray, n: int) -> np.ndarray:
+def encode_windows(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
+    """Dense-rank every sliding window of ``values`` along its last axis.
+
+    For a 1-d series the result has shape (num_windows, n); row w holds
+    the rank codes of ``values[w*stride : w*stride + n]``. Leading axes of
+    ``values`` (a stack of equally long series) are kept.
+    """
+    check_pattern_length(n)
+    values = np.asarray(values)
+    num = window_count(values.shape[-1], n, stride)
+    if num == 0:
+        return np.empty((*values.shape[:-1], 0, n), dtype=np.int64)
+    windows = sliding_window_view(values, n, axis=-1)[..., ::stride, :]
+    return rank_codes(windows)
+
+
+def _shift_min_l1(diff: np.ndarray, n: int) -> np.ndarray:
     # diff: (..., n) integer differences t - u; minimize sum |diff + k| over k
     shifts = np.arange(-n, n + 1, dtype=np.int64)
     shifted = diff[..., None, :] + shifts[:, None]
     return np.abs(shifted).sum(axis=-1).min(axis=-1)
 
 
-def df_rows_numpy(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
+def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
     """Row-wise shift-minimized L1 distance between two code matrices."""
     t_codes = np.asarray(t_codes, dtype=np.int64)
     u_codes = np.asarray(u_codes, dtype=np.int64)
     n = t_codes.shape[1]
-    return _shift_min_l1_numpy(t_codes - u_codes, n)
+    return _shift_min_l1(t_codes - u_codes, n)
 
 
-def df_cross_numpy(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
+def df_cross(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
     """All-pairs shift-minimized L1 distances, shape (len(a), len(b))."""
     a_codes = np.asarray(a_codes, dtype=np.int64)
     b_codes = np.asarray(b_codes, dtype=np.int64)
     n = a_codes.shape[1]
     diff = a_codes[:, None, :] - b_codes[None, :, :]
-    return _shift_min_l1_numpy(diff, n)
+    return _shift_min_l1(diff, n)
 
 
-def l1_rows_numpy(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
+def l1_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
     """Row-wise plain L1 distance between two code matrices."""
     t_codes = np.asarray(t_codes, dtype=np.int64)
     u_codes = np.asarray(u_codes, dtype=np.int64)
     return np.abs(t_codes - u_codes).sum(axis=1)
 
 
-def l1_cross_numpy(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
+def l1_cross(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
     """All-pairs plain L1 distances, shape (len(a), len(b))."""
     a_codes = np.asarray(a_codes, dtype=np.int64)
     b_codes = np.asarray(b_codes, dtype=np.int64)
     diff = a_codes[:, None, :] - b_codes[None, :, :]
     return np.abs(diff).sum(axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _encode_windows_nb(values, n, stride, out):  # pragma: no cover - jitted
-        num = out.shape[0]
-        srt = np.empty(n, dtype=values.dtype)
-        for w in range(num):
-            start = w * stride
-            for j in range(n):  # insertion sort; n is tiny
-                x = values[start + j]
-                k = j
-                while k > 0 and srt[k - 1] > x:
-                    srt[k] = srt[k - 1]
-                    k -= 1
-                srt[k] = x
-            for j in range(n):
-                x = values[start + j]
-                rank = 1
-                for k in range(n):
-                    if srt[k] >= x:
-                        break
-                    if k == 0 or srt[k] != srt[k - 1]:
-                        rank += 1
-                out[w, j] = rank
-
-    @njit(cache=True)
-    def _df_rows_nb(t_codes, u_codes, out):  # pragma: no cover - jitted
-        num, n = t_codes.shape
-        for i in range(num):
-            best = np.int64(1) << 60
-            for k in range(-n, n + 1):
-                s = 0
-                for j in range(n):
-                    d = t_codes[i, j] + k - u_codes[i, j]
-                    s += d if d >= 0 else -d
-                    if s >= best:
-                        break
-                if s < best:
-                    best = s
-            out[i] = best
-
-    @njit(cache=True)
-    def _df_cross_nb(a_codes, b_codes, out):  # pragma: no cover - jitted
-        na, n = a_codes.shape
-        nb = b_codes.shape[0]
-        for i in range(na):
-            for jj in range(nb):
-                best = np.int64(1) << 60
-                for k in range(-n, n + 1):
-                    s = 0
-                    for j in range(n):
-                        d = a_codes[i, j] + k - b_codes[jj, j]
-                        s += d if d >= 0 else -d
-                        if s >= best:
-                            break
-                    if s < best:
-                        best = s
-                out[i, jj] = best
-
-    @njit(cache=True)
-    def _l1_rows_nb(t_codes, u_codes, out):  # pragma: no cover - jitted
-        num, n = t_codes.shape
-        for i in range(num):
-            s = 0
-            for j in range(n):
-                d = t_codes[i, j] - u_codes[i, j]
-                s += d if d >= 0 else -d
-            out[i] = s
-
-    @njit(cache=True)
-    def _l1_cross_nb(a_codes, b_codes, out):  # pragma: no cover - jitted
-        na, n = a_codes.shape
-        nb = b_codes.shape[0]
-        for i in range(na):
-            for jj in range(nb):
-                s = 0
-                for j in range(n):
-                    d = a_codes[i, j] - b_codes[jj, j]
-                    s += d if d >= 0 else -d
-                out[i, jj] = s
-
-    def encode_windows_numba(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
-        values = np.asarray(values)
-        if values.dtype.kind not in "if":
-            values = values.astype(np.float64)
-        values = np.ascontiguousarray(values)
-        num = window_count(values.shape[0], n, stride)
-        out = np.empty((num, n), dtype=np.int64)
-        _encode_windows_nb(values, n, stride, out)
-        return out
-
-    def df_rows_numba(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
-        t_codes = np.ascontiguousarray(t_codes, dtype=np.int64)
-        u_codes = np.ascontiguousarray(u_codes, dtype=np.int64)
-        out = np.empty(t_codes.shape[0], dtype=np.int64)
-        _df_rows_nb(t_codes, u_codes, out)
-        return out
-
-    def df_cross_numba(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-        a_codes = np.ascontiguousarray(a_codes, dtype=np.int64)
-        b_codes = np.ascontiguousarray(b_codes, dtype=np.int64)
-        out = np.empty((a_codes.shape[0], b_codes.shape[0]), dtype=np.int64)
-        _df_cross_nb(a_codes, b_codes, out)
-        return out
-
-    def l1_rows_numba(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
-        t_codes = np.ascontiguousarray(t_codes, dtype=np.int64)
-        u_codes = np.ascontiguousarray(u_codes, dtype=np.int64)
-        out = np.empty(t_codes.shape[0], dtype=np.int64)
-        _l1_rows_nb(t_codes, u_codes, out)
-        return out
-
-    def l1_cross_numba(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-        a_codes = np.ascontiguousarray(a_codes, dtype=np.int64)
-        b_codes = np.ascontiguousarray(b_codes, dtype=np.int64)
-        out = np.empty((a_codes.shape[0], b_codes.shape[0]), dtype=np.int64)
-        _l1_cross_nb(a_codes, b_codes, out)
-        return out
-
-
-if _HAVE_NUMBA:
-    BACKEND = "numba"
-    encode_windows = encode_windows_numba
-    df_rows = df_rows_numba
-    df_cross = df_cross_numba
-    l1_rows = l1_rows_numba
-    l1_cross = l1_cross_numba
-else:
-    BACKEND = "numpy"
-    encode_windows = encode_windows_numpy
-    df_rows = df_rows_numpy
-    df_cross = df_cross_numpy
-    l1_rows = l1_rows_numpy
-    l1_cross = l1_cross_numpy
-
-
-def backend() -> str:
-    """Active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return BACKEND

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .dependence import (
     ClassSeries,
     DependenceReport,
     analyze_pair,
-    classical_dependence,
+    classical_total_score,
     comparison_value,
     total_score,
 )
@@ -129,33 +130,31 @@ def run_pairwise(
 BENCHMARK_APPROACHES = ("generalized", "randomized", "first_appearance")
 
 
-def run_benchmark_data(
-    matrix: ClassMatrix, config: AnalysisConfig, lengths: Sequence[int] = (4, 6)
+BenchmarkPair = tuple[np.ndarray, np.ndarray, Callable[[int], int]]
+
+
+def run_benchmark(
+    pairs: Iterable[BenchmarkPair], config: AnalysisConfig, lengths: Sequence[int] = (4, 6)
 ) -> list[dict]:
-    """Tie-handling comparison over all gauge pairs of a data matrix."""
-    labels = list(config.gauges) if config.gauges else list(matrix.gauges)
-    series = [matrix.column(g) for g in labels]
+    """Tie-handling comparison: total-score summaries per approach and length.
+
+    Each pair is (x, y, randomize_seed), where ``randomize_seed(n)`` seeds
+    the randomized tie policy of that pair at pattern length n.
+    """
+    pairs = list(pairs)
     rows = []
     for n in lengths:
         scheme = _resolve_scheme(config.scheme, n)
+        classical = scheme_for_length(n, classical=True)
         per_method: dict[str, list[float]] = {m: [] for m in BENCHMARK_APPROACHES}
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                x, y = series[i], series[j]
-                per_method["generalized"].append(
-                    total_score(x, y, n, config.stride, scheme)[0]
-                )
-                seed = _pair_seed(config.seed, labels[i], labels[j])
-                rand = classical_dependence(
-                    x, y, n, config.stride, TiePolicy.randomize(seed),
-                    scheme_for_length(n, classical=True),
-                )
-                per_method["randomized"].append(rand.total_score)
-                first = classical_dependence(
-                    x, y, n, config.stride, TiePolicy.first_appearance(),
-                    scheme_for_length(n, classical=True),
-                )
-                per_method["first_appearance"].append(first.total_score)
+        for x, y, randomize_seed in pairs:
+            per_method["generalized"].append(total_score(x, y, n, config.stride, scheme)[0])
+            per_method["randomized"].append(classical_total_score(
+                x, y, n, config.stride, TiePolicy.randomize(randomize_seed(n)), classical,
+            )[0])
+            per_method["first_appearance"].append(classical_total_score(
+                x, y, n, config.stride, TiePolicy.first_appearance(), classical,
+            )[0])
         for method in BENCHMARK_APPROACHES:
             vals = np.array(per_method[method])
             rows.append({
@@ -163,6 +162,20 @@ def run_benchmark_data(
                 "mean": float(vals.mean()), "min": float(vals.min()), "max": float(vals.max()),
             })
     return rows
+
+
+def run_benchmark_data(
+    matrix: ClassMatrix, config: AnalysisConfig, lengths: Sequence[int] = (4, 6)
+) -> list[dict]:
+    """Tie-handling comparison over all gauge pairs of a data matrix."""
+    labels = list(config.gauges) if config.gauges else list(matrix.gauges)
+    series = [matrix.column(g) for g in labels]
+    pairs = []
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            seed = _pair_seed(config.seed, labels[i], labels[j])
+            pairs.append((series[i], series[j], lambda n, seed=seed: seed))
+    return run_benchmark(pairs, config, lengths)
 
 
 def run_benchmark_simulated(
@@ -170,39 +183,15 @@ def run_benchmark_simulated(
     replications: int, lengths: Sequence[int] = (4, 6),
 ) -> list[dict]:
     """Tie-handling comparison over independent simulated stream pairs."""
-    rows = []
-    children = np.random.SeedSequence(spec.seed).spawn(replications)
-    streams = []
-    for child in children:
+    pairs = []
+    for k, child in enumerate(np.random.SeedSequence(spec.seed).spawn(replications)):
         sx, sy = child.spawn(2)
-        streams.append((
+        pairs.append((
             simulate_ingarch(spec, np.random.default_rng(sx)),
             simulate_ingarch(spec, np.random.default_rng(sy)),
+            lambda n, k=k: config.seed + 7919 * k + n,
         ))
-    for n in lengths:
-        scheme = _resolve_scheme(config.scheme, n)
-        per_method: dict[str, list[float]] = {m: [] for m in BENCHMARK_APPROACHES}
-        for k, (x, y) in enumerate(streams):
-            per_method["generalized"].append(
-                total_score(x, y, n, config.stride, scheme)[0]
-            )
-            rand = classical_dependence(
-                x, y, n, config.stride, TiePolicy.randomize(config.seed + 7919 * k + n),
-                scheme_for_length(n, classical=True),
-            )
-            per_method["randomized"].append(rand.total_score)
-            first = classical_dependence(
-                x, y, n, config.stride, TiePolicy.first_appearance(),
-                scheme_for_length(n, classical=True),
-            )
-            per_method["first_appearance"].append(first.total_score)
-        for method in BENCHMARK_APPROACHES:
-            vals = np.array(per_method[method])
-            rows.append({
-                "approach": method, "n": n,
-                "mean": float(vals.mean()), "min": float(vals.min()), "max": float(vals.max()),
-            })
-    return rows
+    return run_benchmark(pairs, config, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +440,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    # point stdout at devnull so the interpreter's final flush of the
+    # unwritten rest cannot raise again
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -458,6 +459,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         warnings.simplefilter("always")
         try:
             status = args.func(args)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (``ordpat ... | head``): stop quietly
+            _discard_stdout()
+            return 0
         except DataFormatError as exc:
             print(f"ordpat: data error: {exc}", file=sys.stderr)
             return 2

@@ -28,7 +28,7 @@ from scipy.stats import norm
 from . import _kernels
 from .exceptions import NumericalWarning
 from .metric import WeightScheme, scheme_for_length
-from .patterns import TiePolicy, pattern_keys, randomize_values
+from .patterns import TiePolicy, check_finite, pattern_keys, randomize_values
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class ClassSeries:
         object.__setattr__(self, "values", np.asarray(self.values))
         if self.values.ndim != 1:
             raise ValueError("series values must be one-dimensional")
+        check_finite(self.values)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -51,12 +52,13 @@ SeriesLike = Union[ClassSeries, Sequence[float], np.ndarray]
 
 
 def series_values(x: SeriesLike) -> np.ndarray:
-    """Unwrap a ClassSeries or array-like into a 1-d array."""
+    """Unwrap a ClassSeries or array-like into a finite 1-d array."""
     if isinstance(x, ClassSeries):
         return x.values
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError("series must be one-dimensional")
+    check_finite(arr)
     return arr
 
 
@@ -82,6 +84,141 @@ def _paired_codes(x: SeriesLike, y: SeriesLike, n: int, stride: int) -> tuple[np
     return _window_codes(xv, n, stride), _window_codes(yv, n, stride)
 
 
+# ---------------------------------------------------------------------------
+# estimator core: helpers on window codes and pattern keys, shared by the
+# tie-aware and classical pipelines and the batched bootstrap
+# ---------------------------------------------------------------------------
+
+# Pattern keys below this bound are relabelled through a lookup table,
+# larger ones through a sort.
+_KEY_TABLE_SIZE = 1 << 21
+# Cells of one (row x pattern) histogram table; larger tables are built
+# a slice of rows at a time.
+_HISTOGRAM_CELLS = 1 << 20
+
+
+def _negated_codes(codes: np.ndarray) -> np.ndarray:
+    """Codes of the negated windows: m + 1 - c, m the window's largest code."""
+    top = codes[..., 0]
+    for j in range(1, codes.shape[-1]):  # column by column: n is small
+        top = np.maximum(top, codes[..., j])
+    return top[..., None] + 1 - codes
+
+
+def _coincidences(a_keys: np.ndarray, b_keys: np.ndarray) -> np.ndarray:
+    """Per-window 0/1 indicator of identical patterns, from pattern keys."""
+    return (a_keys == b_keys).astype(np.float64)
+
+
+def _dense_ids(keys: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """Relabel pattern keys to 0..m-1 over all arrays; m distinct patterns."""
+    size = max(int(k.max()) for k in keys) + 1
+    if size <= _KEY_TABLE_SIZE:
+        seen = np.zeros(size, dtype=bool)
+        for k in keys:
+            seen[k] = True
+        relabel = np.cumsum(seen) - 1
+        return [relabel[k] for k in keys], int(relabel[-1]) + 1
+    distinct, inverse = np.unique(np.concatenate([k.ravel() for k in keys]), return_inverse=True)
+    parts = np.split(inverse.ravel(), np.cumsum([k.size for k in keys])[:-1])
+    return [part.reshape(k.shape) for part, k in zip(parts, keys)], distinct.shape[0]
+
+
+def _match_counts(keys: np.ndarray, *others: np.ndarray) -> list[np.ndarray]:
+    """Per row, the number of window pairs with equal patterns.
+
+    ``keys`` and each of ``others`` are (rows, W) pattern keys. For every
+    other array the result holds, per row, sum over patterns t of
+    count_keys(t) * count_other(t): the numerator of the comparison value.
+    The per-row pattern histograms come from one bincount over (row,
+    pattern) offsets per array.
+    """
+    ids, size = _dense_ids([keys, *others])
+    rows = keys.shape[0]
+    step = max(1, _HISTOGRAM_CELLS // size)
+    out = [np.empty(rows, dtype=np.int64) for _ in others]
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        offsets = (np.arange(hi - lo) * size)[:, None]
+        cells = (hi - lo) * size
+        hists = [np.bincount((i[lo:hi] + offsets).ravel(), minlength=cells) for i in ids]
+        for target, hist in zip(out, hists[1:]):
+            target[lo:hi] = (hists[0] * hist).reshape(hi - lo, size).sum(axis=1)
+    return out
+
+
+def _total_score_from_codes(
+    a_codes: np.ndarray,
+    b_codes: np.ndarray,
+    scheme: WeightScheme,
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[float, np.ndarray]:
+    scores = scheme.weights_for(distance(a_codes, b_codes))
+    return float(scores.sum() / scores.shape[0]), scores
+
+
+def _score_comparison_from_codes(
+    a_codes: np.ndarray,
+    b_codes: np.ndarray,
+    a_keys: np.ndarray,
+    b_keys: np.ndarray,
+    scheme: WeightScheme,
+    cross_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> float:
+    num_windows = a_codes.shape[0]
+    _, first_a, count_a = np.unique(a_keys, return_index=True, return_counts=True)
+    _, first_b, count_b = np.unique(b_keys, return_index=True, return_counts=True)
+    weights = scheme.weights_for(cross_distance(a_codes[first_a], b_codes[first_b]))
+    mass = count_a[:, None] * count_b[None, :]
+    return float((weights * mass).sum() / (num_windows * num_windows))
+
+
+def _estimates_from_codes(
+    x_codes: np.ndarray,
+    y_codes: np.ndarray,
+    neg_y_codes: np.ndarray,
+    scheme: WeightScheme,
+    stride: int,
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    cross_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple["DependenceEstimates", np.ndarray, np.ndarray]:
+    """All point estimates of one pair from its (num_windows, n) codes.
+
+    Serves the tie-aware pipeline (rank codes, shift-minimized distance)
+    and the classical one (permutations, plain L1). Also returns the
+    per-window coincidence indicators and scores, the inputs of the
+    long-run variance estimator.
+    """
+    num_windows, n = x_codes.shape
+    x_keys, y_keys, neg_y_keys = (pattern_keys(c) for c in (x_codes, y_codes, neg_y_codes))
+    indicators = _coincidences(x_keys, y_keys)
+    anti = _coincidences(x_keys, neg_y_keys)
+    same, opposite = _match_counts(x_keys[None], y_keys[None], neg_y_keys[None])
+    p_hat = float(indicators.sum() / num_windows)
+    q_hat = int(same[0]) / (num_windows * num_windows)
+    r_hat = float(anti.sum() / num_windows)
+    s_hat = int(opposite[0]) / (num_windows * num_windows)
+    s_total, scores = _total_score_from_codes(x_codes, y_codes, scheme, distance)
+    s_comp = _score_comparison_from_codes(x_codes, y_codes, x_keys, y_keys, scheme, cross_distance)
+    estimates = DependenceEstimates(
+        coincidence=p_hat,
+        comparison=q_hat,
+        anti_coincidence=r_hat,
+        anti_comparison=s_hat,
+        coefficient=standardized_coefficient(p_hat, q_hat, r_hat, s_hat),
+        total_score=s_total,
+        score_comparison=s_comp,
+        n=n,
+        stride=stride,
+        num_windows=num_windows,
+    )
+    return estimates, indicators, scores
+
+
+# ---------------------------------------------------------------------------
+# single estimators
+# ---------------------------------------------------------------------------
+
 def coincidence_probability(
     x: SeriesLike, y: SeriesLike, n: int, stride: int = 1
 ) -> tuple[float, np.ndarray]:
@@ -91,13 +228,14 @@ def coincidence_probability(
     sequence, which feeds the long-run variance estimator.
     """
     cx, cy = _paired_codes(x, y, n, stride)
-    indicators = np.all(cx == cy, axis=1).astype(np.float64)
+    indicators = _coincidences(pattern_keys(cx), pattern_keys(cy))
     return float(indicators.sum() / indicators.shape[0]), indicators
 
 
-def _key_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    keys = pattern_keys(codes)
-    return np.unique(keys, return_counts=True)
+def _comparison_from_keys(x_keys: np.ndarray, y_keys: np.ndarray) -> float:
+    num_windows = x_keys.shape[0]
+    (matches,) = _match_counts(x_keys[None], y_keys[None])
+    return int(matches[0]) / (num_windows * num_windows)
 
 
 def comparison_value(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> float:
@@ -107,24 +245,34 @@ def comparison_value(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> f
     frequencies, computed on the same window grid.
     """
     cx, cy = _paired_codes(x, y, n, stride)
-    num_windows = cx.shape[0]
-    kx, countx = _key_counts(cx)
-    ky, county = _key_counts(cy)
-    _, ix, iy = np.intersect1d(kx, ky, assume_unique=True, return_indices=True)
-    numerator = int(np.sum(countx[ix] * county[iy]))
-    return numerator / (num_windows * num_windows)
+    return _comparison_from_keys(pattern_keys(cx), pattern_keys(cy))
 
 
 def anti_estimates(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> tuple[float, float]:
     """Coincidence probability and comparison value of x against -y.
 
-    These carry the anti-monotone side of the standardized coefficient;
-    negation is applied to the raw values before encoding.
+    These carry the anti-monotone side of the standardized coefficient.
+    The codes of -y follow from those of y: a window's ranks reverse.
     """
-    neg_y = -series_values(y)
-    r_hat, _ = coincidence_probability(x, neg_y, n, stride)
-    s_hat = comparison_value(x, neg_y, n, stride)
-    return r_hat, s_hat
+    cx, cy = _paired_codes(x, y, n, stride)
+    x_keys, neg_y_keys = pattern_keys(cx), pattern_keys(_negated_codes(cy))
+    anti = _coincidences(x_keys, neg_y_keys)
+    return float(anti.sum() / anti.shape[0]), _comparison_from_keys(x_keys, neg_y_keys)
+
+
+def _excess(prob: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    # ((prob - comp) / (1 - comp))^+, defined as 0 where comp is 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = np.maximum((prob - comp) / (1.0 - comp), 0.0)
+    return np.where(comp >= 1.0, 0.0, excess)
+
+
+def _coefficients(p_hat, q_hat, r_hat, s_hat) -> np.ndarray:
+    """Standardized coefficient, elementwise; degenerate terms are 0."""
+    p_hat, q_hat, r_hat, s_hat = (
+        np.asarray(v, dtype=np.float64) for v in (p_hat, q_hat, r_hat, s_hat)
+    )
+    return _excess(p_hat, q_hat) - _excess(r_hat, s_hat)
 
 
 def standardized_coefficient(
@@ -137,17 +285,14 @@ def standardized_coefficient(
     pattern) makes a term 0/0; that term is defined as 0 with a warning
     since excess dependence is indistinguishable there.
     """
-    def term(prob: float, comp: float, side: str) -> float:
+    for comp, side in ((q_hat, "monotone"), (s_hat, "anti-monotone")):
         if comp >= 1.0:
             warnings.warn(
                 f"degenerate marginal: {side} comparison value is 1, term set to 0",
                 NumericalWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
-            return 0.0
-        return max((prob - comp) / (1.0 - comp), 0.0)
-
-    return term(p_hat, q_hat, "monotone") - term(r_hat, s_hat, "anti-monotone")
+    return float(_coefficients(p_hat, q_hat, r_hat, s_hat))
 
 
 def total_score(
@@ -165,9 +310,7 @@ def total_score(
     """
     scheme = scheme or scheme_for_length(n)
     cx, cy = _paired_codes(x, y, n, stride)
-    distances = _kernels.df_rows(cx, cy)
-    scores = scheme.weights_for(distances)
-    return float(scores.sum() / scores.shape[0]), scores
+    return _total_score_from_codes(cx, cy, scheme, _kernels.df_rows)
 
 
 def score_comparison_value(
@@ -185,15 +328,9 @@ def score_comparison_value(
     """
     scheme = scheme or scheme_for_length(n)
     cx, cy = _paired_codes(x, y, n, stride)
-    num_windows = cx.shape[0]
-    kx = pattern_keys(cx)
-    ky = pattern_keys(cy)
-    _, first_x, countx = np.unique(kx, return_index=True, return_counts=True)
-    _, first_y, county = np.unique(ky, return_index=True, return_counts=True)
-    cross = _kernels.df_cross(cx[first_x], cy[first_y])
-    weights = scheme.weights_for(cross)
-    mass = countx[:, None] * county[None, :]
-    return float((weights * mass).sum() / (num_windows * num_windows))
+    return _score_comparison_from_codes(
+        cx, cy, pattern_keys(cx), pattern_keys(cy), scheme, _kernels.df_cross
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,24 +362,11 @@ def dependence_estimates(
 ) -> DependenceEstimates:
     """All point estimates for one pair through the tie-aware pipeline."""
     scheme = scheme or scheme_for_length(n)
-    p_hat, indicators = coincidence_probability(x, y, n, stride)
-    q_hat = comparison_value(x, y, n, stride)
-    r_hat, s_hat = anti_estimates(x, y, n, stride)
-    coeff = standardized_coefficient(p_hat, q_hat, r_hat, s_hat)
-    s_total, _ = total_score(x, y, n, stride, scheme)
-    s_comp = score_comparison_value(x, y, n, stride, scheme)
-    return DependenceEstimates(
-        coincidence=p_hat,
-        comparison=q_hat,
-        anti_coincidence=r_hat,
-        anti_comparison=s_hat,
-        coefficient=coeff,
-        total_score=s_total,
-        score_comparison=s_comp,
-        n=n,
-        stride=stride,
-        num_windows=len(indicators),
+    cx, cy = _paired_codes(x, y, n, stride)
+    estimates, _, _ = _estimates_from_codes(
+        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_rows, _kernels.df_cross
     )
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +387,20 @@ def _descending_perms(windows: np.ndarray) -> np.ndarray:
     return n - order_rev  # == (n-1-order_rev) + 1, one-based positions
 
 
-def classical_dependence(
-    x: SeriesLike,
-    y: SeriesLike,
-    n: int,
-    stride: int = 1,
-    policy: TiePolicy = TiePolicy.first_appearance(),
-    scheme: Optional[WeightScheme] = None,
-) -> DependenceEstimates:
-    """The dependence pipeline through classical permutation patterns.
-
-    Windows are encoded as descending-order permutations under the given
-    tie policy and compared with the plain L1 metric, whose values on
-    permutations are always even; the weight scheme must be one of the
-    even-distance classical schemes (n = 4 or n = 6). Under "skip",
-    windows containing a tie in either series are dropped from both.
-    """
+def _classical_scheme(n: int, scheme: Optional[WeightScheme]) -> WeightScheme:
     scheme = scheme or scheme_for_length(n, classical=True)
     required = {"classical-short": 4, "classical-long": 6}.get(scheme.name)
     if required is None:
         raise ValueError(f"classical pipeline needs a classical weight scheme, got {scheme.name!r}")
     if n != required:
         raise ValueError(f"scheme {scheme.name!r} requires pattern length n={required}, got n={n}")
+    return scheme
 
+
+def _classical_windows(
+    x: SeriesLike, y: SeriesLike, n: int, stride: int, policy: TiePolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    # window matrices of both series after the tie policy
     xv = series_values(x).astype(np.float64)
     yv = series_values(y).astype(np.float64)
     if xv.shape[0] != yv.shape[0]:
@@ -311,50 +426,56 @@ def classical_dependence(
             raise ValueError("skip policy removed every window (ties everywhere)")
         win_x = win_x[keep]
         win_y = win_y[keep]
+    return win_x, win_y
 
-    perms_x = _descending_perms(win_x)
-    perms_y = _descending_perms(win_y)
-    perms_y_neg = _descending_perms(-win_y)
 
-    num = perms_x.shape[0]
+def classical_dependence(
+    x: SeriesLike,
+    y: SeriesLike,
+    n: int,
+    stride: int = 1,
+    policy: TiePolicy = TiePolicy.first_appearance(),
+    scheme: Optional[WeightScheme] = None,
+) -> DependenceEstimates:
+    """The dependence pipeline through classical permutation patterns.
 
-    def perm_p(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.all(a == b, axis=1).sum() / num)
+    Windows are encoded as descending-order permutations under the given
+    tie policy and compared with the plain L1 metric, whose values on
+    permutations are always even; the weight scheme must be one of the
+    even-distance classical schemes (n = 4 or n = 6). Under "skip",
+    windows containing a tie in either series are dropped from both.
+    """
+    scheme = _classical_scheme(n, scheme)
+    win_x, win_y = _classical_windows(x, y, n, stride, policy)
+    estimates, _, _ = _estimates_from_codes(
+        _descending_perms(win_x),
+        _descending_perms(win_y),
+        _descending_perms(-win_y),
+        scheme,
+        stride,
+        _kernels.l1_rows,
+        _kernels.l1_cross,
+    )
+    return estimates
 
-    def perm_q(a: np.ndarray, b: np.ndarray) -> float:
-        ka, ca = np.unique(pattern_keys(a), return_counts=True)
-        kb, cb = np.unique(pattern_keys(b), return_counts=True)
-        _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
-        return int(np.sum(ca[ia] * cb[ib])) / (num * num)
 
-    p_hat = perm_p(perms_x, perms_y)
-    q_hat = perm_q(perms_x, perms_y)
-    r_hat = perm_p(perms_x, perms_y_neg)
-    s_hat = perm_q(perms_x, perms_y_neg)
+def classical_total_score(
+    x: SeriesLike,
+    y: SeriesLike,
+    n: int,
+    stride: int = 1,
+    policy: TiePolicy = TiePolicy.first_appearance(),
+    scheme: Optional[WeightScheme] = None,
+) -> tuple[float, np.ndarray]:
+    """Total score alone through the classical pipeline.
 
-    distances = _kernels.l1_rows(perms_x, perms_y)
-    scores = scheme.weights_for(distances)
-    s_total = float(scores.sum() / num)
-
-    keys_x = pattern_keys(perms_x)
-    keys_y = pattern_keys(perms_y)
-    _, fx, cx = np.unique(keys_x, return_index=True, return_counts=True)
-    _, fy, cy = np.unique(keys_y, return_index=True, return_counts=True)
-    cross = _kernels.l1_cross(perms_x[fx], perms_y[fy])
-    s_comp = float((scheme.weights_for(cross) * (cx[:, None] * cy[None, :])).sum() / (num * num))
-
-    coeff = standardized_coefficient(p_hat, q_hat, r_hat, s_hat)
-    return DependenceEstimates(
-        coincidence=p_hat,
-        comparison=q_hat,
-        anti_coincidence=r_hat,
-        anti_comparison=s_hat,
-        coefficient=coeff,
-        total_score=s_total,
-        score_comparison=s_comp,
-        n=n,
-        stride=stride,
-        num_windows=num,
+    Equal to ``classical_dependence(...).total_score``, without the other
+    estimates; returns the mean and the per-window score sequence.
+    """
+    scheme = _classical_scheme(n, scheme)
+    win_x, win_y = _classical_windows(x, y, n, stride, policy)
+    return _total_score_from_codes(
+        _descending_perms(win_x), _descending_perms(win_y), scheme, _kernels.l1_rows
     )
 
 
@@ -463,17 +584,20 @@ def confidence_interval(
 # moving-block bootstrap
 # ---------------------------------------------------------------------------
 
-def _block_resample(length: int, block: int, rng: np.random.Generator) -> np.ndarray:
-    num_blocks = -(-length // block)  # ceil
-    starts = rng.integers(0, length - block + 1, size=num_blocks)
-    idx = (starts[:, None] + np.arange(block)[None, :]).ravel()
-    return idx[:length]
+# Resamples are drawn, stacked and handed to the statistic in chunks of at
+# most this many values per series (at least one resample per chunk).
+BOOTSTRAP_CHUNK_VALUES = 1 << 18
+
+
+def _block_starts(length: int, block: int, seed: np.random.SeedSequence) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, length - block + 1, size=-(-length // block))
 
 
 def block_bootstrap_ci(
     x: SeriesLike,
     y: SeriesLike,
-    statistic: Callable[[np.ndarray, np.ndarray], float],
+    statistic: Callable[[np.ndarray, np.ndarray], np.ndarray],
     block: Optional[int] = None,
     replicates: int = 1000,
     level: float = 0.95,
@@ -483,8 +607,13 @@ def block_bootstrap_ci(
 
     Blocks of time indices are resampled jointly from both series, which
     preserves the cross-dependence and the short-range serial dependence
-    within blocks. Replicate seeds are split deterministically from the
-    master seed, so the result does not depend on evaluation order.
+    within blocks. Each replicate draws its block starts from its own
+    generator, split deterministically from the master seed, so the
+    result does not depend on evaluation order or chunking.
+
+    ``statistic`` is called once per chunk of replicates with the stacked
+    resamples of x and of y, both of shape (replicates_in_chunk, length),
+    and must return one value per row.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
@@ -497,11 +626,20 @@ def block_bootstrap_ci(
         block = default_bandwidth(length)
     block = min(max(int(block), 1), length)
     children = np.random.SeedSequence(seed).spawn(replicates)
+    chunk = max(1, BOOTSTRAP_CHUNK_VALUES // length)
+    offsets = np.arange(block)
     stats = np.empty(replicates, dtype=np.float64)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        idx = _block_resample(length, block, rng)
-        stats[i] = statistic(xv[idx], yv[idx])
+    for lo in range(0, replicates, chunk):
+        starts = np.stack([_block_starts(length, block, c) for c in children[lo : lo + chunk]])
+        rows = starts.shape[0]
+        idx = (starts[:, :, None] + offsets).reshape(rows, -1)[:, :length]
+        values = np.asarray(statistic(xv[idx], yv[idx]), dtype=np.float64)
+        if values.shape != (rows,):
+            raise ValueError(
+                f"bootstrap statistic returned shape {values.shape}, expected ({rows},): "
+                "one value per resample row"
+            )
+        stats[lo : lo + rows] = values
     alpha = 1.0 - level
     low, high = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(low), float(high)
@@ -546,9 +684,10 @@ def analyze_pair(
     standardized coefficient get moving-block bootstrap intervals.
     """
     scheme = scheme or scheme_for_length(n)
-    est = dependence_estimates(x, y, n, stride, scheme)
-    _, indicators = coincidence_probability(x, y, n, stride)
-    _, scores = total_score(x, y, n, stride, scheme)
+    cx, cy = _paired_codes(x, y, n, stride)
+    est, indicators, scores = _estimates_from_codes(
+        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_rows, _kernels.df_cross
+    )
 
     def with_ci(var: VarianceEstimate, point: float) -> VarianceEstimate:
         low, high = confidence_interval(point, var.sigma2, est.num_windows, level)
@@ -557,16 +696,23 @@ def analyze_pair(
     var_p = with_ci(long_run_variance(indicators, kernel, bandwidth), est.coincidence)
     var_s = with_ci(long_run_variance(scores, kernel, bandwidth), est.total_score)
 
-    def comparison_stat(xa: np.ndarray, ya: np.ndarray) -> float:
-        return comparison_value(xa, ya, n, stride)
+    # the statistics see a chunk of resamples, (rows, length) per series
+    def comparison_stat(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        bx, by = (_kernels.encode_windows(v, n, stride) for v in (xs, ys))
+        (matches,) = _match_counts(pattern_keys(bx), pattern_keys(by))
+        return matches / (est.num_windows * est.num_windows)
 
-    def coefficient_stat(xa: np.ndarray, ya: np.ndarray) -> float:
-        p_hat, _ = coincidence_probability(xa, ya, n, stride)
-        q_hat = comparison_value(xa, ya, n, stride)
-        r_hat, s_hat = anti_estimates(xa, ya, n, stride)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NumericalWarning)
-            return standardized_coefficient(p_hat, q_hat, r_hat, s_hat)
+    def coefficient_stat(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        bx, by = (_kernels.encode_windows(v, n, stride) for v in (xs, ys))
+        x_keys, y_keys, neg_y_keys = (pattern_keys(c) for c in (bx, by, _negated_codes(by)))
+        same, opposite = _match_counts(x_keys, y_keys, neg_y_keys)
+        pairs = est.num_windows * est.num_windows
+        return _coefficients(
+            _coincidences(x_keys, y_keys).sum(axis=-1) / est.num_windows,
+            same / pairs,
+            _coincidences(x_keys, neg_y_keys).sum(axis=-1) / est.num_windows,
+            opposite / pairs,
+        )
 
     seed_q, seed_c = np.random.SeedSequence(seed).generate_state(2)
     q_ci = block_bootstrap_ci(x, y, comparison_stat, block, replicates, level, int(seed_q))

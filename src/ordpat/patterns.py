@@ -39,8 +39,17 @@ def encode_pattern(window: Sequence[float]) -> Pattern:
     arr = np.asarray(window)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise ValueError("empty window")
-    codes = _kernels.encode_windows(arr, arr.shape[0], 1)[0]
-    return tuple(int(c) for c in codes)
+    check_finite(arr, "window")
+    return tuple(int(c) for c in _kernels.rank_codes(arr))
+
+
+def check_finite(values: np.ndarray, what: str = "series") -> None:
+    """Raise ValueError naming the first NaN or infinite entry of ``values``."""
+    if values.dtype.kind in "fc":
+        bad = ~np.isfinite(values)
+        if bad.any():
+            index = int(np.argmax(bad))
+            raise ValueError(f"{what} value at index {index} is not finite ({values[index]})")
 
 
 def is_valid_pattern(codes: Sequence[int]) -> bool:
@@ -210,13 +219,14 @@ def enumerate_patterns(n: int) -> PatternTable:
 
 
 def pattern_keys(codes: np.ndarray) -> np.ndarray:
-    """Collapse rank-code rows to scalar int64 keys (base n+1 digits).
+    """Collapse rank-code rows (last axis) to scalar int64 keys (base n+1 digits).
 
     Keys preserve lexicographic order and are unique for fixed n, so they
     can stand in for patterns in counting and grouping.
     """
     codes = np.asarray(codes, dtype=np.int64)
-    n = codes.shape[1]
+    n = codes.shape[-1]
+    _kernels.check_pattern_length(n)
     weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return codes @ weights
 

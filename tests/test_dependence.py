@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from oracles import oracle_estimates, oracle_long_run_variance
+from ordpat import dependence
 from ordpat.dependence import (
     ClassSeries,
     analyze_pair,
     anti_estimates,
     block_bootstrap_ci,
     classical_dependence,
+    classical_total_score,
     coincidence_probability,
     comparison_value,
     confidence_interval,
+    default_bandwidth,
     dependence_estimates,
     long_run_variance,
     score_comparison_value,
@@ -23,7 +26,7 @@ from ordpat.dependence import (
 )
 from ordpat.exceptions import NumericalWarning
 from ordpat.metric import CLASSICAL_SHORT, EXACT, GENERALIZED_SHORT
-from ordpat.patterns import TiePolicy
+from ordpat.patterns import TiePolicy, encode_pattern
 
 
 class TestCoincidenceProbability:
@@ -401,12 +404,17 @@ class TestClassicalBaselines:
         assert np.all(l1_rows(perms_x, perms_y) % 2 == 0)
 
 
+def rowwise(stat):
+    """Adapt a per-series statistic to stacked resamples, one value per row."""
+    return lambda xs, ys: np.array([stat(a, b) for a, b in zip(xs, ys)])
+
+
 class TestBootstrap:
     def test_deterministic(self):
         rng = np.random.default_rng(23)
         x = rng.integers(0, 3, size=120)
         y = rng.integers(0, 3, size=120)
-        stat = lambda a, b: comparison_value(a, b, 3)
+        stat = rowwise(lambda a, b: comparison_value(a, b, 3))
         one = block_bootstrap_ci(x, y, stat, replicates=100, seed=5)
         two = block_bootstrap_ci(x, y, stat, replicates=100, seed=5)
         assert one == two
@@ -417,7 +425,7 @@ class TestBootstrap:
         rng = np.random.default_rng(24)
         x = rng.integers(0, 3, size=400)
         y = rng.integers(0, 3, size=400)
-        stat = lambda a, b: comparison_value(a, b, 2)
+        stat = rowwise(lambda a, b: comparison_value(a, b, 2))
         low, high = block_bootstrap_ci(x, y, stat, replicates=200, seed=7)
         assert 0.0 <= low < high <= 1.0
         assert low < comparison_value(x, y, 2) < high
@@ -437,3 +445,100 @@ class TestAnalyzePair:
         assert report.score_variance.ci_low <= est.total_score <= report.score_variance.ci_high
         assert report.comparison_ci[0] <= report.comparison_ci[1]
         assert report.level == 0.95
+
+
+class TestClassicalTotalScore:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_equals_full_pipeline(self, n):
+        rng = np.random.default_rng(31)
+        x = rng.integers(0, 12, size=150)
+        y = rng.integers(0, 12, size=150)
+        for policy in (TiePolicy.first_appearance(), TiePolicy.randomize(4), TiePolicy.skip()):
+            mean, scores = classical_total_score(x, y, n, 1, policy)
+            assert mean == classical_dependence(x, y, n, 1, policy).total_score
+            assert mean == scores.sum() / scores.shape[0]
+
+
+def reference_bootstrap(x, y, statistic, replicates, level, seed):
+    """The per-replicate loop: one resample, one statistic call at a time."""
+    length = x.shape[0]
+    block = default_bandwidth(length)
+    stats = []
+    for child in np.random.SeedSequence(seed).spawn(replicates):
+        rng = np.random.default_rng(child)
+        starts = rng.integers(0, length - block + 1, size=-(-length // block))
+        idx = (starts[:, None] + np.arange(block)[None, :]).ravel()[:length]
+        stats.append(statistic(x[idx], y[idx]))
+    alpha = 1.0 - level
+    low, high = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return float(low), float(high)
+
+
+def reference_intervals(x, y, n, stride, replicates, seed, level=0.95):
+    """Bootstrap intervals of analyze_pair, one series pair per statistic call."""
+    def comparison_stat(xa, ya):
+        return comparison_value(xa, ya, n, stride)
+
+    def coefficient_stat(xa, ya):
+        p_hat, _ = coincidence_probability(xa, ya, n, stride)
+        r_hat, _ = coincidence_probability(xa, -ya, n, stride)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericalWarning)
+            return standardized_coefficient(
+                p_hat, comparison_value(xa, ya, n, stride), r_hat, comparison_value(xa, -ya, n, stride)
+            )
+
+    seed_q, seed_c = np.random.SeedSequence(seed).generate_state(2)
+    return (
+        reference_bootstrap(x, y, comparison_stat, replicates, level, int(seed_q)),
+        reference_bootstrap(x, y, coefficient_stat, replicates, level, int(seed_c)),
+    )
+
+
+class TestBatchedBootstrap:
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    def test_intervals_match_per_replicate_loop(self, n, chunk_rows, monkeypatch):
+        rng = np.random.default_rng(40 + n)
+        base = rng.integers(0, 4, size=160)
+        x = np.clip(base + rng.integers(-1, 2, size=160), 0, 4)
+        y = np.clip(base + rng.integers(-1, 2, size=160), 0, 4)
+        if chunk_rows is not None:
+            # 50 replicates in chunks of 7, the last one short; histograms a few rows at a time
+            monkeypatch.setattr(dependence, "BOOTSTRAP_CHUNK_VALUES", chunk_rows * x.shape[0])
+            monkeypatch.setattr(dependence, "_HISTOGRAM_CELLS", 1)
+        report = analyze_pair(x, y, n, stride=2, replicates=50, seed=11)
+        q_ci, c_ci = reference_intervals(x, y, n, 2, 50, 11)
+        assert report.comparison_ci == q_ci
+        assert report.coefficient_ci == c_ci
+
+    def test_mixed_dtypes_match_per_replicate_loop(self):
+        rng = np.random.default_rng(44)
+        x = rng.integers(0, 4, size=120)
+        y = rng.normal(size=120).round(1)
+        report = analyze_pair(x, y, 4, replicates=30, seed=2)
+        assert (report.comparison_ci, report.coefficient_ci) == reference_intervals(x, y, 4, 1, 30, 2)
+
+    def test_statistic_must_return_one_value_per_row(self):
+        x = np.arange(40) % 5
+        with pytest.raises(ValueError, match="one value per resample row"):
+            block_bootstrap_ci(x, x, lambda a, b: comparison_value(a[0], b[0], 3), replicates=10)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_with_first_bad_index(self, bad):
+        values = np.arange(12, dtype=np.float64)
+        values[5] = values[9] = bad
+        with pytest.raises(ValueError, match="index 5 is not finite"):
+            ClassSeries(values)
+        with pytest.raises(ValueError, match="index 5 is not finite"):
+            dependence_estimates(values, np.arange(12.0), 3)
+        with pytest.raises(ValueError, match="index 5 is not finite"):
+            analyze_pair(np.arange(12.0), values, 3, replicates=5)
+        with pytest.raises(ValueError, match="index 5 is not finite"):
+            encode_pattern(values[:8])
+
+    def test_finite_floats_and_integers_pass(self):
+        est = dependence_estimates(np.arange(12.0), np.arange(12) % 5, 3)
+        assert est.num_windows == 10

@@ -1,9 +1,19 @@
 """File ingestion, emission formats, and the command-line surface."""
 
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ordpat.cli import main, run_benchmark_data, run_pairwise
+import ordpat
+from ordpat.cli import main, run_benchmark, run_benchmark_data, run_pairwise
+from ordpat.dependence import classical_dependence, total_score
+from ordpat.metric import scheme_for_length
+from ordpat.patterns import TiePolicy
 from ordpat.exceptions import DataFormatError
 from ordpat.io import (
     AnalysisConfig,
@@ -203,8 +213,50 @@ class TestBenchmarkDriver:
         for row in rows:
             assert 0.0 <= row["min"] <= row["mean"] <= row["max"] <= 1.0
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_scores_equal_full_pipelines(self, n):
+        matrix = synthetic_matrix(rows=150)
+        x, y = matrix.column("g0"), matrix.column("g1")
+        rows = run_benchmark([(x, y, lambda n: 17 + n)], AnalysisConfig(), lengths=(n,))
+        classical = scheme_for_length(n, classical=True)
+        expected = {
+            "generalized": total_score(x, y, n)[0],
+            "randomized": classical_dependence(
+                x, y, n, 1, TiePolicy.randomize(17 + n), classical
+            ).total_score,
+            "first_appearance": classical_dependence(
+                x, y, n, 1, TiePolicy.first_appearance(), classical
+            ).total_score,
+        }
+        for row in rows:
+            assert row["mean"] == row["min"] == row["max"] == expected[row["approach"]]
+
 
 class TestCli:
+    def test_closed_pipe_exits_quietly(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["enumerate", "--n", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_from_reader(self):
+        # the reader takes one line and closes; the rest must not raise
+        env = dict(os.environ)
+        src = str(Path(ordpat.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ordpat.cli", "enumerate", "--n", "6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"(1,1,1,1,1,1)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
     def test_encode_generalized(self, capsys):
         assert main(["encode", "1", "2", "4", "3"]) == 0
         assert capsys.readouterr().out.strip() == "(1,2,4,3)"

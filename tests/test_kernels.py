@@ -1,14 +1,17 @@
-"""The numba kernels and the numpy fallbacks must agree exactly."""
+"""The numpy kernels against the pure-Python oracles."""
 
 import numpy as np
 import pytest
 
+from oracles import oracle_encode, oracle_shift_min_l1, oracle_windows
 from ordpat import _kernels
+from ordpat.patterns import pattern_keys
 
 
-needs_numba = pytest.mark.skipif(
-    not _kernels._HAVE_NUMBA, reason="numba backend not active"
-)
+def oracle_codes(values, n, stride=1):
+    return np.array(
+        [oracle_encode(w) for w in oracle_windows(list(values), n, stride)], dtype=np.int64
+    ).reshape(-1, n)
 
 
 def test_window_count():
@@ -19,52 +22,87 @@ def test_window_count():
 
 
 def test_encode_windows_numpy_known_values():
-    codes = _kernels.encode_windows_numpy(np.array([5, 5, 5, 4]), 4, 1)
+    codes = _kernels.encode_windows(np.array([5, 5, 5, 4]), 4, 1)
     assert codes.tolist() == [[2, 2, 2, 1]]
-    codes = _kernels.encode_windows_numpy(np.array([1, 2, 4, 3, 3]), 4, 1)
+    codes = _kernels.encode_windows(np.array([1, 2, 4, 3, 3]), 4, 1)
     assert codes.tolist() == [[1, 2, 4, 3], [1, 3, 2, 2]]
 
 
 def test_encode_windows_stride():
     values = np.array([3, 1, 4, 1, 5, 9, 2, 6])
-    by_stride = _kernels.encode_windows_numpy(values, 2, 3)
+    by_stride = _kernels.encode_windows(values, 2, 3)
     assert by_stride.shape == (3, 2)
     assert by_stride.tolist() == [[2, 1], [1, 2], [1, 2]]
 
 
-@needs_numba
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
 @pytest.mark.parametrize("n,stride", [(1, 1), (2, 1), (4, 1), (4, 4), (6, 2), (8, 1)])
-def test_encode_windows_backends_agree(dtype, n, stride):
+def test_encode_windows_matches_oracle(dtype, n, stride):
     rng = np.random.default_rng(101)
     values = rng.integers(-3, 4, size=500).astype(dtype)
-    nb = _kernels.encode_windows_numba(values, n, stride)
-    ref = _kernels.encode_windows_numpy(values, n, stride)
-    np.testing.assert_array_equal(nb, ref)
+    np.testing.assert_array_equal(
+        _kernels.encode_windows(values, n, stride), oracle_codes(values.tolist(), n, stride)
+    )
 
 
-@needs_numba
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
-def test_distance_backends_agree(n):
+def test_distances_match_oracle(n):
     rng = np.random.default_rng(7)
-    a = _kernels.encode_windows_numpy(rng.integers(0, n + 1, size=300), n, 1)
-    b = _kernels.encode_windows_numpy(rng.integers(0, n + 1, size=300), n, 1)
-    np.testing.assert_array_equal(_kernels.df_rows_numba(a, b), _kernels.df_rows_numpy(a, b))
-    np.testing.assert_array_equal(_kernels.l1_rows_numba(a, b), _kernels.l1_rows_numpy(a, b))
-    sa, sb = a[:40], b[:50]
-    np.testing.assert_array_equal(_kernels.df_cross_numba(sa, sb), _kernels.df_cross_numpy(sa, sb))
-    np.testing.assert_array_equal(_kernels.l1_cross_numba(sa, sb), _kernels.l1_cross_numpy(sa, sb))
+    a = _kernels.encode_windows(rng.integers(0, n + 1, size=300), n, 1)
+    b = _kernels.encode_windows(rng.integers(0, n + 1, size=300), n, 1)
+    rows = list(zip(a.tolist(), b.tolist()))
+    np.testing.assert_array_equal(_kernels.df_rows(a, b), [oracle_shift_min_l1(t, u) for t, u in rows])
+    np.testing.assert_array_equal(
+        _kernels.l1_rows(a, b), [sum(abs(p - q) for p, q in zip(t, u)) for t, u in rows]
+    )
+    sa, sb = a[:40].tolist(), b[:50].tolist()
+    np.testing.assert_array_equal(
+        _kernels.df_cross(a[:40], b[:50]), [[oracle_shift_min_l1(t, u) for u in sb] for t in sa]
+    )
+    np.testing.assert_array_equal(
+        _kernels.l1_cross(a[:40], b[:50]),
+        [[sum(abs(p - q) for p, q in zip(t, u)) for u in sb] for t in sa],
+    )
 
 
-def test_flag_controls_backend(monkeypatch):
-    import importlib
-    import ordpat._kernels as kernels_module
+def _kernel_inputs(kind, size, rng):
+    if kind == "int":
+        return rng.integers(-50, 50, size=size)
+    if kind == "float":
+        return rng.normal(size=size)
+    if kind == "ties":
+        return rng.integers(0, 3, size=size).astype(np.float64)
+    return np.repeat(rng.integers(0, 4, size=size // 3 + 1), 3)[:size]  # plateaus
 
-    monkeypatch.setenv(kernels_module._FLAG, "1")
-    reloaded = importlib.reload(kernels_module)
-    try:
-        assert reloaded.BACKEND == "numpy"
-        assert reloaded.encode_windows is reloaded.encode_windows_numpy
-    finally:
-        monkeypatch.delenv(kernels_module._FLAG)
-        importlib.reload(kernels_module)
+
+@pytest.mark.parametrize("kind", ["int", "float", "ties", "plateaus"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rank_kernel_matches_oracle(kind, n):
+    values = _kernel_inputs(kind, 400, np.random.default_rng(n))
+    for stride in sorted({1, n}):
+        np.testing.assert_array_equal(
+            _kernels.encode_windows(values, n, stride), oracle_codes(values.tolist(), n, stride)
+        )
+
+
+def test_stacked_series_encode_row_by_row():
+    rng = np.random.default_rng(3)
+    stack = rng.integers(0, 4, size=(5, 60))
+    codes = _kernels.encode_windows(stack, 4, 2)
+    assert codes.shape == (5, 29, 4)
+    for row, row_codes in zip(stack, codes):
+        np.testing.assert_array_equal(row_codes, _kernels.encode_windows(row, 4, 2))
+
+
+def test_too_short_series_has_no_windows():
+    assert _kernels.encode_windows(np.arange(3), 4, 1).shape == (0, 4)
+
+
+def test_pattern_length_limit_guards_key_overflow():
+    # (n+1)^n exceeds 2^63 from n = 16 on; the largest allowed key is still exact
+    top = np.arange(15, 0, -1)[None, :]
+    assert pattern_keys(top)[0] == sum(int(c) * 16 ** (14 - j) for j, c in enumerate(top[0]))
+    with pytest.raises(ValueError, match="overflow"):
+        _kernels.encode_windows(np.arange(40.0), 16, 1)
+    with pytest.raises(ValueError, match="overflow"):
+        pattern_keys(np.arange(16, 0, -1)[None, :])
