@@ -79,10 +79,13 @@ def encode_windows(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
 
 
 def _shift_min_l1(diff: np.ndarray, n: int) -> np.ndarray:
-    # diff: (..., n) integer differences t - u; minimize sum |diff + k| over k
-    shifts = np.arange(-n, n + 1, dtype=np.int64)
-    shifted = diff[..., None, :] + shifts[:, None]
-    return np.abs(shifted).sum(axis=-1).min(axis=-1)
+    # diff: (..., n) integer differences t - u; minimize sum |diff + k| over
+    # integer k. A median of diff minimizes it (diff is integer, so an
+    # integer median exists), which leaves the top n//2 values minus the
+    # bottom n//2.
+    ordered = np.sort(diff, axis=-1)
+    half = n // 2
+    return ordered[..., n - half :].sum(axis=-1) - ordered[..., :half].sum(axis=-1)
 
 
 def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ import csv
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -75,12 +74,12 @@ def _pair_seed(master: int, label_a: str, label_b: str) -> int:
 # ---------------------------------------------------------------------------
 
 def run_pairwise(
-    matrix: ClassMatrix, config: AnalysisConfig, jobs: int = 1
+    matrix: ClassMatrix, config: AnalysisConfig
 ) -> tuple[list[str], dict[str, np.ndarray], list[DependenceReport]]:
     """Analyze every unordered gauge pair; symmetric matrices + long records.
 
     Per-pair seeds are derived from the master seed and the pair labels,
-    so results do not depend on evaluation order or the number of jobs.
+    so results do not depend on evaluation order.
     """
     labels = list(config.gauges) if config.gauges else list(matrix.gauges)
     if len(labels) < 2:
@@ -93,9 +92,8 @@ def run_pairwise(
     coefficient = np.ones((size, size))
     pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
 
-    def one(pair: tuple[int, int]) -> DependenceReport:
-        i, j = pair
-        return analyze_pair(
+    reports = [
+        analyze_pair(
             series[labels[i]],
             series[labels[j]],
             config.n,
@@ -108,12 +106,8 @@ def run_pairwise(
             replicates=config.replicates,
             seed=_pair_seed(config.seed, labels[i], labels[j]),
         )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, pairs))
-    else:
-        reports = [one(p) for p in pairs]
+        for i, j in pairs
+    ]
 
     for (i, j), rep in zip(pairs, reports):
         est = rep.estimates
@@ -222,7 +216,6 @@ def _config_from(args) -> AnalysisConfig:
         n=args.n,
         stride=args.stride,
         scheme=args.scheme,
-        tie_policy=args.tie_policy or "first_appearance",
         level=args.level,
         kernel=args.kernel,
         bandwidth=args.bandwidth,
@@ -236,7 +229,7 @@ def _config_from(args) -> AnalysisConfig:
 def _cmd_pairwise(args) -> int:
     matrix = load_class_matrix(args.data)
     config = _config_from(args)
-    labels, matrices, reports = run_pairwise(matrix, config, jobs=args.jobs)
+    labels, matrices, reports = run_pairwise(matrix, config)
     if args.out:
         for name, values in matrices.items():
             write_symmetric_matrix(labels, values, f"{args.out}_{name}.csv")
@@ -397,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairwise", parents=[shared], help="dependence for every gauge pair")
     p.add_argument("--data", required=True, help="class matrix CSV")
     p.add_argument("--out", default=None, help="output file prefix")
-    p.add_argument("--jobs", type=int, default=1, help="parallel pair jobs")
     p.set_defaults(func=_cmd_pairwise)
 
     p = sub.add_parser("spatial", parents=[shared], help="cross-sectional pattern report")

@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import norm
 
 from . import _kernels
 from .exceptions import NumericalWarning
@@ -572,7 +572,7 @@ def confidence_interval(
         raise ValueError("variance must be non-negative")
     if count < 1:
         raise ValueError("count must be >= 1")
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = z * math.sqrt(sigma2 / count)
     low, high = point - half, point + half
     if clip_unit:

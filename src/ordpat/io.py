@@ -256,7 +256,6 @@ class AnalysisConfig:
     n: int = 4
     stride: int = 1
     scheme: str = "auto"
-    tie_policy: str = "first_appearance"
     level: float = 0.95
     kernel: str = "bartlett"
     bandwidth: Optional[float] = None
@@ -264,4 +263,3 @@ class AnalysisConfig:
     replicates: int = 1000
     seed: int = 0
     gauges: tuple[str, ...] = field(default_factory=tuple)
-    reference: Optional[str] = None

@@ -230,12 +230,3 @@ def pattern_keys(codes: np.ndarray) -> np.ndarray:
     weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return codes @ weights
 
-
-def key_to_pattern(key: int, n: int) -> Pattern:
-    """Inverse of :func:`pattern_keys` for a single key."""
-    digits = []
-    base = n + 1
-    for _ in range(n):
-        digits.append(int(key % base))
-        key //= base
-    return tuple(reversed(digits))

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from statistics import NormalDist
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from . import _kernels
 from .exceptions import NumericalWarning
@@ -24,13 +24,13 @@ from .patterns import (
     MAX_ENUM_LENGTH,
     Pattern,
     enumerate_patterns,
-    key_to_pattern,
+    is_valid_pattern,
     pattern_keys,
 )
 
-EXACT_BASELINE_LIMIT = 10_000_000
-MONTE_CARLO_DRAWS = 1_000_000
-MONTE_CARLO_SEED = 20_260_801
+# float64 cells of each (pattern rows, class values) temporary that
+# ``baseline_frequencies`` builds for one slice of pattern rows
+_BASELINE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -131,67 +131,75 @@ def pattern_frequencies(
     return {p: c / total for p, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))}
 
 
-def _marginals(cols: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    supports, probs = [], []
-    for j in range(cols.shape[1]):
-        values, counts = np.unique(cols[:, j], return_counts=True)
-        supports.append(values)
-        probs.append(counts / counts.sum())
-    return supports, probs
-
-
 def baseline_frequencies(
     matrix: ClassMatrix,
     gauge_subset: Sequence[str],
-    exact_limit: int = EXACT_BASELINE_LIMIT,
-    draws: int = MONTE_CARLO_DRAWS,
-    seed: int = MONTE_CARLO_SEED,
+    patterns: Optional[Iterable[Sequence[int]]] = None,
 ) -> dict[Pattern, float]:
-    """Pattern law under independence of the gauges.
+    """Pattern law under independence of the gauges, exact for any support.
 
-    Per-gauge marginal class distributions are estimated from the matrix
-    and the induced pattern distribution is computed exactly by
-    enumerating the product of the observed class supports, unless that
-    product exceeds ``exact_limit`` cells, in which case a fixed-seed
-    Monte-Carlo sample of ``draws`` class vectors is used.
+    Let p_j be the marginal class distribution of gauge j, estimated from
+    the matrix, and V the sorted union of the class values. A pattern with
+    k levels occurs when the gauges at level l share one value v_l and
+    v_1 < ... < v_k. With f_l(v) the product of p_j(v) over the gauges at
+    level l, its probability is the sum of f_1(v_1)...f_k(v_k) over those
+    value chains, computed level by level: g_1 = f_1,
+    g_l(v) = f_l(v) * sum_{u<v} g_{l-1}(u), and P = sum_v g_k(v).
+
+    ``patterns`` lists the patterns to evaluate; the default is the whole
+    pattern space of the subset size. Returns {pattern: probability} sorted
+    by decreasing probability, then pattern, without zero entries.
     """
     if len(gauge_subset) > MAX_ENUM_LENGTH:
         raise ValueError(f"gauge subset of size {len(gauge_subset)} exceeds the cap of {MAX_ENUM_LENGTH}")
     cols = matrix.subset_columns(gauge_subset)
-    supports, probs = _marginals(cols)
-    d = cols.shape[1]
-    sizes = np.array([len(s) for s in supports], dtype=np.int64)
-    total = int(np.prod(sizes))
-
-    acc: dict[int, float] = {}
-    if total <= exact_limit:
-        chunk = 200_000
-        radix = np.concatenate([np.cumprod(sizes[::-1])[-2::-1], [1]]).astype(np.int64)
-        for start in range(0, total, chunk):
-            flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            values = np.empty((flat.shape[0], d), dtype=np.int64)
-            weight = np.ones(flat.shape[0], dtype=np.float64)
-            for j in range(d):
-                idx = (flat // radix[j]) % sizes[j]
-                values[:, j] = supports[j][idx]
-                weight *= probs[j][idx]
-            keys = pattern_keys(_encode_rows(values))
-            uniq, inv = np.unique(keys, return_inverse=True)
-            sums = np.bincount(inv, weights=weight)
-            for k, w in zip(uniq.tolist(), sums.tolist()):
-                acc[k] = acc.get(k, 0.0) + w
+    num_events, d = cols.shape
+    if num_events == 0:
+        raise ValueError("no events to estimate the gauge marginals from")
+    if patterns is None:
+        table = enumerate_patterns(d)
+        entries, codes = table.entries, table.codes
     else:
-        rng = np.random.default_rng(seed)
-        values = np.empty((draws, d), dtype=np.int64)
-        for j in range(d):
-            values[:, j] = rng.choice(supports[j], size=draws, p=probs[j])
-        keys = pattern_keys(_encode_rows(values))
-        uniq, counts = np.unique(keys, return_counts=True)
-        for k, c in zip(uniq.tolist(), counts.tolist()):
-            acc[k] = acc.get(k, 0.0) + c / draws
+        entries = [tuple(int(c) for c in p) for p in patterns]
+        for p in entries:
+            if len(p) != d or not is_valid_pattern(p):
+                raise ValueError(f"not a valid pattern of length {d}: {p}")
+        codes = np.array(entries, dtype=np.int64).reshape(-1, d)
 
-    out = {key_to_pattern(k, d): w for k, w in acc.items()}
-    return dict(sorted(out.items(), key=lambda kv: (-kv[1], kv[0])))
+    values, index = np.unique(cols, return_inverse=True)
+    index = index.reshape(cols.shape)
+    # products[mask] is the product of p_j(v) over the gauges j in the bit
+    # mask, so f_l is the row of the mask of the gauges at level l
+    products = np.ones((1, values.shape[0]))
+    for j in range(d):
+        marginal = np.bincount(index[:, j], minlength=values.shape[0]) / num_events
+        products = np.concatenate([products, products * marginal])
+    probs = np.empty(codes.shape[0])
+    step = max(1, _BASELINE_CELLS // values.shape[0])
+    for lo in range(0, codes.shape[0], step):
+        probs[lo : lo + step] = _level_chain_law(codes[lo : lo + step], products)
+
+    order = np.lexsort((pattern_keys(codes), -probs))
+    order = order[probs[order] > 0.0]
+    return dict(zip([entries[i] for i in order.tolist()], probs[order].tolist()))
+
+
+def _level_chain_law(codes: np.ndarray, products: np.ndarray) -> np.ndarray:
+    # codes: (rows, d) patterns; products: (2^d, |V|) subset products
+    bits = 1 << np.arange(codes.shape[1])
+    levels = codes.max(axis=1)
+    out = np.empty(codes.shape[0])
+    below = np.zeros((codes.shape[0], products.shape[1]))
+    for level in range(1, int(levels.max()) + 1):
+        factor = products[np.where(codes == level, bits, 0).sum(axis=1)]
+        if level == 1:
+            chain = factor
+        else:
+            np.cumsum(chain[:, :-1], axis=1, out=below[:, 1:])
+            chain = factor * below
+        done = levels == level
+        out[done] = chain[done].sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,7 +258,7 @@ def spatial_significance(
     rows = sorted(pats, key=lambda p: (-observed.get(p, 0.0), p))
     testable = [p for p in rows if baseline.get(p, 0.0) > 0.0]
     threshold = alpha / max(len(testable), 1)
-    crit = float(norm.ppf(1.0 - threshold / 2.0))
+    crit = NormalDist().inv_cdf(1.0 - threshold / 2.0)
     records = []
     for p in rows:
         obs = observed.get(p, 0.0)
@@ -285,7 +293,10 @@ def analyze_spatial(
     """Encode, tabulate, baseline and test one gauge subset."""
     patterns = spatial_encode(matrix, gauge_subset)
     observed = pattern_frequencies(patterns)
-    baseline = baseline_frequencies(matrix, gauge_subset)
+    # the report lists only observed rows unless zero rows are asked for
+    baseline = baseline_frequencies(
+        matrix, gauge_subset, None if include_zero_observed else observed
+    )
     return spatial_significance(
         observed,
         baseline,

@@ -4,6 +4,7 @@ Everything here enumerates windows explicitly and avoids the library's
 vectorized paths so the two sides stay independent.
 """
 
+import itertools
 from collections import Counter
 
 
@@ -69,3 +70,16 @@ def oracle_long_run_variance(values, kernel, bandwidth):
         for j in range(count):
             total += kernel((i - j) / bandwidth) * centered[i] * centered[j]
     return total / count
+
+
+def oracle_product_law(columns):
+    """Pattern law of independent columns: explicit product over the supports."""
+    count = len(columns[0])
+    margs = [Counter(c) for c in columns]
+    law = Counter()
+    for combo in itertools.product(*(sorted(m) for m in margs)):
+        weight = 1.0
+        for m, v in zip(margs, combo):
+            weight *= m[v] / count
+        law[oracle_encode(combo)] += weight
+    return law

@@ -12,7 +12,6 @@ from ordpat.patterns import (
     enumerate_patterns,
     fubini,
     is_valid_pattern,
-    key_to_pattern,
     pattern_keys,
     randomize_values,
     smallest_gap,
@@ -202,9 +201,3 @@ class TestPatternKeys:
             keys = pattern_keys(table.codes)
             assert len(np.unique(keys)) == len(table)
             assert np.all(np.diff(keys) > 0)  # lexicographic <-> numeric
-
-    def test_key_roundtrip(self):
-        table = enumerate_patterns(5)
-        keys = pattern_keys(table.codes)
-        for key, entry in zip(keys[::37], table.entries[::37]):
-            assert key_to_pattern(int(key), 5) == entry

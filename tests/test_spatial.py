@@ -1,12 +1,12 @@
 """Cross-sectional pattern frequencies, baselines, and significance."""
 
-import itertools
-from collections import Counter
-
 import numpy as np
 import pytest
 
+from oracles import oracle_product_law
+from ordpat import spatial
 from ordpat.exceptions import NumericalWarning
+from ordpat.patterns import enumerate_patterns
 from ordpat.spatial import (
     ClassMatrix,
     analyze_spatial,
@@ -130,30 +130,65 @@ class TestBaseline:
         rng = np.random.default_rng(2)
         matrix = make_matrix(rng.integers(-1, 5, size=(120, 3)))
         baseline = baseline_frequencies(matrix, matrix.gauges)
-        # independent oracle: explicit product over the support triples
-        cols = [matrix.classes[:, j] for j in range(3)]
-        margs = [Counter(c.tolist()) for c in cols]
-        ref = Counter()
-        for combo in itertools.product(*(sorted(m) for m in margs)):
-            weight = 1.0
-            for m, v in zip(margs, combo):
-                weight *= m[v] / 120
-            distinct = sorted(set(combo))
-            ref[tuple(distinct.index(v) + 1 for v in combo)] += weight
+        ref = oracle_product_law([matrix.classes[:, j].tolist() for j in range(3)])
         assert set(baseline) == set(ref)
         for pattern, prob in ref.items():
             assert baseline[pattern] == pytest.approx(prob, abs=1e-12)
 
-    def test_sums_to_one_and_monte_carlo_close(self):
-        rng = np.random.default_rng(3)
-        matrix = make_matrix(rng.integers(-1, 5, size=(314, 4)))
-        exact = baseline_frequencies(matrix, matrix.gauges)
-        assert sum(exact.values()) == pytest.approx(1.0, abs=1e-9)
-        sampled = baseline_frequencies(matrix, matrix.gauges, exact_limit=1, draws=200_000)
-        assert sum(sampled.values()) == pytest.approx(1.0, abs=1e-3)
-        for pattern, prob in exact.items():
-            if prob > 0.01:
-                assert sampled.get(pattern, 0.0) == pytest.approx(prob, abs=0.01)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_matches_brute_force_product_law(self, d):
+        # four classes with the -1 absence mark: at d = 5, 6 the patterns
+        # with more levels than classes have probability 0
+        rng = np.random.default_rng(30 + d)
+        matrix = make_matrix(rng.integers(-1, 3, size=(97, d)))
+        ref = oracle_product_law([matrix.classes[:, j].tolist() for j in range(d)])
+        full = baseline_frequencies(matrix, matrix.gauges)
+        assert set(full) == set(ref)
+        for pattern, prob in ref.items():
+            assert full[pattern] == pytest.approx(prob, rel=0, abs=1e-12)
+        assert sum(full.values()) == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert list(full) == sorted(full, key=lambda p: (-full[p], p))
+        subset = enumerate_patterns(d).entries[::-3]
+        partial = baseline_frequencies(matrix, matrix.gauges, patterns=subset)
+        assert set(partial) == {p for p in subset if p in ref}
+        for pattern, prob in partial.items():
+            assert prob == pytest.approx(ref[pattern], rel=0, abs=1e-12)
+        assert list(partial) == sorted(partial, key=lambda p: (-partial[p], p))
+
+    def test_slicing_does_not_change_the_law(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        matrix = make_matrix(rng.integers(-1, 5, size=(150, 4)))
+        whole = baseline_frequencies(matrix, matrix.gauges)
+        monkeypatch.setattr(spatial, "_BASELINE_CELLS", 13)
+        assert baseline_frequencies(matrix, matrix.gauges) == whole
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError, match="no events"):
+            baseline_frequencies(make_matrix(np.empty((0, 2), dtype=np.int64)), ("g0", "g1"))
+        matrix = make_matrix(np.array([[0, 1], [1, 0], [2, 2]]))
+        with pytest.raises(ValueError, match="not a valid pattern"):
+            baseline_frequencies(matrix, matrix.gauges, patterns=[(1, 3)])
+        with pytest.raises(ValueError, match="not a valid pattern"):
+            baseline_frequencies(matrix, matrix.gauges, patterns=[(1, 2, 1)])
+        assert baseline_frequencies(matrix, matrix.gauges, patterns=[]) == {}
+
+    def test_exact_for_supports_beyond_enumeration(self):
+        # 8 Poisson(8) gauges: the support product is ~1e9 cells, far past
+        # what enumerating class vectors could cover
+        rng = np.random.default_rng(11)
+        matrix = make_matrix(rng.poisson(8.0, size=(300, 8)))
+        cells = np.prod([np.unique(matrix.classes[:, j]).shape[0] for j in range(8)])
+        assert cells > 10**7
+        report = analyze_spatial(matrix, matrix.gauges)
+        observed = set(spatial_encode(matrix, matrix.gauges))
+        assert {rec.pattern for rec in report.records} == observed
+        assert all(rec.baseline > 0.0 for rec in report.records)
+        assert not any(rec.impossible_under_baseline for rec in report.records)
+        assert report.tests == len(observed)
+        full = baseline_frequencies(matrix, matrix.gauges)
+        assert sum(full.values()) == pytest.approx(1.0, rel=0, abs=1e-12)
+        for rec in report.records:
+            assert full[rec.pattern] == rec.baseline
 
     def test_observed_matches_product_law_for_independent_columns(self):
         rng = np.random.default_rng(4)
