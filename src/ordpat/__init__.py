@@ -18,7 +18,6 @@ from .dependence import (
     VarianceEstimate,
     analyze_pair,
     anti_estimates,
-    block_bootstrap_ci,
     classical_dependence,
     classical_total_score,
     coincidence_probability,
@@ -104,7 +103,6 @@ __all__ = [
     "analyze_spatial",
     "anti_estimates",
     "baseline_frequencies",
-    "block_bootstrap_ci",
     "classical_dependence",
     "classical_total_score",
     "classify_peak",

@@ -2,7 +2,8 @@
 
 All kernels are exact integer computations in numpy. Encoding works on
 windows of shape ``(..., n)``, so one call encodes a single series or a
-stack of series (for instance all bootstrap resamples of a chunk).
+stack of equally long series. Each series is encoded once: the block
+bootstrap resamples the encoded window sequence, not the values.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .dependence import (
     DependenceReport,
     analyze_pair,
     classical_total_score,
-    comparison_value,
+    score_comparison_value,
     total_score,
 )
 from .exceptions import DataFormatError, NumericalWarning
@@ -115,7 +115,9 @@ def run_pairwise(
         comparison[i, j] = comparison[j, i] = est.score_comparison
         coefficient[i, j] = coefficient[j, i] = est.coefficient
     for i, g in enumerate(labels):
-        comparison[i, i] = comparison_value(series[g], series[g], config.n, config.stride)
+        comparison[i, i] = score_comparison_value(
+            series[g], series[g], config.n, config.stride, scheme
+        )
 
     matrices = {"score": score, "comparison": comparison, "coefficient": coefficient}
     return labels, matrices, reports
@@ -211,8 +213,13 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _config_from(args) -> AnalysisConfig:
-    return AnalysisConfig(
+def _gauge_list(args) -> tuple[str, ...]:
+    return tuple(args.gauges.split(",")) if args.gauges else ()
+
+
+def _cmd_pairwise(args) -> int:
+    matrix = load_class_matrix(args.data)
+    config = AnalysisConfig(
         n=args.n,
         stride=args.stride,
         scheme=args.scheme,
@@ -222,13 +229,8 @@ def _config_from(args) -> AnalysisConfig:
         block=args.block,
         replicates=args.replicates,
         seed=args.seed,
-        gauges=tuple(args.gauges.split(",")) if args.gauges else (),
+        gauges=_gauge_list(args),
     )
-
-
-def _cmd_pairwise(args) -> int:
-    matrix = load_class_matrix(args.data)
-    config = _config_from(args)
     labels, matrices, reports = run_pairwise(matrix, config)
     if args.out:
         for name, values in matrices.items():
@@ -250,7 +252,7 @@ def _cmd_pairwise(args) -> int:
 
 def _cmd_spatial(args) -> int:
     matrix = load_class_matrix(args.data)
-    gauges = tuple(args.gauges.split(",")) if args.gauges else matrix.gauges
+    gauges = _gauge_list(args) or matrix.gauges
     report = analyze_spatial(
         matrix, gauges, alpha=args.alpha, include_zero_observed=args.include_zero
     )
@@ -271,7 +273,9 @@ def _cmd_spatial(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    config = _config_from(args)
+    config = AnalysisConfig(
+        stride=args.stride, scheme=args.scheme, seed=args.seed, gauges=_gauge_list(args)
+    )
     lengths = tuple(int(v) for v in args.lengths.split(","))
     if args.data:
         rows = run_benchmark_data(load_class_matrix(args.data), config, lengths)
@@ -335,7 +339,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_plot_data(args) -> int:
     matrix = load_class_matrix(args.data)
-    gauges = tuple(args.gauges.split(",")) if args.gauges else matrix.gauges
+    gauges = _gauge_list(args) or matrix.gauges
     write_plot_data(matrix, gauges, args.out)
     print(f"wrote {args.out} ({matrix.num_events} rows, {len(gauges)} gauges)")
     return 0
@@ -345,32 +349,42 @@ def _cmd_plot_data(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = _Parser(add_help=False)
-    shared.add_argument("--n", type=int, default=4, help="pattern length (default 4)")
-    shared.add_argument("--stride", type=int, default=1, help="window step (default 1)")
-    shared.add_argument(
-        "--scheme", default="auto", choices=["auto", *sorted(SCHEMES)],
+# Options shared by several subcommands; each subcommand declares the ones
+# it reads.
+_FLAGS = {
+    "n": dict(type=int, default=4, help="pattern length (default 4)"),
+    "stride": dict(type=int, default=1, help="window step (default 1)"),
+    "scheme": dict(
+        default="auto", choices=["auto", *sorted(SCHEMES)],
         help="weight scheme (default: auto by length)",
-    )
-    shared.add_argument(
-        "--tie-policy", choices=["skip", "randomize", "first_appearance"], default=None,
+    ),
+    "tie-policy": dict(
+        choices=["skip", "randomize", "first_appearance"], default=None,
         help="classical tie policy (baselines only)",
-    )
-    shared.add_argument("--seed", type=int, default=0, help="master seed")
-    shared.add_argument("--level", type=float, default=0.95, help="confidence level")
-    shared.add_argument(
-        "--kernel", default="bartlett", choices=["bartlett", "parzen", "truncated"],
+    ),
+    "seed": dict(type=int, default=0, help="master seed"),
+    "level": dict(type=float, default=0.95, help="confidence level"),
+    "kernel": dict(
+        default="bartlett", choices=["bartlett", "parzen", "truncated"],
         help="long-run variance kernel",
-    )
-    shared.add_argument("--bandwidth", type=float, default=None, help="kernel bandwidth")
-    shared.add_argument("--block", type=int, default=None, help="bootstrap block length")
-    shared.add_argument("--replicates", type=int, default=1000, help="bootstrap replicates")
-    shared.add_argument("--gauges", default=None, help="comma-separated gauge subset")
-    shared.add_argument(
-        "--format", choices=["matrix", "long"], default="matrix", help="stdout layout"
-    )
+    ),
+    "bandwidth": dict(type=float, default=None, help="kernel bandwidth"),
+    "block": dict(
+        type=int, default=None,
+        help="bootstrap block length in windows (default: ceil(windows^(1/3)))",
+    ),
+    "replicates": dict(type=int, default=1000, help="bootstrap replicates"),
+    "gauges": dict(default=None, help="comma-separated gauge subset"),
+    "format": dict(choices=["matrix", "long"], default="matrix", help="stdout layout"),
+}
 
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **_FLAGS[name])
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ordpat", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ordpat {__version__}")
     parser.add_argument(
@@ -379,27 +393,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", parents=[shared], help="list all patterns of a length")
+    p = sub.add_parser("enumerate", help="list all patterns of a length")
+    _add_flags(p, "n")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("encode", parents=[shared], help="encode one window")
+    p = sub.add_parser("encode", help="encode one window")
+    _add_flags(p, "tie-policy", "seed")
     p.add_argument("values", nargs="+", help="window values")
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("pairwise", parents=[shared], help="dependence for every gauge pair")
+    p = sub.add_parser("pairwise", help="dependence for every gauge pair")
+    _add_flags(
+        p, "n", "stride", "scheme", "seed", "level", "kernel", "bandwidth", "block",
+        "replicates", "gauges", "format",
+    )
     p.add_argument("--data", required=True, help="class matrix CSV")
     p.add_argument("--out", default=None, help="output file prefix")
     p.set_defaults(func=_cmd_pairwise)
 
-    p = sub.add_parser("spatial", parents=[shared], help="cross-sectional pattern report")
+    p = sub.add_parser("spatial", help="cross-sectional pattern report")
+    _add_flags(p, "gauges")
     p.add_argument("--data", required=True, help="class matrix CSV")
     p.add_argument("--alpha", type=float, default=0.05, help="significance level")
     p.add_argument("--include-zero", action="store_true", help="report non-observed patterns")
     p.add_argument("--out", default=None, help="report CSV path")
     p.set_defaults(func=_cmd_spatial)
 
-    p = sub.add_parser("benchmark", parents=[shared], help="tie-handling comparison table")
+    p = sub.add_parser("benchmark", help="tie-handling comparison table")
+    _add_flags(p, "stride", "scheme", "seed", "gauges")
     p.add_argument("--data", default=None, help="class matrix CSV (else simulate)")
     p.add_argument("--lengths", default="4,6", help="pattern lengths (default 4,6)")
     p.add_argument("--beta0", type=float, default=2.0)
@@ -411,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="summary CSV path")
     p.set_defaults(func=_cmd_benchmark)
 
-    p = sub.add_parser("simulate", parents=[shared], help="simulate a count process")
+    p = sub.add_parser("simulate", help="simulate a count process")
+    _add_flags(p, "seed")
     p.add_argument("--beta0", type=float, default=2.0)
     p.add_argument("--beta", default="0.3", help="comma list of count-feedback coefficients")
     p.add_argument("--alpha", default="", help="comma list of mean-feedback coefficients")
@@ -420,11 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="counts CSV path")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("classify", parents=[shared], help="flood class of non-exceedance probabilities")
+    p = sub.add_parser("classify", help="flood class of non-exceedance probabilities")
     p.add_argument("probabilities", nargs="+", help="values in [0, 1]")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("plot-data", parents=[shared], help="emit per-gauge series for plotting")
+    p = sub.add_parser("plot-data", help="emit per-gauge series for plotting")
+    _add_flags(p, "gauges")
     p.add_argument("--data", required=True, help="class matrix CSV")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_plot_data)

@@ -9,10 +9,11 @@ encoded as a tie-aware pattern, and co-movement is measured by
   patterns, which also credits near-misses.
 
 Kernel-weighted long-run variances give asymptotic confidence intervals
-for the probability-type estimators; a moving-block bootstrap covers the
-comparison value and the standardized coefficient. The classical
-tie-handling baselines (skip / randomize / first-appearance) run the same
-pipeline through permutation patterns and the plain L1 metric.
+for the probability-type estimators; one moving-block bootstrap of the
+window pattern sequence covers the comparison value and the
+standardized coefficient. The classical tie-handling baselines (skip /
+randomize / first-appearance) run the same pipeline through permutation
+patterns and the plain L1 metric.
 """
 
 from __future__ import annotations
@@ -181,13 +182,14 @@ def _estimates_from_codes(
     stride: int,
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     cross_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple["DependenceEstimates", np.ndarray, np.ndarray]:
+) -> tuple["DependenceEstimates", np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """All point estimates of one pair from its (num_windows, n) codes.
 
     Serves the tie-aware pipeline (rank codes, shift-minimized distance)
     and the classical one (permutations, plain L1). Also returns the
     per-window coincidence indicators and scores, the inputs of the
-    long-run variance estimator.
+    long-run variance estimator, and the pattern keys of x, y and -y,
+    the input of the block bootstrap.
     """
     num_windows, n = x_codes.shape
     x_keys, y_keys, neg_y_keys = (pattern_keys(c) for c in (x_codes, y_codes, neg_y_codes))
@@ -212,7 +214,7 @@ def _estimates_from_codes(
         stride=stride,
         num_windows=num_windows,
     )
-    return estimates, indicators, scores
+    return estimates, indicators, scores, (x_keys, y_keys, neg_y_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,7 @@ def dependence_estimates(
     """All point estimates for one pair through the tie-aware pipeline."""
     scheme = scheme or scheme_for_length(n)
     cx, cy = _paired_codes(x, y, n, stride)
-    estimates, _, _ = _estimates_from_codes(
+    estimates, _, _, _ = _estimates_from_codes(
         cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_rows, _kernels.df_cross
     )
     return estimates
@@ -447,7 +449,7 @@ def classical_dependence(
     """
     scheme = _classical_scheme(n, scheme)
     win_x, win_y = _classical_windows(x, y, n, stride, policy)
-    estimates, _, _ = _estimates_from_codes(
+    estimates, _, _, _ = _estimates_from_codes(
         _descending_perms(win_x),
         _descending_perms(win_y),
         _descending_perms(-win_y),
@@ -584,65 +586,66 @@ def confidence_interval(
 # moving-block bootstrap
 # ---------------------------------------------------------------------------
 
-# Resamples are drawn, stacked and handed to the statistic in chunks of at
-# most this many values per series (at least one resample per chunk).
+# Resampled window sequences are gathered in chunks of at most this many
+# windows per series (at least one replicate per chunk).
 BOOTSTRAP_CHUNK_VALUES = 1 << 18
 
 
-def _block_starts(length: int, block: int, seed: np.random.SeedSequence) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, length - block + 1, size=-(-length // block))
-
-
 def block_bootstrap_ci(
-    x: SeriesLike,
-    y: SeriesLike,
-    statistic: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x_keys: np.ndarray,
+    y_keys: np.ndarray,
+    neg_y_keys: np.ndarray,
     block: Optional[int] = None,
     replicates: int = 1000,
     level: float = 0.95,
     seed: int = 0,
-) -> tuple[float, float]:
-    """Moving-block bootstrap percentile interval for a pair statistic.
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Moving-block bootstrap intervals of the comparison value and coefficient.
 
-    Blocks of time indices are resampled jointly from both series, which
-    preserves the cross-dependence and the short-range serial dependence
-    within blocks. Each replicate draws its block starts from its own
-    generator, split deterministically from the master seed, so the
-    result does not depend on evaluation order or chunking.
-
-    ``statistic`` is called once per chunk of replicates with the stacked
-    resamples of x and of y, both of shape (replicates_in_chunk, length),
-    and must return one value per row.
+    Takes the pattern keys of the W simultaneous windows of x, y and -y
+    and resamples blocks of ``block`` consecutive windows (default
+    ``default_bandwidth(W)``) jointly from all three, which keeps the
+    cross-dependence and the serial dependence within blocks (Kuensch's
+    moving-block bootstrap of the pattern sequence). One generator
+    draws the block starts of every replicate; both statistics come from
+    the same replicates. Returns (comparison_ci, coefficient_ci).
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
     if replicates < 2:
         raise ValueError("need at least 2 bootstrap replicates")
-    xv = series_values(x)
-    yv = series_values(y)
-    length = xv.shape[0]
+    num_windows = x_keys.shape[0]
     if block is None:
-        block = default_bandwidth(length)
-    block = min(max(int(block), 1), length)
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    chunk = max(1, BOOTSTRAP_CHUNK_VALUES // length)
+        block = default_bandwidth(num_windows)
+    if not 1 <= block <= num_windows:
+        raise ValueError(
+            f"bootstrap block must lie in 1..{num_windows} (the number of windows), got {block}"
+        )
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, num_windows - block + 1, size=(replicates, -(-num_windows // block)))
     offsets = np.arange(block)
-    stats = np.empty(replicates, dtype=np.float64)
+    chunk = max(1, BOOTSTRAP_CHUNK_VALUES // num_windows)
+    pairs = num_windows * num_windows
+    comparison = np.empty(replicates, dtype=np.float64)
+    coefficient = np.empty(replicates, dtype=np.float64)
     for lo in range(0, replicates, chunk):
-        starts = np.stack([_block_starts(length, block, c) for c in children[lo : lo + chunk]])
-        rows = starts.shape[0]
-        idx = (starts[:, :, None] + offsets).reshape(rows, -1)[:, :length]
-        values = np.asarray(statistic(xv[idx], yv[idx]), dtype=np.float64)
-        if values.shape != (rows,):
-            raise ValueError(
-                f"bootstrap statistic returned shape {values.shape}, expected ({rows},): "
-                "one value per resample row"
-            )
-        stats[lo : lo + rows] = values
+        rows = starts[lo : lo + chunk]
+        idx = (rows[:, :, None] + offsets).reshape(rows.shape[0], -1)[:, :num_windows]
+        xs, ys, neg_ys = x_keys[idx], y_keys[idx], neg_y_keys[idx]
+        same, opposite = _match_counts(xs, ys, neg_ys)
+        hi = lo + rows.shape[0]
+        comparison[lo:hi] = same / pairs
+        coefficient[lo:hi] = _coefficients(
+            (xs == ys).sum(axis=1) / num_windows,
+            comparison[lo:hi],
+            (xs == neg_ys).sum(axis=1) / num_windows,
+            opposite / pairs,
+        )
     alpha = 1.0 - level
-    low, high = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(low), float(high)
+    quantiles = [alpha / 2.0, 1.0 - alpha / 2.0]
+    q_low, q_high = np.quantile(comparison, quantiles)
+    c_low, c_high = np.quantile(coefficient, quantiles)
+    return (float(q_low), float(q_high)), (float(c_low), float(c_high))
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +684,13 @@ def analyze_pair(
 
     Coincidence probability and total score get kernel-based intervals
     from their per-window sequences; the comparison value and the
-    standardized coefficient get moving-block bootstrap intervals.
+    standardized coefficient get percentile intervals from one
+    moving-block bootstrap of the window sequence, whose blocks count
+    ``block`` windows.
     """
     scheme = scheme or scheme_for_length(n)
     cx, cy = _paired_codes(x, y, n, stride)
-    est, indicators, scores = _estimates_from_codes(
+    est, indicators, scores, keys = _estimates_from_codes(
         cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_rows, _kernels.df_cross
     )
 
@@ -695,28 +700,7 @@ def analyze_pair(
 
     var_p = with_ci(long_run_variance(indicators, kernel, bandwidth), est.coincidence)
     var_s = with_ci(long_run_variance(scores, kernel, bandwidth), est.total_score)
-
-    # the statistics see a chunk of resamples, (rows, length) per series
-    def comparison_stat(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        bx, by = (_kernels.encode_windows(v, n, stride) for v in (xs, ys))
-        (matches,) = _match_counts(pattern_keys(bx), pattern_keys(by))
-        return matches / (est.num_windows * est.num_windows)
-
-    def coefficient_stat(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        bx, by = (_kernels.encode_windows(v, n, stride) for v in (xs, ys))
-        x_keys, y_keys, neg_y_keys = (pattern_keys(c) for c in (bx, by, _negated_codes(by)))
-        same, opposite = _match_counts(x_keys, y_keys, neg_y_keys)
-        pairs = est.num_windows * est.num_windows
-        return _coefficients(
-            _coincidences(x_keys, y_keys).sum(axis=-1) / est.num_windows,
-            same / pairs,
-            _coincidences(x_keys, neg_y_keys).sum(axis=-1) / est.num_windows,
-            opposite / pairs,
-        )
-
-    seed_q, seed_c = np.random.SeedSequence(seed).generate_state(2)
-    q_ci = block_bootstrap_ci(x, y, comparison_stat, block, replicates, level, int(seed_q))
-    c_ci = block_bootstrap_ci(x, y, coefficient_stat, block, replicates, level, int(seed_c))
+    q_ci, c_ci = block_bootstrap_ci(*keys, block, replicates, level, seed)
 
     return DependenceReport(
         label_x=series_label(x, "x"),

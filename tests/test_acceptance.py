@@ -19,6 +19,7 @@ import pytest
 from oracles import oracle_estimates
 from ordpat._kernels import df_cross, df_rows, encode_windows
 from ordpat.dependence import (
+    analyze_pair,
     anti_estimates,
     classical_dependence,
     coincidence_probability,
@@ -322,6 +323,32 @@ def test_09_ci_coverage():
     rate = covered / replications
     report(
         "95% interval coverage in [90%, 98%]",
+        0.90 <= rate <= 0.98,
+        f"{covered}/{replications} = {100 * rate:.1f}%",
+    )
+
+
+@pytest.mark.parametrize("copy_rate", [0.0, 0.5], ids=["independent", "half-copied"])
+def test_09b_bootstrap_ci_coverage(copy_rate):
+    # iid classes with probabilities (0.6, 0.3, 0.1): at n=2 a window ties
+    # with probability 0.46 and rises or falls with 0.27 each, so the
+    # comparison value is 0.46^2 + 2 * 0.27^2 = 0.3574. Uniform classes
+    # would make it a degenerate statistic (q = 1/3 exactly at the
+    # uniform law) and the percentile interval over-cover. y copies x at
+    # each step with probability copy_rate, which keeps y iid with the
+    # same law but makes the pair dependent.
+    true_q = 0.46**2 + 2 * 0.27**2
+    replications, size = 200, 1000
+    covered = 0
+    for child in np.random.SeedSequence([818181, int(10 * copy_rate)]).spawn(replications):
+        rng = np.random.default_rng(child)
+        x = rng.choice(3, p=[0.6, 0.3, 0.1], size=size)
+        y = np.where(rng.random(size) < copy_rate, x, rng.choice(3, p=[0.6, 0.3, 0.1], size=size))
+        low, high = analyze_pair(x, y, 2, replicates=200, seed=int(rng.integers(2**32))).comparison_ci
+        covered += low <= true_q <= high
+    rate = covered / replications
+    report(
+        f"bootstrap 95% comparison interval coverage in [90%, 98%] ({copy_rate:.0%} copied)",
         0.90 <= rate <= 0.98,
         f"{covered}/{replications} = {100 * rate:.1f}%",
     )

@@ -1,17 +1,17 @@
 """Dependence estimators against naive oracles and known values."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import oracle_estimates, oracle_long_run_variance
+from oracles import oracle_encode, oracle_estimates, oracle_long_run_variance, oracle_windows
 from ordpat import dependence
 from ordpat.dependence import (
     ClassSeries,
     analyze_pair,
     anti_estimates,
-    block_bootstrap_ci,
     classical_dependence,
     classical_total_score,
     coincidence_probability,
@@ -404,33 +404,6 @@ class TestClassicalBaselines:
         assert np.all(l1_rows(perms_x, perms_y) % 2 == 0)
 
 
-def rowwise(stat):
-    """Adapt a per-series statistic to stacked resamples, one value per row."""
-    return lambda xs, ys: np.array([stat(a, b) for a, b in zip(xs, ys)])
-
-
-class TestBootstrap:
-    def test_deterministic(self):
-        rng = np.random.default_rng(23)
-        x = rng.integers(0, 3, size=120)
-        y = rng.integers(0, 3, size=120)
-        stat = rowwise(lambda a, b: comparison_value(a, b, 3))
-        one = block_bootstrap_ci(x, y, stat, replicates=100, seed=5)
-        two = block_bootstrap_ci(x, y, stat, replicates=100, seed=5)
-        assert one == two
-        other = block_bootstrap_ci(x, y, stat, replicates=100, seed=6)
-        assert one != other
-
-    def test_interval_brackets_plausible_values(self):
-        rng = np.random.default_rng(24)
-        x = rng.integers(0, 3, size=400)
-        y = rng.integers(0, 3, size=400)
-        stat = rowwise(lambda a, b: comparison_value(a, b, 2))
-        low, high = block_bootstrap_ci(x, y, stat, replicates=200, seed=7)
-        assert 0.0 <= low < high <= 1.0
-        assert low < comparison_value(x, y, 2) < high
-
-
 class TestAnalyzePair:
     def test_report_shape(self):
         rng = np.random.default_rng(25)
@@ -459,39 +432,40 @@ class TestClassicalTotalScore:
             assert mean == scores.sum() / scores.shape[0]
 
 
-def reference_bootstrap(x, y, statistic, replicates, level, seed):
-    """The per-replicate loop: one resample, one statistic call at a time."""
-    length = x.shape[0]
-    block = default_bandwidth(length)
-    stats = []
-    for child in np.random.SeedSequence(seed).spawn(replicates):
-        rng = np.random.default_rng(child)
-        starts = rng.integers(0, length - block + 1, size=-(-length // block))
-        idx = (starts[:, None] + np.arange(block)[None, :]).ravel()[:length]
-        stats.append(statistic(x[idx], y[idx]))
-    alpha = 1.0 - level
-    low, high = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(low), float(high)
-
-
 def reference_intervals(x, y, n, stride, replicates, seed, level=0.95):
-    """Bootstrap intervals of analyze_pair, one series pair per statistic call."""
-    def comparison_stat(xa, ya):
-        return comparison_value(xa, ya, n, stride)
+    """Bootstrap intervals of analyze_pair, one resampled window list at a time.
 
-    def coefficient_stat(xa, ya):
-        p_hat, _ = coincidence_probability(xa, ya, n, stride)
-        r_hat, _ = coincidence_probability(xa, -ya, n, stride)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NumericalWarning)
-            return standardized_coefficient(
-                p_hat, comparison_value(xa, ya, n, stride), r_hat, comparison_value(xa, -ya, n, stride)
-            )
+    Windows and patterns come from the oracles; each replicate joins
+    blocks of consecutive windows from the same start table as the
+    library and recounts p, q, r and s from pattern lists.
+    """
+    wx = [oracle_encode(w) for w in oracle_windows(list(x), n, stride)]
+    wy = [oracle_encode(w) for w in oracle_windows(list(y), n, stride)]
+    wyn = [oracle_encode(tuple(-v for v in w)) for w in oracle_windows(list(y), n, stride)]
+    count = len(wx)
+    block = default_bandwidth(count)
+    starts = np.random.default_rng(seed).integers(
+        0, count - block + 1, size=(replicates, -(-count // block))
+    )
 
-    seed_q, seed_c = np.random.SeedSequence(seed).generate_state(2)
-    return (
-        reference_bootstrap(x, y, comparison_stat, replicates, level, int(seed_q)),
-        reference_bootstrap(x, y, coefficient_stat, replicates, level, int(seed_c)),
+    def excess(prob, comp):
+        return 0.0 if comp >= 1.0 else max((prob - comp) / (1.0 - comp), 0.0)
+
+    comparisons, coefficients = [], []
+    for row in starts.tolist():
+        picked = [s + j for s in row for j in range(block)][:count]
+        a, b, c = ([w[i] for i in picked] for w in (wx, wy, wyn))
+        ca = Counter(a)
+        p_hat = sum(s == t for s, t in zip(a, b)) / count
+        r_hat = sum(s == t for s, t in zip(a, c)) / count
+        q_hat = sum(ca[t] * m for t, m in Counter(b).items()) / (count * count)
+        s_hat = sum(ca[t] * m for t, m in Counter(c).items()) / (count * count)
+        comparisons.append(q_hat)
+        coefficients.append(excess(p_hat, q_hat) - excess(r_hat, s_hat))
+    alpha = 1.0 - level
+    return tuple(
+        tuple(float(v) for v in np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0]))
+        for stats in (comparisons, coefficients)
     )
 
 
@@ -505,7 +479,8 @@ class TestBatchedBootstrap:
         y = np.clip(base + rng.integers(-1, 2, size=160), 0, 4)
         if chunk_rows is not None:
             # 50 replicates in chunks of 7, the last one short; histograms a few rows at a time
-            monkeypatch.setattr(dependence, "BOOTSTRAP_CHUNK_VALUES", chunk_rows * x.shape[0])
+            windows = (x.shape[0] - n) // 2 + 1
+            monkeypatch.setattr(dependence, "BOOTSTRAP_CHUNK_VALUES", chunk_rows * windows)
             monkeypatch.setattr(dependence, "_HISTOGRAM_CELLS", 1)
         report = analyze_pair(x, y, n, stride=2, replicates=50, seed=11)
         q_ci, c_ci = reference_intervals(x, y, n, 2, 50, 11)
@@ -519,10 +494,27 @@ class TestBatchedBootstrap:
         report = analyze_pair(x, y, 4, replicates=30, seed=2)
         assert (report.comparison_ci, report.coefficient_ci) == reference_intervals(x, y, 4, 1, 30, 2)
 
-    def test_statistic_must_return_one_value_per_row(self):
-        x = np.arange(40) % 5
-        with pytest.raises(ValueError, match="one value per resample row"):
-            block_bootstrap_ci(x, x, lambda a, b: comparison_value(a[0], b[0], 3), replicates=10)
+    def test_deterministic_per_seed(self):
+        rng = np.random.default_rng(23)
+        x = rng.integers(0, 3, size=120)
+        y = rng.integers(0, 3, size=120)
+
+        def intervals(seed):
+            report = analyze_pair(x, y, 3, replicates=100, seed=seed)
+            return report.comparison_ci, report.coefficient_ci
+
+        assert intervals(5) == intervals(5)
+        assert intervals(5) != intervals(6)
+
+    def test_block_outside_window_range_rejected(self):
+        x = np.arange(120) % 5
+        y = x[::-1]
+        # 120 values at n=3 give 118 windows
+        for block in (1, 118):
+            analyze_pair(x, y, 3, block=block, replicates=5)
+        for block in (0, -3, 119):
+            with pytest.raises(ValueError, match=r"block must lie in 1\.\.118"):
+                analyze_pair(x, y, 3, block=block, replicates=5)
 
 
 class TestNonFiniteInput:

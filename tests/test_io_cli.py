@@ -11,7 +11,7 @@ import pytest
 
 import ordpat
 from ordpat.cli import main, run_benchmark, run_benchmark_data, run_pairwise
-from ordpat.dependence import classical_dependence, total_score
+from ordpat.dependence import classical_dependence, score_comparison_value, total_score
 from ordpat.metric import scheme_for_length
 from ordpat.patterns import TiePolicy
 from ordpat.exceptions import DataFormatError
@@ -176,6 +176,16 @@ class TestPairwiseDriver:
         np.testing.assert_array_equal(np.diag(matrices["score"]), 1.0)
         assert len(reports) == 6
 
+    def test_comparison_matrix_is_score_baseline(self):
+        # diagonal included: every cell is the score comparison value of its pair
+        matrix = synthetic_matrix()
+        config = AnalysisConfig(n=4, replicates=4, seed=3)
+        labels, matrices, _ = run_pairwise(matrix, config)
+        for i, a in enumerate(labels):
+            for j, b in enumerate(labels):
+                expected = score_comparison_value(matrix.column(a), matrix.column(b), 4)
+                assert matrices["comparison"][i, j] == expected
+
     def test_duplicated_column_dominates(self):
         matrix = synthetic_matrix(rows=100, gauges=12, seed=5)
         classes = np.column_stack([matrix.classes, matrix.classes[:, 0]])
@@ -286,6 +296,25 @@ class TestCli:
         assert main(["pairwise", "--data", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "gauge 'a'" in err
+
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys):
+        for argv in (
+            ["classify", "0.5", "--kernel", "bartlett"],
+            ["spatial", "--data", "m.csv", "--n", "3"],
+            ["enumerate", "--n", "3", "--replicates", "5"],
+            ["benchmark", "--n", "4"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 1
+
+    def test_bad_block_is_data_error(self, matrix_file, capsys):
+        for block in ("0", "-3", "5"):
+            assert main([
+                "pairwise", "--data", str(matrix_file), "--n", "2",
+                "--replicates", "8", "--block", block,
+            ]) == 2
+            assert "block must lie in 1..4" in capsys.readouterr().err
 
     def test_enumerate_out_of_range_is_data_error(self, capsys):
         assert main(["enumerate", "--n", "11"]) == 2
