@@ -63,13 +63,11 @@ from .patterns import (
 from .simulate import CoherenceSummary, IngarchSpec, coherence_benchmark, simulate_ingarch
 from .spatial import (
     ClassMatrix,
-    SpatialRecord,
     SpatialReport,
     analyze_spatial,
     baseline_frequencies,
     cramers_v,
     cramers_v_autocorrelation,
-    pattern_counts,
     pattern_frequencies,
     spatial_encode,
     spatial_significance,
@@ -94,7 +92,6 @@ __all__ = [
     "NumericalWarning",
     "PatternTable",
     "SCHEMES",
-    "SpatialRecord",
     "SpatialReport",
     "TiePolicy",
     "VarianceEstimate",
@@ -121,7 +118,6 @@ __all__ = [
     "l1_distance",
     "load_class_matrix",
     "long_run_variance",
-    "pattern_counts",
     "pattern_distance",
     "pattern_frequencies",
     "save_class_matrix",

@@ -75,8 +75,12 @@ def encode_windows(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
     num = window_count(values.shape[-1], n, stride)
     if num == 0:
         return np.empty((*values.shape[:-1], 0, n), dtype=np.int64)
-    windows = sliding_window_view(values, n, axis=-1)[..., ::stride, :]
-    return rank_codes(windows)
+    return rank_codes(sliding_windows(values, n, stride))
+
+
+def sliding_windows(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
+    """Read-only view of the windows of ``values`` (at least n long) along its last axis."""
+    return sliding_window_view(values, n, axis=-1)[..., ::stride, :]
 
 
 def _shift_min_l1(diff: np.ndarray, n: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import warnings
@@ -31,6 +32,8 @@ from .io import (
     load_class_matrix,
     pair_record,
     pattern_label,
+    pattern_labels,
+    spatial_rows,
     write_pairs_long,
     write_plot_data,
     write_spatial_report,
@@ -197,8 +200,7 @@ def run_benchmark_simulated(
 def _cmd_enumerate(args) -> int:
     table = enumerate_patterns(args.n)
     if not args.count_only:
-        for entry in table.entries:
-            print(pattern_label(entry))
+        print("\n".join(pattern_labels(table.codes)))
     print(f"patterns of length {args.n}: {fubini(args.n)}")
     return 0
 
@@ -261,13 +263,13 @@ def _cmd_spatial(args) -> int:
         print(f"wrote {args.out}")
     print(f"{report.num_events} events over gauges {','.join(report.gauges)}")
     print(f"{'pattern':<{3 * len(gauges) + 4}} {'observed%':>9} {'baseline%':>9} {'z':>7}  significant")
-    for rec in report.records:
-        z_text = "-" if rec.z is None else f"{rec.z:7.2f}"
-        note = " impossible-under-baseline" if rec.impossible_under_baseline else ""
-        flag = "yes" if rec.significant else "no"
+    for label, _, observed, baseline, z, significant, impossible in spatial_rows(report):
+        z_text = "-" if math.isnan(z) else f"{z:7.2f}"
+        note = " impossible-under-baseline" if impossible else ""
+        flag = "yes" if significant else "no"
         print(
-            f"{pattern_label(rec.pattern):<{3 * len(gauges) + 4}} "
-            f"{100 * rec.observed:9.2f} {100 * rec.baseline:9.2f} {z_text:>7}  {flag}{note}"
+            f"{label:<{3 * len(gauges) + 4}} "
+            f"{100 * observed:9.2f} {100 * baseline:9.2f} {z_text:>7}  {flag}{note}"
         )
     return 0
 

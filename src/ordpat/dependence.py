@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import NumericalWarning
 from .metric import WeightScheme, scheme_for_length
-from .patterns import TiePolicy, check_finite, pattern_keys, randomize_values
+from .patterns import TiePolicy, check_finite, descending_permutations, pattern_keys, randomize_values
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,9 @@ def _paired_codes(x: SeriesLike, y: SeriesLike, n: int, stride: int) -> tuple[np
 # Pattern keys below this bound are relabelled through a lookup table,
 # larger ones through a sort.
 _KEY_TABLE_SIZE = 1 << 21
-# Cells of one (row x pattern) histogram table; larger tables are built
-# a slice of rows at a time.
-_HISTOGRAM_CELLS = 1 << 20
+# Cells of one (row x pattern) histogram table or (pattern x pattern x n)
+# distance table; larger tables are built a slice of rows at a time.
+_TABLE_CELLS = 1 << 20
 
 
 def _negated_codes(codes: np.ndarray) -> np.ndarray:
@@ -136,7 +136,7 @@ def _match_counts(keys: np.ndarray, *others: np.ndarray) -> list[np.ndarray]:
     """
     ids, size = _dense_ids([keys, *others])
     rows = keys.shape[0]
-    step = max(1, _HISTOGRAM_CELLS // size)
+    step = max(1, _TABLE_CELLS // size)
     out = [np.empty(rows, dtype=np.int64) for _ in others]
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
@@ -166,12 +166,18 @@ def _score_comparison_from_codes(
     scheme: WeightScheme,
     cross_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> float:
-    num_windows = a_codes.shape[0]
+    num_windows, n = a_codes.shape
     _, first_a, count_a = np.unique(a_keys, return_index=True, return_counts=True)
     _, first_b, count_b = np.unique(b_keys, return_index=True, return_counts=True)
-    weights = scheme.weights_for(cross_distance(a_codes[first_a], b_codes[first_b]))
-    mass = count_a[:, None] * count_b[None, :]
-    return float((weights * mass).sum() / (num_windows * num_windows))
+    distinct_b = b_codes[first_b]
+    # the built-in weights are dyadic, so every partial sum is exact and
+    # the slicing does not change the result
+    step = max(1, _TABLE_CELLS // (first_b.shape[0] * n))
+    total = 0.0
+    for lo in range(0, first_a.shape[0], step):
+        weights = scheme.weights_for(cross_distance(a_codes[first_a[lo : lo + step]], distinct_b))
+        total += float((weights * (count_a[lo : lo + step, None] * count_b[None, :])).sum())
+    return total / (num_windows * num_windows)
 
 
 def _estimates_from_codes(
@@ -375,20 +381,6 @@ def dependence_estimates(
 # classical tie-policy baselines
 # ---------------------------------------------------------------------------
 
-def _window_matrix(values: np.ndarray, n: int, stride: int) -> np.ndarray:
-    num = _kernels.window_count(values.shape[0], n, stride)
-    starts = np.arange(num) * stride
-    return values[starts[:, None] + np.arange(n)[None, :]]
-
-def _descending_perms(windows: np.ndarray) -> np.ndarray:
-    # positions sorted by value descending, equal values by position
-    # descending (the first-appearance rule; vacuous without ties)
-    n = windows.shape[1]
-    rev = windows[:, ::-1]
-    order_rev = np.argsort(-rev, axis=1, kind="stable")
-    return n - order_rev  # == (n-1-order_rev) + 1, one-based positions
-
-
 def _classical_scheme(n: int, scheme: Optional[WeightScheme]) -> WeightScheme:
     scheme = scheme or scheme_for_length(n, classical=True)
     required = {"classical-short": 4, "classical-long": 6}.get(scheme.name)
@@ -415,8 +407,8 @@ def _classical_windows(
         xv = randomize_values(xv, seed_x)
         yv = randomize_values(yv, seed_y)
 
-    win_x = _window_matrix(xv, n, stride)
-    win_y = _window_matrix(yv, n, stride)
+    win_x = _kernels.sliding_windows(xv, n, stride)
+    win_y = _kernels.sliding_windows(yv, n, stride)
 
     if policy.kind == "skip":
         def tie_free(win: np.ndarray) -> np.ndarray:
@@ -450,9 +442,9 @@ def classical_dependence(
     scheme = _classical_scheme(n, scheme)
     win_x, win_y = _classical_windows(x, y, n, stride, policy)
     estimates, _, _, _ = _estimates_from_codes(
-        _descending_perms(win_x),
-        _descending_perms(win_y),
-        _descending_perms(-win_y),
+        descending_permutations(win_x),
+        descending_permutations(win_y),
+        descending_permutations(-win_y),
         scheme,
         stride,
         _kernels.l1_rows,
@@ -477,7 +469,7 @@ def classical_total_score(
     scheme = _classical_scheme(n, scheme)
     win_x, win_y = _classical_windows(x, y, n, stride, policy)
     return _total_score_from_codes(
-        _descending_perms(win_x), _descending_perms(win_y), scheme, _kernels.l1_rows
+        descending_permutations(win_x), descending_permutations(win_y), scheme, _kernels.l1_rows
     )
 
 

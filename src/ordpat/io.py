@@ -9,6 +9,7 @@ Parse failures name the offending row and column.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -212,6 +213,24 @@ def pattern_label(pattern: Sequence[int]) -> str:
     return "(" + ",".join(str(c) for c in pattern) + ")"
 
 
+def pattern_labels(codes: np.ndarray) -> list[str]:
+    """``pattern_label`` of every row of a (rows, n) array of codes 1..9, built as bytes."""
+    if codes.max(initial=1) > 9:
+        raise ValueError("pattern_labels writes each code as one digit")
+    rows, n = codes.shape
+    chars = np.full((rows, 2 * n + 1), ord(","), dtype=np.uint8)
+    chars[:, 0], chars[:, -1] = ord("("), ord(")")
+    chars[:, 1:-1:2] = codes + ord("0")
+    return chars.view(f"S{2 * n + 1}").ravel().astype(str).tolist()
+
+
+def spatial_rows(report: SpatialReport):
+    """Per report row: label, count, observed, baseline, z, significant, impossible."""
+    columns = (report.counts, report.observed, report.baseline, report.z,
+               report.significant, report.impossible_under_baseline)
+    return zip(pattern_labels(report.patterns), *(column.tolist() for column in columns))
+
+
 def write_spatial_report(report: SpatialReport, path: PathLike) -> None:
     """Emit the per-pattern observed/baseline/significance table as CSV."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -219,15 +238,15 @@ def write_spatial_report(report: SpatialReport, path: PathLike) -> None:
         writer.writerow(
             ["pattern", "count", "observed_pct", "baseline_pct", "z", "significant", "note"]
         )
-        for rec in report.records:
+        for label, count, observed, baseline, z, significant, impossible in spatial_rows(report):
             writer.writerow([
-                pattern_label(rec.pattern),
-                rec.count,
-                _fmt(rec.observed * 100.0),
-                _fmt(rec.baseline * 100.0),
-                "" if rec.z is None else _fmt(rec.z),
-                "yes" if rec.significant else "no",
-                "impossible-under-baseline" if rec.impossible_under_baseline else "",
+                label,
+                count,
+                _fmt(observed * 100.0),
+                _fmt(baseline * 100.0),
+                "" if math.isnan(z) else _fmt(z),  # NaN: not z-tested
+                "yes" if significant else "no",
+                "impossible-under-baseline" if impossible else "",
             ])
 
 

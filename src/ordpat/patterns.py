@@ -52,12 +52,30 @@ def check_finite(values: np.ndarray, what: str = "series") -> None:
             raise ValueError(f"{what} value at index {index} is not finite ({values[index]})")
 
 
+def valid_rows(codes: np.ndarray) -> np.ndarray:
+    """Per row of a (..., n) code array: True if its values are exactly {1..m}."""
+    ordered = np.sort(np.asarray(codes, dtype=np.int64), axis=-1)
+    return (ordered[..., 0] == 1) & np.all(np.diff(ordered, axis=-1) <= 1, axis=-1)
+
+
 def is_valid_pattern(codes: Sequence[int]) -> bool:
     """True if ``codes`` is a dense rank vector: values exactly {1..m}."""
-    if len(codes) == 0:
-        return False
-    seen = set(codes)
-    return seen == set(range(1, len(seen) + 1))
+    return len(codes) > 0 and bool(valid_rows(np.asarray(codes, dtype=np.int64)))
+
+
+def check_patterns(codes: Sequence[int], n: int) -> np.ndarray:
+    """One pattern of length n, or a (rows, n) array of them, as (rows, n) int64 codes.
+
+    Raises ValueError naming the first row that is not a pattern of length n.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim not in (1, 2) or codes.shape[-1] != n:
+        raise ValueError(f"not a valid pattern of length {n}: array of shape {codes.shape}")
+    rows = codes.reshape(-1, n)
+    bad = ~valid_rows(rows)
+    if bad.any():
+        raise ValueError(f"not a valid pattern of length {n}: {rows[np.argmax(bad)].tolist()}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -131,10 +149,17 @@ def encode_permutation(window: Sequence[float], policy: TiePolicy) -> Optional[P
             return None
     elif policy.kind == "randomize":
         arr = randomize_values(arr, policy.seed)
-    # stable sort on (-value, -position): descending values, ties by
-    # descending position (the first-appearance rule; vacuous otherwise)
-    order = np.lexsort((-np.arange(arr.shape[0]), -arr))
-    return tuple(int(i) + 1 for i in order)
+    return tuple(int(i) for i in descending_permutations(arr[None])[0])
+
+
+def descending_permutations(windows: np.ndarray) -> np.ndarray:
+    """One-based positions of each (rows, n) window row by descending value.
+
+    Equal values are listed with the larger position first (the
+    first-appearance rule; vacuous without ties).
+    """
+    # a stable sort of the reversed rows keeps ties in descending position order
+    return windows.shape[1] - np.argsort(-windows[:, ::-1], axis=1, kind="stable")
 
 
 @lru_cache(maxsize=None)
@@ -147,75 +172,58 @@ def fubini(n: int) -> int:
     return sum(comb(n, k) * fubini(n - k) for k in range(1, n + 1))
 
 
-def _generate_patterns(n: int) -> list[Pattern]:
-    # DFS trying smaller codes first yields lexicographic order. A partial
-    # prefix is extendable iff the remaining slots can still fill every
-    # gap below the current maximum.
-    out: list[Pattern] = []
-    prefix = [0] * n
-
-    def rec(pos: int, used_mask: int, max_used: int, missing: int) -> None:
-        if pos == n:
-            if missing == 0:
-                out.append(tuple(prefix))
-            return
-        remaining = n - pos
-        for v in range(1, n + 1):
-            bit = 1 << v
-            if used_mask & bit:
-                new_missing = missing
-                new_max = max_used
-            elif v > max_used:
-                new_missing = missing + (v - max_used - 1)
-                new_max = v
-            else:
-                new_missing = missing - 1
-                new_max = max_used
-            if new_missing > remaining - 1:
-                continue
-            prefix[pos] = v
-            rec(pos + 1, used_mask | bit, new_max, new_missing)
-
-    rec(0, 0, 0, 0)
-    return out
-
-
 @dataclass(frozen=True)
 class PatternTable:
-    """All patterns of one length, in lexicographic order, with an index."""
+    """All patterns of one length as (rows, n) codes, sorted by pattern key.
+
+    Pattern keys order exactly as the code rows do lexicographically, so
+    a pattern's position is a search on ``keys``.
+    """
 
     n: int
-    entries: tuple[Pattern, ...]
-    codes: np.ndarray  # (len(entries), n) int64, same order as entries
-    _index: dict[Pattern, int]
+    codes: np.ndarray  # (fubini(n), n) int64, read-only
+    keys: np.ndarray  # pattern_keys(codes), strictly increasing
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.codes.shape[0]
 
-    def index_of(self, pattern: Sequence[int]) -> int:
-        """Position of a pattern in the enumeration order."""
-        key = tuple(int(c) for c in pattern)
-        if len(key) != self.n or not is_valid_pattern(key):
-            raise ValueError(f"not a valid pattern of length {self.n}: {key}")
-        return self._index[key]
+    def index_of(self, pattern: Sequence[int]) -> int | np.ndarray:
+        """Position of a pattern, or of each row of a (rows, n) array of them."""
+        positions = np.searchsorted(self.keys, pattern_keys(check_patterns(pattern, self.n)))
+        return int(positions[0]) if np.ndim(pattern) == 1 else positions
 
     def __contains__(self, pattern: Sequence[int]) -> bool:
-        return tuple(int(c) for c in pattern) in self._index
+        # the table holds every valid pattern of its length
+        return len(pattern) == self.n and is_valid_pattern(pattern)
 
 
 @lru_cache(maxsize=None)
 def enumerate_patterns(n: int) -> PatternTable:
     """Enumerate the full pattern space of length n (n <= 8).
 
-    The table has exactly fubini(n) entries in lexicographic order on the
-    code vectors; every window of length n encodes to one of them.
+    The table has exactly fubini(n) rows in lexicographic order on the
+    code vectors; every window of length n encodes to one of them. It is
+    built from the table of length n-1: a pattern with m levels takes a
+    last code that either joins a level v <= m, or opens a new level
+    v <= m+1 and lifts the codes >= v by one.
     """
     if not 1 <= n <= MAX_ENUM_LENGTH:
         raise ValueError(f"pattern length for enumeration must be in 1..{MAX_ENUM_LENGTH}, got {n}")
-    entries = _generate_patterns(n)
-    codes = np.array(entries, dtype=np.int64)
-    index = {p: i for i, p in enumerate(entries)}
-    return PatternTable(n=n, entries=tuple(entries), codes=codes, _index=index)
+    # the length-0 table holds the empty pattern, with 0 levels
+    prev = enumerate_patterns(n - 1).codes if n > 1 else np.empty((1, 0), dtype=np.int64)
+    levels = prev.max(axis=1, initial=0)
+    parts = []
+    for v in range(1, n + 1):
+        joins = prev[levels >= v]
+        opens = prev[levels >= v - 1]
+        parts.append(np.column_stack([joins, np.full(joins.shape[0], v)]))
+        parts.append(np.column_stack([opens + (opens >= v), np.full(opens.shape[0], v)]))
+    codes = np.concatenate(parts)
+    keys = pattern_keys(codes)
+    order = np.argsort(keys)
+    codes, keys = codes[order], keys[order]
+    codes.flags.writeable = keys.flags.writeable = False
+    return PatternTable(n=n, codes=codes, keys=keys)
 
 
 def pattern_keys(codes: np.ndarray) -> np.ndarray:

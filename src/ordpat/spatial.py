@@ -14,19 +14,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .exceptions import NumericalWarning
-from .patterns import (
-    MAX_ENUM_LENGTH,
-    Pattern,
-    enumerate_patterns,
-    is_valid_pattern,
-    pattern_keys,
-)
+from .patterns import MAX_ENUM_LENGTH, check_patterns, enumerate_patterns, pattern_keys
 
 # float64 cells of each (pattern rows, class values) temporary that
 # ``baseline_frequencies`` builds for one slice of pattern rows
@@ -89,53 +83,43 @@ def flood_validate(matrix: ClassMatrix) -> None:
         raise ValueError(f"event {int(np.argwhere(empty)[0][0]) + 1} has no flood at any gauge")
 
 
-def spatial_encode(matrix: ClassMatrix, gauge_subset: Sequence[str]) -> list[Pattern]:
-    """One pattern per event over the selected gauges, in subset order."""
+def spatial_encode(matrix: ClassMatrix, gauge_subset: Sequence[str]) -> np.ndarray:
+    """(events, d) pattern codes, one row per event over the gauges in subset order."""
     if len(gauge_subset) > MAX_ENUM_LENGTH:
         raise ValueError(f"gauge subset of size {len(gauge_subset)} exceeds the cap of {MAX_ENUM_LENGTH}")
-    cols = matrix.subset_columns(gauge_subset)
-    codes = _encode_rows(cols)
-    return [tuple(int(c) for c in row) for row in codes]
-
-
-def _encode_rows(rows: np.ndarray) -> np.ndarray:
-    # every row is its own window: encode the flattened series with stride n
-    num, n = rows.shape
-    return _kernels.encode_windows(rows.reshape(-1), n, n)[:num]
-
-
-def pattern_counts(patterns: Sequence[Pattern]) -> dict[Pattern, int]:
-    """Occurrences of each pattern, insertion-ordered by first appearance."""
-    counts: dict[Pattern, int] = {}
-    for p in patterns:
-        counts[p] = counts.get(p, 0) + 1
-    return counts
+    rows = matrix.subset_columns(gauge_subset)
+    # every row is its own window: encode the flattened series with stride d
+    num, d = rows.shape
+    return _kernels.encode_windows(rows.reshape(-1), d, d)[:num]
 
 
 def pattern_frequencies(
-    patterns: Sequence[Pattern], include_zero: bool = False
-) -> dict[Pattern, float]:
-    """Empirical pattern frequencies; optionally list non-observed patterns.
+    codes: np.ndarray, include_zero: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct pattern rows of a (rows, d) code array and their frequencies.
 
-    With ``include_zero`` the full pattern space of the common length is
-    reported (zero-frequency entries included), which is how "patterns
-    that never occur" are surfaced.
+    Rows come in key (lexicographic) order. With ``include_zero`` they are
+    the whole pattern space of length d, zero-frequency rows included,
+    which is how "patterns that never occur" are surfaced.
     """
-    if len(patterns) == 0:
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 2 or codes.shape[0] == 0:
         raise ValueError("no patterns to tabulate")
-    total = len(patterns)
-    counts = pattern_counts(patterns)
-    if include_zero:
-        table = enumerate_patterns(len(patterns[0]))
-        return {p: counts.get(p, 0) / total for p in table.entries}
-    return {p: c / total for p, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))}
+    _, first, counts = np.unique(pattern_keys(codes), return_index=True, return_counts=True)
+    frequencies = counts / codes.shape[0]
+    if not include_zero:
+        return codes[first], frequencies
+    table = enumerate_patterns(codes.shape[1])
+    full = np.zeros(len(table))
+    full[table.index_of(codes[first])] = frequencies
+    return table.codes, full
 
 
 def baseline_frequencies(
     matrix: ClassMatrix,
     gauge_subset: Sequence[str],
-    patterns: Optional[Iterable[Sequence[int]]] = None,
-) -> dict[Pattern, float]:
+    patterns: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Pattern law under independence of the gauges, exact for any support.
 
     Let p_j be the marginal class distribution of gauge j, estimated from
@@ -146,9 +130,9 @@ def baseline_frequencies(
     value chains, computed level by level: g_1 = f_1,
     g_l(v) = f_l(v) * sum_{u<v} g_{l-1}(u), and P = sum_v g_k(v).
 
-    ``patterns`` lists the patterns to evaluate; the default is the whole
-    pattern space of the subset size. Returns {pattern: probability} sorted
-    by decreasing probability, then pattern, without zero entries.
+    ``patterns`` is a (rows, d) array of the patterns to evaluate; the
+    default is the whole pattern space of the subset size, in the order of
+    ``enumerate_patterns(d).codes``. Returns one probability per row.
     """
     if len(gauge_subset) > MAX_ENUM_LENGTH:
         raise ValueError(f"gauge subset of size {len(gauge_subset)} exceeds the cap of {MAX_ENUM_LENGTH}")
@@ -156,15 +140,7 @@ def baseline_frequencies(
     num_events, d = cols.shape
     if num_events == 0:
         raise ValueError("no events to estimate the gauge marginals from")
-    if patterns is None:
-        table = enumerate_patterns(d)
-        entries, codes = table.entries, table.codes
-    else:
-        entries = [tuple(int(c) for c in p) for p in patterns]
-        for p in entries:
-            if len(p) != d or not is_valid_pattern(p):
-                raise ValueError(f"not a valid pattern of length {d}: {p}")
-        codes = np.array(entries, dtype=np.int64).reshape(-1, d)
+    codes = enumerate_patterns(d).codes if patterns is None else check_patterns(patterns, d)
 
     values, index = np.unique(cols, return_inverse=True)
     index = index.reshape(cols.shape)
@@ -178,10 +154,7 @@ def baseline_frequencies(
     step = max(1, _BASELINE_CELLS // values.shape[0])
     for lo in range(0, codes.shape[0], step):
         probs[lo : lo + step] = _level_chain_law(codes[lo : lo + step], products)
-
-    order = np.lexsort((pattern_keys(codes), -probs))
-    order = order[probs[order] > 0.0]
-    return dict(zip([entries[i] for i in order.tolist()], probs[order].tolist()))
+    return probs
 
 
 def _level_chain_law(codes: np.ndarray, products: np.ndarray) -> np.ndarray:
@@ -203,23 +176,20 @@ def _level_chain_law(codes: np.ndarray, products: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpatialRecord:
-    """One pattern row of the spatial significance report."""
-
-    pattern: Pattern
-    count: int
-    observed: float
-    baseline: float
-    z: Optional[float]
-    significant: bool
-    impossible_under_baseline: bool
-
-
-@dataclass(frozen=True)
 class SpatialReport:
-    """Per-pattern spatial significance against the independence baseline."""
+    """Per-pattern spatial significance against the independence baseline.
 
-    records: tuple[SpatialRecord, ...]
+    Column i of the arrays describes pattern row ``patterns[i]``; rows are
+    sorted by decreasing observed frequency, then pattern.
+    """
+
+    patterns: np.ndarray  # (rows, d) int64 codes
+    counts: np.ndarray  # events showing the pattern
+    observed: np.ndarray
+    baseline: np.ndarray
+    z: np.ndarray  # NaN where the baseline is 0 and no z-test applies
+    significant: np.ndarray  # bool, Bonferroni-corrected
+    impossible_under_baseline: np.ndarray  # bool: observed but baseline 0
     num_events: int
     gauges: tuple[str, ...]
     alpha: float
@@ -227,8 +197,9 @@ class SpatialReport:
 
 
 def spatial_significance(
-    observed: dict[Pattern, float],
-    baseline: dict[Pattern, float],
+    patterns: np.ndarray,
+    observed: np.ndarray,
+    baseline: np.ndarray,
     num_events: int,
     alpha: float = 0.05,
     gauges: Sequence[str] = (),
@@ -236,51 +207,51 @@ def spatial_significance(
 ) -> SpatialReport:
     """z-statistics and Bonferroni-corrected significance per pattern.
 
+    ``patterns`` is a (rows, d) code array; ``observed`` and ``baseline``
+    hold one frequency per row. A row is reported when it was observed or,
+    with ``include_zero_observed``, when its baseline is positive.
     z = sqrt(K) (observed - baseline) / sqrt(baseline (1 - baseline)).
     Patterns with baseline probability 0 but positive observed frequency
     cannot be z-tested and are flagged impossible-under-baseline instead.
     Warns below K = 30 where the normal approximation is shaky.
     """
+    patterns = np.asarray(patterns, dtype=np.int64)
+    observed = np.asarray(observed, dtype=np.float64)
+    baseline = np.asarray(baseline, dtype=np.float64)
+    if patterns.ndim != 2 or not observed.shape == baseline.shape == patterns.shape[:1]:
+        shapes = f"patterns {patterns.shape}, observed {observed.shape}, baseline {baseline.shape}"
+        raise ValueError(f"misaligned inputs: {shapes}")
     if num_events < 30:
         warnings.warn(
             f"only {num_events} events; spatial z-statistics are asymptotic",
             NumericalWarning,
             stacklevel=2,
         )
-    pats = set(observed) | set(baseline)
-    lengths = {len(p) for p in pats}
-    if len(lengths) > 1:
-        raise ValueError(
-            f"observed and baseline tables index patterns of different lengths: {sorted(lengths)}"
-        )
-    if not include_zero_observed:
-        pats = {p for p in pats if observed.get(p, 0.0) > 0.0}
-    rows = sorted(pats, key=lambda p: (-observed.get(p, 0.0), p))
-    testable = [p for p in rows if baseline.get(p, 0.0) > 0.0]
-    threshold = alpha / max(len(testable), 1)
-    crit = NormalDist().inv_cdf(1.0 - threshold / 2.0)
-    records = []
-    for p in rows:
-        obs = observed.get(p, 0.0)
-        base = baseline.get(p, 0.0)
-        count = int(round(obs * num_events))
-        if base > 0.0:
-            variance = base * (1.0 - base)
-            if variance == 0.0:  # baseline 1: the pattern is sure
-                z = 0.0 if obs == base else -np.inf
-            else:
-                z = float(np.sqrt(num_events) * (obs - base) / np.sqrt(variance))
-            records.append(
-                SpatialRecord(p, count, obs, base, z, abs(z) > crit, False)
-            )
-        else:
-            records.append(SpatialRecord(p, count, obs, base, None, False, obs > 0.0))
+    keep = (observed > 0.0) | (include_zero_observed & (baseline > 0.0))
+    order = np.lexsort((pattern_keys(patterns), -observed))
+    order = order[keep[order]]
+    obs, base = observed[order], baseline[order]
+    testable = base > 0.0
+    tests = int(testable.sum())
+    crit = NormalDist().inv_cdf(1.0 - alpha / max(tests, 1) / 2.0)
+    variance = base * (1.0 - base)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.sqrt(num_events) * (obs - base) / np.sqrt(variance)
+    sure = variance == 0.0  # baseline 1, or 0 and not testable
+    z[sure] = np.where(obs[sure] == base[sure], 0.0, -np.inf)
+    z[~testable] = np.nan
     return SpatialReport(
-        records=tuple(records),
+        patterns=patterns[order],
+        counts=np.rint(obs * num_events).astype(np.int64),
+        observed=obs,
+        baseline=base,
+        z=z,
+        significant=np.abs(z) > crit,
+        impossible_under_baseline=~testable & (obs > 0.0),
         num_events=num_events,
         gauges=tuple(gauges),
         alpha=alpha,
-        tests=len(testable),
+        tests=tests,
     )
 
 
@@ -291,13 +262,14 @@ def analyze_spatial(
     include_zero_observed: bool = False,
 ) -> SpatialReport:
     """Encode, tabulate, baseline and test one gauge subset."""
-    patterns = spatial_encode(matrix, gauge_subset)
-    observed = pattern_frequencies(patterns)
+    codes = spatial_encode(matrix, gauge_subset)
+    patterns, observed = pattern_frequencies(codes, include_zero=include_zero_observed)
     # the report lists only observed rows unless zero rows are asked for
     baseline = baseline_frequencies(
-        matrix, gauge_subset, None if include_zero_observed else observed
+        matrix, gauge_subset, None if include_zero_observed else patterns
     )
     return spatial_significance(
+        patterns,
         observed,
         baseline,
         matrix.num_events,

@@ -381,9 +381,9 @@ def test_10_variance_oracle():
 @pytest.mark.filterwarnings("ignore::ordpat.exceptions.NumericalWarning")
 def test_11_spatial_z_and_null_calibration():
     pattern = (1, 1, 1, 1)
-    rep = spatial_significance({pattern: 0.583}, {pattern: 0.482}, num_events=314)
-    z_value = rep.records[0].z
-    golden_ok = abs(z_value - 3.58) <= 0.01 and rep.records[0].significant
+    rep = spatial_significance([pattern], [0.583], [0.482], num_events=314)
+    z_value = rep.z[0]
+    golden_ok = abs(z_value - 3.58) <= 0.01 and rep.significant[0]
 
     clean = 0
     seeds = 30
@@ -394,7 +394,7 @@ def test_11_spatial_z_and_null_calibration():
         ])
         matrix = ClassMatrix(classes=classes, gauges=("g0", "g1", "g2"))
         null_rep = analyze_spatial(matrix, ("g0", "g1", "g2"))
-        clean += not any(r.significant for r in null_rep.records)
+        clean += not null_rep.significant.any()
     report(
         "spatial z golden value and null calibration",
         golden_ok and clean >= 0.90 * seeds,

@@ -175,6 +175,18 @@ class TestScoreComparison:
         mc = GENERALIZED_SHORT.weights_for(df_rows(cx[ix], cy[iy])).mean()
         assert abs(value - mc) < 0.01
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_slicing_does_not_change_the_value(self, n, monkeypatch):
+        rng = np.random.default_rng(12 + n)
+        x = rng.integers(0, 5, size=600)
+        y = rng.integers(0, 5, size=600)
+        whole = score_comparison_value(x, y, n)
+        classical = classical_dependence(x, y, n).score_comparison
+        # a few cells: one distinct x-pattern per distance table
+        monkeypatch.setattr(dependence, "_TABLE_CELLS", 5)
+        assert score_comparison_value(x, y, n) == whole
+        assert classical_dependence(x, y, n).score_comparison == classical
+
 
 class TestOracleEquivalence:
     # degenerate marginals (all-equal patterns) are expected in exhaustive runs
@@ -396,11 +408,11 @@ class TestClassicalBaselines:
         rng = np.random.default_rng(22)
         x = rng.integers(0, 3, size=100)
         y = rng.integers(0, 3, size=100)
-        from ordpat._kernels import l1_rows
-        from ordpat.dependence import _descending_perms, _window_matrix
+        from ordpat._kernels import l1_rows, sliding_windows
+        from ordpat.patterns import descending_permutations
 
-        perms_x = _descending_perms(_window_matrix(x.astype(float), 4, 1))
-        perms_y = _descending_perms(_window_matrix(y.astype(float), 4, 1))
+        perms_x = descending_permutations(sliding_windows(x.astype(float), 4))
+        perms_y = descending_permutations(sliding_windows(y.astype(float), 4))
         assert np.all(l1_rows(perms_x, perms_y) % 2 == 0)
 
 
@@ -481,7 +493,7 @@ class TestBatchedBootstrap:
             # 50 replicates in chunks of 7, the last one short; histograms a few rows at a time
             windows = (x.shape[0] - n) // 2 + 1
             monkeypatch.setattr(dependence, "BOOTSTRAP_CHUNK_VALUES", chunk_rows * windows)
-            monkeypatch.setattr(dependence, "_HISTOGRAM_CELLS", 1)
+            monkeypatch.setattr(dependence, "_TABLE_CELLS", 1)
         report = analyze_pair(x, y, n, stride=2, replicates=50, seed=11)
         q_ci, c_ci = reference_intervals(x, y, n, 2, 50, 11)
         assert report.comparison_ci == q_ci

@@ -158,6 +158,17 @@ class TestEmission:
         values = np.array([[int(v) for v in line.split(",")[1:]] for line in lines[1:]])
         np.testing.assert_array_equal(values, matrix.classes[:, :2])
 
+    def test_pattern_labels_match_pattern_label(self):
+        from ordpat.io import pattern_label, pattern_labels
+        from ordpat.patterns import enumerate_patterns
+
+        for n in (1, 4, 8):
+            codes = enumerate_patterns(n).codes
+            assert pattern_labels(codes) == [pattern_label(row) for row in codes.tolist()]
+        assert pattern_labels(np.empty((0, 3), dtype=np.int64)) == []
+        with pytest.raises(ValueError, match="one digit"):
+            pattern_labels(np.array([[10, 1]]))
+
     def test_plot_data_empty_matrix_header_only(self, tmp_path):
         empty = ClassMatrix(classes=np.empty((0, 2), dtype=np.int64), gauges=("a", "b"))
         path = tmp_path / "empty.csv"
@@ -368,6 +379,39 @@ class TestCli:
         # counts sum to the number of events; observed percentages to 100
         assert sum(int(row[1]) for row in rows[1:]) == 300
         assert sum(float(row[2]) for row in rows[1:]) == pytest.approx(100.0, abs=1e-6)
+
+    def test_spatial_include_zero_matches_oracles(self, tmp_path, capsys):
+        import csv
+        from collections import Counter
+        from statistics import NormalDist
+
+        from oracles import oracle_encode, oracle_product_law
+
+        # three classes over four gauges: the 24 four-level patterns have
+        # baseline 0, are never observed and are left out
+        rng = np.random.default_rng(17)
+        classes = rng.integers(0, 3, size=(200, 4))
+        data = tmp_path / "m.csv"
+        save_class_matrix(ClassMatrix(classes=classes, gauges=("a", "b", "c", "d")), data)
+        out = tmp_path / "zero.csv"
+        assert main(["spatial", "--data", str(data), "--include-zero", "--out", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+
+        counts = Counter(oracle_encode(tuple(row)) for row in classes.tolist())
+        law = oracle_product_law([classes[:, j].tolist() for j in range(4)])
+        kept = sorted(set(counts) | set(law), key=lambda p: (-counts[p], p))
+        assert len(kept) == 75 - 24 and any(counts[p] == 0 for p in kept)
+        crit = NormalDist().inv_cdf(1.0 - 0.05 / len(kept) / 2.0)
+        assert [row[0] for row in rows] == ["(" + ",".join(map(str, p)) + ")" for p in kept]
+        assert [int(row[1]) for row in rows] == [counts[p] for p in kept]
+        for row, pattern in zip(rows, kept):
+            observed, baseline = counts[pattern] / 200, law[pattern]
+            z = np.sqrt(200) * (observed - baseline) / np.sqrt(baseline * (1.0 - baseline))
+            assert float(row[2]) == pytest.approx(100.0 * observed, rel=1e-9)
+            assert float(row[3]) == pytest.approx(100.0 * baseline, rel=1e-9)
+            assert float(row[4]) == pytest.approx(z, rel=1e-6)
+            assert row[5:] == ["yes" if abs(z) > crit else "no", ""]
 
     def test_spatial_strict_escalates_small_sample(self, tmp_path, capsys):
         matrix = synthetic_matrix(rows=12, gauges=3, seed=13)

@@ -5,8 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from ordpat._kernels import sliding_windows
 from ordpat.patterns import (
     TiePolicy,
+    check_patterns,
+    descending_permutations,
     encode_pattern,
     encode_permutation,
     enumerate_patterns,
@@ -15,6 +18,7 @@ from ordpat.patterns import (
     pattern_keys,
     randomize_values,
     smallest_gap,
+    valid_rows,
 )
 
 
@@ -124,6 +128,18 @@ class TestClassicalPolicies:
             strict = np.diff(values[order]) > 0
             assert np.all(np.diff(noisy[order])[strict] > 0)
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_single_window_and_batched_encoders_agree(self, n):
+        # a tie-heavy integer series: most windows hold ties
+        values = np.random.default_rng(n).integers(0, 3, size=400).astype(float)
+        windows = sliding_windows(values, n)
+        batched = descending_permutations(windows)
+        for window, row in zip(windows, batched.tolist()):
+            single = encode_permutation(window, TiePolicy.first_appearance())
+            # descending values, ties by descending position
+            reference = tuple(int(i) + 1 for i in np.lexsort((-np.arange(n), -window)))
+            assert single == tuple(row) == reference
+
     def test_smallest_gap_constant_window(self):
         assert smallest_gap(np.array([3, 3, 3])) == 1.0
         assert smallest_gap(np.array([1, 4, 2])) == 1.0
@@ -139,19 +155,22 @@ class TestEnumeration:
 
     def test_table_sizes(self):
         assert len(enumerate_patterns(1)) == 1
-        assert enumerate_patterns(1).entries == ((1,),)
+        assert enumerate_patterns(1).codes.tolist() == [[1]]
         assert len(enumerate_patterns(3)) == 13
         assert len(enumerate_patterns(4)) == 75
 
     def test_known_members_of_length_three(self):
-        entries = enumerate_patterns(3).entries
+        table = enumerate_patterns(3)
+        rows = table.codes.tolist()
         for member in [(1, 2, 3), (1, 1, 2), (2, 1, 2), (1, 1, 1)]:
-            assert member in entries
+            assert member in table
+            assert list(member) in rows
+        assert (1, 3, 3) not in table and (1, 2) not in table
 
     def test_lexicographic_order(self):
         for n in range(1, 6):
-            entries = enumerate_patterns(n).entries
-            assert list(entries) == sorted(entries)
+            rows = enumerate_patterns(n).codes.tolist()
+            assert rows == sorted(rows)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -159,24 +178,34 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_patterns(9)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_completeness_against_exhaustive_windows(self, n):
-        # every window over {1..n} encodes to a table entry; all appear
+        # every window over {1..n} encodes to a table row; all appear, in order
         seen = {oracle_encode(w) for w in itertools.product(range(1, n + 1), repeat=n)}
         table = enumerate_patterns(n)
-        assert seen == set(table.entries)
+        assert [tuple(row) for row in table.codes.tolist()] == sorted(seen)
         assert len(table) == fubini(n)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_long_tables_valid_and_key_ordered(self, n):
+        table = enumerate_patterns(n)
+        assert table.codes.shape == (fubini(n), n)
+        assert valid_rows(table.codes).all()
+        np.testing.assert_array_equal(table.keys, pattern_keys(table.codes))
+        assert np.all(np.diff(table.keys) > 0)
+        assert not table.codes.flags.writeable
 
     def test_index_is_a_bijection(self):
         for n in range(1, 6):
             table = enumerate_patterns(n)
-            positions = [table.index_of(e) for e in table.entries]
+            positions = [table.index_of(row) for row in table.codes.tolist()]
             assert positions == list(range(len(table)))
+            np.testing.assert_array_equal(table.index_of(table.codes), np.arange(len(table)))
 
     def test_index_of_pair_windows(self):
         assert enumerate_patterns(1).index_of((1,)) == 0
         table = enumerate_patterns(2)
-        assert table.entries == ((1, 1), (1, 2), (2, 1))
+        assert table.codes.tolist() == [[1, 1], [1, 2], [2, 1]]
         assert table.index_of((1, 1)) == 0
 
     def test_index_rejects_malformed_patterns(self):
@@ -187,11 +216,24 @@ class TestEnumeration:
             table.index_of((0, 1, 2))
         with pytest.raises(ValueError):
             table.index_of((1, 2))
+        with pytest.raises(ValueError):
+            table.index_of(())
+        with pytest.raises(ValueError, match=r"\[2, 2, 2\]"):
+            table.index_of([[1, 2, 3], [2, 2, 2]])  # names the first bad row
 
     def test_is_valid_pattern(self):
         assert is_valid_pattern((2, 1, 2))
         assert not is_valid_pattern((2, 2, 2))
         assert not is_valid_pattern(())
+        np.testing.assert_array_equal(
+            valid_rows(np.array([[2, 1, 2], [2, 2, 2], [0, 1, 2], [1, 3, 2]])),
+            [True, False, False, True],
+        )
+        assert check_patterns(np.empty((0, 3)), 3).shape == (0, 3)
+        assert check_patterns((1, 2, 1), 3).tolist() == [[1, 2, 1]]
+        for bad in ([[1, 2]], (), [[[1, 1, 1]]]):
+            with pytest.raises(ValueError, match="length 3"):
+                check_patterns(bad, 3)
 
 
 class TestPatternKeys:

@@ -1,5 +1,7 @@
 """Cross-sectional pattern frequencies, baselines, and significance."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from ordpat.spatial import (
     cramers_v,
     cramers_v_autocorrelation,
     flood_validate,
-    pattern_counts,
     pattern_frequencies,
     spatial_encode,
     spatial_significance,
@@ -25,6 +26,13 @@ def make_matrix(classes, gauges=None):
     classes = np.asarray(classes)
     gauges = gauges or tuple(f"g{i}" for i in range(classes.shape[1]))
     return ClassMatrix(classes=classes, gauges=tuple(gauges))
+
+
+def full_law(matrix):
+    """{pattern: probability} of the positive entries of the whole-table baseline."""
+    codes = enumerate_patterns(matrix.classes.shape[1]).codes
+    probs = baseline_frequencies(matrix, matrix.gauges)
+    return {tuple(row): p for row, p in zip(codes.tolist(), probs.tolist()) if p > 0.0}
 
 
 class TestClassMatrix:
@@ -55,21 +63,22 @@ class TestSpatialEncode:
     def test_level_shifted_rows(self):
         rows = [[k, k, k, k] for k in (-1, 0, 2, 4)]
         patterns = spatial_encode(make_matrix(rows), ("g0", "g1", "g2", "g3"))
-        assert patterns == [(1, 1, 1, 1)] * 4
+        assert patterns.dtype == np.int64
+        assert patterns.tolist() == [[1, 1, 1, 1]] * 4
 
     def test_single_raised_gauge(self):
         for k in (-1, 0, 3):
             row = [[k + 1, k, k, k]]
             patterns = spatial_encode(make_matrix(row), ("g0", "g1", "g2", "g3"))
-            assert patterns == [(2, 1, 1, 1)]
+            assert patterns.tolist() == [[2, 1, 1, 1]]
 
     def test_absence_participates_as_smallest(self):
         patterns = spatial_encode(make_matrix([[3, -1, 0, 2]]), ("g0", "g1", "g2", "g3"))
-        assert patterns == [(4, 1, 2, 3)]
+        assert patterns.tolist() == [[4, 1, 2, 3]]
 
     def test_subset_order_and_errors(self):
         matrix = make_matrix([[1, 2, 3]], gauges=("a", "b", "c"))
-        assert spatial_encode(matrix, ("c", "a")) == [(2, 1)]
+        assert spatial_encode(matrix, ("c", "a")).tolist() == [[2, 1]]
         with pytest.raises(KeyError):
             spatial_encode(matrix, ("a", "z"))
         with pytest.raises(ValueError, match="non-empty"):
@@ -84,44 +93,50 @@ class TestSpatialEncode:
         matrix = make_matrix(classes)
         shifted = make_matrix(3 * classes + 7)
         gauges = matrix.gauges
-        assert spatial_encode(matrix, gauges) == spatial_encode(shifted, gauges)
+        np.testing.assert_array_equal(spatial_encode(matrix, gauges), spatial_encode(shifted, gauges))
 
 
 class TestFrequencies:
     def test_unit_pattern_only(self):
-        patterns = [(1, 1, 1)] * 12
-        freq = pattern_frequencies(patterns)
-        assert freq == {(1, 1, 1): 1.0}
+        patterns, freq = pattern_frequencies(np.ones((12, 3), dtype=np.int64))
+        assert patterns.tolist() == [[1, 1, 1]]
+        assert freq.tolist() == [1.0]
 
     def test_counts_and_frequencies_sum(self):
         rng = np.random.default_rng(1)
         matrix = make_matrix(rng.integers(0, 3, size=(200, 3)))
-        patterns = spatial_encode(matrix, matrix.gauges)
-        counts = pattern_counts(patterns)
-        freq = pattern_frequencies(patterns)
-        assert sum(counts.values()) == 200
-        assert sum(freq.values()) == pytest.approx(1.0, abs=1e-12)
+        codes = spatial_encode(matrix, matrix.gauges)
+        patterns, freq = pattern_frequencies(codes)
+        counts = Counter(map(tuple, codes.tolist()))
+        assert [tuple(row) for row in patterns.tolist()] == sorted(counts)  # key order
+        assert freq.tolist() == [counts[p] / 200 for p in sorted(counts)]
+        assert freq.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_include_zero_lists_whole_space(self):
-        freq = pattern_frequencies([(1, 2)] * 4, include_zero=True)
-        assert set(freq) == {(1, 1), (1, 2), (2, 1)}
-        assert freq[(2, 1)] == 0.0
+        patterns, freq = pattern_frequencies([(1, 2)] * 4, include_zero=True)
+        assert patterns.tolist() == [[1, 1], [1, 2], [2, 1]]
+        assert freq.tolist() == [0.0, 1.0, 0.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pattern_frequencies([])
+        with pytest.raises(ValueError):
+            pattern_frequencies(np.empty((0, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="not a valid pattern"):
+            pattern_frequencies([(1, 3)], include_zero=True)
 
 
 class TestBaseline:
     def test_single_constant_class(self):
         matrix = make_matrix(np.full((40, 3), 2))
         baseline = baseline_frequencies(matrix, matrix.gauges)
-        assert baseline == {(1, 1, 1): pytest.approx(1.0)}
+        assert baseline.shape == (13,)
+        assert full_law(matrix) == {(1, 1, 1): pytest.approx(1.0)}
 
     def test_two_uniform_binary_gauges(self):
         # alternating 0/1 columns -> uniform marginals on {0, 1}
         classes = np.array([[0, 0], [0, 1], [1, 0], [1, 1]] * 5)
-        baseline = baseline_frequencies(make_matrix(classes), ("g0", "g1"))
+        baseline = full_law(make_matrix(classes))
         assert baseline[(1, 1)] == pytest.approx(0.5)
         assert baseline[(1, 2)] == pytest.approx(0.25)
         assert baseline[(2, 1)] == pytest.approx(0.25)
@@ -129,7 +144,7 @@ class TestBaseline:
     def test_matches_pure_python_product_law(self):
         rng = np.random.default_rng(2)
         matrix = make_matrix(rng.integers(-1, 5, size=(120, 3)))
-        baseline = baseline_frequencies(matrix, matrix.gauges)
+        baseline = full_law(matrix)
         ref = oracle_product_law([matrix.classes[:, j].tolist() for j in range(3)])
         assert set(baseline) == set(ref)
         for pattern, prob in ref.items():
@@ -142,25 +157,23 @@ class TestBaseline:
         rng = np.random.default_rng(30 + d)
         matrix = make_matrix(rng.integers(-1, 3, size=(97, d)))
         ref = oracle_product_law([matrix.classes[:, j].tolist() for j in range(d)])
+        table = enumerate_patterns(d)
         full = baseline_frequencies(matrix, matrix.gauges)
-        assert set(full) == set(ref)
-        for pattern, prob in ref.items():
-            assert full[pattern] == pytest.approx(prob, rel=0, abs=1e-12)
-        assert sum(full.values()) == pytest.approx(1.0, rel=0, abs=1e-12)
-        assert list(full) == sorted(full, key=lambda p: (-full[p], p))
-        subset = enumerate_patterns(d).entries[::-3]
+        assert full.shape == (len(table),)  # aligned with the table rows
+        expected = [ref.get(tuple(row), 0.0) for row in table.codes.tolist()]
+        np.testing.assert_allclose(full, expected, rtol=0, atol=1e-12)
+        assert {tuple(row) for row in table.codes[full > 0].tolist()} == set(ref)
+        assert full.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+        subset = table.codes[::-3]
         partial = baseline_frequencies(matrix, matrix.gauges, patterns=subset)
-        assert set(partial) == {p for p in subset if p in ref}
-        for pattern, prob in partial.items():
-            assert prob == pytest.approx(ref[pattern], rel=0, abs=1e-12)
-        assert list(partial) == sorted(partial, key=lambda p: (-partial[p], p))
+        np.testing.assert_array_equal(partial, full[::-3])  # aligned with the given rows
 
     def test_slicing_does_not_change_the_law(self, monkeypatch):
         rng = np.random.default_rng(9)
         matrix = make_matrix(rng.integers(-1, 5, size=(150, 4)))
         whole = baseline_frequencies(matrix, matrix.gauges)
         monkeypatch.setattr(spatial, "_BASELINE_CELLS", 13)
-        assert baseline_frequencies(matrix, matrix.gauges) == whole
+        np.testing.assert_array_equal(baseline_frequencies(matrix, matrix.gauges), whole)
 
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError, match="no events"):
@@ -170,7 +183,10 @@ class TestBaseline:
             baseline_frequencies(matrix, matrix.gauges, patterns=[(1, 3)])
         with pytest.raises(ValueError, match="not a valid pattern"):
             baseline_frequencies(matrix, matrix.gauges, patterns=[(1, 2, 1)])
-        assert baseline_frequencies(matrix, matrix.gauges, patterns=[]) == {}
+        with pytest.raises(ValueError, match="not a valid pattern"):
+            baseline_frequencies(matrix, matrix.gauges, patterns=[])  # one empty pattern
+        no_rows = np.empty((0, 2), dtype=np.int64)
+        assert baseline_frequencies(matrix, matrix.gauges, patterns=no_rows).shape == (0,)
 
     def test_exact_for_supports_beyond_enumeration(self):
         # 8 Poisson(8) gauges: the support product is ~1e9 cells, far past
@@ -180,66 +196,77 @@ class TestBaseline:
         cells = np.prod([np.unique(matrix.classes[:, j]).shape[0] for j in range(8)])
         assert cells > 10**7
         report = analyze_spatial(matrix, matrix.gauges)
-        observed = set(spatial_encode(matrix, matrix.gauges))
-        assert {rec.pattern for rec in report.records} == observed
-        assert all(rec.baseline > 0.0 for rec in report.records)
-        assert not any(rec.impossible_under_baseline for rec in report.records)
+        observed = set(map(tuple, spatial_encode(matrix, matrix.gauges).tolist()))
+        assert set(map(tuple, report.patterns.tolist())) == observed
+        assert np.all(report.baseline > 0.0)
+        assert not report.impossible_under_baseline.any()
         assert report.tests == len(observed)
         full = baseline_frequencies(matrix, matrix.gauges)
-        assert sum(full.values()) == pytest.approx(1.0, rel=0, abs=1e-12)
-        for rec in report.records:
-            assert full[rec.pattern] == rec.baseline
+        assert full.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+        positions = enumerate_patterns(8).index_of(report.patterns)
+        np.testing.assert_array_equal(full[positions], report.baseline)
 
     def test_observed_matches_product_law_for_independent_columns(self):
         rng = np.random.default_rng(4)
         matrix = make_matrix(rng.integers(0, 6, size=(10_000, 3)))
-        observed = pattern_frequencies(spatial_encode(matrix, matrix.gauges))
+        _, observed = pattern_frequencies(spatial_encode(matrix, matrix.gauges), include_zero=True)
         baseline = baseline_frequencies(matrix, matrix.gauges)
-        for pattern, prob in baseline.items():
-            assert abs(observed.get(pattern, 0.0) - prob) < 0.02
+        assert np.all(np.abs(observed - baseline) < 0.02)
 
 
 class TestSignificance:
     def test_zero_when_observed_equals_baseline(self):
-        freq = {(1, 1): 0.6, (1, 2): 0.4}
-        report = spatial_significance(freq, freq, num_events=400)
-        assert all(rec.z == 0.0 for rec in report.records)
-        assert not any(rec.significant for rec in report.records)
+        freq = [0.6, 0.4]
+        report = spatial_significance([(1, 1), (1, 2)], freq, freq, num_events=400)
+        assert np.all(report.z == 0.0)
+        assert not report.significant.any()
 
     def test_z_statistic_reference_point(self):
-        observed = {(1, 1, 1, 1): 0.583}
-        baseline = {(1, 1, 1, 1): 0.482}
-        report = spatial_significance(observed, baseline, num_events=314)
-        record = report.records[0]
-        assert record.z == pytest.approx(3.58, abs=0.01)
-        assert record.significant
+        report = spatial_significance([(1, 1, 1, 1)], [0.583], [0.482], num_events=314)
+        assert report.z[0] == pytest.approx(3.58, abs=0.01)
+        assert report.significant[0]
+        assert report.counts.tolist() == [183]
 
     def test_never_observed_pattern_not_significant(self):
-        observed = {(1, 2, 3, 4): 1.0}
-        baseline = {(1, 2, 3, 4): 0.99, (1, 1, 1, 1): 0.01}
         report = spatial_significance(
-            observed, baseline, num_events=314, include_zero_observed=True
+            [(1, 2, 3, 4), (1, 1, 1, 1)], [1.0, 0.0], [0.99, 0.01],
+            num_events=314, include_zero_observed=True,
         )
-        by_pattern = {rec.pattern: rec for rec in report.records}
-        rec = by_pattern[(1, 1, 1, 1)]
-        assert rec.z == pytest.approx(-1.78, abs=0.01)
-        assert not rec.significant
+        row = report.patterns.tolist().index([1, 1, 1, 1])
+        assert report.z[row] == pytest.approx(-1.78, abs=0.01)
+        assert not report.significant[row]
 
     def test_impossible_under_baseline_flag(self):
-        observed = {(2, 1): 0.5, (1, 2): 0.5}
-        baseline = {(1, 2): 1.0}
-        report = spatial_significance(observed, baseline, num_events=100)
-        flags = {rec.pattern: rec.impossible_under_baseline for rec in report.records}
-        assert flags[(2, 1)] and not flags[(1, 2)]
+        report = spatial_significance([(2, 1), (1, 2)], [0.5, 0.5], [0.0, 1.0], num_events=100)
+        assert report.patterns.tolist() == [[1, 2], [2, 1]]
+        assert report.impossible_under_baseline.tolist() == [False, True]
+        assert np.isnan(report.z[1]) and not report.significant[1]
+        assert report.tests == 1
+
+    def test_rows_kept_and_sorted_by_observed_then_pattern(self):
+        patterns = [(2, 1, 1), (1, 2, 1), (1, 1, 1), (1, 2, 3), (3, 2, 1)]
+        observed = [0.25, 0.25, 0.5, 0.0, 0.0]
+        baseline = [0.2, 0.2, 0.3, 0.3, 0.0]
+        report = spatial_significance(patterns, observed, baseline, num_events=400)
+        assert report.patterns.tolist() == [[1, 1, 1], [1, 2, 1], [2, 1, 1]]
+        with_zero = spatial_significance(
+            patterns, observed, baseline, num_events=400, include_zero_observed=True
+        )
+        # a zero row is listed when its baseline is positive
+        assert with_zero.patterns.tolist() == [[1, 1, 1], [1, 2, 1], [2, 1, 1], [1, 2, 3]]
+        assert with_zero.tests == 4
 
     def test_small_sample_warns(self):
-        freq = {(1, 1): 1.0}
         with pytest.warns(NumericalWarning, match="asymptotic"):
-            spatial_significance(freq, freq, num_events=10)
+            spatial_significance([(1, 1)], [1.0], [1.0], num_events=10)
 
     def test_mismatched_tables_rejected(self):
-        with pytest.raises(ValueError, match="different lengths"):
-            spatial_significance({(1, 2): 1.0}, {(1, 2, 3): 1.0}, num_events=100)
+        with pytest.raises(ValueError, match="misaligned"):
+            spatial_significance([(1, 2), (2, 1)], [1.0], [0.5, 0.5], num_events=100)
+        with pytest.raises(ValueError, match="misaligned"):
+            spatial_significance([(1, 2)], [1.0], [0.5, 0.5], num_events=100)
+        with pytest.raises(ValueError, match="misaligned"):
+            spatial_significance((1, 2), [1.0, 0.0], [0.5, 0.5], num_events=100)
 
     def test_gauge_permutation_consistency(self):
         rng = np.random.default_rng(5)
@@ -247,10 +274,10 @@ class TestSignificance:
         order_a = ("g0", "g1", "g2", "g3")
         order_b = ("g2", "g0", "g3", "g1")
         move = [order_a.index(g) for g in order_b]
-        freq_a = pattern_frequencies(spatial_encode(matrix, order_a))
-        freq_b = pattern_frequencies(spatial_encode(matrix, order_b))
-        remapped = {tuple(p[i] for i in move): f for p, f in freq_a.items()}
-        assert remapped == freq_b
+        rows_a, freq_a = pattern_frequencies(spatial_encode(matrix, order_a))
+        rows_b, freq_b = pattern_frequencies(spatial_encode(matrix, order_b))
+        remapped = {tuple(p[i] for i in move): f for p, f in zip(rows_a.tolist(), freq_a.tolist())}
+        assert remapped == dict(zip(map(tuple, rows_b.tolist()), freq_b.tolist()))
 
     def test_level_shifted_events_make_unit_pattern_significant(self):
         # every event is a level shift of the constant base vector
@@ -258,12 +285,10 @@ class TestSignificance:
         levels = rng.integers(0, 5, size=200)
         matrix = make_matrix(np.column_stack([levels] * 4))
         report = analyze_spatial(matrix, matrix.gauges)
-        assert len(report.records) == 1
-        record = report.records[0]
-        assert record.pattern == (1, 1, 1, 1)
-        assert record.observed == 1.0
-        assert record.baseline < 1.0
-        assert record.significant
+        assert report.patterns.tolist() == [[1, 1, 1, 1]]
+        assert report.observed.tolist() == [1.0]
+        assert report.baseline[0] < 1.0
+        assert report.significant.tolist() == [True]
 
     @pytest.mark.filterwarnings("ignore::ordpat.exceptions.NumericalWarning")
     def test_independent_columns_rarely_significant(self):
@@ -276,7 +301,7 @@ class TestSignificance:
                 rng.choice([0, 1, 2], p=[0.5, 0.3, 0.2], size=314) for _ in range(3)
             ])
             report = analyze_spatial(make_matrix(classes), ("g0", "g1", "g2"))
-            if any(rec.significant for rec in report.records):
+            if report.significant.any():
                 hits += 1
         assert hits <= 1  # >= 90% of seeds show nothing significant
 
