@@ -94,10 +94,10 @@ def _shift_min_l1(diff: np.ndarray, n: int) -> np.ndarray:
 
 
 def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
-    """Row-wise shift-minimized L1 distance between two code matrices."""
+    """Row-wise shift-minimized L1 distance between two (..., n) code arrays."""
     t_codes = np.asarray(t_codes, dtype=np.int64)
     u_codes = np.asarray(u_codes, dtype=np.int64)
-    n = t_codes.shape[1]
+    n = t_codes.shape[-1]
     return _shift_min_l1(t_codes - u_codes, n)
 
 

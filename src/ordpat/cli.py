@@ -42,7 +42,7 @@ from .io import (
 )
 from .metric import SCHEMES, WeightScheme, get_scheme, scheme_for_length
 from .patterns import TiePolicy, encode_pattern, encode_permutation, enumerate_patterns, fubini
-from .simulate import IngarchSpec, simulate_ingarch
+from .simulate import IngarchSpec, simulate_ingarch, simulate_pairs
 from .spatial import ClassMatrix, analyze_spatial
 
 
@@ -182,15 +182,8 @@ def run_benchmark_simulated(
     replications: int, lengths: Sequence[int] = (4, 6),
 ) -> list[dict]:
     """Tie-handling comparison over independent simulated stream pairs."""
-    pairs = []
-    for k, child in enumerate(np.random.SeedSequence(spec.seed).spawn(replications)):
-        sx, sy = child.spawn(2)
-        pairs.append((
-            simulate_ingarch(spec, np.random.default_rng(sx)),
-            simulate_ingarch(spec, np.random.default_rng(sy)),
-            lambda n, k=k: config.seed + 7919 * k + n,
-        ))
-    return run_benchmark(pairs, config, lengths)
+    seeds = [lambda n, k=k: config.seed + 7919 * k + n for k in range(replications)]
+    return run_benchmark(zip(*simulate_pairs(spec, replications), seeds), config, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +267,16 @@ def _cmd_spatial(args) -> int:
     return 0
 
 
+def _ingarch_spec(args) -> IngarchSpec:
+    def coefficients(text: str) -> tuple[float, ...]:
+        return tuple(float(v) for v in text.split(",")) if text else ()
+
+    return IngarchSpec(
+        beta0=args.beta0, beta=coefficients(args.beta), alpha=coefficients(args.alpha),
+        length=args.length, seed=args.seed, burn_in=args.burn_in,
+    )
+
+
 def _cmd_benchmark(args) -> int:
     config = AnalysisConfig(
         stride=args.stride, scheme=args.scheme, seed=args.seed, gauges=_gauge_list(args)
@@ -282,15 +285,7 @@ def _cmd_benchmark(args) -> int:
     if args.data:
         rows = run_benchmark_data(load_class_matrix(args.data), config, lengths)
     else:
-        spec = IngarchSpec(
-            beta0=args.beta0,
-            beta=tuple(float(b) for b in args.beta.split(",")) if args.beta else (),
-            alpha=tuple(float(a) for a in args.alpha.split(",")) if args.alpha else (),
-            length=args.length,
-            seed=args.seed,
-            burn_in=args.burn_in,
-        )
-        rows = run_benchmark_simulated(spec, config, args.replications, lengths)
+        rows = run_benchmark_simulated(_ingarch_spec(args), config, args.replications, lengths)
     print(f"{'approach':<18} {'n':>2} {'mean%':>7} {'min%':>7} {'max%':>7}")
     for row in rows:
         print(
@@ -312,15 +307,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = IngarchSpec(
-        beta0=args.beta0,
-        beta=tuple(float(b) for b in args.beta.split(",")) if args.beta else (),
-        alpha=tuple(float(a) for a in args.alpha.split(",")) if args.alpha else (),
-        length=args.length,
-        seed=args.seed,
-        burn_in=args.burn_in,
-    )
-    counts = simulate_ingarch(spec)
+    counts = simulate_ingarch(_ingarch_spec(args))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -378,6 +365,12 @@ _FLAGS = {
     "replicates": dict(type=int, default=1000, help="bootstrap replicates"),
     "gauges": dict(default=None, help="comma-separated gauge subset"),
     "format": dict(choices=["matrix", "long"], default="matrix", help="stdout layout"),
+    # the count-process parameters of ``benchmark`` and ``simulate``
+    "beta0": dict(type=float, default=2.0, help="count-process intercept (default 2.0)"),
+    "beta": dict(default="0.3", help="comma list of count-feedback coefficients"),
+    "alpha": dict(default="", help="comma list of mean-feedback coefficients"),
+    "length": dict(type=int, default=1000, help="simulated series length"),
+    "burn-in": dict(type=int, default=500, help="discarded initial draws (default 500)"),
 }
 
 
@@ -423,25 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spatial)
 
     p = sub.add_parser("benchmark", help="tie-handling comparison table")
-    _add_flags(p, "stride", "scheme", "seed", "gauges")
+    _add_flags(
+        p, "stride", "scheme", "seed", "gauges", "beta0", "beta", "alpha", "length", "burn-in"
+    )
     p.add_argument("--data", default=None, help="class matrix CSV (else simulate)")
     p.add_argument("--lengths", default="4,6", help="pattern lengths (default 4,6)")
-    p.add_argument("--beta0", type=float, default=2.0)
-    p.add_argument("--beta", default="0.3", help="comma list of count-feedback coefficients")
-    p.add_argument("--alpha", default="", help="comma list of mean-feedback coefficients")
-    p.add_argument("--length", type=int, default=1000, help="simulated series length")
-    p.add_argument("--burn-in", type=int, default=500)
     p.add_argument("--replications", type=int, default=100)
     p.add_argument("--out", default=None, help="summary CSV path")
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("simulate", help="simulate a count process")
-    _add_flags(p, "seed")
-    p.add_argument("--beta0", type=float, default=2.0)
-    p.add_argument("--beta", default="0.3", help="comma list of count-feedback coefficients")
-    p.add_argument("--alpha", default="", help="comma list of mean-feedback coefficients")
-    p.add_argument("--length", type=int, default=1000)
-    p.add_argument("--burn-in", type=int, default=500)
+    _add_flags(p, "seed", "beta0", "beta", "alpha", "length", "burn-in")
     p.add_argument("--out", default=None, help="counts CSV path")
     p.set_defaults(func=_cmd_simulate)
 

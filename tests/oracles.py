@@ -83,3 +83,32 @@ def oracle_product_law(columns):
             weight *= m[v] / count
         law[oracle_encode(combo)] += weight
     return law
+
+
+def oracle_ingarch(spec):
+    """Poisson-INGARCH counts, one scalar Poisson draw per step.
+
+    History before the first step sits at the stationary mean; each
+    feedback sum runs over the lags in order, as floats. numpy supplies
+    only the generator, so both sides draw from the same stream.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(spec.seed)
+    counts = [spec.stationary_mean] * len(spec.beta)  # most recent last
+    nus = [spec.stationary_mean] * len(spec.alpha)
+
+    def feedback(coefficients, history):
+        total = 0.0
+        for c, v in zip(coefficients, reversed(history)):
+            total += c * v
+        return total
+
+    out = []
+    for _ in range(spec.burn_in + spec.length):
+        nu = spec.beta0 + feedback(spec.beta, counts) + feedback(spec.alpha, nus)
+        draw = int(rng.poisson(nu))
+        counts.append(draw)
+        nus.append(nu)
+        out.append(draw)
+    return out[spec.burn_in :]

@@ -31,7 +31,7 @@ from ordpat.dependence import (
 )
 from ordpat.metric import GENERALIZED_LONG, GENERALIZED_SHORT, l1_distance, pattern_distance
 from ordpat.patterns import TiePolicy, encode_pattern, encode_permutation, enumerate_patterns, fubini
-from ordpat.simulate import IngarchSpec, simulate_ingarch
+from ordpat.simulate import IngarchSpec, simulate_pairs
 from ordpat.spatial import ClassMatrix, analyze_spatial, spatial_significance
 
 
@@ -144,15 +144,11 @@ def _simulated_coherence(beta1: float, replications: int = 1000) -> dict:
     if beta1 in _COHERENCE_CACHE:
         return _COHERENCE_CACHE[beta1]
     spec = IngarchSpec(beta0=2.0, beta=(beta1,), length=1000, seed=8128)
-    short = np.empty(replications)
-    long_ = np.empty(replications)
-    for i, child in enumerate(np.random.SeedSequence(spec.seed).spawn(replications)):
-        seed_x, seed_y = child.spawn(2)
-        x = simulate_ingarch(spec, np.random.default_rng(seed_x))
-        y = simulate_ingarch(spec, np.random.default_rng(seed_y))
-        distances = df_rows(encode_windows(x, 4, 1), encode_windows(y, 4, 1))
-        short[i] = GENERALIZED_SHORT.weights_for(distances).mean()
-        long_[i] = GENERALIZED_LONG.weights_for(distances).mean()
+    x, y = simulate_pairs(spec, replications)
+    # (replications, windows) distances of every pair in one stacked call
+    distances = df_rows(encode_windows(x, 4, 1), encode_windows(y, 4, 1))
+    short = GENERALIZED_SHORT.weights_for(distances).mean(axis=1)
+    long_ = GENERALIZED_LONG.weights_for(distances).mean(axis=1)
     result = {"short": float(short.mean()), "long": float(long_.mean())}
     _COHERENCE_CACHE[beta1] = result
     return result

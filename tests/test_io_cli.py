@@ -330,6 +330,16 @@ class TestCli:
     def test_enumerate_out_of_range_is_data_error(self, capsys):
         assert main(["enumerate", "--n", "11"]) == 2
 
+    def test_non_finite_coefficient_is_data_error(self, capsys):
+        assert main(["simulate", "--beta", "nan"]) == 2
+        assert "beta must be finite" in capsys.readouterr().err
+        assert main(["benchmark", "--alpha", "inf", "--replications", "2"]) == 2
+        assert "alpha must be finite" in capsys.readouterr().err
+
+    def test_zero_replications_is_data_error(self, capsys):
+        assert main(["benchmark", "--replications", "0"]) == 2
+        assert "replications must be >= 1" in capsys.readouterr().err
+
     def test_pairwise_outputs_and_determinism(self, matrix_file, tmp_path, capsys):
         args = [
             "pairwise", "--data", str(matrix_file), "--n", "2",

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_ingarch
 from ordpat.dependence import dependence_estimates
-from ordpat.simulate import CoherenceSummary, IngarchSpec, coherence_benchmark, simulate_ingarch
+from ordpat.simulate import (
+    CoherenceSummary,
+    IngarchSpec,
+    coherence_benchmark,
+    simulate_ingarch,
+    simulate_pairs,
+)
 
 
 class TestIngarchSpec:
@@ -19,6 +26,13 @@ class TestIngarchSpec:
             IngarchSpec(beta0=1.0, length=0)
         with pytest.raises(ValueError, match="burn_in"):
             IngarchSpec(beta0=1.0, burn_in=-1)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="beta0 must be finite"):
+                IngarchSpec(beta0=bad)
+            with pytest.raises(ValueError, match="beta must be finite"):
+                IngarchSpec(beta0=1.0, beta=(0.1, bad))
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                IngarchSpec(beta0=1.0, alpha=(bad,))
 
     def test_stationary_mean(self):
         assert IngarchSpec(beta0=2.0).stationary_mean == pytest.approx(2.0)
@@ -55,6 +69,26 @@ class TestSimulate:
         b = simulate_ingarch(IngarchSpec(beta0=2.0, beta=(0.3,), length=500, seed=2))
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("burn_in", [0, 40])
+    def test_matches_scalar_oracle(self, p, q, burn_in):
+        spec = IngarchSpec(
+            beta0=1.5, beta=(0.25, 0.1)[:p], alpha=(0.3, 0.05)[:q],
+            length=300, seed=10 * p + q, burn_in=burn_in,
+        )
+        counts = simulate_ingarch(spec)
+        assert counts.shape == (300,) and counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, oracle_ingarch(spec))
+
+    def test_batch(self):
+        spec = IngarchSpec(beta0=1.0, beta=(0.3,), alpha=(0.2,), length=400, seed=6)
+        batch = simulate_ingarch(spec, rows=50)
+        assert batch.shape == (50, 400) and batch.dtype == np.int64
+        np.testing.assert_array_equal(batch, simulate_ingarch(spec, rows=50))
+        assert len({row.tobytes() for row in batch}) == 50
+        assert batch.mean() == pytest.approx(spec.stationary_mean, rel=0.03)
+
 
 class TestCoherenceBenchmark:
     def test_summary_shape_and_determinism(self):
@@ -76,14 +110,21 @@ class TestCoherenceBenchmark:
     def test_streams_are_independent(self):
         # the coefficient between the two simulated streams stays near zero
         spec = IngarchSpec(beta0=2.0, beta=(0.3,), length=2000, seed=5)
-        coefficients = []
-        for child in np.random.SeedSequence(spec.seed).spawn(20):
-            sx, sy = child.spawn(2)
-            x = simulate_ingarch(spec, np.random.default_rng(sx))
-            y = simulate_ingarch(spec, np.random.default_rng(sy))
-            coefficients.append(dependence_estimates(x, y, 3).coefficient)
+        xs, ys = simulate_pairs(spec, 20)
+        coefficients = [dependence_estimates(x, y, 3).coefficient for x, y in zip(xs, ys)]
         assert abs(np.mean(coefficients)) < 0.05
 
+    def test_pairs_are_the_halves_of_one_batch(self):
+        spec = IngarchSpec(beta0=2.0, beta=(0.3,), length=100, seed=8)
+        xs, ys = simulate_pairs(spec, 3)
+        both = simulate_ingarch(spec, rows=6)
+        np.testing.assert_array_equal(xs, both[:3])
+        np.testing.assert_array_equal(ys, both[3:])
+
     def test_replications_validated(self):
-        with pytest.raises(ValueError):
-            coherence_benchmark(IngarchSpec(beta0=1.0), n=3, replications=0)
+        for call in (
+            lambda: coherence_benchmark(IngarchSpec(beta0=1.0), n=3, replications=0),
+            lambda: simulate_pairs(IngarchSpec(beta0=1.0), 0),
+        ):
+            with pytest.raises(ValueError, match="replications must be >= 1"):
+                call()
