@@ -88,7 +88,7 @@ def run_pairwise(
     if len(labels) < 2:
         raise ValueError("pairwise analysis needs at least 2 gauges")
     scheme = _resolve_scheme(config.scheme, config.n)
-    series = {g: ClassSeries(matrix.column(g), g) for g in labels}
+    series = {g: ClassSeries(c, g) for g, c in zip(labels, matrix.subset_columns(labels).T)}
     size = len(labels)
     score = np.ones((size, size))
     comparison = np.zeros((size, size))
@@ -168,7 +168,9 @@ def run_benchmark_data(
 ) -> list[dict]:
     """Tie-handling comparison over all gauge pairs of a data matrix."""
     labels = list(config.gauges) if config.gauges else list(matrix.gauges)
-    series = [matrix.column(g) for g in labels]
+    if len(labels) < 2:
+        raise ValueError("tie-handling benchmark on data needs at least 2 gauges")
+    series = list(matrix.subset_columns(labels).T)
     pairs = []
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
@@ -471,7 +473,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"ordpat: data error: {exc}", file=sys.stderr)
             return 2
         except (ValueError, KeyError, OSError) as exc:
-            print(f"ordpat: error: {exc}", file=sys.stderr)
+            # str() of a KeyError is the repr of its message
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print(f"ordpat: error: {message}", file=sys.stderr)
             return 2
     numerical = [w for w in caught if issubclass(w.category, NumericalWarning)]
     for w in numerical:

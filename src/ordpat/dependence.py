@@ -13,7 +13,8 @@ for the probability-type estimators; one moving-block bootstrap of the
 window pattern sequence covers the comparison value and the
 standardized coefficient. The classical tie-handling baselines (skip /
 randomize / first-appearance) run the same pipeline through permutation
-patterns and the plain L1 metric.
+patterns and the plain L1 metric. Past encoding all of it runs on dense
+pattern ids, with bootstrap replicates as window multiplicities.
 """
 
 from __future__ import annotations
@@ -86,15 +87,15 @@ def _paired_codes(x: SeriesLike, y: SeriesLike, n: int, stride: int) -> tuple[np
 
 
 # ---------------------------------------------------------------------------
-# estimator core: helpers on window codes and pattern keys, shared by the
-# tie-aware and classical pipelines and the batched bootstrap
+# estimator core: dense pattern ids, shared by the tie-aware and classical
+# pipelines and the batched bootstrap
 # ---------------------------------------------------------------------------
 
 # Pattern keys below this bound are relabelled through a lookup table,
 # larger ones through a sort.
 _KEY_TABLE_SIZE = 1 << 21
-# Cells of one (row x pattern) histogram table or (pattern x pattern x n)
-# distance table; larger tables are built a slice of rows at a time.
+# Cells of one (pattern x pattern x n) distance table; larger tables are
+# built a slice of x patterns at a time.
 _TABLE_CELLS = 1 << 20
 
 
@@ -106,46 +107,20 @@ def _negated_codes(codes: np.ndarray) -> np.ndarray:
     return top[..., None] + 1 - codes
 
 
-def _coincidences(a_keys: np.ndarray, b_keys: np.ndarray) -> np.ndarray:
-    """Per-window 0/1 indicator of identical patterns, from pattern keys."""
-    return (a_keys == b_keys).astype(np.float64)
-
-
-def _dense_ids(keys: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
-    """Relabel pattern keys to 0..m-1 over all arrays; m distinct patterns."""
+def _dense_ids(*codes: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Pattern ids 0..m-1 of (W, n) code arrays, shared by all, and their histograms."""
+    keys = [pattern_keys(c) for c in codes]
     size = max(int(k.max()) for k in keys) + 1
     if size <= _KEY_TABLE_SIZE:
         seen = np.zeros(size, dtype=bool)
         for k in keys:
             seen[k] = True
         relabel = np.cumsum(seen) - 1
-        return [relabel[k] for k in keys], int(relabel[-1]) + 1
-    distinct, inverse = np.unique(np.concatenate([k.ravel() for k in keys]), return_inverse=True)
-    parts = np.split(inverse.ravel(), np.cumsum([k.size for k in keys])[:-1])
-    return [part.reshape(k.shape) for part, k in zip(parts, keys)], distinct.shape[0]
-
-
-def _match_counts(keys: np.ndarray, *others: np.ndarray) -> list[np.ndarray]:
-    """Per row, the number of window pairs with equal patterns.
-
-    ``keys`` and each of ``others`` are (rows, W) pattern keys. For every
-    other array the result holds, per row, sum over patterns t of
-    count_keys(t) * count_other(t): the numerator of the comparison value.
-    The per-row pattern histograms come from one bincount over (row,
-    pattern) offsets per array.
-    """
-    ids, size = _dense_ids([keys, *others])
-    rows = keys.shape[0]
-    step = max(1, _TABLE_CELLS // size)
-    out = [np.empty(rows, dtype=np.int64) for _ in others]
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        offsets = (np.arange(hi - lo) * size)[:, None]
-        cells = (hi - lo) * size
-        hists = [np.bincount((i[lo:hi] + offsets).ravel(), minlength=cells) for i in ids]
-        for target, hist in zip(out, hists[1:]):
-            target[lo:hi] = (hists[0] * hist).reshape(hi - lo, size).sum(axis=1)
-    return out
+        ids, size = [relabel[k] for k in keys], int(relabel[-1]) + 1
+    else:
+        distinct, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        ids, size = np.split(inverse, np.cumsum([k.size for k in keys])[:-1]), distinct.shape[0]
+    return ids, [np.bincount(i, minlength=size) for i in ids]
 
 
 def _total_score_from_codes(
@@ -158,26 +133,53 @@ def _total_score_from_codes(
     return float(scores.sum() / scores.shape[0]), scores
 
 
-def _score_comparison_from_codes(
-    a_codes: np.ndarray,
-    b_codes: np.ndarray,
-    a_keys: np.ndarray,
-    b_keys: np.ndarray,
+def _score_estimates(
+    x_codes: np.ndarray,
+    y_codes: np.ndarray,
+    ids: Sequence[np.ndarray],
+    hists: Sequence[np.ndarray],
     scheme: WeightScheme,
     cross_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> float:
-    num_windows, n = a_codes.shape
-    _, first_a, count_a = np.unique(a_keys, return_index=True, return_counts=True)
-    _, first_b, count_b = np.unique(b_keys, return_index=True, return_counts=True)
-    distinct_b = b_codes[first_b]
-    # the built-in weights are dyadic, so every partial sum is exact and
-    # the slicing does not change the result
-    step = max(1, _TABLE_CELLS // (first_b.shape[0] * n))
+) -> tuple[float, np.ndarray]:
+    """Score comparison and per-window scores from one sliced score table.
+
+    ``ids`` and ``hists`` start with those of x and y. The table S scores
+    the distinct x patterns (rows) against the distinct y patterns
+    (columns), a slice of rows under ``_TABLE_CELLS`` at a time; each slice
+    adds its part of h_x^T S h_y and fills the scores of its windows.
+    """
+    (x_ids, y_ids, *_), (x_hist, y_hist, *_) = ids, hists
+    num_windows, n = x_codes.shape
+    rows, cols = np.flatnonzero(x_hist), np.flatnonzero(y_hist)
+    # the codes of one window showing each row and each column pattern
+    windows = np.arange(num_windows)
+    pick = np.empty(x_hist.shape[0], dtype=np.intp)
+    pick[x_ids] = windows
+    row_codes = x_codes[pick[rows]]
+    pick[y_ids] = windows
+    col_codes = y_codes[pick[cols]]
+    row_counts, col_counts = x_hist[rows].astype(np.float64), y_hist[cols].astype(np.float64)
+    # each window's cell in the row-major table
+    win_cell = (np.cumsum(x_hist > 0) - 1)[x_ids] * cols.shape[0]
+    win_cell += (np.cumsum(y_hist > 0) - 1)[y_ids]
+    step = max(1, _TABLE_CELLS // (cols.shape[0] * n))
+    if step < rows.shape[0]:
+        # windows grouped by row (small unsigned keys take a radix sort)
+        win_row = (win_cell // cols.shape[0]).astype(np.min_scalar_type(rows.shape[0]))
+        windows = np.argsort(win_row, kind="stable")
+        win_cell = win_cell[windows]
+    ends = np.cumsum(x_hist[rows])
+    scores = np.empty(num_windows, dtype=np.float64)
     total = 0.0
-    for lo in range(0, first_a.shape[0], step):
-        weights = scheme.weights_for(cross_distance(a_codes[first_a[lo : lo + step]], distinct_b))
-        total += float((weights * (count_a[lo : lo + step, None] * count_b[None, :])).sum())
-    return total / (num_windows * num_windows)
+    for lo in range(0, rows.shape[0], step):
+        hi = min(lo + step, rows.shape[0])
+        table = scheme.weights_for(cross_distance(row_codes[lo:hi], col_codes))
+        # the built-in weights are dyadic and the counts integers, so every
+        # partial sum is exact and the slicing does not change the result
+        total += float(row_counts[lo:hi] @ table @ col_counts)
+        run = slice(ends[lo - 1] if lo else 0, ends[hi - 1])
+        scores[windows[run]] = table.ravel()[win_cell[run] - lo * cols.shape[0]]
+    return total / (num_windows * num_windows), scores
 
 
 def _estimates_from_codes(
@@ -186,41 +188,40 @@ def _estimates_from_codes(
     neg_y_codes: np.ndarray,
     scheme: WeightScheme,
     stride: int,
-    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     cross_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple["DependenceEstimates", np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+) -> tuple["DependenceEstimates", np.ndarray, np.ndarray, list[np.ndarray]]:
     """All point estimates of one pair from its (num_windows, n) codes.
 
     Serves the tie-aware pipeline (rank codes, shift-minimized distance)
-    and the classical one (permutations, plain L1). Also returns the
-    per-window coincidence indicators and scores, the inputs of the
-    long-run variance estimator, and the pattern keys of x, y and -y,
-    the input of the block bootstrap.
+    and the classical one (permutations, plain L1). Coincidences come from
+    id equality, comparison values from histogram products and both
+    scores from one sliced score table. Also returns the per-window
+    coincidence indicators and scores, the inputs of the long-run variance
+    estimator, and the ids of x, y and -y, the input of the block bootstrap.
     """
     num_windows, n = x_codes.shape
-    x_keys, y_keys, neg_y_keys = (pattern_keys(c) for c in (x_codes, y_codes, neg_y_codes))
-    indicators = _coincidences(x_keys, y_keys)
-    anti = _coincidences(x_keys, neg_y_keys)
-    same, opposite = _match_counts(x_keys[None], y_keys[None], neg_y_keys[None])
-    p_hat = float(indicators.sum() / num_windows)
-    q_hat = int(same[0]) / (num_windows * num_windows)
-    r_hat = float(anti.sum() / num_windows)
-    s_hat = int(opposite[0]) / (num_windows * num_windows)
-    s_total, scores = _total_score_from_codes(x_codes, y_codes, scheme, distance)
-    s_comp = _score_comparison_from_codes(x_codes, y_codes, x_keys, y_keys, scheme, cross_distance)
+    ids, hists = _dense_ids(x_codes, y_codes, neg_y_codes)
+    x_hist, y_hist, neg_y_hist = hists
+    indicators = ids[0] == ids[1]
+    pairs = num_windows * num_windows
+    p_hat = int(indicators.sum()) / num_windows
+    q_hat = int(x_hist @ y_hist) / pairs
+    r_hat = int(np.count_nonzero(ids[0] == ids[2])) / num_windows
+    s_hat = int(x_hist @ neg_y_hist) / pairs
+    s_comp, scores = _score_estimates(x_codes, y_codes, ids, hists, scheme, cross_distance)
     estimates = DependenceEstimates(
         coincidence=p_hat,
         comparison=q_hat,
         anti_coincidence=r_hat,
         anti_comparison=s_hat,
         coefficient=standardized_coefficient(p_hat, q_hat, r_hat, s_hat),
-        total_score=s_total,
+        total_score=float(scores.sum() / num_windows),
         score_comparison=s_comp,
         n=n,
         stride=stride,
         num_windows=num_windows,
     )
-    return estimates, indicators, scores, (x_keys, y_keys, neg_y_keys)
+    return estimates, indicators, scores, ids
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +237,8 @@ def coincidence_probability(
     sequence, which feeds the long-run variance estimator.
     """
     cx, cy = _paired_codes(x, y, n, stride)
-    indicators = _coincidences(pattern_keys(cx), pattern_keys(cy))
+    indicators = (pattern_keys(cx) == pattern_keys(cy)).astype(np.float64)
     return float(indicators.sum() / indicators.shape[0]), indicators
-
-
-def _comparison_from_keys(x_keys: np.ndarray, y_keys: np.ndarray) -> float:
-    num_windows = x_keys.shape[0]
-    (matches,) = _match_counts(x_keys[None], y_keys[None])
-    return int(matches[0]) / (num_windows * num_windows)
 
 
 def comparison_value(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> float:
@@ -253,7 +248,8 @@ def comparison_value(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> f
     frequencies, computed on the same window grid.
     """
     cx, cy = _paired_codes(x, y, n, stride)
-    return _comparison_from_keys(pattern_keys(cx), pattern_keys(cy))
+    _, (x_hist, y_hist) = _dense_ids(cx, cy)
+    return int(x_hist @ y_hist) / (cx.shape[0] * cx.shape[0])
 
 
 def anti_estimates(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> tuple[float, float]:
@@ -263,9 +259,9 @@ def anti_estimates(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> tup
     The codes of -y follow from those of y: a window's ranks reverse.
     """
     cx, cy = _paired_codes(x, y, n, stride)
-    x_keys, neg_y_keys = pattern_keys(cx), pattern_keys(_negated_codes(cy))
-    anti = _coincidences(x_keys, neg_y_keys)
-    return float(anti.sum() / anti.shape[0]), _comparison_from_keys(x_keys, neg_y_keys)
+    (x_ids, neg_ids), (x_hist, neg_hist) = _dense_ids(cx, _negated_codes(cy))
+    count = cx.shape[0]
+    return int(np.count_nonzero(x_ids == neg_ids)) / count, int(x_hist @ neg_hist) / (count * count)
 
 
 def _excess(prob: np.ndarray, comp: np.ndarray) -> np.ndarray:
@@ -336,9 +332,7 @@ def score_comparison_value(
     """
     scheme = scheme or scheme_for_length(n)
     cx, cy = _paired_codes(x, y, n, stride)
-    return _score_comparison_from_codes(
-        cx, cy, pattern_keys(cx), pattern_keys(cy), scheme, _kernels.df_cross
-    )
+    return _score_estimates(cx, cy, *_dense_ids(cx, cy), scheme, _kernels.df_cross)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +366,7 @@ def dependence_estimates(
     scheme = scheme or scheme_for_length(n)
     cx, cy = _paired_codes(x, y, n, stride)
     estimates, _, _, _ = _estimates_from_codes(
-        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_rows, _kernels.df_cross
+        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_cross
     )
     return estimates
 
@@ -447,7 +441,6 @@ def classical_dependence(
         descending_permutations(-win_y),
         scheme,
         stride,
-        _kernels.l1_rows,
         _kernels.l1_cross,
     )
     return estimates
@@ -578,15 +571,15 @@ def confidence_interval(
 # moving-block bootstrap
 # ---------------------------------------------------------------------------
 
-# Resampled window sequences are gathered in chunks of at most this many
-# windows per series (at least one replicate per chunk).
+# Window multiplicities are built in chunks of at most this many windows
+# per series (at least one replicate per chunk).
 BOOTSTRAP_CHUNK_VALUES = 1 << 18
 
 
 def block_bootstrap_ci(
-    x_keys: np.ndarray,
-    y_keys: np.ndarray,
-    neg_y_keys: np.ndarray,
+    x_ids: np.ndarray,
+    y_ids: np.ndarray,
+    neg_y_ids: np.ndarray,
     block: Optional[int] = None,
     replicates: int = 1000,
     level: float = 0.95,
@@ -594,19 +587,22 @@ def block_bootstrap_ci(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Moving-block bootstrap intervals of the comparison value and coefficient.
 
-    Takes the pattern keys of the W simultaneous windows of x, y and -y
-    and resamples blocks of ``block`` consecutive windows (default
+    Takes the dense pattern ids of the W simultaneous windows of x, y and
+    -y and resamples blocks of ``block`` consecutive windows (default
     ``default_bandwidth(W)``) jointly from all three, which keeps the
     cross-dependence and the serial dependence within blocks (Kuensch's
     moving-block bootstrap of the pattern sequence). One generator
     draws the block starts of every replicate; both statistics come from
-    the same replicates. Returns (comparison_ci, coefficient_ci).
+    the same replicates. A replicate is a vector of window multiplicities
+    (+1 at each block start, -1 past each block end, accumulated; the last
+    block is cut to fill W windows), which weights the id histograms and
+    id equalities. Returns (comparison_ci, coefficient_ci).
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
     if replicates < 2:
         raise ValueError("need at least 2 bootstrap replicates")
-    num_windows = x_keys.shape[0]
+    num_windows = x_ids.shape[0]
     if block is None:
         block = default_bandwidth(num_windows)
     if not 1 <= block <= num_windows:
@@ -615,23 +611,38 @@ def block_bootstrap_ci(
         )
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, num_windows - block + 1, size=(replicates, -(-num_windows // block)))
-    offsets = np.arange(block)
+    lengths = np.full(starts.shape[1], block)
+    lengths[-1] = num_windows - block * (starts.shape[1] - 1)
+    size = 1 + max(int(i.max()) for i in (x_ids, y_ids, neg_y_ids))
+    same = (x_ids == y_ids).astype(np.float64)
+    opposite = (x_ids == neg_y_ids).astype(np.float64)
     chunk = max(1, BOOTSTRAP_CHUNK_VALUES // num_windows)
     pairs = num_windows * num_windows
     comparison = np.empty(replicates, dtype=np.float64)
     coefficient = np.empty(replicates, dtype=np.float64)
     for lo in range(0, replicates, chunk):
         rows = starts[lo : lo + chunk]
-        idx = (rows[:, :, None] + offsets).reshape(rows.shape[0], -1)[:, :num_windows]
-        xs, ys, neg_ys = x_keys[idx], y_keys[idx], neg_y_keys[idx]
-        same, opposite = _match_counts(xs, ys, neg_ys)
-        hi = lo + rows.shape[0]
-        comparison[lo:hi] = same / pairs
+        count = rows.shape[0]
+        cells = count * num_windows
+        offsets = (np.arange(count) * num_windows)[:, None]
+        ends = rows + lengths
+        steps = np.bincount((rows + offsets).ravel(), minlength=cells)
+        steps -= np.bincount((ends + offsets)[ends < num_windows], minlength=cells)
+        weights = np.cumsum(steps.reshape(count, num_windows), axis=1, dtype=np.float64)
+        # every count is an integer below 2^53, so the float sums are exact; with
+        # m <= 3 W ids the histograms hold at most 3 BOOTSTRAP_CHUNK_VALUES cells
+        id_offsets = (np.arange(count) * size)[:, None]
+        x_hist, y_hist, neg_y_hist = (
+            np.bincount((i + id_offsets).ravel(), weights.ravel(), count * size).reshape(count, -1)
+            for i in (x_ids, y_ids, neg_y_ids)
+        )
+        hi = lo + count
+        comparison[lo:hi] = (x_hist * y_hist).sum(axis=1) / pairs
         coefficient[lo:hi] = _coefficients(
-            (xs == ys).sum(axis=1) / num_windows,
+            weights @ same / num_windows,
             comparison[lo:hi],
-            (xs == neg_ys).sum(axis=1) / num_windows,
-            opposite / pairs,
+            weights @ opposite / num_windows,
+            (x_hist * neg_y_hist).sum(axis=1) / pairs,
         )
     alpha = 1.0 - level
     quantiles = [alpha / 2.0, 1.0 - alpha / 2.0]
@@ -682,8 +693,8 @@ def analyze_pair(
     """
     scheme = scheme or scheme_for_length(n)
     cx, cy = _paired_codes(x, y, n, stride)
-    est, indicators, scores, keys = _estimates_from_codes(
-        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_rows, _kernels.df_cross
+    est, indicators, scores, ids = _estimates_from_codes(
+        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_cross
     )
 
     def with_ci(var: VarianceEstimate, point: float) -> VarianceEstimate:
@@ -692,7 +703,7 @@ def analyze_pair(
 
     var_p = with_ci(long_run_variance(indicators, kernel, bandwidth), est.coincidence)
     var_s = with_ci(long_run_variance(scores, kernel, bandwidth), est.total_score)
-    q_ci, c_ci = block_bootstrap_ci(*keys, block, replicates, level, seed)
+    q_ci, c_ci = block_bootstrap_ci(*ids, block, replicates, level, seed)
 
     return DependenceReport(
         label_x=series_label(x, "x"),

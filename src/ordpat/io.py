@@ -255,7 +255,7 @@ def write_plot_data(
 ) -> None:
     """Emit per-gauge class values over the event index for plotting."""
     gauges = list(gauge_subset) or list(matrix.gauges)
-    cols = matrix.subset_columns(gauges) if matrix.num_events else np.empty((0, len(gauges)))
+    cols = matrix.subset_columns(gauges)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["index", *gauges])

@@ -64,6 +64,8 @@ class ClassMatrix:
     def subset_columns(self, gauge_subset: Sequence[str]) -> np.ndarray:
         if len(gauge_subset) == 0:
             raise ValueError("gauge subset must be non-empty")
+        if repeated := [g for i, g in enumerate(gauge_subset) if g in gauge_subset[:i]]:
+            raise ValueError(f"gauge list repeats the label {repeated[0]!r}")
         idx = [self._gauge_index(g) for g in gauge_subset]
         return self.classes[:, idx]
 
@@ -215,6 +217,8 @@ def spatial_significance(
     cannot be z-tested and are flagged impossible-under-baseline instead.
     Warns below K = 30 where the normal approximation is shaky.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"significance level alpha must lie strictly between 0 and 1, got {alpha}")
     patterns = np.asarray(patterns, dtype=np.int64)
     observed = np.asarray(observed, dtype=np.float64)
     baseline = np.asarray(baseline, dtype=np.float64)

@@ -1,13 +1,21 @@
 """Dependence estimators against naive oracles and known values."""
 
+import tracemalloc
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import oracle_encode, oracle_estimates, oracle_long_run_variance, oracle_windows
+from oracles import (
+    oracle_encode,
+    oracle_estimates,
+    oracle_long_run_variance,
+    oracle_shift_min_l1,
+    oracle_windows,
+)
 from ordpat import dependence
+from ordpat._kernels import df_cross, df_rows, encode_windows
 from ordpat.dependence import (
     ClassSeries,
     analyze_pair,
@@ -25,7 +33,7 @@ from ordpat.dependence import (
     total_score,
 )
 from ordpat.exceptions import NumericalWarning
-from ordpat.metric import CLASSICAL_SHORT, EXACT, GENERALIZED_SHORT
+from ordpat.metric import CLASSICAL_SHORT, EXACT, GENERALIZED_SHORT, scheme_for_length
 from ordpat.patterns import TiePolicy, encode_pattern
 
 
@@ -416,6 +424,113 @@ class TestClassicalBaselines:
         assert np.all(l1_rows(perms_x, perms_y) % 2 == 0)
 
 
+def explicit_score_comparison(a, b, distance, weights):
+    """Score comparison of two pattern lists, summed over distinct pattern pairs."""
+    count_a, count_b = Counter(a), Counter(b)
+    total = sum(
+        m * k * weights.get(distance(t, u), 0.0)
+        for t, m in count_a.items()
+        for u, k in count_b.items()
+    )
+    return total / (len(a) * len(b))
+
+
+def descending_positions(window):
+    """One-based positions of a tie-free window by descending value."""
+    return tuple(sorted(range(1, len(window) + 1), key=lambda j: -window[j - 1]))
+
+
+def plain_l1(t, u):
+    return sum(abs(a - b) for a, b in zip(t, u))
+
+
+ORACLE_FIELDS = ("coincidence", "comparison", "anti_coincidence", "anti_comparison", "total_score")
+
+
+class TestIdCore:
+    """The estimator core on dense pattern ids, with score tables a few cells big."""
+
+    @pytest.mark.filterwarnings("ignore::ordpat.exceptions.NumericalWarning")
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_estimates_match_oracle(self, n, stride, monkeypatch):
+        # one x pattern per score-table slice
+        monkeypatch.setattr(dependence, "_TABLE_CELLS", 3)
+        rng = np.random.default_rng(100 + 10 * n + stride)
+        base = rng.integers(0, 4, size=70)
+        x = np.clip(base + rng.integers(-1, 2, size=70), 0, 4)
+        y = np.clip(base + rng.integers(-1, 2, size=70), 0, 4)
+        weights = dict(scheme_for_length(n).mapping)
+        expected = oracle_estimates(x.tolist(), y.tolist(), n, stride, weights)
+        patterns = [
+            [oracle_encode(w) for w in oracle_windows(v.tolist(), n, stride)] for v in (x, y)
+        ]
+        score_comparison = explicit_score_comparison(*patterns, oracle_shift_min_l1, weights)
+        estimates = dependence_estimates(x, y, n, stride)
+        report = analyze_pair(x, y, n, stride, replicates=4, seed=n)
+        for got in (estimates, report.estimates):
+            assert {f: getattr(got, f) for f in ORACLE_FIELDS} == expected
+            assert got.score_comparison == score_comparison
+            # plain floats, so printed and repr'd results do not change form
+            assert {type(getattr(got, f)) for f in (*ORACLE_FIELDS, "score_comparison")} == {float}
+        assert score_comparison_value(x, y, n, stride) == score_comparison
+        assert {type(v) for v in anti_estimates(x, y, n, stride)} == {float}
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_classical_matches_oracle_on_tie_free_series(self, n, stride, monkeypatch):
+        # without ties a permutation pattern and a rank pattern determine
+        # each other, so the probability-type estimates are the oracle's
+        monkeypatch.setattr(dependence, "_TABLE_CELLS", 3)
+        rng = np.random.default_rng(60 + n + stride)
+        x = rng.permutation(90).astype(np.float64)
+        y = np.argsort(np.argsort(x + rng.integers(0, 30, size=90))).astype(np.float64)
+        expected = oracle_estimates(x.tolist(), y.tolist(), n, stride)
+        scheme = scheme_for_length(n, classical=True)
+        patterns = [
+            [descending_positions(w) for w in oracle_windows(v.tolist(), n, stride)] for v in (x, y)
+        ]
+        score_comparison = explicit_score_comparison(*patterns, plain_l1, dict(scheme.mapping))
+        for policy in (TiePolicy.first_appearance(), TiePolicy.skip()):
+            got = classical_dependence(x, y, n, stride, policy)
+            assert {f: getattr(got, f) for f in ORACLE_FIELDS[:4]} == {
+                f: expected[f] for f in ORACLE_FIELDS[:4]
+            }
+            assert got.total_score == classical_total_score(x, y, n, stride, policy)[0]
+            assert got.score_comparison == score_comparison
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("cells", [None, 3, 4096])
+    def test_window_scores_equal_row_kernel(self, n, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(dependence, "_TABLE_CELLS", cells)
+        rng = np.random.default_rng(70 + n)
+        x = rng.integers(0, 5, size=400)
+        y = rng.integers(0, 5, size=400)
+        cx, cy = encode_windows(x, n), encode_windows(y, n)
+        scheme = scheme_for_length(n)
+        _, _, scores, _ = dependence._estimates_from_codes(
+            cx, cy, dependence._negated_codes(cy), scheme, 1, df_cross
+        )
+        expected = scheme.weights_for(df_rows(cx, cy))
+        assert scores.dtype == expected.dtype
+        assert scores.tobytes() == expected.tobytes()
+        assert total_score(x, y, n)[1].tobytes() == expected.tobytes()
+
+    def test_long_n6_estimates_stay_under_memory_budget(self):
+        # the whole 3962 x 3960 float64 score table alone would take ~125 MB
+        rng = np.random.default_rng(80)
+        x = rng.integers(0, 5, size=100_000)
+        y = rng.integers(0, 5, size=100_000)
+        tracemalloc.start()
+        try:
+            dependence_estimates(x, y, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
 class TestAnalyzePair:
     def test_report_shape(self):
         rng = np.random.default_rng(25)
@@ -444,7 +559,7 @@ class TestClassicalTotalScore:
             assert mean == scores.sum() / scores.shape[0]
 
 
-def reference_intervals(x, y, n, stride, replicates, seed, level=0.95):
+def reference_intervals(x, y, n, stride, replicates, seed, level=0.95, block=None):
     """Bootstrap intervals of analyze_pair, one resampled window list at a time.
 
     Windows and patterns come from the oracles; each replicate joins
@@ -455,7 +570,7 @@ def reference_intervals(x, y, n, stride, replicates, seed, level=0.95):
     wy = [oracle_encode(w) for w in oracle_windows(list(y), n, stride)]
     wyn = [oracle_encode(tuple(-v for v in w)) for w in oracle_windows(list(y), n, stride)]
     count = len(wx)
-    block = default_bandwidth(count)
+    block = block or default_bandwidth(count)
     starts = np.random.default_rng(seed).integers(
         0, count - block + 1, size=(replicates, -(-count // block))
     )
@@ -527,6 +642,41 @@ class TestBatchedBootstrap:
         for block in (0, -3, 119):
             with pytest.raises(ValueError, match=r"block must lie in 1\.\.118"):
                 analyze_pair(x, y, 3, block=block, replicates=5)
+
+
+class TestBootstrapEdgeCases:
+    def series(self, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 4, size=150)
+        return (
+            np.clip(base + rng.integers(-1, 2, size=150), 0, 4),
+            np.clip(base + rng.integers(-1, 2, size=150), 0, 4),
+        )
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("block", [1, "all"])
+    def test_block_extremes_match_per_replicate_loop(self, n, block):
+        x, y = self.series(90 + n)
+        if block == "all":
+            block = x.shape[0] - n + 1
+        report = analyze_pair(x, y, n, block=block, replicates=40, seed=3)
+        expected = reference_intervals(x, y, n, 1, 40, 3, block=block)
+        assert (report.comparison_ci, report.coefficient_ci) == expected
+
+    def test_whole_sequence_block_repeats_the_point_estimates(self):
+        x, y = self.series(95)
+        report = analyze_pair(x, y, 4, block=x.shape[0] - 3, replicates=10, seed=1)
+        est = report.estimates
+        assert report.comparison_ci == (est.comparison, est.comparison)
+        assert report.coefficient_ci == (est.coefficient, est.coefficient)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_replicate_per_chunk(self, stride, monkeypatch):
+        monkeypatch.setattr(dependence, "BOOTSTRAP_CHUNK_VALUES", 1)
+        x, y = self.series(97 + stride)
+        report = analyze_pair(x, y, 4, stride, replicates=25, seed=8)
+        expected = reference_intervals(x, y, 4, stride, 25, 8)
+        assert (report.comparison_ci, report.coefficient_ci) == expected
 
 
 class TestNonFiniteInput:

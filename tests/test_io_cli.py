@@ -216,6 +216,11 @@ class TestPairwiseDriver:
         with pytest.raises(ValueError, match="at least 2"):
             run_pairwise(matrix, AnalysisConfig())
 
+    def test_repeated_gauge_rejected(self):
+        matrix = synthetic_matrix(gauges=3)
+        with pytest.raises(ValueError, match="repeats the label 'g1'"):
+            run_pairwise(matrix, AnalysisConfig(gauges=("g1", "g1")))
+
 
 class TestBenchmarkDriver:
     def test_data_mode_rows(self):
@@ -225,6 +230,12 @@ class TestBenchmarkDriver:
         assert {r["approach"] for r in rows} == {"generalized", "randomized", "first_appearance"}
         for row in rows:
             assert 0.0 <= row["min"] <= row["mean"] <= row["max"] <= 1.0
+
+    def test_data_mode_needs_two_distinct_gauges(self):
+        with pytest.raises(ValueError, match="needs at least 2 gauges"):
+            run_benchmark_data(synthetic_matrix(gauges=1), AnalysisConfig(), lengths=(4,))
+        with pytest.raises(ValueError, match="repeats the label 'g0'"):
+            run_benchmark_data(synthetic_matrix(), AnalysisConfig(gauges=("g0", "g0")), lengths=(4,))
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_scores_equal_full_pipelines(self, n):
@@ -339,6 +350,31 @@ class TestCli:
     def test_zero_replications_is_data_error(self, capsys):
         assert main(["benchmark", "--replications", "0"]) == 2
         assert "replications must be >= 1" in capsys.readouterr().err
+
+    def test_repeated_gauge_label_is_data_error(self, matrix_file, tmp_path, capsys):
+        data = str(matrix_file)
+        for argv in (
+            ["pairwise", "--data", data, "--n", "2", "--replicates", "4"],
+            ["benchmark", "--data", data, "--lengths", "2"],
+            ["spatial", "--data", data],
+            ["plot-data", "--data", data, "--out", str(tmp_path / "panel.csv")],
+        ):
+            assert main([*argv, "--gauges", "aue,zwickau,aue"]) == 2
+            assert "gauge list repeats the label 'aue'" in capsys.readouterr().err
+        assert not (tmp_path / "panel.csv").exists()
+
+    def test_benchmark_data_with_one_gauge_is_data_error(self, matrix_file, capsys):
+        assert main(["benchmark", "--data", str(matrix_file), "--gauges", "aue"]) == 2
+        assert "needs at least 2 gauges" in capsys.readouterr().err
+
+    def test_spatial_alpha_outside_unit_interval_is_data_error(self, matrix_file, capsys):
+        for alpha in ("0", "1", "2", "-0.5"):
+            assert main(["spatial", "--data", str(matrix_file), "--alpha", alpha]) == 2
+            assert "alpha must lie strictly between 0 and 1" in capsys.readouterr().err
+
+    def test_unknown_gauge_message_is_plain(self, matrix_file, capsys):
+        assert main(["spatial", "--data", str(matrix_file), "--gauges", "aue,zz"]) == 2
+        assert capsys.readouterr().err == "ordpat: error: unknown gauge label 'zz'\n"
 
     def test_pairwise_outputs_and_determinism(self, matrix_file, tmp_path, capsys):
         args = [

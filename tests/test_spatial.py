@@ -83,6 +83,10 @@ class TestSpatialEncode:
             spatial_encode(matrix, ("a", "z"))
         with pytest.raises(ValueError, match="non-empty"):
             spatial_encode(matrix, ())
+        with pytest.raises(ValueError, match="repeats the label 'a'"):
+            spatial_encode(matrix, ("a", "b", "a"))
+        with pytest.raises(ValueError, match="repeats the label 'c'"):
+            analyze_spatial(matrix, ("c", "c"))
         wide = make_matrix([list(range(9))])
         with pytest.raises(ValueError, match="cap"):
             spatial_encode(wide, tuple(f"g{i}" for i in range(9)))
@@ -259,6 +263,11 @@ class TestSignificance:
     def test_small_sample_warns(self):
         with pytest.warns(NumericalWarning, match="asymptotic"):
             spatial_significance([(1, 1)], [1.0], [1.0], num_events=10)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            spatial_significance([(1, 2)], [1.0], [0.5], num_events=100, alpha=alpha)
 
     def test_mismatched_tables_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
