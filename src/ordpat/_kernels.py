@@ -4,6 +4,10 @@ All kernels are exact integer computations in numpy. Encoding works on
 windows of shape ``(..., n)``, so one call encodes a single series or a
 stack of equally long series. Each series is encoded once: the block
 bootstrap resamples the encoded window sequence, not the values.
+
+One kernel per pattern metric, ``df_rows`` (shift-minimized L1) and
+``l1_rows`` (plain L1), serves aligned windows and all-pairs tables alike:
+both broadcast their (..., n) operands over the leading axes.
 """
 
 from __future__ import annotations
@@ -83,43 +87,21 @@ def sliding_windows(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
     return sliding_window_view(values, n, axis=-1)[..., ::stride, :]
 
 
-def _shift_min_l1(diff: np.ndarray, n: int) -> np.ndarray:
-    # diff: (..., n) integer differences t - u; minimize sum |diff + k| over
-    # integer k. A median of diff minimizes it (diff is integer, so an
-    # integer median exists), which leaves the top n//2 values minus the
-    # bottom n//2.
-    ordered = np.sort(diff, axis=-1)
+def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
+    """Shift-minimized L1 distance of two (..., n) code arrays, broadcast over leading axes."""
+    t_codes = np.asarray(t_codes, dtype=np.int64)
+    u_codes = np.asarray(u_codes, dtype=np.int64)
+    n = t_codes.shape[-1]
+    # minimize sum |t - u + k| over integer k: a median of the integer
+    # differences minimizes it, which leaves the top n//2 differences
+    # minus the bottom n//2
+    ordered = np.sort(t_codes - u_codes, axis=-1)
     half = n // 2
     return ordered[..., n - half :].sum(axis=-1) - ordered[..., :half].sum(axis=-1)
 
 
-def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
-    """Row-wise shift-minimized L1 distance between two (..., n) code arrays."""
-    t_codes = np.asarray(t_codes, dtype=np.int64)
-    u_codes = np.asarray(u_codes, dtype=np.int64)
-    n = t_codes.shape[-1]
-    return _shift_min_l1(t_codes - u_codes, n)
-
-
-def df_cross(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-    """All-pairs shift-minimized L1 distances, shape (len(a), len(b))."""
-    a_codes = np.asarray(a_codes, dtype=np.int64)
-    b_codes = np.asarray(b_codes, dtype=np.int64)
-    n = a_codes.shape[1]
-    diff = a_codes[:, None, :] - b_codes[None, :, :]
-    return _shift_min_l1(diff, n)
-
-
 def l1_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
-    """Row-wise plain L1 distance between two code matrices."""
+    """Plain L1 distance of two (..., n) code arrays, broadcast over leading axes."""
     t_codes = np.asarray(t_codes, dtype=np.int64)
     u_codes = np.asarray(u_codes, dtype=np.int64)
-    return np.abs(t_codes - u_codes).sum(axis=1)
-
-
-def l1_cross(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-    """All-pairs plain L1 distances, shape (len(a), len(b))."""
-    a_codes = np.asarray(a_codes, dtype=np.int64)
-    b_codes = np.asarray(b_codes, dtype=np.int64)
-    diff = a_codes[:, None, :] - b_codes[None, :, :]
-    return np.abs(diff).sum(axis=-1)
+    return np.abs(t_codes - u_codes).sum(axis=-1)

@@ -7,7 +7,6 @@ escalated under --strict.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -33,9 +32,10 @@ from .io import (
     pair_record,
     pattern_label,
     pattern_labels,
+    save_class_matrix,
     spatial_rows,
+    write_csv,
     write_pairs_long,
-    write_plot_data,
     write_spatial_report,
     write_symmetric_matrix,
     PAIR_COLUMNS,
@@ -53,9 +53,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_scheme(name: str, n: int, classical: bool = False) -> WeightScheme:
+def _resolve_scheme(name: str, n: int) -> WeightScheme:
     if name == "auto":
-        return scheme_for_length(n, classical=classical)
+        return scheme_for_length(n)
     return get_scheme(name)
 
 
@@ -241,9 +241,7 @@ def _cmd_pairwise(args) -> int:
         for g, row in zip(labels, matrices["score"]):
             print(f"{g:<{width}}" + " ".join(f"{v:8.4f}" for v in row))
     else:
-        print(",".join(PAIR_COLUMNS))
-        for rep in reports:
-            print(",".join(str(c) for c in pair_record(rep)))
+        write_csv(sys.stdout, PAIR_COLUMNS, map(pair_record, reports))
     return 0
 
 
@@ -295,15 +293,11 @@ def _cmd_benchmark(args) -> int:
             f"{100 * row['mean']:7.1f} {100 * row['min']:7.1f} {100 * row['max']:7.1f}"
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["approach", "n", "mean", "min", "max"])
-            for row in rows:
-                writer.writerow([
-                    row["approach"], row["n"],
-                    format(row["mean"], ".10g"), format(row["min"], ".10g"),
-                    format(row["max"], ".10g"),
-                ])
+        columns = ["approach", "n", "mean", "min", "max"]
+        write_csv(args.out, columns, (
+            [row["approach"], row["n"], *(format(row[c], ".10g") for c in columns[2:])]
+            for row in rows
+        ))
         print(f"wrote {args.out}")
     return 0
 
@@ -311,11 +305,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_simulate(args) -> int:
     counts = simulate_ingarch(_ingarch_spec(args))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["index", "count"])
-            for i, c in enumerate(counts, start=1):
-                writer.writerow([i, int(c)])
+        write_csv(args.out, ["index", "count"], enumerate(counts.tolist(), start=1))
         print(f"wrote {args.out} ({len(counts)} values)")
     else:
         print(" ".join(str(int(c)) for c in counts))
@@ -331,7 +321,8 @@ def _cmd_classify(args) -> int:
 def _cmd_plot_data(args) -> int:
     matrix = load_class_matrix(args.data)
     gauges = _gauge_list(args) or matrix.gauges
-    write_plot_data(matrix, gauges, args.out)
+    subset = ClassMatrix(matrix.subset_columns(gauges), gauges, matrix.event_ids)
+    save_class_matrix(subset, args.out, id_label="index")
     print(f"wrote {args.out} ({matrix.num_events} rows, {len(gauges)} gauges)")
     return 0
 

@@ -13,8 +13,11 @@ for the probability-type estimators; one moving-block bootstrap of the
 window pattern sequence covers the comparison value and the
 standardized coefficient. The classical tie-handling baselines (skip /
 randomize / first-appearance) run the same pipeline through permutation
-patterns and the plain L1 metric. Past encoding all of it runs on dense
-pattern ids, with bootstrap replicates as window multiplicities.
+patterns and the plain L1 metric. Past encoding all of it runs on the
+dense pattern ids of ``patterns.pattern_index``, with bootstrap
+replicates as window multiplicities. Each pipeline picks one distance
+kernel of ``_kernels`` (``df_rows`` or ``l1_rows``) and both score paths
+use it; both pipelines check their series pair with ``_paired_values``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import numpy as np
 from . import _kernels
 from .exceptions import NumericalWarning
 from .metric import WeightScheme, scheme_for_length
-from .patterns import TiePolicy, check_finite, descending_permutations, pattern_keys, randomize_values
+from .patterns import (
+    TiePolicy, check_finite, descending_permutations, pattern_index, pattern_keys, randomize_values,
+)
 
 
 @dataclass(frozen=True)
@@ -68,22 +73,24 @@ def series_label(x: SeriesLike, default: str) -> str:
     return x.label if isinstance(x, ClassSeries) and x.label else default
 
 
-def _window_codes(values: np.ndarray, n: int, stride: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("pattern length must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if values.shape[0] < n:
-        raise ValueError(f"series of length {values.shape[0]} is shorter than pattern length {n}")
-    return _kernels.encode_windows(values, n, stride)
-
-
-def _paired_codes(x: SeriesLike, y: SeriesLike, n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+def _paired_values(x: SeriesLike, y: SeriesLike, n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values of two equally long series that hold at least one window."""
     xv = series_values(x)
     yv = series_values(y)
     if xv.shape[0] != yv.shape[0]:
         raise ValueError(f"series length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
-    return _window_codes(xv, n, stride), _window_codes(yv, n, stride)
+    if n < 1:
+        raise ValueError("pattern length must be >= 1")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if xv.shape[0] < n:
+        raise ValueError(f"series of length {xv.shape[0]} is shorter than pattern length {n}")
+    return xv, yv
+
+
+def _paired_codes(x: SeriesLike, y: SeriesLike, n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    xv, yv = _paired_values(x, y, n, stride)
+    return _kernels.encode_windows(xv, n, stride), _kernels.encode_windows(yv, n, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +98,6 @@ def _paired_codes(x: SeriesLike, y: SeriesLike, n: int, stride: int) -> tuple[np
 # pipelines and the batched bootstrap
 # ---------------------------------------------------------------------------
 
-# Pattern keys below this bound are relabelled through a lookup table,
-# larger ones through a sort.
-_KEY_TABLE_SIZE = 1 << 21
 # Cells of one (pattern x pattern x n) distance table; larger tables are
 # built a slice of x patterns at a time.
 _TABLE_CELLS = 1 << 20
@@ -107,22 +111,6 @@ def _negated_codes(codes: np.ndarray) -> np.ndarray:
     return top[..., None] + 1 - codes
 
 
-def _dense_ids(*codes: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Pattern ids 0..m-1 of (W, n) code arrays, shared by all, and their histograms."""
-    keys = [pattern_keys(c) for c in codes]
-    size = max(int(k.max()) for k in keys) + 1
-    if size <= _KEY_TABLE_SIZE:
-        seen = np.zeros(size, dtype=bool)
-        for k in keys:
-            seen[k] = True
-        relabel = np.cumsum(seen) - 1
-        ids, size = [relabel[k] for k in keys], int(relabel[-1]) + 1
-    else:
-        distinct, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-        ids, size = np.split(inverse, np.cumsum([k.size for k in keys])[:-1]), distinct.shape[0]
-    return ids, [np.bincount(i, minlength=size) for i in ids]
-
-
 def _total_score_from_codes(
     a_codes: np.ndarray,
     b_codes: np.ndarray,
@@ -134,30 +122,25 @@ def _total_score_from_codes(
 
 
 def _score_estimates(
-    x_codes: np.ndarray,
-    y_codes: np.ndarray,
     ids: Sequence[np.ndarray],
     hists: Sequence[np.ndarray],
+    codes: np.ndarray,
     scheme: WeightScheme,
-    cross_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[float, np.ndarray]:
     """Score comparison and per-window scores from one sliced score table.
 
-    ``ids`` and ``hists`` start with those of x and y. The table S scores
-    the distinct x patterns (rows) against the distinct y patterns
-    (columns), a slice of rows under ``_TABLE_CELLS`` at a time; each slice
-    adds its part of h_x^T S h_y and fills the scores of its windows.
+    Takes a ``pattern_index`` whose ids and histograms start with those of
+    x and y. The table S scores the distinct x patterns (rows) against the
+    distinct y patterns (columns), a slice of rows under ``_TABLE_CELLS``
+    at a time; each slice adds its part of h_x^T S h_y and fills the
+    scores of its windows.
     """
     (x_ids, y_ids, *_), (x_hist, y_hist, *_) = ids, hists
-    num_windows, n = x_codes.shape
+    num_windows, n = x_ids.shape[0], codes.shape[1]
     rows, cols = np.flatnonzero(x_hist), np.flatnonzero(y_hist)
-    # the codes of one window showing each row and each column pattern
+    row_codes, col_codes = codes[rows], codes[cols]
     windows = np.arange(num_windows)
-    pick = np.empty(x_hist.shape[0], dtype=np.intp)
-    pick[x_ids] = windows
-    row_codes = x_codes[pick[rows]]
-    pick[y_ids] = windows
-    col_codes = y_codes[pick[cols]]
     row_counts, col_counts = x_hist[rows].astype(np.float64), y_hist[cols].astype(np.float64)
     # each window's cell in the row-major table
     win_cell = (np.cumsum(x_hist > 0) - 1)[x_ids] * cols.shape[0]
@@ -173,7 +156,7 @@ def _score_estimates(
     total = 0.0
     for lo in range(0, rows.shape[0], step):
         hi = min(lo + step, rows.shape[0])
-        table = scheme.weights_for(cross_distance(row_codes[lo:hi], col_codes))
+        table = scheme.weights_for(distance(row_codes[lo:hi, None], col_codes[None]))
         # the built-in weights are dyadic and the counts integers, so every
         # partial sum is exact and the slicing does not change the result
         total += float(row_counts[lo:hi] @ table @ col_counts)
@@ -188,7 +171,7 @@ def _estimates_from_codes(
     neg_y_codes: np.ndarray,
     scheme: WeightScheme,
     stride: int,
-    cross_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple["DependenceEstimates", np.ndarray, np.ndarray, list[np.ndarray]]:
     """All point estimates of one pair from its (num_windows, n) codes.
 
@@ -200,7 +183,7 @@ def _estimates_from_codes(
     estimator, and the ids of x, y and -y, the input of the block bootstrap.
     """
     num_windows, n = x_codes.shape
-    ids, hists = _dense_ids(x_codes, y_codes, neg_y_codes)
+    ids, hists, codes = pattern_index(x_codes, y_codes, neg_y_codes)
     x_hist, y_hist, neg_y_hist = hists
     indicators = ids[0] == ids[1]
     pairs = num_windows * num_windows
@@ -208,7 +191,7 @@ def _estimates_from_codes(
     q_hat = int(x_hist @ y_hist) / pairs
     r_hat = int(np.count_nonzero(ids[0] == ids[2])) / num_windows
     s_hat = int(x_hist @ neg_y_hist) / pairs
-    s_comp, scores = _score_estimates(x_codes, y_codes, ids, hists, scheme, cross_distance)
+    s_comp, scores = _score_estimates(ids, hists, codes, scheme, distance)
     estimates = DependenceEstimates(
         coincidence=p_hat,
         comparison=q_hat,
@@ -248,7 +231,7 @@ def comparison_value(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> f
     frequencies, computed on the same window grid.
     """
     cx, cy = _paired_codes(x, y, n, stride)
-    _, (x_hist, y_hist) = _dense_ids(cx, cy)
+    _, (x_hist, y_hist), _ = pattern_index(cx, cy)
     return int(x_hist @ y_hist) / (cx.shape[0] * cx.shape[0])
 
 
@@ -259,7 +242,7 @@ def anti_estimates(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> tup
     The codes of -y follow from those of y: a window's ranks reverse.
     """
     cx, cy = _paired_codes(x, y, n, stride)
-    (x_ids, neg_ids), (x_hist, neg_hist) = _dense_ids(cx, _negated_codes(cy))
+    (x_ids, neg_ids), (x_hist, neg_hist), _ = pattern_index(cx, _negated_codes(cy))
     count = cx.shape[0]
     return int(np.count_nonzero(x_ids == neg_ids)) / count, int(x_hist @ neg_hist) / (count * count)
 
@@ -332,7 +315,7 @@ def score_comparison_value(
     """
     scheme = scheme or scheme_for_length(n)
     cx, cy = _paired_codes(x, y, n, stride)
-    return _score_estimates(cx, cy, *_dense_ids(cx, cy), scheme, _kernels.df_cross)[0]
+    return _score_estimates(*pattern_index(cx, cy), scheme, _kernels.df_rows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +349,7 @@ def dependence_estimates(
     scheme = scheme or scheme_for_length(n)
     cx, cy = _paired_codes(x, y, n, stride)
     estimates, _, _, _ = _estimates_from_codes(
-        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_cross
+        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_rows
     )
     return estimates
 
@@ -389,12 +372,7 @@ def _classical_windows(
     x: SeriesLike, y: SeriesLike, n: int, stride: int, policy: TiePolicy
 ) -> tuple[np.ndarray, np.ndarray]:
     # window matrices of both series after the tie policy
-    xv = series_values(x).astype(np.float64)
-    yv = series_values(y).astype(np.float64)
-    if xv.shape[0] != yv.shape[0]:
-        raise ValueError(f"series length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
-    if xv.shape[0] < n:
-        raise ValueError(f"series of length {xv.shape[0]} is shorter than pattern length {n}")
+    xv, yv = (v.astype(np.float64) for v in _paired_values(x, y, n, stride))
 
     if policy.kind == "randomize":
         seed_x, seed_y = np.random.SeedSequence(policy.seed).spawn(2)
@@ -441,7 +419,7 @@ def classical_dependence(
         descending_permutations(-win_y),
         scheme,
         stride,
-        _kernels.l1_cross,
+        _kernels.l1_rows,
     )
     return estimates
 
@@ -518,6 +496,8 @@ def long_run_variance(
     count = seq.shape[0]
     if bandwidth is None:
         bandwidth = default_bandwidth(count)
+    if not math.isfinite(bandwidth):
+        raise ValueError(f"bandwidth must be finite, got {bandwidth}")
     if bandwidth < 1:
         raise ValueError("bandwidth must be >= 1")
 
@@ -555,6 +535,8 @@ def confidence_interval(
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
+    if not (math.isfinite(point) and math.isfinite(sigma2)):
+        raise ValueError(f"point {point} and variance {sigma2} must be finite")
     if sigma2 < 0.0:
         raise ValueError("variance must be non-negative")
     if count < 1:
@@ -694,7 +676,7 @@ def analyze_pair(
     scheme = scheme or scheme_for_length(n)
     cx, cy = _paired_codes(x, y, n, stride)
     est, indicators, scores, ids = _estimates_from_codes(
-        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_cross
+        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_rows
     )
 
     def with_ci(var: VarianceEstimate, point: float) -> VarianceEstimate:

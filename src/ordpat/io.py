@@ -4,6 +4,9 @@ The input format is delimited text (comma), UTF-8, LF or CRLF: a header
 row with the event-id column label followed by gauge labels, then one row
 per event with integer class cells; -1 marks "no flood at this gauge".
 Parse failures name the offending row and column.
+
+Every CSV the package writes, files and ``--format long`` stdout alike,
+goes through ``write_csv``: comma-separated, minimal quoting, LF line ends.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -128,17 +131,25 @@ def load_class_matrix(path: PathLike, delimiter: str = ",") -> ClassMatrix:
 
 def save_class_matrix(matrix: ClassMatrix, path: PathLike, id_label: str = "event") -> None:
     """Write a class matrix in the loader's format (round-trip exact)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([id_label, *matrix.gauges])
-        ids = matrix.event_ids or tuple(str(i + 1) for i in range(matrix.num_events))
-        for event_id, row in zip(ids, matrix.classes):
-            writer.writerow([event_id, *(int(v) for v in row)])
+    ids = matrix.event_ids or tuple(str(i + 1) for i in range(matrix.num_events))
+    rows = ([event_id, *row.tolist()] for event_id, row in zip(ids, matrix.classes))
+    write_csv(path, [id_label, *matrix.gauges], rows)
 
 
 # ---------------------------------------------------------------------------
 # report emission
 # ---------------------------------------------------------------------------
+
+def write_csv(target: Union[PathLike, TextIO], header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a header, then each row as ``rows`` yields it, to a path or an open text stream."""
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            write_csv(handle, header, rows)
+        return
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
 
 def _fmt(x: float) -> str:
     return format(x, ".10g")
@@ -154,11 +165,8 @@ def write_symmetric_matrix(
     values = np.asarray(values)
     if values.shape != (len(labels), len(labels)):
         raise ValueError("matrix shape does not match the label count")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([corner, *labels])
-        for label, row in zip(labels, values):
-            writer.writerow([label, *(_fmt(v) for v in row)])
+    rows = ([label, *(_fmt(v) for v in row)] for label, row in zip(labels, values))
+    write_csv(path, [corner, *labels], rows)
 
 
 def read_symmetric_matrix(path: PathLike) -> tuple[list[str], np.ndarray]:
@@ -202,11 +210,7 @@ def pair_record(report) -> list:
 
 def write_pairs_long(reports: Sequence, path: PathLike) -> None:
     """Emit one row per gauge pair with every estimate and interval."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PAIR_COLUMNS)
-        for report in reports:
-            writer.writerow(pair_record(report))
+    write_csv(path, PAIR_COLUMNS, map(pair_record, reports))
 
 
 def pattern_label(pattern: Sequence[int]) -> str:
@@ -233,35 +237,19 @@ def spatial_rows(report: SpatialReport):
 
 def write_spatial_report(report: SpatialReport, path: PathLike) -> None:
     """Emit the per-pattern observed/baseline/significance table as CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["pattern", "count", "observed_pct", "baseline_pct", "z", "significant", "note"]
-        )
-        for label, count, observed, baseline, z, significant, impossible in spatial_rows(report):
-            writer.writerow([
-                label,
-                count,
-                _fmt(observed * 100.0),
-                _fmt(baseline * 100.0),
-                "" if math.isnan(z) else _fmt(z),  # NaN: not z-tested
-                "yes" if significant else "no",
-                "impossible-under-baseline" if impossible else "",
-            ])
-
-
-def write_plot_data(
-    matrix: ClassMatrix, gauge_subset: Sequence[str], path: PathLike
-) -> None:
-    """Emit per-gauge class values over the event index for plotting."""
-    gauges = list(gauge_subset) or list(matrix.gauges)
-    cols = matrix.subset_columns(gauges)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["index", *gauges])
-        ids = matrix.event_ids or tuple(str(i + 1) for i in range(matrix.num_events))
-        for event_id, row in zip(ids, cols):
-            writer.writerow([event_id, *(int(v) for v in row)])
+    header = ["pattern", "count", "observed_pct", "baseline_pct", "z", "significant", "note"]
+    write_csv(path, header, (
+        [
+            label,
+            count,
+            _fmt(observed * 100.0),
+            _fmt(baseline * 100.0),
+            "" if math.isnan(z) else _fmt(z),  # NaN: not z-tested
+            "yes" if significant else "no",
+            "impossible-under-baseline" if impossible else "",
+        ]
+        for label, count, observed, baseline, z, significant, impossible in spatial_rows(report)
+    ))
 
 
 # ---------------------------------------------------------------------------

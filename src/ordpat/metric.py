@@ -17,22 +17,18 @@ import numpy as np
 from . import _kernels
 
 
-def _as_code_row(pattern: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(pattern, dtype=np.int64)
-    if arr.ndim != 1 or arr.shape[0] == 0:
-        raise ValueError("pattern must be a non-empty 1-d sequence of codes")
-    return arr[None, :]
-
-
-def _check_same_length(t: Sequence[int], u: Sequence[int]) -> None:
+def _code_pair(t: Sequence[int], u: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     if len(t) != len(u):
         raise ValueError(f"pattern length mismatch: {len(t)} vs {len(u)}")
+    pair = np.asarray(t, dtype=np.int64), np.asarray(u, dtype=np.int64)
+    if any(codes.ndim != 1 or codes.shape[0] == 0 for codes in pair):
+        raise ValueError("pattern must be a non-empty 1-d sequence of codes")
+    return pair
 
 
 def l1_distance(t: Sequence[int], u: Sequence[int]) -> int:
     """Plain L1 distance sum_j |t_j - u_j| between equal-length patterns."""
-    _check_same_length(t, u)
-    return int(_kernels.l1_rows(_as_code_row(t), _as_code_row(u))[0])
+    return int(_kernels.l1_rows(*_code_pair(t, u)))
 
 
 def pattern_distance(t: Sequence[int], u: Sequence[int]) -> int:
@@ -42,8 +38,7 @@ def pattern_distance(t: Sequence[int], u: Sequence[int]) -> int:
     space; restricting the shift range to [-n, n] loses nothing because
     codes lie in 1..n.
     """
-    _check_same_length(t, u)
-    return int(_kernels.df_rows(_as_code_row(t), _as_code_row(u))[0])
+    return int(_kernels.df_rows(*_code_pair(t, u)))
 
 
 @dataclass(frozen=True)
@@ -71,9 +66,7 @@ class WeightScheme:
 
     def weight(self, distance: int) -> float:
         """Score for a single non-negative integer distance."""
-        if distance < 0:
-            raise ValueError("distance must be non-negative")
-        return self.mapping.get(int(distance), 0.0)
+        return float(self.weights_for(distance))
 
     def lookup(self) -> np.ndarray:
         """Dense weight-by-distance vector for vectorized scoring."""
@@ -84,13 +77,13 @@ class WeightScheme:
         return table
 
     def weights_for(self, distances: np.ndarray) -> np.ndarray:
-        """Vectorized weight of an integer distance array."""
+        """Vectorized weight of a non-negative integer distance array."""
         distances = np.asarray(distances, dtype=np.int64)
-        table = self.lookup()
-        out = np.zeros(distances.shape, dtype=np.float64)
-        inside = distances < table.shape[0]
-        out[inside] = table[distances[inside]]
-        return out
+        if distances.min(initial=0) < 0:
+            raise ValueError("distance must be non-negative")
+        # distances past the table score 0, the weight appended at its end
+        table = np.append(self.lookup(), 0.0)
+        return table[np.minimum(distances, table.shape[0] - 1)]
 
 
 GENERALIZED_SHORT = WeightScheme("generalized-short", {0: 1.0, 1: 0.5})

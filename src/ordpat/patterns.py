@@ -9,6 +9,10 @@ classical tie-free patterns.
 Classical permutation encodings under the three legacy tie treatments
 (skip the window, randomize with noise, first-appearance rule) are kept as
 baselines.
+
+Pattern numbering lives here: ``pattern_keys`` packs code rows into
+order-preserving int64 keys, ``pattern_codes`` unpacks them, and
+``pattern_index`` numbers patterns 0..m-1 in key order for every counter.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ import numpy as np
 from . import _kernels
 
 MAX_ENUM_LENGTH = 8
+
+# Pattern keys below this bound are numbered through a lookup table,
+# larger ones through a sort.
+_KEY_TABLE_SIZE = 1 << 21
 
 Pattern = tuple[int, ...]
 
@@ -238,3 +246,32 @@ def pattern_keys(codes: np.ndarray) -> np.ndarray:
     weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return codes @ weights
 
+
+
+def pattern_codes(keys: np.ndarray, n: int) -> np.ndarray:
+    """Rank-code rows of length n of pattern keys: the inverse of ``pattern_keys``."""
+    _kernels.check_pattern_length(n)
+    weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.asarray(keys, dtype=np.int64)[..., None] // weights % (n + 1)
+
+
+def pattern_index(*codes: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Number the patterns of (rows, n) code arrays 0..m-1 in key order, shared by all.
+
+    Returns the ids of each array, the histogram of each array over the m
+    ids, and the (m, n) codes of the numbered patterns.
+    """
+    keys = [pattern_keys(c) for c in codes]
+    size = max(int(k.max()) for k in keys) + 1
+    if size <= _KEY_TABLE_SIZE:
+        seen = np.zeros(size, dtype=bool)
+        for k in keys:
+            seen[k] = True
+        distinct = np.flatnonzero(seen)
+        relabel = np.cumsum(seen) - 1
+        ids = [relabel[k] for k in keys]
+    else:
+        distinct, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        ids = np.split(inverse, np.cumsum([k.size for k in keys])[:-1])
+    hists = [np.bincount(i, minlength=distinct.shape[0]) for i in ids]
+    return ids, hists, pattern_codes(distinct, codes[0].shape[-1])

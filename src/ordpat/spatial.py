@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import NumericalWarning
-from .patterns import MAX_ENUM_LENGTH, check_patterns, enumerate_patterns, pattern_keys
+from .patterns import MAX_ENUM_LENGTH, check_patterns, enumerate_patterns, pattern_index, pattern_keys
 
 # float64 cells of each (pattern rows, class values) temporary that
 # ``baseline_frequencies`` builds for one slice of pattern rows
@@ -102,18 +102,19 @@ def pattern_frequencies(
 
     Rows come in key (lexicographic) order. With ``include_zero`` they are
     the whole pattern space of length d, zero-frequency rows included,
-    which is how "patterns that never occur" are surfaced.
+    which is how "patterns that never occur" are surfaced. Raises
+    ValueError on a row that is not a pattern.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 2 or codes.shape[0] == 0:
         raise ValueError("no patterns to tabulate")
-    _, first, counts = np.unique(pattern_keys(codes), return_index=True, return_counts=True)
+    _, (counts,), patterns = pattern_index(check_patterns(codes, codes.shape[1]))
     frequencies = counts / codes.shape[0]
     if not include_zero:
-        return codes[first], frequencies
+        return patterns, frequencies
     table = enumerate_patterns(codes.shape[1])
     full = np.zeros(len(table))
-    full[table.index_of(codes[first])] = frequencies
+    full[table.index_of(patterns)] = frequencies
     return table.codes, full
 
 

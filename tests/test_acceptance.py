@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_estimates
-from ordpat._kernels import df_cross, df_rows, encode_windows
+from ordpat._kernels import df_rows, encode_windows
 from ordpat.dependence import (
     analyze_pair,
     anti_estimates,
@@ -92,7 +92,7 @@ def test_03_metric_axioms():
 
     # exhaustive over the 13^3 pattern triples of length 3
     codes3 = enumerate_patterns(3).codes
-    dist = df_cross(codes3, codes3)
+    dist = df_rows(codes3[:, None], codes3[None])
     violations += int(np.sum((dist == 0) != np.eye(13, dtype=bool)))
     violations += int(np.sum(dist != dist.T))
     violations += int(np.sum(dist[:, None, :] > dist[:, :, None] + dist[None, :, :]))
@@ -123,7 +123,7 @@ def test_04_shift_range():
     violations = 0
     for n in range(1, 5):
         codes = enumerate_patterns(n).codes
-        narrow = df_cross(codes, codes)
+        narrow = df_rows(codes[:, None], codes[None])
         diff = codes[:, None, :] - codes[None, :, :]
         shifts = np.arange(-3 * n, 3 * n + 1, dtype=np.int64)
         wide = np.abs(diff[:, :, None, :] + shifts[None, None, :, None]).sum(axis=3).min(axis=2)

@@ -15,7 +15,7 @@ from oracles import (
     oracle_windows,
 )
 from ordpat import dependence
-from ordpat._kernels import df_cross, df_rows, encode_windows
+from ordpat._kernels import df_rows, encode_windows
 from ordpat.dependence import (
     ClassSeries,
     analyze_pair,
@@ -326,6 +326,12 @@ class TestLongRunVariance:
         with pytest.raises(ValueError):
             long_run_variance(np.ones(10), bandwidth=0.2)
 
+    @pytest.mark.parametrize("bandwidth", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        for values in (np.ones(10), np.arange(10.0)):
+            with pytest.raises(ValueError, match="bandwidth must be finite"):
+                long_run_variance(values, bandwidth=bandwidth)
+
 
 class TestConfidenceInterval:
     def test_degenerate_variance(self):
@@ -346,8 +352,21 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             confidence_interval(0.5, 0.1, 10, level=1.0)
 
+    @pytest.mark.parametrize("point,sigma2", [(0.5, np.nan), (np.nan, 0.1), (0.5, np.inf)])
+    def test_non_finite_point_or_variance_rejected(self, point, sigma2):
+        with pytest.raises(ValueError, match="must be finite"):
+            confidence_interval(point, sigma2, 10)
+
 
 class TestClassicalBaselines:
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        x, y = np.arange(20.0), np.arange(20.0)[::-1]
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            classical_dependence(x, y, 4, stride=stride)
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            classical_total_score(x, y, 4, stride=stride)
+
     def test_tie_free_pair_matches_generalized(self):
         rng = np.random.default_rng(19)
         x = rng.permutation(200)
@@ -510,7 +529,7 @@ class TestIdCore:
         cx, cy = encode_windows(x, n), encode_windows(y, n)
         scheme = scheme_for_length(n)
         _, _, scores, _ = dependence._estimates_from_codes(
-            cx, cy, dependence._negated_codes(cy), scheme, 1, df_cross
+            cx, cy, dependence._negated_codes(cy), scheme, 1, df_rows
         )
         expected = scheme.weights_for(df_rows(cx, cy))
         assert scores.dtype == expected.dtype

@@ -23,7 +23,6 @@ from ordpat.io import (
     load_class_matrix,
     read_symmetric_matrix,
     save_class_matrix,
-    write_plot_data,
     write_symmetric_matrix,
 )
 from ordpat.spatial import ClassMatrix
@@ -150,8 +149,9 @@ class TestEmission:
 
     def test_plot_data_round_trip(self, tmp_path):
         matrix = synthetic_matrix(rows=30)
-        path = tmp_path / "plot.csv"
-        write_plot_data(matrix, matrix.gauges[:2], path)
+        data, path = tmp_path / "m.csv", tmp_path / "plot.csv"
+        save_class_matrix(matrix, data)
+        assert main(["plot-data", "--data", str(data), "--gauges", "g0,g1", "--out", str(path)]) == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "index,g0,g1"
         assert len(lines) == 31
@@ -170,9 +170,10 @@ class TestEmission:
             pattern_labels(np.array([[10, 1]]))
 
     def test_plot_data_empty_matrix_header_only(self, tmp_path):
+        # plot-data writes the gauge subset as a class matrix with an "index" column
         empty = ClassMatrix(classes=np.empty((0, 2), dtype=np.int64), gauges=("a", "b"))
         path = tmp_path / "empty.csv"
-        write_plot_data(empty, ("a", "b"), path)
+        save_class_matrix(empty, path, id_label="index")
         assert path.read_text() == "index,a,b\n"
 
 
@@ -400,6 +401,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("gauge_a,gauge_b,")
         assert "aue,zwickau" in out
+
+    def test_pairwise_long_format_is_the_pairs_csv(self, tmp_path, capsys):
+        import csv
+
+        matrix = synthetic_matrix(rows=40, gauges=3, seed=5)
+        data = tmp_path / "m.csv"
+        save_class_matrix(ClassMatrix(matrix.classes, ("G,1", 'say "b"', "c")), data)
+        args = ["pairwise", "--data", str(data), "--n", "3", "--replicates", "8"]
+        assert main([*args, "--out", str(tmp_path / "p")]) == 0
+        capsys.readouterr()
+        assert main([*args, "--format", "long"]) == 0
+        stdout = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        with open(tmp_path / "p_pairs.csv", newline="") as handle:
+            pairs = list(csv.reader(handle))
+        assert stdout == pairs
+        assert {len(row) for row in stdout} == {24}
+        assert stdout[1][:2] == ["G,1", 'say "b"']
+
+    @pytest.mark.parametrize("bandwidth", ["inf", "nan"])
+    def test_non_finite_bandwidth_is_data_error(self, matrix_file, bandwidth, capsys):
+        assert main([
+            "pairwise", "--data", str(matrix_file), "--n", "2",
+            "--replicates", "8", "--bandwidth", bandwidth,
+        ]) == 2
+        assert "bandwidth must be finite" in capsys.readouterr().err
 
     def test_pairwise_stride_by_pattern_length(self, matrix_file, capsys):
         assert main([

@@ -55,12 +55,14 @@ def test_distances_match_oracle(n):
     np.testing.assert_array_equal(
         _kernels.l1_rows(a, b), [sum(abs(p - q) for p, q in zip(t, u)) for t, u in rows]
     )
+    # broadcast over leading axes: every row of a[:40] against every row of b[:50]
     sa, sb = a[:40].tolist(), b[:50].tolist()
     np.testing.assert_array_equal(
-        _kernels.df_cross(a[:40], b[:50]), [[oracle_shift_min_l1(t, u) for u in sb] for t in sa]
+        _kernels.df_rows(a[:40, None], b[None, :50]),
+        [[oracle_shift_min_l1(t, u) for u in sb] for t in sa],
     )
     np.testing.assert_array_equal(
-        _kernels.l1_cross(a[:40], b[:50]),
+        _kernels.l1_rows(a[:40, None], b[None, :50]),
         [[sum(abs(p - q) for p, q in zip(t, u)) for u in sb] for t in sa],
     )
 

@@ -116,6 +116,14 @@ class TestWeightSchemes:
             expected = [scheme.weight(int(d)) for d in distances]
             np.testing.assert_array_equal(scheme.weights_for(distances), expected)
 
+    def test_negative_distances_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            GENERALIZED_SHORT.weights_for([-1, -2])
+        with pytest.raises(ValueError, match="non-negative"):
+            GENERALIZED_SHORT.weights_for(np.array([[0, 1], [2, -3]]))
+        with pytest.raises(ValueError, match="non-negative"):
+            GENERALIZED_SHORT.weight(-1)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="distance 0"):
             WeightScheme("bad", {1: 0.5})

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ordpat import patterns
 from ordpat._kernels import sliding_windows
 from ordpat.patterns import (
     TiePolicy,
@@ -15,6 +16,8 @@ from ordpat.patterns import (
     enumerate_patterns,
     fubini,
     is_valid_pattern,
+    pattern_codes,
+    pattern_index,
     pattern_keys,
     randomize_values,
     smallest_gap,
@@ -243,3 +246,36 @@ class TestPatternKeys:
             keys = pattern_keys(table.codes)
             assert len(np.unique(keys)) == len(table)
             assert np.all(np.diff(keys) > 0)  # lexicographic <-> numeric
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_codes_invert_keys(self, n):
+        rng = np.random.default_rng(n)
+        codes = np.array([oracle_encode(w) for w in rng.integers(0, n, size=(200, n)).tolist()])
+        codes = np.concatenate([codes, np.arange(n, 0, -1)[None], np.ones((1, n), dtype=np.int64)])
+        decoded = pattern_codes(pattern_keys(codes), n)
+        assert decoded.dtype == np.int64
+        np.testing.assert_array_equal(decoded, codes)
+
+
+class TestPatternIndex:
+    @pytest.mark.parametrize("table_size", [None, 0])  # lookup path, sort path
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_unique_reference(self, n, table_size, monkeypatch):
+        if table_size is not None:
+            monkeypatch.setattr(patterns, "_KEY_TABLE_SIZE", table_size)
+        rng = np.random.default_rng(40 + n)
+        arrays = [
+            np.array([oracle_encode(w) for w in rng.integers(0, 3, size=(size, n)).tolist()])
+            for size in (300, 1, 57)
+        ]
+        ids, hists, codes = pattern_index(*arrays)
+        keys = [pattern_keys(a) for a in arrays]
+        distinct, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        np.testing.assert_array_equal(codes, pattern_codes(distinct, n))
+        np.testing.assert_array_equal(pattern_keys(codes), distinct)
+        for a, got, hist, expected in zip(
+            arrays, ids, hists, np.split(inverse, np.cumsum([a.shape[0] for a in arrays])[:-1])
+        ):
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(codes[got], a)
+            np.testing.assert_array_equal(hist, np.bincount(expected, minlength=distinct.shape[0]))

@@ -126,8 +126,9 @@ class TestFrequencies:
             pattern_frequencies([])
         with pytest.raises(ValueError):
             pattern_frequencies(np.empty((0, 3), dtype=np.int64))
-        with pytest.raises(ValueError, match="not a valid pattern"):
-            pattern_frequencies([(1, 3)], include_zero=True)
+        for include_zero in (False, True):
+            with pytest.raises(ValueError, match="not a valid pattern"):
+                pattern_frequencies([(1, 3)], include_zero=include_zero)
 
 
 class TestBaseline:
