@@ -60,7 +60,7 @@ from .patterns import (
     enumerate_patterns,
     fubini,
 )
-from .simulate import CoherenceSummary, IngarchSpec, coherence_benchmark, simulate_ingarch
+from .simulate import IngarchSpec, simulate_ingarch
 from .spatial import (
     ClassMatrix,
     SpatialReport,
@@ -79,7 +79,6 @@ __all__ = [
     "CLASSICAL_SHORT",
     "ClassMatrix",
     "ClassSeries",
-    "CoherenceSummary",
     "DataFormatError",
     "DependenceEstimates",
     "DependenceReport",
@@ -103,7 +102,6 @@ __all__ = [
     "classical_dependence",
     "classical_total_score",
     "classify_peak",
-    "coherence_benchmark",
     "coincidence_probability",
     "comparison_value",
     "confidence_interval",

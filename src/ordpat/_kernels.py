@@ -12,6 +12,8 @@ both broadcast their (..., n) operands over the leading axes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -87,6 +89,23 @@ def sliding_windows(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
     return sliding_window_view(values, n, axis=-1)[..., ::stride, :]
 
 
+@lru_cache(maxsize=None)
+def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Compare-exchange pairs (i < j) of Batcher's odd-even merge sort on n inputs."""
+    pairs = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(min(k, n - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
 def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
     """Shift-minimized L1 distance of two (..., n) code arrays, broadcast over leading axes."""
     t_codes = np.asarray(t_codes, dtype=np.int64)
@@ -94,10 +113,15 @@ def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
     n = t_codes.shape[-1]
     # minimize sum |t - u + k| over integer k: a median of the integer
     # differences minimizes it, which leaves the top n//2 differences
-    # minus the bottom n//2
-    ordered = np.sort(t_codes - u_codes, axis=-1)
-    half = n // 2
-    return ordered[..., n - half :].sum(axis=-1) - ordered[..., :half].sum(axis=-1)
+    # minus the bottom n//2. The differences are sorted column by column
+    # through a sorting network of elementwise minima and maxima.
+    diffs = [t_codes[..., j] - u_codes[..., j] for j in range(n)]
+    for i, j in _sorting_network(n):
+        diffs[i], diffs[j] = np.minimum(diffs[i], diffs[j]), np.maximum(diffs[i], diffs[j])
+    distance = np.zeros_like(diffs[0])
+    for low, high in zip(diffs[: n // 2], diffs[n - n // 2 :]):
+        distance += high - low
+    return distance
 
 
 def l1_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:

@@ -16,14 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .dependence import (
-    ClassSeries,
-    DependenceReport,
-    analyze_pair,
-    classical_total_score,
-    score_comparison_value,
-    total_score,
-)
+from .dependence import DependenceReport, _analyze_pairs, _row_scores
 from .exceptions import DataFormatError, NumericalWarning
 from .io import (
     AnalysisConfig,
@@ -81,52 +74,26 @@ def run_pairwise(
 ) -> tuple[list[str], dict[str, np.ndarray], list[DependenceReport]]:
     """Analyze every unordered gauge pair; symmetric matrices + long records.
 
-    Per-pair seeds are derived from the master seed and the pair labels,
-    so results do not depend on evaluation order.
+    One estimator call at ``config.seed`` covers all pairs: pair a|b gets
+    the bootstrap intervals ``analyze_pair`` gives it at that seed,
+    whatever other gauges are in the run.
     """
     labels = list(config.gauges) if config.gauges else list(matrix.gauges)
     if len(labels) < 2:
         raise ValueError("pairwise analysis needs at least 2 gauges")
-    scheme = _resolve_scheme(config.scheme, config.n)
-    series = {g: ClassSeries(c, g) for g, c in zip(labels, matrix.subset_columns(labels).T)}
-    size = len(labels)
-    score = np.ones((size, size))
-    comparison = np.zeros((size, size))
-    coefficient = np.ones((size, size))
-    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-
-    reports = [
-        analyze_pair(
-            series[labels[i]],
-            series[labels[j]],
-            config.n,
-            stride=config.stride,
-            scheme=scheme,
-            level=config.level,
-            kernel=config.kernel,
-            bandwidth=config.bandwidth,
-            block=config.block,
-            replicates=config.replicates,
-            seed=_pair_seed(config.seed, labels[i], labels[j]),
-        )
-        for i, j in pairs
+    reports, comparison = _analyze_pairs(
+        matrix.subset_columns(labels).T, labels, config.n, config.stride,
+        _resolve_scheme(config.scheme, config.n), config.level, config.kernel, config.bandwidth,
+        config.block, config.replicates, config.seed,
+    )
+    first, second = np.triu_indices(len(labels), 1)
+    score, coefficient = np.ones((2, len(labels), len(labels)))
+    score[first, second] = score[second, first] = [r.estimates.total_score for r in reports]
+    coefficient[first, second] = coefficient[second, first] = [
+        r.estimates.coefficient for r in reports
     ]
-
-    for (i, j), rep in zip(pairs, reports):
-        est = rep.estimates
-        score[i, j] = score[j, i] = est.total_score
-        comparison[i, j] = comparison[j, i] = est.score_comparison
-        coefficient[i, j] = coefficient[j, i] = est.coefficient
-    for i, g in enumerate(labels):
-        comparison[i, i] = score_comparison_value(
-            series[g], series[g], config.n, config.stride, scheme
-        )
-
     matrices = {"score": score, "comparison": comparison, "coefficient": coefficient}
     return labels, matrices, reports
-
-
-BENCHMARK_APPROACHES = ("generalized", "randomized", "first_appearance")
 
 
 BenchmarkPair = tuple[np.ndarray, np.ndarray, Callable[[int], int]]
@@ -138,24 +105,21 @@ def run_benchmark(
     """Tie-handling comparison: total-score summaries per approach and length.
 
     Each pair is (x, y, randomize_seed), where ``randomize_seed(n)`` seeds
-    the randomized tie policy of that pair at pattern length n.
+    the randomized tie policy of that pair at pattern length n. All pairs
+    must be equally long: each approach and length scores them with one
+    stacked ``_row_scores`` call.
     """
-    pairs = list(pairs)
+    xs, ys, seeds = zip(*pairs)
     rows = []
     for n in lengths:
-        scheme = _resolve_scheme(config.scheme, n)
         classical = scheme_for_length(n, classical=True)
-        per_method: dict[str, list[float]] = {m: [] for m in BENCHMARK_APPROACHES}
-        for x, y, randomize_seed in pairs:
-            per_method["generalized"].append(total_score(x, y, n, config.stride, scheme)[0])
-            per_method["randomized"].append(classical_total_score(
-                x, y, n, config.stride, TiePolicy.randomize(randomize_seed(n)), classical,
-            )[0])
-            per_method["first_appearance"].append(classical_total_score(
-                x, y, n, config.stride, TiePolicy.first_appearance(), classical,
-            )[0])
-        for method in BENCHMARK_APPROACHES:
-            vals = np.array(per_method[method])
+        approaches = {
+            "generalized": (_resolve_scheme(config.scheme, n), None),
+            "randomized": (classical, [TiePolicy.randomize(seed(n)) for seed in seeds]),
+            "first_appearance": (classical, [TiePolicy.first_appearance()] * len(xs)),
+        }
+        for method, (scheme, policies) in approaches.items():
+            vals = _row_scores(xs, ys, n, config.stride, scheme, policies).mean(axis=1)
             rows.append({
                 "approach": method, "n": n,
                 "mean": float(vals.mean()), "min": float(vals.min()), "max": float(vals.max()),

@@ -1,7 +1,8 @@
-"""Pairwise ordinal pattern dependence between two series.
+"""Ordinal pattern dependence between the series of a gauge set.
 
-Both series are cut into simultaneous sliding windows, each window is
-encoded as a tie-aware pattern, and co-movement is measured by
+The series are cut into simultaneous sliding windows, each window is
+encoded as a tie-aware pattern, and the co-movement of every pair is
+measured by
 
 * the probability of coincident patterns, benchmarked against the
   comparison value it would have under independence, and
@@ -13,11 +14,15 @@ for the probability-type estimators; one moving-block bootstrap of the
 window pattern sequence covers the comparison value and the
 standardized coefficient. The classical tie-handling baselines (skip /
 randomize / first-appearance) run the same pipeline through permutation
-patterns and the plain L1 metric. Past encoding all of it runs on the
-dense pattern ids of ``patterns.pattern_index``, with bootstrap
-replicates as window multiplicities. Each pipeline picks one distance
-kernel of ``_kernels`` (``df_rows`` or ``l1_rows``) and both score paths
-use it; both pipelines check their series pair with ``_paired_values``.
+patterns and the plain L1 metric.
+
+One estimator core serves every caller: it takes G equally long series
+as one (G, W, n) code stack, numbers the patterns of every series and
+of the negated series 1..G-1 with one ``patterns.pattern_index`` call,
+and estimates all G(G-1)/2 pairs from those dense ids; a single pair is
+the case G = 2. One bootstrap per call resamples the window blocks of
+all series together. Each pipeline picks one distance kernel of
+``_kernels``: ``df_rows`` or ``l1_rows``.
 """
 
 from __future__ import annotations
@@ -73,34 +78,44 @@ def series_label(x: SeriesLike, default: str) -> str:
     return x.label if isinstance(x, ClassSeries) and x.label else default
 
 
-def _paired_values(x: SeriesLike, y: SeriesLike, n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """The values of two equally long series that hold at least one window."""
-    xv = series_values(x)
-    yv = series_values(y)
-    if xv.shape[0] != yv.shape[0]:
-        raise ValueError(f"series length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
+def _pair_labels(x: SeriesLike, y: SeriesLike) -> list[str]:
+    return [series_label(x, "x"), series_label(y, "y")]
+
+
+def _stacked_values(series: Sequence[SeriesLike], n: int, stride: int) -> np.ndarray:
+    """The (G, L) values of equally long series that hold at least one window."""
+    values = [series_values(v) for v in series]
+    for v in values[1:]:
+        if v.shape[0] != values[0].shape[0]:
+            raise ValueError(f"series length mismatch: {values[0].shape[0]} vs {v.shape[0]}")
     if n < 1:
         raise ValueError("pattern length must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if xv.shape[0] < n:
-        raise ValueError(f"series of length {xv.shape[0]} is shorter than pattern length {n}")
-    return xv, yv
+    if values[0].shape[0] < n:
+        raise ValueError(
+            f"series of length {values[0].shape[0]} is shorter than pattern length {n}"
+        )
+    return np.stack(values)
 
 
-def _paired_codes(x: SeriesLike, y: SeriesLike, n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    xv, yv = _paired_values(x, y, n, stride)
-    return _kernels.encode_windows(xv, n, stride), _kernels.encode_windows(yv, n, stride)
+def _stacked_codes(series: Sequence[SeriesLike], n: int, stride: int) -> np.ndarray:
+    """(G, W, n) rank codes of equally long series, from one encode."""
+    return _kernels.encode_windows(_stacked_values(series, n, stride), n, stride)
 
 
 # ---------------------------------------------------------------------------
-# estimator core: dense pattern ids, shared by the tie-aware and classical
-# pipelines and the batched bootstrap
+# estimator core: one (G, W, n) code stack, dense pattern ids, every gauge
+# pair at once; shared by the tie-aware and classical pipelines
 # ---------------------------------------------------------------------------
 
 # Cells of one (pattern x pattern x n) distance table; larger tables are
-# built a slice of x patterns at a time.
+# built a slice of rows at a time.
 _TABLE_CELLS = 1 << 20
+
+# Values times pattern length of the series pairs ``_row_scores`` stacks
+# in one chunk.
+_ROW_CELLS = 1 << 15
 
 
 def _negated_codes(codes: np.ndarray) -> np.ndarray:
@@ -111,100 +126,113 @@ def _negated_codes(codes: np.ndarray) -> np.ndarray:
     return top[..., None] + 1 - codes
 
 
-def _total_score_from_codes(
-    a_codes: np.ndarray,
-    b_codes: np.ndarray,
+def _score_comparisons(
+    hists: np.ndarray,
+    patterns: np.ndarray,
     scheme: WeightScheme,
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[float, np.ndarray]:
-    scores = scheme.weights_for(distance(a_codes, b_codes))
-    return float(scores.sum() / scores.shape[0]), scores
+) -> np.ndarray:
+    """(G, G) sums h_i^T S h_j, S the score table of the patterns the G series show.
 
-
-def _score_estimates(
-    ids: Sequence[np.ndarray],
-    hists: Sequence[np.ndarray],
-    codes: np.ndarray,
-    scheme: WeightScheme,
-    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[float, np.ndarray]:
-    """Score comparison and per-window scores from one sliced score table.
-
-    Takes a ``pattern_index`` whose ids and histograms start with those of
-    x and y. The table S scores the distinct x patterns (rows) against the
-    distinct y patterns (columns), a slice of rows under ``_TABLE_CELLS``
-    at a time; each slice adds its part of h_x^T S h_y and fills the
-    scores of its windows.
+    S is built a slice of rows under ``_TABLE_CELLS`` at a time. The
+    built-in weights are dyadic and the counts integers, so every partial
+    sum is exact and the slicing does not change the result.
     """
-    (x_ids, y_ids, *_), (x_hist, y_hist, *_) = ids, hists
-    num_windows, n = x_ids.shape[0], codes.shape[1]
-    rows, cols = np.flatnonzero(x_hist), np.flatnonzero(y_hist)
-    row_codes, col_codes = codes[rows], codes[cols]
-    windows = np.arange(num_windows)
-    row_counts, col_counts = x_hist[rows].astype(np.float64), y_hist[cols].astype(np.float64)
-    # each window's cell in the row-major table
-    win_cell = (np.cumsum(x_hist > 0) - 1)[x_ids] * cols.shape[0]
-    win_cell += (np.cumsum(y_hist > 0) - 1)[y_ids]
-    step = max(1, _TABLE_CELLS // (cols.shape[0] * n))
-    if step < rows.shape[0]:
-        # windows grouped by row (small unsigned keys take a radix sort)
-        win_row = (win_cell // cols.shape[0]).astype(np.min_scalar_type(rows.shape[0]))
-        windows = np.argsort(win_row, kind="stable")
-        win_cell = win_cell[windows]
-    ends = np.cumsum(x_hist[rows])
-    scores = np.empty(num_windows, dtype=np.float64)
-    total = 0.0
-    for lo in range(0, rows.shape[0], step):
-        hi = min(lo + step, rows.shape[0])
-        table = scheme.weights_for(distance(row_codes[lo:hi, None], col_codes[None]))
-        # the built-in weights are dyadic and the counts integers, so every
-        # partial sum is exact and the slicing does not change the result
-        total += float(row_counts[lo:hi] @ table @ col_counts)
-        run = slice(ends[lo - 1] if lo else 0, ends[hi - 1])
-        scores[windows[run]] = table.ravel()[win_cell[run] - lo * cols.shape[0]]
-    return total / (num_windows * num_windows), scores
+    seen = np.flatnonzero(hists.any(axis=0))
+    counts, codes = hists[:, seen].astype(np.float64), patterns[seen]
+    step = max(1, _TABLE_CELLS // (seen.shape[0] * codes.shape[1]))
+    total = np.zeros((hists.shape[0], hists.shape[0]))
+    for lo in range(0, seen.shape[0], step):
+        table = scheme.weights_for(distance(codes[lo : lo + step, None], codes[None]))
+        total += counts[:, lo : lo + step] @ table @ counts.T
+    return total
+
+
+def _warn_degenerate(q_hat: float, s_hat: float, prefix: str = "", stacklevel: int = 3) -> None:
+    """One warning if either comparison value of a pair is 1."""
+    sides = [side for comp, side in ((q_hat, "monotone"), (s_hat, "anti-monotone")) if comp >= 1.0]
+    if sides:
+        values = "values are 1, terms" if len(sides) == 2 else "value is 1, term"
+        message = f"{prefix}degenerate marginal: {' and '.join(sides)} comparison {values} set to 0"
+        warnings.warn(message, NumericalWarning, stacklevel=stacklevel)
 
 
 def _estimates_from_codes(
-    x_codes: np.ndarray,
-    y_codes: np.ndarray,
-    neg_y_codes: np.ndarray,
+    codes: np.ndarray,
+    neg_codes: np.ndarray,
     scheme: WeightScheme,
     stride: int,
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple["DependenceEstimates", np.ndarray, np.ndarray, list[np.ndarray]]:
-    """All point estimates of one pair from its (num_windows, n) codes.
+    labels: Sequence[str],
+) -> tuple[list["DependenceEstimates"], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Point estimates of every pair i < j of a (G, W, n) code stack.
 
-    Serves the tie-aware pipeline (rank codes, shift-minimized distance)
-    and the classical one (permutations, plain L1). Coincidences come from
-    id equality, comparison values from histogram products and both
-    scores from one sliced score table. Also returns the per-window
-    coincidence indicators and scores, the inputs of the long-run variance
-    estimator, and the ids of x, y and -y, the input of the block bootstrap.
+    ``neg_codes`` holds the codes of the negated series 1..G-1 (series 0
+    is never the y of a pair). Coincidences come from id equality,
+    comparison values from the histogram products H H^T and H H_-^T,
+    score comparisons from H S H^T and per-window scores from the aligned
+    distance kernel. A degenerate pair warns, named by its ``labels``.
+    Returns the estimates of the pairs in row-major order, their (K, W)
+    coincidence indicators and per-window scores (the long-run variance
+    inputs), the (2G - 1, W) ids (the bootstrap input) and the symmetric
+    (G, G) score comparisons.
     """
-    num_windows, n = x_codes.shape
-    ids, hists, codes = pattern_index(x_codes, y_codes, neg_y_codes)
-    x_hist, y_hist, neg_y_hist = hists
-    indicators = ids[0] == ids[1]
+    gauges, num_windows, n = codes.shape
+    ids, hists, patterns = pattern_index(*codes, *neg_codes)
+    ids, hists = np.stack(ids), np.stack(hists)
+    first, second = np.triu_indices(gauges, 1)
+    indicators = ids[first] == ids[second]
     pairs = num_windows * num_windows
-    p_hat = int(indicators.sum()) / num_windows
-    q_hat = int(x_hist @ y_hist) / pairs
-    r_hat = int(np.count_nonzero(ids[0] == ids[2])) / num_windows
-    s_hat = int(x_hist @ neg_y_hist) / pairs
-    s_comp, scores = _score_estimates(ids, hists, codes, scheme, distance)
-    estimates = DependenceEstimates(
-        coincidence=p_hat,
-        comparison=q_hat,
-        anti_coincidence=r_hat,
-        anti_comparison=s_hat,
-        coefficient=standardized_coefficient(p_hat, q_hat, r_hat, s_hat),
-        total_score=float(scores.sum() / num_windows),
-        score_comparison=s_comp,
-        n=n,
-        stride=stride,
-        num_windows=num_windows,
-    )
-    return estimates, indicators, scores, ids
+    p_hat = np.count_nonzero(indicators, axis=1) / num_windows
+    q_hat = (hists[:gauges] @ hists[:gauges].T)[first, second] / pairs
+    r_hat = np.count_nonzero(ids[first] == ids[gauges + second - 1], axis=1) / num_windows
+    s_hat = (hists[:gauges] @ hists[gauges:].T)[first, second - 1] / pairs
+    coefficients = _coefficients(p_hat, q_hat, r_hat, s_hat)
+    upper = np.triu(_score_comparisons(hists[:gauges], patterns, scheme, distance)) / pairs
+    comparisons = upper + np.triu(upper, 1).T
+    scores = np.empty((first.shape[0], num_windows))
+    estimates = []
+    for k, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
+        _warn_degenerate(q_hat[k], s_hat[k], f"{labels[i]}|{labels[j]}: ", stacklevel=4)
+        scores[k] = scheme.weights_for(distance(codes[i], codes[j]))
+        estimates.append(DependenceEstimates(
+            float(p_hat[k]), float(q_hat[k]), float(r_hat[k]), float(s_hat[k]),
+            float(coefficients[k]), float(scores[k].sum() / num_windows),
+            float(comparisons[i, j]), n, stride, num_windows,
+        ))
+    return estimates, indicators, scores, ids, comparisons
+
+
+def _row_scores(
+    xs: Sequence[SeriesLike],
+    ys: Sequence[SeriesLike],
+    n: int,
+    stride: int,
+    scheme: WeightScheme,
+    policies: Optional[Sequence[TiePolicy]] = None,
+) -> np.ndarray:
+    """Per-window scores of the equally long pairs (xs[k], ys[k]), an (R, W) array.
+
+    Without ``policies`` the pairs run through the tie-aware pipeline,
+    with one classical tie policy per pair through the classical one.
+    Each chunk of pairs (at most ``_ROW_CELLS`` values times n) takes one
+    encode and one distance call.
+    """
+    length = series_values(xs[0]).shape[0]
+    step = max(1, _ROW_CELLS // max(1, 2 * n * length))
+    parts = []
+    for lo in range(0, len(xs), step):
+        values = _stacked_values([*xs[lo : lo + step], *ys[lo : lo + step]], n, stride)
+        if values.shape[1] != length:
+            raise ValueError(f"series length mismatch: {length} vs {values.shape[1]}")
+        if policies is None:
+            codes, distance = _kernels.encode_windows(values, n, stride), _kernels.df_rows
+        else:
+            windows = _classical_windows(values, n, stride, policies[lo : lo + step])
+            codes, distance = descending_permutations(windows), _kernels.l1_rows
+        half = codes.shape[0] // 2
+        parts.append(scheme.weights_for(distance(codes[:half], codes[half:])))
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +247,7 @@ def coincidence_probability(
     Returns the estimate together with the per-window 0/1 indicator
     sequence, which feeds the long-run variance estimator.
     """
-    cx, cy = _paired_codes(x, y, n, stride)
+    cx, cy = _stacked_codes([x, y], n, stride)
     indicators = (pattern_keys(cx) == pattern_keys(cy)).astype(np.float64)
     return float(indicators.sum() / indicators.shape[0]), indicators
 
@@ -230,7 +258,7 @@ def comparison_value(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> f
     Sum over patterns of the product of the two empirical pattern
     frequencies, computed on the same window grid.
     """
-    cx, cy = _paired_codes(x, y, n, stride)
+    cx, cy = _stacked_codes([x, y], n, stride)
     _, (x_hist, y_hist), _ = pattern_index(cx, cy)
     return int(x_hist @ y_hist) / (cx.shape[0] * cx.shape[0])
 
@@ -241,7 +269,7 @@ def anti_estimates(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> tup
     These carry the anti-monotone side of the standardized coefficient.
     The codes of -y follow from those of y: a window's ranks reverse.
     """
-    cx, cy = _paired_codes(x, y, n, stride)
+    cx, cy = _stacked_codes([x, y], n, stride)
     (x_ids, neg_ids), (x_hist, neg_hist), _ = pattern_index(cx, _negated_codes(cy))
     count = cx.shape[0]
     return int(np.count_nonzero(x_ids == neg_ids)) / count, int(x_hist @ neg_hist) / (count * count)
@@ -272,13 +300,7 @@ def standardized_coefficient(
     pattern) makes a term 0/0; that term is defined as 0 with a warning
     since excess dependence is indistinguishable there.
     """
-    for comp, side in ((q_hat, "monotone"), (s_hat, "anti-monotone")):
-        if comp >= 1.0:
-            warnings.warn(
-                f"degenerate marginal: {side} comparison value is 1, term set to 0",
-                NumericalWarning,
-                stacklevel=2,
-            )
+    _warn_degenerate(q_hat, s_hat)
     return float(_coefficients(p_hat, q_hat, r_hat, s_hat))
 
 
@@ -295,9 +317,8 @@ def total_score(
     the long-run variance estimator). Defaults to the step scheme for
     the given length.
     """
-    scheme = scheme or scheme_for_length(n)
-    cx, cy = _paired_codes(x, y, n, stride)
-    return _total_score_from_codes(cx, cy, scheme, _kernels.df_rows)
+    scores = _row_scores([x], [y], n, stride, scheme or scheme_for_length(n))[0]
+    return float(scores.sum() / scores.shape[0]), scores
 
 
 def score_comparison_value(
@@ -313,9 +334,11 @@ def score_comparison_value(
     of the empirical frequencies of t in x and u in y. With the exact
     scheme this collapses to the comparison value.
     """
+    codes = _stacked_codes([x, y], n, stride)
+    _, hists, patterns = pattern_index(*codes)
     scheme = scheme or scheme_for_length(n)
-    cx, cy = _paired_codes(x, y, n, stride)
-    return _score_estimates(*pattern_index(cx, cy), scheme, _kernels.df_rows)[0]
+    total = _score_comparisons(np.stack(hists), patterns, scheme, _kernels.df_rows)
+    return float(total[0, 1] / (codes.shape[1] * codes.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +369,11 @@ def dependence_estimates(
     scheme: Optional[WeightScheme] = None,
 ) -> DependenceEstimates:
     """All point estimates for one pair through the tie-aware pipeline."""
-    scheme = scheme or scheme_for_length(n)
-    cx, cy = _paired_codes(x, y, n, stride)
-    estimates, _, _, _ = _estimates_from_codes(
-        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_rows
-    )
-    return estimates
+    codes = _stacked_codes([x, y], n, stride)
+    return _estimates_from_codes(
+        codes, _negated_codes(codes[1:]), scheme or scheme_for_length(n), stride,
+        _kernels.df_rows, _pair_labels(x, y),
+    )[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +391,32 @@ def _classical_scheme(n: int, scheme: Optional[WeightScheme]) -> WeightScheme:
 
 
 def _classical_windows(
-    x: SeriesLike, y: SeriesLike, n: int, stride: int, policy: TiePolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    # window matrices of both series after the tie policy
-    xv, yv = (v.astype(np.float64) for v in _paired_values(x, y, n, stride))
+    values: np.ndarray, n: int, stride: int, policies: Sequence[TiePolicy]
+) -> np.ndarray:
+    """(2R, W, n) windows of R pairs after their tie policies.
 
-    if policy.kind == "randomize":
-        seed_x, seed_y = np.random.SeedSequence(policy.seed).spawn(2)
-        xv = randomize_values(xv, seed_x)
-        yv = randomize_values(yv, seed_y)
-
-    win_x = _kernels.sliding_windows(xv, n, stride)
-    win_y = _kernels.sliding_windows(yv, n, stride)
-
-    if policy.kind == "skip":
-        def tie_free(win: np.ndarray) -> np.ndarray:
-            srt = np.sort(win, axis=1)
-            return np.all(srt[:, 1:] != srt[:, :-1], axis=1)
-
-        keep = tie_free(win_x) & tie_free(win_y)
+    ``values`` stacks the R x series, then the R y series. The policies,
+    one per pair, share one kind; "randomize" draws each
+    pair's noise from its own seed. "skip" drops the windows with a tie in
+    either series, which takes one pair at a time.
+    """
+    kind = policies[0].kind
+    values = values.astype(np.float64)
+    pairs = len(policies)
+    if kind == "randomize":
+        for k, policy in enumerate(policies):
+            for row, seed in zip((k, pairs + k), np.random.SeedSequence(policy.seed).spawn(2)):
+                values[row] = randomize_values(values[row], seed)
+    windows = _kernels.sliding_windows(values, n, stride)
+    if kind == "skip":
+        if pairs != 1:
+            raise ValueError("the skip policy drops windows pair by pair: pass one pair")
+        ordered = np.sort(windows, axis=-1)
+        keep = np.all(ordered[..., 1:] != ordered[..., :-1], axis=-1).all(axis=0)
         if not keep.any():
             raise ValueError("skip policy removed every window (ties everywhere)")
-        win_x = win_x[keep]
-        win_y = win_y[keep]
-    return win_x, win_y
+        windows = windows[:, keep]
+    return windows
 
 
 def classical_dependence(
@@ -412,16 +436,11 @@ def classical_dependence(
     windows containing a tie in either series are dropped from both.
     """
     scheme = _classical_scheme(n, scheme)
-    win_x, win_y = _classical_windows(x, y, n, stride, policy)
-    estimates, _, _, _ = _estimates_from_codes(
-        descending_permutations(win_x),
-        descending_permutations(win_y),
-        descending_permutations(-win_y),
-        scheme,
-        stride,
-        _kernels.l1_rows,
-    )
-    return estimates
+    windows = _classical_windows(_stacked_values([x, y], n, stride), n, stride, [policy])
+    return _estimates_from_codes(
+        descending_permutations(windows), descending_permutations(-windows[1:]), scheme, stride,
+        _kernels.l1_rows, _pair_labels(x, y),
+    )[0][0]
 
 
 def classical_total_score(
@@ -437,11 +456,8 @@ def classical_total_score(
     Equal to ``classical_dependence(...).total_score``, without the other
     estimates; returns the mean and the per-window score sequence.
     """
-    scheme = _classical_scheme(n, scheme)
-    win_x, win_y = _classical_windows(x, y, n, stride, policy)
-    return _total_score_from_codes(
-        descending_permutations(win_x), descending_permutations(win_y), scheme, _kernels.l1_rows
-    )
+    scores = _row_scores([x], [y], n, stride, _classical_scheme(n, scheme), [policy])[0]
+    return float(scores.sum() / scores.shape[0]), scores
 
 
 # ---------------------------------------------------------------------------
@@ -553,38 +569,39 @@ def confidence_interval(
 # moving-block bootstrap
 # ---------------------------------------------------------------------------
 
-# Window multiplicities are built in chunks of at most this many windows
-# per series (at least one replicate per chunk).
+# Replicates are built in chunks of at most this many values: window
+# multiplicities, histogram cells and pair statistics (at least one
+# replicate per chunk).
 BOOTSTRAP_CHUNK_VALUES = 1 << 18
 
 
 def block_bootstrap_ci(
-    x_ids: np.ndarray,
-    y_ids: np.ndarray,
-    neg_y_ids: np.ndarray,
+    ids: np.ndarray,
     block: Optional[int] = None,
     replicates: int = 1000,
     level: float = 0.95,
     seed: int = 0,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Moving-block bootstrap intervals of the comparison value and coefficient.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moving-block bootstrap intervals of the comparison value and coefficient of every pair.
 
-    Takes the dense pattern ids of the W simultaneous windows of x, y and
-    -y and resamples blocks of ``block`` consecutive windows (default
-    ``default_bandwidth(W)``) jointly from all three, which keeps the
-    cross-dependence and the serial dependence within blocks (Kuensch's
-    moving-block bootstrap of the pattern sequence). One generator
-    draws the block starts of every replicate; both statistics come from
-    the same replicates. A replicate is a vector of window multiplicities
-    (+1 at each block start, -1 past each block end, accumulated; the last
-    block is cut to fill W windows), which weights the id histograms and
-    id equalities. Returns (comparison_ci, coefficient_ci).
+    Takes the (2G - 1, W) pattern ids of G series, then of the negated
+    series 1..G-1, and resamples blocks of ``block`` consecutive windows
+    (default ``default_bandwidth(W)``) jointly from all of them: Kuensch's
+    moving-block bootstrap of the multivariate pattern sequence. One
+    generator draws the block starts, which every series shares, so a
+    pair gets the intervals a run on that pair alone gives at the same
+    seed. A replicate is a vector of window multiplicities (+1 at each
+    block start, -1 past each block end, accumulated; the last block is
+    cut to fill W windows); its histograms are weighted bincounts and its
+    pair statistics batched matrix products. Returns (comparison_ci,
+    coefficient_ci), (K, 2) arrays over the pairs i < j in row-major order.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
     if replicates < 2:
         raise ValueError("need at least 2 bootstrap replicates")
-    num_windows = x_ids.shape[0]
+    arrays, num_windows = ids.shape
+    gauges = (arrays + 1) // 2
     if block is None:
         block = default_bandwidth(num_windows)
     if not 1 <= block <= num_windows:
@@ -595,13 +612,15 @@ def block_bootstrap_ci(
     starts = rng.integers(0, num_windows - block + 1, size=(replicates, -(-num_windows // block)))
     lengths = np.full(starts.shape[1], block)
     lengths[-1] = num_windows - block * (starts.shape[1] - 1)
-    size = 1 + max(int(i.max()) for i in (x_ids, y_ids, neg_y_ids))
-    same = (x_ids == y_ids).astype(np.float64)
-    opposite = (x_ids == neg_y_ids).astype(np.float64)
-    chunk = max(1, BOOTSTRAP_CHUNK_VALUES // num_windows)
+    first, second = np.triu_indices(gauges, 1)
+    # per pair and window: x_i = x_j, then x_i = -x_j
+    same = np.concatenate([ids[first] == ids[second], ids[first] == ids[gauges + second - 1]])
+    same = same.astype(np.float64)
+    size = 1 + int(ids.max())
+    chunk = max(1, BOOTSTRAP_CHUNK_VALUES // (num_windows + arrays * size + 3 * gauges * gauges))
     pairs = num_windows * num_windows
-    comparison = np.empty(replicates, dtype=np.float64)
-    coefficient = np.empty(replicates, dtype=np.float64)
+    comparison = np.empty((replicates, first.shape[0]))
+    coefficient = np.empty((replicates, first.shape[0]))
     for lo in range(0, replicates, chunk):
         rows = starts[lo : lo + chunk]
         count = rows.shape[0]
@@ -611,30 +630,33 @@ def block_bootstrap_ci(
         steps = np.bincount((rows + offsets).ravel(), minlength=cells)
         steps -= np.bincount((ends + offsets)[ends < num_windows], minlength=cells)
         weights = np.cumsum(steps.reshape(count, num_windows), axis=1, dtype=np.float64)
-        # every count is an integer below 2^53, so the float sums are exact; with
-        # m <= 3 W ids the histograms hold at most 3 BOOTSTRAP_CHUNK_VALUES cells
+        # every count is an integer below 2^53, so the float sums and
+        # products are exact in any order
         id_offsets = (np.arange(count) * size)[:, None]
-        x_hist, y_hist, neg_y_hist = (
-            np.bincount((i + id_offsets).ravel(), weights.ravel(), count * size).reshape(count, -1)
-            for i in (x_ids, y_ids, neg_y_ids)
-        )
+        hists = np.empty((count, arrays, size))
+        for a, array_ids in enumerate(ids):
+            hists[:, a] = np.bincount(
+                (array_ids + id_offsets).ravel(), weights.ravel(), count * size
+            ).reshape(count, size)
+        gauge_hists = hists[:, :gauges]
+        coincidences = weights @ same.T / num_windows
         hi = lo + count
-        comparison[lo:hi] = (x_hist * y_hist).sum(axis=1) / pairs
+        comparison[lo:hi] = (gauge_hists @ gauge_hists.transpose(0, 2, 1))[:, first, second] / pairs
+        anti = (gauge_hists @ hists[:, gauges:].transpose(0, 2, 1))[:, first, second - 1] / pairs
         coefficient[lo:hi] = _coefficients(
-            weights @ same / num_windows,
-            comparison[lo:hi],
-            weights @ opposite / num_windows,
-            (x_hist * neg_y_hist).sum(axis=1) / pairs,
+            coincidences[:, : first.shape[0]], comparison[lo:hi],
+            coincidences[:, first.shape[0] :], anti,
         )
     alpha = 1.0 - level
     quantiles = [alpha / 2.0, 1.0 - alpha / 2.0]
-    q_low, q_high = np.quantile(comparison, quantiles)
-    c_low, c_high = np.quantile(coefficient, quantiles)
-    return (float(q_low), float(q_high)), (float(c_low), float(c_high))
+    return (
+        np.quantile(comparison, quantiles, axis=0, overwrite_input=True).T,
+        np.quantile(coefficient, quantiles, axis=0, overwrite_input=True).T,
+    )
 
 
 # ---------------------------------------------------------------------------
-# full report for one pair
+# full reports for every pair
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -650,6 +672,40 @@ class DependenceReport:
     comparison_ci: tuple[float, float]
     coefficient_ci: tuple[float, float]
     level: float
+
+
+def _analyze_pairs(
+    series: Sequence[SeriesLike], labels: Sequence[str], n: int, stride: int,
+    scheme: WeightScheme, level: float, kernel: str, bandwidth: Optional[float],
+    block: Optional[int], replicates: int, seed: int,
+) -> tuple[list[DependenceReport], np.ndarray]:
+    """Reports for every pair i < j of equally long labelled series, and their score comparisons.
+
+    One encode and one core call estimate all pairs, one bootstrap covers
+    them all, and each pair's long-run variances come from its per-window
+    sequences. Returns the reports in row-major pair order and the
+    symmetric (G, G) score comparison matrix, diagonal included.
+    """
+    codes = _stacked_codes(series, n, stride)
+    estimates, indicators, scores, ids, comparisons = _estimates_from_codes(
+        codes, _negated_codes(codes[1:]), scheme, stride, _kernels.df_rows, labels
+    )
+
+    def with_ci(var: VarianceEstimate, point: float) -> VarianceEstimate:
+        low, high = confidence_interval(point, var.sigma2, codes.shape[1], level)
+        return replace(var, ci_low=low, ci_high=high, level=level)
+
+    q_ci, c_ci = block_bootstrap_ci(ids, block, replicates, level, seed)
+    first, second = np.triu_indices(len(labels), 1)
+    reports = []
+    for k, (i, j, est) in enumerate(zip(first.tolist(), second.tolist(), estimates)):
+        var_p = with_ci(long_run_variance(indicators[k], kernel, bandwidth), est.coincidence)
+        var_s = with_ci(long_run_variance(scores[k], kernel, bandwidth), est.total_score)
+        reports.append(DependenceReport(
+            labels[i], labels[j], scheme.name, est, var_p, var_s,
+            tuple(q_ci[k].tolist()), tuple(c_ci[k].tolist()), level,
+        ))
+    return reports, comparisons
 
 
 def analyze_pair(
@@ -671,30 +727,11 @@ def analyze_pair(
     from their per-window sequences; the comparison value and the
     standardized coefficient get percentile intervals from one
     moving-block bootstrap of the window sequence, whose blocks count
-    ``block`` windows.
+    ``block`` windows. The two-series case of the all-pairs analysis of
+    ``ordpat pairwise``, which gives pair a|b these same intervals at the
+    same seed.
     """
-    scheme = scheme or scheme_for_length(n)
-    cx, cy = _paired_codes(x, y, n, stride)
-    est, indicators, scores, ids = _estimates_from_codes(
-        cx, cy, _negated_codes(cy), scheme, stride, _kernels.df_rows
-    )
-
-    def with_ci(var: VarianceEstimate, point: float) -> VarianceEstimate:
-        low, high = confidence_interval(point, var.sigma2, est.num_windows, level)
-        return replace(var, ci_low=low, ci_high=high, level=level)
-
-    var_p = with_ci(long_run_variance(indicators, kernel, bandwidth), est.coincidence)
-    var_s = with_ci(long_run_variance(scores, kernel, bandwidth), est.total_score)
-    q_ci, c_ci = block_bootstrap_ci(*ids, block, replicates, level, seed)
-
-    return DependenceReport(
-        label_x=series_label(x, "x"),
-        label_y=series_label(y, "y"),
-        scheme=scheme.name,
-        estimates=est,
-        coincidence_variance=var_p,
-        score_variance=var_s,
-        comparison_ci=q_ci,
-        coefficient_ci=c_ci,
-        level=level,
-    )
+    return _analyze_pairs(
+        [x, y], _pair_labels(x, y), n, stride, scheme or scheme_for_length(n), level, kernel,
+        bandwidth, block, replicates, seed,
+    )[0][0]

@@ -78,7 +78,13 @@ class WeightScheme:
 
     def weights_for(self, distances: np.ndarray) -> np.ndarray:
         """Vectorized weight of a non-negative integer distance array."""
-        distances = np.asarray(distances, dtype=np.int64)
+        distances = np.asarray(distances)
+        if distances.dtype.kind not in "biu":
+            whole = np.isfinite(distances) & (distances == np.round(distances))
+            if not whole.all():
+                bad = distances[~whole].ravel()[0]
+                raise ValueError(f"distance must be an integer, got {bad}")
+        distances = distances.astype(np.int64, copy=False)
         if distances.min(initial=0) < 0:
             raise ValueError("distance must be non-negative")
         # distances past the table score 0, the weight appended at its end

@@ -161,13 +161,13 @@ def encode_permutation(window: Sequence[float], policy: TiePolicy) -> Optional[P
 
 
 def descending_permutations(windows: np.ndarray) -> np.ndarray:
-    """One-based positions of each (rows, n) window row by descending value.
+    """One-based positions of each (..., n) window by descending value.
 
     Equal values are listed with the larger position first (the
     first-appearance rule; vacuous without ties).
     """
     # a stable sort of the reversed rows keeps ties in descending position order
-    return windows.shape[1] - np.argsort(-windows[:, ::-1], axis=1, kind="stable")
+    return windows.shape[-1] - np.argsort(-windows[..., ::-1], axis=-1, kind="stable")
 
 
 @lru_cache(maxsize=None)

@@ -13,18 +13,16 @@ One generator, seeded from the spec, steps all simulated rows in
 lockstep. The coherence pairs are the two halves of one such run: x is
 the first half of the rows and y the second. A result therefore depends
 on (spec, replications); a smaller replication count is not a prefix of
-a larger one.
+a larger one. Scoring the pairs is the job of ``ordpat benchmark``
+(``cli.run_benchmark_simulated``); this module needs no estimator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from .dependence import total_score
-from .metric import WeightScheme, scheme_for_length
 
 
 @dataclass(frozen=True)
@@ -108,42 +106,3 @@ def simulate_pairs(spec: IngarchSpec, replications: int) -> tuple[np.ndarray, np
         raise ValueError("replications must be >= 1")
     both = simulate_ingarch(spec, rows=2 * replications)
     return both[:replications], both[replications:]
-
-
-@dataclass(frozen=True)
-class CoherenceSummary:
-    """Total-score distribution over independent replications."""
-
-    mean: float
-    min: float
-    max: float
-    n: int
-    scheme: str
-    replications: int
-    scores: np.ndarray = field(repr=False)
-
-
-def coherence_benchmark(
-    spec: IngarchSpec,
-    n: int,
-    scheme: Optional[WeightScheme] = None,
-    replications: int = 1000,
-    stride: int = 1,
-) -> CoherenceSummary:
-    """Total score between the ``simulate_pairs`` stream pairs.
-
-    All pairs come from one lockstep run, so the scores depend on (spec,
-    replications), not on each replication alone.
-    """
-    scheme = scheme or scheme_for_length(n)
-    xs, ys = simulate_pairs(spec, replications)
-    scores = np.array([total_score(x, y, n, stride, scheme)[0] for x, y in zip(xs, ys)])
-    return CoherenceSummary(
-        mean=float(scores.mean()),
-        min=float(scores.min()),
-        max=float(scores.max()),
-        n=n,
-        scheme=scheme.name,
-        replications=replications,
-        scores=scores,
-    )

@@ -19,6 +19,7 @@ import pytest
 from oracles import oracle_estimates
 from ordpat._kernels import df_rows, encode_windows
 from ordpat.dependence import (
+    _row_scores,
     analyze_pair,
     anti_estimates,
     classical_dependence,
@@ -145,11 +146,11 @@ def _simulated_coherence(beta1: float, replications: int = 1000) -> dict:
         return _COHERENCE_CACHE[beta1]
     spec = IngarchSpec(beta0=2.0, beta=(beta1,), length=1000, seed=8128)
     x, y = simulate_pairs(spec, replications)
-    # (replications, windows) distances of every pair in one stacked call
-    distances = df_rows(encode_windows(x, 4, 1), encode_windows(y, 4, 1))
-    short = GENERALIZED_SHORT.weights_for(distances).mean(axis=1)
-    long_ = GENERALIZED_LONG.weights_for(distances).mean(axis=1)
-    result = {"short": float(short.mean()), "long": float(long_.mean())}
+    # (replications, windows) scores of every pair from one stacked call per table
+    result = {
+        name: float(_row_scores(x, y, 4, 1, scheme).mean(axis=1).mean())
+        for name, scheme in (("short", GENERALIZED_SHORT), ("long", GENERALIZED_LONG))
+    }
     _COHERENCE_CACHE[beta1] = result
     return result
 

@@ -3,6 +3,7 @@
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
 )
 from ordpat import dependence
 from ordpat._kernels import df_rows, encode_windows
+from ordpat.cli import run_pairwise
 from ordpat.dependence import (
     ClassSeries,
     analyze_pair,
@@ -33,8 +35,10 @@ from ordpat.dependence import (
     total_score,
 )
 from ordpat.exceptions import NumericalWarning
+from ordpat.io import AnalysisConfig
 from ordpat.metric import CLASSICAL_SHORT, EXACT, GENERALIZED_SHORT, scheme_for_length
 from ordpat.patterns import TiePolicy, encode_pattern
+from ordpat.spatial import ClassMatrix
 
 
 class TestCoincidenceProbability:
@@ -116,6 +120,14 @@ class TestStandardizedCoefficient:
         with pytest.warns(NumericalWarning, match="degenerate"):
             value = standardized_coefficient(1.0, 1.0, 0.0, 0.5)
         assert value == 0.0
+
+    def test_degenerate_pair_warning_names_the_pair(self):
+        # x rises in every window and y falls: only the anti-monotone side is degenerate
+        message = r"^up\|y: degenerate marginal: anti-monotone comparison value is 1, term set to 0$"
+        with pytest.warns(NumericalWarning, match=message) as caught:
+            est = dependence_estimates(ClassSeries(np.arange(10), "up"), -np.arange(10), 2)
+        assert len(caught) == 1
+        assert (est.anti_comparison, est.coefficient) == (1.0, 0.0)
 
     def test_independent_series_near_zero(self):
         rng = np.random.default_rng(5)
@@ -528,8 +540,8 @@ class TestIdCore:
         y = rng.integers(0, 5, size=400)
         cx, cy = encode_windows(x, n), encode_windows(y, n)
         scheme = scheme_for_length(n)
-        _, _, scores, _ = dependence._estimates_from_codes(
-            cx, cy, dependence._negated_codes(cy), scheme, 1, df_rows
+        _, _, (scores,), _, _ = dependence._estimates_from_codes(
+            np.stack([cx, cy]), dependence._negated_codes(cy[None]), scheme, 1, df_rows, "xy"
         )
         expected = scheme.weights_for(df_rows(cx, cy))
         assert scores.dtype == expected.dtype
@@ -696,6 +708,49 @@ class TestBootstrapEdgeCases:
         report = analyze_pair(x, y, 4, stride, replicates=25, seed=8)
         expected = reference_intervals(x, y, 4, stride, 25, 8)
         assert (report.comparison_ci, report.coefficient_ci) == expected
+
+
+class TestJointBootstrap:
+    """Every gauge pair of a run from one bootstrap with shared block starts."""
+
+    def matrix(self, gauges=5, rows=140, seed=61):
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 4, size=rows)
+        columns = [np.clip(base + rng.integers(-1, 2, size=rows), 0, 4) for _ in range(gauges)]
+        return ClassMatrix(np.column_stack(columns), tuple(f"g{i}" for i in range(gauges)))
+
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_every_pair_matches_per_replicate_loop(self, tiny, monkeypatch):
+        if tiny:
+            # one replicate per chunk, one pattern row per score-table slice
+            monkeypatch.setattr(dependence, "BOOTSTRAP_CHUNK_VALUES", 1)
+            monkeypatch.setattr(dependence, "_TABLE_CELLS", 1)
+        matrix = self.matrix()
+        config = AnalysisConfig(n=3, stride=2, replicates=40, seed=19)
+        labels, _, reports = run_pairwise(matrix, config)
+        assert len(reports) == 10
+        for report in reports:
+            x, y = matrix.column(report.label_x), matrix.column(report.label_y)
+            expected = reference_intervals(x, y, 3, 2, 40, 19)
+            assert (report.comparison_ci, report.coefficient_ci) == expected
+            assert report.estimates == dependence_estimates(x, y, 3, 2)
+
+    def test_two_gauge_run_is_analyze_pair(self):
+        matrix = self.matrix(gauges=2, seed=62)
+        config = AnalysisConfig(n=4, replicates=60, seed=23)
+        _, _, (report,) = run_pairwise(matrix, config)
+        alone = analyze_pair(
+            ClassSeries(matrix.column("g0"), "g0"), ClassSeries(matrix.column("g1"), "g1"),
+            4, replicates=60, seed=config.seed,
+        )
+        assert report == alone
+
+    def test_pair_intervals_do_not_depend_on_the_other_gauges(self):
+        matrix = self.matrix(gauges=4, seed=63)
+        config = AnalysisConfig(n=3, replicates=30, seed=5)
+        _, _, everything = run_pairwise(matrix, config)
+        _, _, (alone,) = run_pairwise(matrix, replace(config, gauges=("g1", "g3")))
+        assert alone == next(r for r in everything if (r.label_x, r.label_y) == ("g1", "g3"))
 
 
 class TestNonFiniteInput:

@@ -256,8 +256,34 @@ class TestBenchmarkDriver:
         for row in rows:
             assert row["mean"] == row["min"] == row["max"] == expected[row["approach"]]
 
+    def test_unequal_pair_lengths_rejected(self):
+        matrix = synthetic_matrix(rows=150)
+        x, y = matrix.column("g0"), matrix.column("g1")
+        pairs = [(x, y, lambda n: n), (x[:120], y[:120], lambda n: n)]
+        with pytest.raises(ValueError, match="series length mismatch: 150 vs 120"):
+            run_benchmark(pairs, AnalysisConfig(), lengths=(4,))
+
 
 class TestCli:
+    def test_degenerate_pairs_named_in_warnings(self, tmp_path, capsys):
+        # a comparison value is 1 only when both gauges show one same pattern,
+        # so the constant gauges g3, g5 and g9 make every pair among them degenerate
+        rng = np.random.default_rng(17)
+        columns = [rng.integers(0, 4, 60), np.zeros(60, int), np.full(60, 2),
+                   rng.integers(0, 4, 60), np.full(60, -1)]
+        data = tmp_path / "constant.csv"
+        save_class_matrix(ClassMatrix(np.column_stack(columns), ("g1", "g3", "g5", "g7", "g9")), data)
+        args = ["pairwise", "--data", str(data), "--n", "3", "--replicates", "20"]
+        assert main(args) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        assert warned == [
+            f"ordpat: warning: {pair}: degenerate marginal: monotone and anti-monotone "
+            "comparison values are 1, terms set to 0"
+            for pair in ("g3|g5", "g3|g9", "g5|g9")
+        ]
+        assert main(["--strict", *args]) == 3
+        assert "escalated (--strict)" in capsys.readouterr().err
+
     def test_closed_pipe_exits_quietly(self, monkeypatch, capsys):
         class ClosedPipe(io.StringIO):
             def write(self, text):

@@ -67,6 +67,18 @@ def test_distances_match_oracle(n):
     )
 
 
+@pytest.mark.parametrize("n", range(1, 16))
+def test_sorting_network_distance_matches_oracle(n):
+    # random rows of every length the keys allow, the widest network included
+    rng = np.random.default_rng(300 + n)
+    a = _kernels.encode_windows(rng.integers(0, n + 2, size=200), n, 1)
+    b = _kernels.encode_windows(rng.integers(0, n + 2, size=200), n, 1)
+    expected = [oracle_shift_min_l1(t, u) for t, u in zip(a.tolist(), b.tolist())]
+    got = _kernels.df_rows(a, b)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+
+
 def _kernel_inputs(kind, size, rng):
     if kind == "int":
         return rng.integers(-50, 50, size=size)

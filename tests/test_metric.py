@@ -124,6 +124,18 @@ class TestWeightSchemes:
         with pytest.raises(ValueError, match="non-negative"):
             GENERALIZED_SHORT.weight(-1)
 
+    def test_fractional_distances_rejected(self):
+        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
+            GENERALIZED_SHORT.weight(1.5)
+        for bad in ([0.9, 1.5, 2.5], [[0.0, 1.0], [np.nan, 2.0]], [np.inf]):
+            with pytest.raises(ValueError, match="must be an integer"):
+                GENERALIZED_SHORT.weights_for(bad)
+        # integral floats are integers; integer arrays skip the check
+        np.testing.assert_array_equal(GENERALIZED_SHORT.weights_for([0.0, 1.0, 2.0]), [1.0, 0.5, 0.0])
+        np.testing.assert_array_equal(
+            GENERALIZED_SHORT.weights_for(np.array([0, 1, 2], dtype=np.uint8)), [1.0, 0.5, 0.0]
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError, match="distance 0"):
             WeightScheme("bad", {1: 0.5})

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import oracle_ingarch
+from ordpat.cli import run_benchmark_simulated
 from ordpat.dependence import dependence_estimates
-from ordpat.simulate import (
-    CoherenceSummary,
-    IngarchSpec,
-    coherence_benchmark,
-    simulate_ingarch,
-    simulate_pairs,
-)
+from ordpat.io import AnalysisConfig
+from ordpat.simulate import IngarchSpec, simulate_ingarch, simulate_pairs
 
 
 class TestIngarchSpec:
@@ -93,12 +89,15 @@ class TestSimulate:
 class TestCoherenceBenchmark:
     def test_summary_shape_and_determinism(self):
         spec = IngarchSpec(beta0=2.0, beta=(0.3,), length=300, seed=9)
-        one = coherence_benchmark(spec, n=4, replications=20)
-        two = coherence_benchmark(spec, n=4, replications=20)
-        assert isinstance(one, CoherenceSummary)
-        assert one.replications == 20 and len(one.scores) == 20
-        assert one.min <= one.mean <= one.max
-        np.testing.assert_array_equal(one.scores, two.scores)
+        one = run_benchmark_simulated(spec, AnalysisConfig(seed=4), 20, lengths=(4, 6))
+        two = run_benchmark_simulated(spec, AnalysisConfig(seed=4), 20, lengths=(4, 6))
+        assert [(row["approach"], row["n"]) for row in one] == [
+            (approach, n) for n in (4, 6)
+            for approach in ("generalized", "randomized", "first_appearance")
+        ]
+        for row in one:
+            assert 0.0 <= row["min"] <= row["mean"] <= row["max"] <= 1.0
+        assert one == two
 
     def test_identical_streams_score_one(self):
         spec = IngarchSpec(beta0=2.0, beta=(0.3,), length=200, seed=4)
@@ -123,7 +122,7 @@ class TestCoherenceBenchmark:
 
     def test_replications_validated(self):
         for call in (
-            lambda: coherence_benchmark(IngarchSpec(beta0=1.0), n=3, replications=0),
+            lambda: run_benchmark_simulated(IngarchSpec(beta0=1.0), AnalysisConfig(), 0),
             lambda: simulate_pairs(IngarchSpec(beta0=1.0), 0),
         ):
             with pytest.raises(ValueError, match="replications must be >= 1"):
