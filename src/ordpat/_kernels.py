@@ -5,6 +5,11 @@ windows of shape ``(..., n)``, so one call encodes a single series or a
 stack of equally long series. Each series is encoded once: the block
 bootstrap resamples the encoded window sequence, not the values.
 
+Both encoders count vectorized column comparisons and sort nothing:
+``rank_codes`` gives the tie-aware dense ranks, ``permutation_index`` the
+Lehmer index of the classical descending permutation, which
+``patterns.permutation_table`` turns into codes.
+
 One kernel per pattern metric, ``df_rows`` (shift-minimized L1) and
 ``l1_rows`` (plain L1), serves aligned windows and all-pairs tables alike:
 both broadcast their (..., n) operands over the leading axes.
@@ -69,6 +74,27 @@ def rank_codes(windows: np.ndarray) -> np.ndarray:
     return codes
 
 
+def permutation_index(windows: np.ndarray) -> np.ndarray:
+    """Lehmer index in [0, n!) of each window's descending permutation, along the last axis.
+
+    The permutation lists positions by descending value, equal values with
+    the larger position first (the first-appearance rule). Position i < j
+    comes after j exactly when x_j >= x_i, so the index is
+    sum over i < j of [x_j >= x_i] * (n-1-i)!: the factorial-base number
+    whose digit i counts the later positions listed before i.
+    """
+    windows = np.asarray(windows)
+    n = windows.shape[-1]
+    cols = [windows[..., j] for j in range(n)]
+    index = np.zeros(windows.shape[:-1], dtype=np.int64)
+    for i in range(n - 1):
+        # Horner's rule in the factorial base: digit i has radix n - i
+        index *= n - i
+        for j in range(i + 1, n):
+            index += cols[j] >= cols[i]
+    return index
+
+
 def encode_windows(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
     """Dense-rank every sliding window of ``values`` along its last axis.
 
@@ -125,7 +151,13 @@ def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
 
 
 def l1_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
-    """Plain L1 distance of two (..., n) code arrays, broadcast over leading axes."""
-    t_codes = np.asarray(t_codes, dtype=np.int64)
-    u_codes = np.asarray(u_codes, dtype=np.int64)
+    """Plain L1 distance of two (..., n) code arrays, broadcast over leading axes.
+
+    Two int8 operands, codes in 1..n, are subtracted in int8; any other
+    pair in int64. The distances are int64 either way.
+    """
+    t_codes, u_codes = np.asarray(t_codes), np.asarray(u_codes)
+    if not t_codes.dtype == u_codes.dtype == np.int8:
+        t_codes = t_codes.astype(np.int64, copy=False)
+        u_codes = u_codes.astype(np.int64, copy=False)
     return np.abs(t_codes - u_codes).sum(axis=-1)

@@ -21,8 +21,10 @@ as one (G, W, n) code stack, numbers the patterns of every series and
 of the negated series 1..G-1 with one ``patterns.pattern_index`` call,
 and estimates all G(G-1)/2 pairs from those dense ids; a single pair is
 the case G = 2. One bootstrap per call resamples the window blocks of
-all series together. Each pipeline picks one distance kernel of
-``_kernels``: ``df_rows`` or ``l1_rows``.
+all series together. Each pipeline picks one encoder and one distance
+kernel of ``_kernels``: tie-aware patterns are ``rank_codes`` compared by
+``df_rows``; classical ones are ``permutation_index`` looked up in
+``patterns.permutation_table`` and compared by ``l1_rows``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from . import _kernels
 from .exceptions import NumericalWarning
 from .metric import WeightScheme, scheme_for_length
 from .patterns import (
-    TiePolicy, check_finite, descending_permutations, pattern_index, pattern_keys, randomize_values,
+    TiePolicy, check_finite, pattern_index, pattern_keys, permutation_table, randomize_values,
+    smallest_gap,
 )
 
 
@@ -229,7 +232,7 @@ def _row_scores(
             codes, distance = _kernels.encode_windows(values, n, stride), _kernels.df_rows
         else:
             windows = _classical_windows(values, n, stride, policies[lo : lo + step])
-            codes, distance = descending_permutations(windows), _kernels.l1_rows
+            codes, distance = _permutation_codes(windows), _kernels.l1_rows
         half = codes.shape[0] // 2
         parts.append(scheme.weights_for(distance(codes[:half], codes[half:])))
     return np.concatenate(parts)
@@ -404,9 +407,10 @@ def _classical_windows(
     values = values.astype(np.float64)
     pairs = len(policies)
     if kind == "randomize":
+        gaps = smallest_gap(values)
         for k, policy in enumerate(policies):
             for row, seed in zip((k, pairs + k), np.random.SeedSequence(policy.seed).spawn(2)):
-                values[row] = randomize_values(values[row], seed)
+                values[row] = randomize_values(values[row], seed, gaps[row])
     windows = _kernels.sliding_windows(values, n, stride)
     if kind == "skip":
         if pairs != 1:
@@ -417,6 +421,11 @@ def _classical_windows(
             raise ValueError("skip policy removed every window (ties everywhere)")
         windows = windows[:, keep]
     return windows
+
+
+def _permutation_codes(windows: np.ndarray) -> np.ndarray:
+    """int8 descending permutations of (..., n) windows: one table row per Lehmer index."""
+    return np.take(permutation_table(windows.shape[-1]), _kernels.permutation_index(windows), axis=0)
 
 
 def classical_dependence(
@@ -438,7 +447,7 @@ def classical_dependence(
     scheme = _classical_scheme(n, scheme)
     windows = _classical_windows(_stacked_values([x, y], n, stride), n, stride, [policy])
     return _estimates_from_codes(
-        descending_permutations(windows), descending_permutations(-windows[1:]), scheme, stride,
+        _permutation_codes(windows), _permutation_codes(-windows[1:]), scheme, stride,
         _kernels.l1_rows, _pair_labels(x, y),
     )[0][0]
 

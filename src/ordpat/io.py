@@ -107,17 +107,11 @@ def load_class_matrix(path: PathLike, delimiter: str = ",") -> ClassMatrix:
                     f"{path}, line {line_no}: expected {len(header)} cells, found {len(row)}"
                 )
             event_ids.append(row[0].strip())
-            parsed = []
-            for col, cell in zip(gauges, row[1:]):
-                text = cell.strip()
-                if not text:
-                    raise DataFormatError(f"{path}, line {line_no}, gauge {col!r}: empty cell")
-                try:
-                    parsed.append(int(text))
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}, line {line_no}, gauge {col!r}: {text!r} is not an integer"
-                    ) from None
+            try:
+                parsed = list(map(int, row[1:]))
+            except ValueError:
+                # rescan cell by cell to name the offending cell
+                parsed = _parse_cells(path, line_no, gauges, row[1:])
             rows.append(parsed)
 
     if not rows:
@@ -127,6 +121,22 @@ def load_class_matrix(path: PathLike, delimiter: str = ",") -> ClassMatrix:
         gauges=tuple(gauges),
         event_ids=tuple(event_ids),
     )
+
+
+def _parse_cells(path: Path, line_no: int, gauges: Sequence[str], cells: Sequence[str]) -> list[int]:
+    """The integers of a row's gauge cells; DataFormatError names the first empty or bad cell."""
+    parsed = []
+    for col, cell in zip(gauges, cells):
+        text = cell.strip()
+        if not text:
+            raise DataFormatError(f"{path}, line {line_no}, gauge {col!r}: empty cell")
+        try:
+            parsed.append(int(text))
+        except ValueError:
+            raise DataFormatError(
+                f"{path}, line {line_no}, gauge {col!r}: {text!r} is not an integer"
+            ) from None
+    return parsed
 
 
 def save_class_matrix(matrix: ClassMatrix, path: PathLike, id_label: str = "event") -> None:

@@ -8,7 +8,8 @@ classical tie-free patterns.
 
 Classical permutation encodings under the three legacy tie treatments
 (skip the window, randomize with noise, first-appearance rule) are kept as
-baselines.
+baselines. ``descending_permutations`` defines them; ``permutation_table``
+lists them by Lehmer index for the batched callers.
 
 Pattern numbering lives here: ``pattern_keys`` packs code rows into
 order-preserving int64 keys, ``pattern_codes`` unpacks them, and
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import comb
 from typing import Optional, Sequence
 
@@ -119,24 +121,29 @@ class TiePolicy:
         return cls("first_appearance")
 
 
-def smallest_gap(values: np.ndarray) -> float:
-    """Smallest nonzero gap between distinct values; 1.0 if all equal."""
-    distinct = np.unique(values)
-    if distinct.shape[0] < 2:
-        return 1.0
-    return float(np.min(np.diff(distinct)))
+def smallest_gap(values: np.ndarray) -> float | np.ndarray:
+    """Smallest nonzero gap between distinct values along the last axis; 1.0 if all equal.
+
+    A 1-d series gives a float, a stack of series one gap per series.
+    """
+    steps = np.diff(np.sort(values, axis=-1), axis=-1).astype(np.float64)
+    gaps = np.min(steps, axis=-1, where=steps > 0, initial=np.inf)
+    gaps = np.where(gaps == np.inf, 1.0, gaps)
+    return float(gaps) if gaps.ndim == 0 else gaps
 
 
-def randomize_values(values: np.ndarray, seed) -> np.ndarray:
+def randomize_values(values: np.ndarray, seed, gap: Optional[float] = None) -> np.ndarray:
     """Add seeded uniform noise on (0, g/2), g the smallest nonzero gap.
 
     The noise is too small to reorder distinct values, so it only breaks
     ties. Same seed, same values -> same output. ``seed`` is anything
-    ``numpy.random.default_rng`` accepts.
+    ``numpy.random.default_rng`` accepts; ``gap`` is ``smallest_gap(values)``
+    when not given.
     """
     values = np.asarray(values, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    gap = smallest_gap(values)
+    if gap is None:
+        gap = smallest_gap(values)
     return values + rng.uniform(0.0, gap / 2.0, size=values.shape)
 
 
@@ -168,6 +175,26 @@ def descending_permutations(windows: np.ndarray) -> np.ndarray:
     """
     # a stable sort of the reversed rows keeps ties in descending position order
     return windows.shape[-1] - np.argsort(-windows[..., ::-1], axis=-1, kind="stable")
+
+
+@lru_cache(maxsize=None)
+def permutation_table(n: int) -> np.ndarray:
+    """(n!, n) int8 descending permutations by Lehmer index (n <= 8), read-only.
+
+    Row k is ``descending_permutations`` of the tie-free windows whose
+    ``_kernels.permutation_index`` is k, so ``permutation_table(n)[index]``
+    encodes windows with or without ties under the first-appearance rule.
+    Those windows are the permutations of 0..n-1 in lexicographic order,
+    negated: digit i of a negated permutation's index counts the later
+    positions with a smaller value in the permutation, which is digit i of
+    its lexicographic rank.
+    """
+    if not 1 <= n <= MAX_ENUM_LENGTH:
+        raise ValueError(f"pattern length for enumeration must be in 1..{MAX_ENUM_LENGTH}, got {n}")
+    windows = -np.array(list(permutations(range(n))), dtype=np.int64)
+    table = descending_permutations(windows).astype(np.int8)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from oracles import (
     oracle_windows,
 )
 from ordpat import dependence
-from ordpat._kernels import df_rows, encode_windows
+from ordpat._kernels import df_rows, encode_windows, sliding_windows
 from ordpat.cli import run_pairwise
 from ordpat.dependence import (
     ClassSeries,
@@ -37,7 +37,7 @@ from ordpat.dependence import (
 from ordpat.exceptions import NumericalWarning
 from ordpat.io import AnalysisConfig
 from ordpat.metric import CLASSICAL_SHORT, EXACT, GENERALIZED_SHORT, scheme_for_length
-from ordpat.patterns import TiePolicy, encode_pattern
+from ordpat.patterns import TiePolicy, encode_pattern, permutation_table, randomize_values
 from ordpat.spatial import ClassMatrix
 
 
@@ -588,6 +588,44 @@ class TestClassicalTotalScore:
             mean, scores = classical_total_score(x, y, n, 1, policy)
             assert mean == classical_dependence(x, y, n, 1, policy).total_score
             assert mean == scores.sum() / scores.shape[0]
+
+
+class TestClassicalRowScores:
+    def test_randomized_noise_drawn_per_series(self):
+        # each series keeps its own generator and its own smallest gap
+        rng = np.random.default_rng(33)
+        scales = np.array([1.0, 0.5, 1.0, 3.0, 0.25, 2.0])[:, None]
+        values = rng.integers(0, 4, size=(6, 50)) * scales
+        values[2] = 5.0
+        policies = [TiePolicy.randomize(s) for s in (3, 8, 21)]
+        windows = dependence._classical_windows(values, 4, 1, policies)
+        expected = values.copy()
+        for k, policy in enumerate(policies):
+            for row, child in zip((k, 3 + k), np.random.SeedSequence(policy.seed).spawn(2)):
+                expected[row] = randomize_values(values[row], child)
+        assert windows.tobytes() == sliding_windows(expected, 4).tobytes()
+
+    def test_stacked_scores_stay_under_memory_budget(self, monkeypatch):
+        # one chunk of 200 pairs x 1000 values at n=6: a single int64
+        # (400, 995, 6) array of gathered codes or their differences takes
+        # 18.2 MiB, and a float64 (720, 720) score table 4 MiB on top of the
+        # ~13 MiB the narrow path peaks at
+        monkeypatch.setattr(dependence, "_ROW_CELLS", 1 << 30)
+        rng = np.random.default_rng(34)
+        xs = list(rng.integers(0, 5, size=(200, 1000)))
+        ys = list(rng.integers(0, 5, size=(200, 1000)))
+        scheme = scheme_for_length(6, classical=True)
+        for policies in ([TiePolicy.first_appearance()] * 200,
+                         [TiePolicy.randomize(k) for k in range(200)]):
+            permutation_table.cache_clear()
+            tracemalloc.start()
+            try:
+                scores = dependence._row_scores(xs, ys, 6, 1, scheme, policies)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert scores.shape == (200, 995)
+            assert peak < 16 * 2**20
 
 
 def reference_intervals(x, y, n, stride, replicates, seed, level=0.95, block=None):

@@ -107,6 +107,17 @@ class TestLoader:
         with pytest.raises(DataFormatError, match=r"line 2.*gauge 'b'.*empty"):
             load_class_matrix(path)
 
+    def test_padded_cells_parse_and_blank_cell_named(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text("event,a,b,c\n1, 3 ,-1,+2\n")
+        assert load_class_matrix(path).classes.tolist() == [[3, -1, 2]]
+        path.write_text("event,a,b,c\n1, 3 ,-1,+2\n2,0,x,  \n")
+        with pytest.raises(DataFormatError, match=r"line 3, gauge 'b': 'x' is not an integer"):
+            load_class_matrix(path)
+        path.write_text("event,a,b,c\n1, 3 ,-1,+2\n2,0,4,  \n")
+        with pytest.raises(DataFormatError, match=r"line 3, gauge 'c': empty cell"):
+            load_class_matrix(path)
+
     def test_duplicate_gauge_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("event,a,a\n1,0,1\n")

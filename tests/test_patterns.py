@@ -1,12 +1,13 @@
 """Pattern encodings, enumeration, and the classical tie policies."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from ordpat import patterns
-from ordpat._kernels import sliding_windows
+from ordpat._kernels import permutation_index, sliding_windows
 from ordpat.patterns import (
     TiePolicy,
     check_patterns,
@@ -19,6 +20,7 @@ from ordpat.patterns import (
     pattern_codes,
     pattern_index,
     pattern_keys,
+    permutation_table,
     randomize_values,
     smallest_gap,
     valid_rows,
@@ -147,6 +149,66 @@ class TestClassicalPolicies:
         assert smallest_gap(np.array([3, 3, 3])) == 1.0
         assert smallest_gap(np.array([1, 4, 2])) == 1.0
         assert smallest_gap(np.array([0.5, 2.0])) == 1.5
+        assert type(smallest_gap(np.array([0.5, 2.0]))) is float
+
+    def test_smallest_gap_per_row_matches_unique(self):
+        rng = np.random.default_rng(12)
+        rows = np.concatenate([
+            rng.integers(0, 4, size=(30, 25)).astype(float),
+            rng.random((5, 25)) * rng.integers(1, 9, size=(5, 25)),
+            np.full((2, 25), 7.0),
+        ])
+        gaps = smallest_gap(rows)
+        assert gaps.shape == (rows.shape[0],)
+        for row, gap in zip(rows, gaps):
+            distinct = np.unique(row)
+            expected = float(np.min(np.diff(distinct))) if distinct.shape[0] > 1 else 1.0
+            assert gap == expected == smallest_gap(row)
+
+
+def descending_reference(window):
+    """One-based positions by descending value, ties by descending position."""
+    n = len(window)
+    return sorted(range(1, n + 1), key=lambda j: (-window[j - 1], -j))
+
+
+class TestPermutationTable:
+    """Classical codes as ``permutation_table(n)[permutation_index(windows)]``."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_window_over_n_values(self, n):
+        windows = np.array(list(itertools.product(range(n), repeat=n)), dtype=np.float64)
+        table = permutation_table(n)
+        for w in (windows, -windows):
+            assert np.array_equal(table[permutation_index(w)], descending_permutations(w))
+        # and against a plain sort on a sample
+        sample = windows[:: max(1, windows.shape[0] // 300)]
+        expected = [descending_reference(w) for w in sample.tolist()]
+        assert table[permutation_index(sample)].tolist() == expected
+
+    def test_random_tied_float_windows(self):
+        rng = np.random.default_rng(17)
+        windows = rng.choice([-1.5, 0.0, 0.25, 2.0, 7.5], size=(3000, 7))
+        table = permutation_table(7)
+        for w in (windows, -windows):
+            codes = table[permutation_index(w)]
+            assert np.array_equal(codes, descending_permutations(w))
+            assert codes.tolist() == [descending_reference(row.tolist()) for row in w]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_index_is_a_bijection_on_tie_free_windows(self, n):
+        windows = np.array(list(itertools.permutations(range(n))))
+        index = permutation_index(windows)
+        assert index.min() >= 0 and index.max() < math.factorial(n)
+        assert np.array_equal(np.bincount(index, minlength=math.factorial(n)), np.ones(math.factorial(n)))
+
+    def test_table_shape_and_bounds(self):
+        table = permutation_table(6)
+        assert table.shape == (720, 6) and table.dtype == np.int8
+        assert not table.flags.writeable
+        assert np.array_equal(np.sort(table, axis=1), np.tile(np.arange(1, 7), (720, 1)))
+        with pytest.raises(ValueError, match="1..8"):
+            permutation_table(9)
 
 
 class TestEnumeration:
