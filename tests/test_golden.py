@@ -1,11 +1,15 @@
 """Output digests that must hold across versions for a fixed ``--seed``.
 
-Each digest is the SHA-256 of a CLI output on a seeded synthetic input.
-The bootstrap-interval columns of ``pairwise`` (``comparison_ci_*`` and
-``coefficient_ci_*``) are left out: they moved once, in a documented
-stream change, when all gauge pairs of a run began to share one
-moving-block bootstrap. Regenerate a digest only with a documented
-output change.
+Each digest is the SHA-256 of an output on a seeded synthetic input: the
+``pairwise`` CSVs, the ``spatial`` report CSV and table with and without
+``--include-zero`` (the whole-table baseline), the ``benchmark`` tables,
+and the ``repr`` of n=6 point estimates on a 5,000-long 5-class pair,
+whose score table is built in many slices. The bootstrap-interval
+columns of ``pairwise`` (``comparison_ci_*`` and ``coefficient_ci_*``)
+have their own digest: they moved once, in a documented stream change,
+when all gauge pairs of a run began to share one moving-block bootstrap,
+and have held since. Regenerate a digest only with a documented output
+change.
 """
 
 import csv
@@ -15,6 +19,7 @@ import io
 import numpy as np
 
 from ordpat.cli import main
+from ordpat.dependence import dependence_estimates
 from ordpat.io import PAIR_COLUMNS, save_class_matrix
 from ordpat.spatial import ClassMatrix
 
@@ -31,10 +36,22 @@ GOLDEN = {
         "ee924841271496d552e03c7ad28c6bd58338e07eaac9c8ded7c95233bed1b011",
     "pairwise_pairs.csv without bootstrap columns":
         "a6957bf537039087e3565c5d95b21f96a3278bd24a5330f9499571327f99a7c6",
+    "pairwise_pairs.csv bootstrap columns":
+        "c99ca62e2f7d2e9fccd6e3b025af83fc9e2a5a5873b2d9198bd4454fcfb9a622",
+    "spatial csv":
+        "08a3fedd217c69070462ff71b00ad66a2a0058baf5e84b94693ab0ae9c7af3f2",
+    "spatial stdout":
+        "30a71914cf78b046495ca62b6cfa7be3ee1ca83ab57583b7736e3a45bc8db949",
+    "spatial --include-zero csv":
+        "4bef426e060c3bf95809e212af90d56ea7d222e3a94030cd73dee04d5475c7da",
+    "spatial --include-zero stdout":
+        "a398c56efccf613f2fd4a348db474d67abdba283b8ebf734c896894ce672b391",
     "benchmark simulated stdout":
         "4e378d5201782f76e45f1cdc63bb51cc6a84ec3ec450f6a7433bc0e920713d85",
     "benchmark data stdout":
         "3804e28938dd072c34ec0f439ef6a9dad1735eeef10148a3c607341f3b4aef7a",
+    "dependence_estimates n=6, length 5000":
+        "9688e929992d5a3b27298ca4918f839187995b6469466e171d6871171939f63f",
 }
 
 
@@ -78,10 +95,25 @@ def output_digests(tmp_path, capsys) -> dict:
     kept = io.StringIO()
     csv.writer(kept, lineterminator="\n").writerows([row[j] for j in keep] for row in rows)
     digests["pairwise_pairs.csv without bootstrap columns"] = _sha(kept.getvalue().encode())
+    boot = [j for j, name in enumerate(PAIR_COLUMNS) if name in BOOTSTRAP_COLUMNS]
+    kept = io.StringIO()
+    csv.writer(kept, lineterminator="\n").writerows([row[j] for j in boot] for row in rows)
+    digests["pairwise_pairs.csv bootstrap columns"] = _sha(kept.getvalue().encode())
+    for flags in ([], ["--include-zero"]):
+        name = " ".join(["spatial", *flags])
+        out = tmp_path / "spatial.csv"
+        stdout = _stdout(capsys, ["spatial", "--data", str(data), *flags, "--out", str(out)])
+        digests[f"{name} csv"] = _sha(out.read_bytes())
+        digests[f"{name} stdout"] = _sha(stdout.replace(str(out).encode(), b"OUT"))
     digests["benchmark simulated stdout"] = _sha(_stdout(capsys, [
         "benchmark", "--replications", "20", "--lengths", "4,6", "--seed", "3",
     ]))
     digests["benchmark data stdout"] = _sha(_stdout(capsys, ["benchmark", "--data", str(data)]))
+    rng = np.random.default_rng(5)
+    x, y = rng.integers(0, 5, size=(2, 5000))
+    digests["dependence_estimates n=6, length 5000"] = _sha(
+        repr(dependence_estimates(x, y, 6)).encode()
+    )
     return digests
 
 
