@@ -19,7 +19,6 @@ from .dependence import (
     analyze_pair,
     anti_estimates,
     classical_dependence,
-    classical_total_score,
     coincidence_probability,
     comparison_value,
     confidence_interval,
@@ -100,7 +99,6 @@ __all__ = [
     "anti_estimates",
     "baseline_frequencies",
     "classical_dependence",
-    "classical_total_score",
     "classify_peak",
     "coincidence_probability",
     "comparison_value",

@@ -13,11 +13,17 @@ Lehmer index of the classical descending permutation, which
 One kernel per pattern metric, ``df_rows`` (shift-minimized L1) and
 ``l1_rows`` (plain L1), serves aligned windows and all-pairs tables alike:
 both broadcast their (..., n) operands over the leading axes.
+
+Every temporary that grows with the input is built in slices under one
+budget, ``CELL_BUDGET`` cells of 8 bytes (1 MiB): a cell is one float64
+or int64 element, or one of the n codes or values of a window row. Each
+chunked loop states its cost per item and iterates ``chunks``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,6 +31,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Pattern keys pack n codes as base-(n+1) digits in an int64; (n+1)^n
 # stays below 2^63 up to n = 15.
 MAX_PATTERN_LENGTH = 15
+
+CELL_BUDGET = 1 << 17
+
+
+def chunks(count: int, cells_per_item: int) -> Iterator[slice]:
+    """Consecutive slices of range(count): each at least one item, at most CELL_BUDGET cells."""
+    step = max(1, CELL_BUDGET // max(1, cells_per_item))
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def check_pattern_length(n: int) -> None:

@@ -112,15 +112,6 @@ def _stacked_codes(series: Sequence[SeriesLike], n: int, stride: int) -> np.ndar
 # pair at once; shared by the tie-aware and classical pipelines
 # ---------------------------------------------------------------------------
 
-# Cells of one (pattern x pattern x n) distance table; larger tables are
-# built a slice of rows at a time.
-_TABLE_CELLS = 1 << 20
-
-# Values times pattern length of the series pairs ``_row_scores`` stacks
-# in one chunk.
-_ROW_CELLS = 1 << 15
-
-
 def _negated_codes(codes: np.ndarray) -> np.ndarray:
     """Codes of the negated windows: m + 1 - c, m the window's largest code."""
     top = codes[..., 0]
@@ -137,17 +128,17 @@ def _score_comparisons(
 ) -> np.ndarray:
     """(G, G) sums h_i^T S h_j, S the score table of the patterns the G series show.
 
-    S is built a slice of rows under ``_TABLE_CELLS`` at a time. The
-    built-in weights are dyadic and the counts integers, so every partial
-    sum is exact and the slicing does not change the result.
+    S is built a slice of rows at a time, each row costing m * n cells
+    (m patterns). The built-in weights are dyadic and the counts integers,
+    so every partial sum is exact and the slicing does not change the
+    result.
     """
     seen = np.flatnonzero(hists.any(axis=0))
     counts, codes = hists[:, seen].astype(np.float64), patterns[seen]
-    step = max(1, _TABLE_CELLS // (seen.shape[0] * codes.shape[1]))
     total = np.zeros((hists.shape[0], hists.shape[0]))
-    for lo in range(0, seen.shape[0], step):
-        table = scheme.weights_for(distance(codes[lo : lo + step, None], codes[None]))
-        total += counts[:, lo : lo + step] @ table @ counts.T
+    for part in _kernels.chunks(seen.shape[0], seen.shape[0] * codes.shape[1]):
+        table = scheme.weights_for(distance(codes[part, None], codes[None]))
+        total += counts[:, part] @ table @ counts.T
     return total
 
 
@@ -175,20 +166,20 @@ def _estimates_from_codes(
     comparison values from the histogram products H H^T and H H_-^T,
     score comparisons from H S H^T and per-window scores from the aligned
     distance kernel. A degenerate pair warns, named by its ``labels``.
-    Returns the estimates of the pairs in row-major order, their (K, W)
-    coincidence indicators and per-window scores (the long-run variance
-    inputs), the (2G - 1, W) ids (the bootstrap input) and the symmetric
-    (G, G) score comparisons.
+    Returns the estimates of the K pairs in row-major order; their (2K, W)
+    coincidences x_i = x_j, then x_i = -x_j, per window; their (K, W)
+    per-window scores; the (2G - 1, W) ids; and the symmetric (G, G)
+    score comparisons. The first K coincidence rows and the scores feed
+    the long-run variances, the ids and all coincidences the bootstrap.
     """
     gauges, num_windows, n = codes.shape
     ids, hists, patterns = pattern_index(*codes, *neg_codes)
     ids, hists = np.stack(ids), np.stack(hists)
     first, second = np.triu_indices(gauges, 1)
-    indicators = ids[first] == ids[second]
+    same = np.concatenate([ids[first] == ids[second], ids[first] == ids[gauges + second - 1]])
     pairs = num_windows * num_windows
-    p_hat = np.count_nonzero(indicators, axis=1) / num_windows
+    p_hat, r_hat = np.count_nonzero(same, axis=1).reshape(2, -1) / num_windows
     q_hat = (hists[:gauges] @ hists[:gauges].T)[first, second] / pairs
-    r_hat = np.count_nonzero(ids[first] == ids[gauges + second - 1], axis=1) / num_windows
     s_hat = (hists[:gauges] @ hists[gauges:].T)[first, second - 1] / pairs
     coefficients = _coefficients(p_hat, q_hat, r_hat, s_hat)
     upper = np.triu(_score_comparisons(hists[:gauges], patterns, scheme, distance)) / pairs
@@ -203,7 +194,7 @@ def _estimates_from_codes(
             float(coefficients[k]), float(scores[k].sum() / num_windows),
             float(comparisons[i, j]), n, stride, num_windows,
         ))
-    return estimates, indicators, scores, ids, comparisons
+    return estimates, same, scores, ids, comparisons
 
 
 def _row_scores(
@@ -218,20 +209,19 @@ def _row_scores(
 
     Without ``policies`` the pairs run through the tie-aware pipeline,
     with one classical tie policy per pair through the classical one.
-    Each chunk of pairs (at most ``_ROW_CELLS`` values times n) takes one
-    encode and one distance call.
+    Each chunk of pairs, at 2 * n * length cells a pair, takes one encode
+    and one distance call.
     """
     length = series_values(xs[0]).shape[0]
-    step = max(1, _ROW_CELLS // max(1, 2 * n * length))
     parts = []
-    for lo in range(0, len(xs), step):
-        values = _stacked_values([*xs[lo : lo + step], *ys[lo : lo + step]], n, stride)
+    for part in _kernels.chunks(len(xs), 2 * n * length):
+        values = _stacked_values([*xs[part], *ys[part]], n, stride)
         if values.shape[1] != length:
             raise ValueError(f"series length mismatch: {length} vs {values.shape[1]}")
         if policies is None:
             codes, distance = _kernels.encode_windows(values, n, stride), _kernels.df_rows
         else:
-            windows = _classical_windows(values, n, stride, policies[lo : lo + step])
+            windows = _classical_windows(values, n, stride, policies[part])
             codes, distance = _permutation_codes(windows), _kernels.l1_rows
         half = codes.shape[0] // 2
         parts.append(scheme.weights_for(distance(codes[:half], codes[half:])))
@@ -303,6 +293,9 @@ def standardized_coefficient(
     pattern) makes a term 0/0; that term is defined as 0 with a warning
     since excess dependence is indistinguishable there.
     """
+    for name, value in zip(("p_hat", "q_hat", "r_hat", "s_hat"), (p_hat, q_hat, r_hat, s_hat)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     _warn_degenerate(q_hat, s_hat)
     return float(_coefficients(p_hat, q_hat, r_hat, s_hat))
 
@@ -452,23 +445,6 @@ def classical_dependence(
     )[0][0]
 
 
-def classical_total_score(
-    x: SeriesLike,
-    y: SeriesLike,
-    n: int,
-    stride: int = 1,
-    policy: TiePolicy = TiePolicy.first_appearance(),
-    scheme: Optional[WeightScheme] = None,
-) -> tuple[float, np.ndarray]:
-    """Total score alone through the classical pipeline.
-
-    Equal to ``classical_dependence(...).total_score``, without the other
-    estimates; returns the mean and the per-window score sequence.
-    """
-    scores = _row_scores([x], [y], n, stride, _classical_scheme(n, scheme), [policy])[0]
-    return float(scores.sum() / scores.shape[0]), scores
-
-
 # ---------------------------------------------------------------------------
 # long-run variance and confidence intervals
 # ---------------------------------------------------------------------------
@@ -516,6 +492,7 @@ def long_run_variance(
     seq = np.asarray(sequence, dtype=np.float64)
     if seq.ndim != 1 or seq.shape[0] < 2:
         raise ValueError("need a 1-d sequence of length >= 2")
+    check_finite(seq, "sequence")
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; known: {sorted(KERNELS)}")
     count = seq.shape[0]
@@ -578,14 +555,9 @@ def confidence_interval(
 # moving-block bootstrap
 # ---------------------------------------------------------------------------
 
-# Replicates are built in chunks of at most this many values: window
-# multiplicities, histogram cells and pair statistics (at least one
-# replicate per chunk).
-BOOTSTRAP_CHUNK_VALUES = 1 << 18
-
-
 def block_bootstrap_ci(
     ids: np.ndarray,
+    same: np.ndarray,
     block: Optional[int] = None,
     replicates: int = 1000,
     level: float = 0.95,
@@ -594,8 +566,10 @@ def block_bootstrap_ci(
     """Moving-block bootstrap intervals of the comparison value and coefficient of every pair.
 
     Takes the (2G - 1, W) pattern ids of G series, then of the negated
-    series 1..G-1, and resamples blocks of ``block`` consecutive windows
-    (default ``default_bandwidth(W)``) jointly from all of them: Kuensch's
+    series 1..G-1, and the (2K, W) per-window coincidences of the K pairs
+    i < j in row-major order (x_i = x_j, then x_i = -x_j). Resamples
+    blocks of ``block`` consecutive windows (default
+    ``default_bandwidth(W)``) jointly from all of them: Kuensch's
     moving-block bootstrap of the multivariate pattern sequence. One
     generator draws the block starts, which every series shares, so a
     pair gets the intervals a run on that pair alone gives at the same
@@ -622,16 +596,14 @@ def block_bootstrap_ci(
     lengths = np.full(starts.shape[1], block)
     lengths[-1] = num_windows - block * (starts.shape[1] - 1)
     first, second = np.triu_indices(gauges, 1)
-    # per pair and window: x_i = x_j, then x_i = -x_j
-    same = np.concatenate([ids[first] == ids[second], ids[first] == ids[gauges + second - 1]])
     same = same.astype(np.float64)
     size = 1 + int(ids.max())
-    chunk = max(1, BOOTSTRAP_CHUNK_VALUES // (num_windows + arrays * size + 3 * gauges * gauges))
     pairs = num_windows * num_windows
     comparison = np.empty((replicates, first.shape[0]))
     coefficient = np.empty((replicates, first.shape[0]))
-    for lo in range(0, replicates, chunk):
-        rows = starts[lo : lo + chunk]
+    # a replicate's cells: window multiplicities, histograms, pair statistics
+    for part in _kernels.chunks(replicates, num_windows + arrays * size + 3 * gauges * gauges):
+        rows = starts[part]
         count = rows.shape[0]
         cells = count * num_windows
         offsets = (np.arange(count) * num_windows)[:, None]
@@ -649,11 +621,10 @@ def block_bootstrap_ci(
             ).reshape(count, size)
         gauge_hists = hists[:, :gauges]
         coincidences = weights @ same.T / num_windows
-        hi = lo + count
-        comparison[lo:hi] = (gauge_hists @ gauge_hists.transpose(0, 2, 1))[:, first, second] / pairs
+        comparison[part] = (gauge_hists @ gauge_hists.transpose(0, 2, 1))[:, first, second] / pairs
         anti = (gauge_hists @ hists[:, gauges:].transpose(0, 2, 1))[:, first, second - 1] / pairs
-        coefficient[lo:hi] = _coefficients(
-            coincidences[:, : first.shape[0]], comparison[lo:hi],
+        coefficient[part] = _coefficients(
+            coincidences[:, : first.shape[0]], comparison[part],
             coincidences[:, first.shape[0] :], anti,
         )
     alpha = 1.0 - level
@@ -696,7 +667,7 @@ def _analyze_pairs(
     symmetric (G, G) score comparison matrix, diagonal included.
     """
     codes = _stacked_codes(series, n, stride)
-    estimates, indicators, scores, ids, comparisons = _estimates_from_codes(
+    estimates, same, scores, ids, comparisons = _estimates_from_codes(
         codes, _negated_codes(codes[1:]), scheme, stride, _kernels.df_rows, labels
     )
 
@@ -704,11 +675,11 @@ def _analyze_pairs(
         low, high = confidence_interval(point, var.sigma2, codes.shape[1], level)
         return replace(var, ci_low=low, ci_high=high, level=level)
 
-    q_ci, c_ci = block_bootstrap_ci(ids, block, replicates, level, seed)
+    q_ci, c_ci = block_bootstrap_ci(ids, same, block, replicates, level, seed)
     first, second = np.triu_indices(len(labels), 1)
     reports = []
     for k, (i, j, est) in enumerate(zip(first.tolist(), second.tolist(), estimates)):
-        var_p = with_ci(long_run_variance(indicators[k], kernel, bandwidth), est.coincidence)
+        var_p = with_ci(long_run_variance(same[k], kernel, bandwidth), est.coincidence)
         var_s = with_ci(long_run_variance(scores[k], kernel, bandwidth), est.total_score)
         reports.append(DependenceReport(
             labels[i], labels[j], scheme.name, est, var_p, var_s,

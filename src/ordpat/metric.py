@@ -10,6 +10,7 @@ scoring a pair of patterns composes the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,12 +56,16 @@ class WeightScheme:
     mapping: Mapping[int, float] = field(repr=False)
 
     def __post_init__(self) -> None:
+        for d in self.mapping:
+            if not isinstance(d, Integral) or d < 0:
+                raise ValueError(f"distances must be non-negative integers, got {d!r}")
         items = sorted(self.mapping.items())
         if not items or items[0] != (0, 1.0):
             raise ValueError("weight scheme must map distance 0 to weight 1")
+        for d, w in items:
+            if not 0 <= w <= 1:  # NaN included
+                raise ValueError(f"weights must lie in [0, 1], got {w} at distance {d}")
         weights = [w for _, w in items]
-        if any(w < 0 or w > 1 for w in weights):
-            raise ValueError("weights must lie in [0, 1]")
         if any(b > a for a, b in zip(weights, weights[1:])):
             raise ValueError("weights must be non-increasing in distance")
 

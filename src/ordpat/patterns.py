@@ -30,10 +30,6 @@ from . import _kernels
 
 MAX_ENUM_LENGTH = 8
 
-# Pattern keys below this bound are numbered through a lookup table,
-# larger ones through a sort.
-_KEY_TABLE_SIZE = 1 << 21
-
 Pattern = tuple[int, ...]
 
 
@@ -159,6 +155,7 @@ def encode_permutation(window: Sequence[float], policy: TiePolicy) -> Optional[P
     arr = np.asarray(window, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise ValueError("empty window")
+    check_finite(arr, "window")
     if policy.kind == "skip":
         if np.unique(arr).shape[0] < arr.shape[0]:
             return None
@@ -285,12 +282,14 @@ def pattern_codes(keys: np.ndarray, n: int) -> np.ndarray:
 def pattern_index(*codes: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Number the patterns of (rows, n) code arrays 0..m-1 in key order, shared by all.
 
-    Returns the ids of each array, the histogram of each array over the m
-    ids, and the (m, n) codes of the numbered patterns.
+    Keys below ``_kernels.CELL_BUDGET`` (every key up to n = 6) are
+    numbered through a lookup table, larger ones through a sort. Returns
+    the ids of each array, the histogram of each array over the m ids, and
+    the (m, n) codes of the numbered patterns.
     """
     keys = [pattern_keys(c) for c in codes]
     size = max(int(k.max()) for k in keys) + 1
-    if size <= _KEY_TABLE_SIZE:
+    if size <= _kernels.CELL_BUDGET:
         seen = np.zeros(size, dtype=bool)
         for k in keys:
             seen[k] = True

@@ -22,10 +22,6 @@ from . import _kernels
 from .exceptions import NumericalWarning
 from .patterns import MAX_ENUM_LENGTH, check_patterns, enumerate_patterns, pattern_index, pattern_keys
 
-# float64 cells of each (pattern rows, class values) temporary that
-# ``baseline_frequencies`` builds for one slice of pattern rows
-_BASELINE_CELLS = 1 << 20
-
 
 @dataclass(frozen=True)
 class ClassMatrix:
@@ -154,9 +150,9 @@ def baseline_frequencies(
         marginal = np.bincount(index[:, j], minlength=values.shape[0]) / num_events
         products = np.concatenate([products, products * marginal])
     probs = np.empty(codes.shape[0])
-    step = max(1, _BASELINE_CELLS // values.shape[0])
-    for lo in range(0, codes.shape[0], step):
-        probs[lo : lo + step] = _level_chain_law(codes[lo : lo + step], products)
+    # each pattern row's chain temporaries hold one float64 per class value
+    for part in _kernels.chunks(codes.shape[0], values.shape[0]):
+        probs[part] = _level_chain_law(codes[part], products)
     return probs
 
 

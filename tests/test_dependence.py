@@ -15,7 +15,7 @@ from oracles import (
     oracle_shift_min_l1,
     oracle_windows,
 )
-from ordpat import dependence
+from ordpat import _kernels, dependence
 from ordpat._kernels import df_rows, encode_windows, sliding_windows
 from ordpat.cli import run_pairwise
 from ordpat.dependence import (
@@ -23,7 +23,6 @@ from ordpat.dependence import (
     analyze_pair,
     anti_estimates,
     classical_dependence,
-    classical_total_score,
     coincidence_probability,
     comparison_value,
     confidence_interval,
@@ -116,6 +115,14 @@ class TestStandardizedCoefficient:
         # the monotone term alone is 1; the anti side is clipped at 0
         assert (est.coincidence - est.comparison) / (1 - est.comparison) == 1.0
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_input_rejected(self, position):
+        values = [0.6, 0.2, 0.1, 0.3]
+        values[position] = np.nan
+        name = ("p_hat", "q_hat", "r_hat", "s_hat")[position]
+        with pytest.raises(ValueError, match=f"{name} must be finite, got nan"):
+            standardized_coefficient(*values)
+
     def test_degenerate_marginal_warns(self):
         with pytest.warns(NumericalWarning, match="degenerate"):
             value = standardized_coefficient(1.0, 1.0, 0.0, 0.5)
@@ -203,7 +210,7 @@ class TestScoreComparison:
         whole = score_comparison_value(x, y, n)
         classical = classical_dependence(x, y, n).score_comparison
         # a few cells: one distinct x-pattern per distance table
-        monkeypatch.setattr(dependence, "_TABLE_CELLS", 5)
+        monkeypatch.setattr(_kernels, "CELL_BUDGET", 5)
         assert score_comparison_value(x, y, n) == whole
         assert classical_dependence(x, y, n).score_comparison == classical
 
@@ -338,6 +345,13 @@ class TestLongRunVariance:
         with pytest.raises(ValueError):
             long_run_variance(np.ones(10), bandwidth=0.2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sequence_rejected(self, bad):
+        values = np.arange(10.0)
+        values[3] = bad
+        with pytest.raises(ValueError, match="sequence value at index 3 is not finite"):
+            long_run_variance(values)
+
     @pytest.mark.parametrize("bandwidth", [np.inf, -np.inf, np.nan])
     def test_non_finite_bandwidth_rejected(self, bandwidth):
         for values in (np.ones(10), np.arange(10.0)):
@@ -376,8 +390,9 @@ class TestClassicalBaselines:
         x, y = np.arange(20.0), np.arange(20.0)[::-1]
         with pytest.raises(ValueError, match="stride must be >= 1"):
             classical_dependence(x, y, 4, stride=stride)
+        policy = TiePolicy.first_appearance()
         with pytest.raises(ValueError, match="stride must be >= 1"):
-            classical_total_score(x, y, 4, stride=stride)
+            dependence._row_scores([x], [y], 4, stride, CLASSICAL_SHORT, [policy])
 
     def test_tie_free_pair_matches_generalized(self):
         rng = np.random.default_rng(19)
@@ -486,7 +501,7 @@ class TestIdCore:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_estimates_match_oracle(self, n, stride, monkeypatch):
         # one x pattern per score-table slice
-        monkeypatch.setattr(dependence, "_TABLE_CELLS", 3)
+        monkeypatch.setattr(_kernels, "CELL_BUDGET", 3)
         rng = np.random.default_rng(100 + 10 * n + stride)
         base = rng.integers(0, 4, size=70)
         x = np.clip(base + rng.integers(-1, 2, size=70), 0, 4)
@@ -512,7 +527,7 @@ class TestIdCore:
     def test_classical_matches_oracle_on_tie_free_series(self, n, stride, monkeypatch):
         # without ties a permutation pattern and a rank pattern determine
         # each other, so the probability-type estimates are the oracle's
-        monkeypatch.setattr(dependence, "_TABLE_CELLS", 3)
+        monkeypatch.setattr(_kernels, "CELL_BUDGET", 3)
         rng = np.random.default_rng(60 + n + stride)
         x = rng.permutation(90).astype(np.float64)
         y = np.argsort(np.argsort(x + rng.integers(0, 30, size=90))).astype(np.float64)
@@ -527,14 +542,15 @@ class TestIdCore:
             assert {f: getattr(got, f) for f in ORACLE_FIELDS[:4]} == {
                 f: expected[f] for f in ORACLE_FIELDS[:4]
             }
-            assert got.total_score == classical_total_score(x, y, n, stride, policy)[0]
+            scores = dependence._row_scores([x], [y], n, stride, scheme, [policy])[0]
+            assert got.total_score == scores.sum() / scores.shape[0]
             assert got.score_comparison == score_comparison
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     @pytest.mark.parametrize("cells", [None, 3, 4096])
     def test_window_scores_equal_row_kernel(self, n, cells, monkeypatch):
         if cells is not None:
-            monkeypatch.setattr(dependence, "_TABLE_CELLS", cells)
+            monkeypatch.setattr(_kernels, "CELL_BUDGET", cells)
         rng = np.random.default_rng(70 + n)
         x = rng.integers(0, 5, size=400)
         y = rng.integers(0, 5, size=400)
@@ -579,15 +595,18 @@ class TestAnalyzePair:
 
 
 class TestClassicalTotalScore:
+    """The classical total score from ``_row_scores`` alone is the full pipeline's."""
+
     @pytest.mark.parametrize("n", [4, 6])
     def test_equals_full_pipeline(self, n):
         rng = np.random.default_rng(31)
         x = rng.integers(0, 12, size=150)
         y = rng.integers(0, 12, size=150)
+        scheme = scheme_for_length(n, classical=True)
         for policy in (TiePolicy.first_appearance(), TiePolicy.randomize(4), TiePolicy.skip()):
-            mean, scores = classical_total_score(x, y, n, 1, policy)
-            assert mean == classical_dependence(x, y, n, 1, policy).total_score
-            assert mean == scores.sum() / scores.shape[0]
+            scores = dependence._row_scores([x], [y], n, 1, scheme, [policy])[0]
+            full = classical_dependence(x, y, n, 1, policy)
+            assert scores.sum() / scores.shape[0] == full.total_score
 
 
 class TestClassicalRowScores:
@@ -610,7 +629,7 @@ class TestClassicalRowScores:
         # (400, 995, 6) array of gathered codes or their differences takes
         # 18.2 MiB, and a float64 (720, 720) score table 4 MiB on top of the
         # ~13 MiB the narrow path peaks at
-        monkeypatch.setattr(dependence, "_ROW_CELLS", 1 << 30)
+        monkeypatch.setattr(_kernels, "CELL_BUDGET", 1 << 30)
         rng = np.random.default_rng(34)
         xs = list(rng.integers(0, 5, size=(200, 1000)))
         ys = list(rng.integers(0, 5, size=(200, 1000)))
@@ -667,17 +686,17 @@ def reference_intervals(x, y, n, stride, replicates, seed, level=0.95, block=Non
 
 class TestBatchedBootstrap:
     @pytest.mark.parametrize("n", [3, 4, 6, 8])
-    @pytest.mark.parametrize("chunk_rows", [None, 7])
-    def test_intervals_match_per_replicate_loop(self, n, chunk_rows, monkeypatch):
+    # "7": the cells of 7 windows, so chunks of a few replicates, the last
+    # one short, and score-table slices of a few rows; 1: one replicate per
+    # chunk and one pattern row per slice
+    @pytest.mark.parametrize("budget", [None, pytest.param(7 * 79, id="7"), 1])
+    def test_intervals_match_per_replicate_loop(self, n, budget, monkeypatch):
         rng = np.random.default_rng(40 + n)
         base = rng.integers(0, 4, size=160)
         x = np.clip(base + rng.integers(-1, 2, size=160), 0, 4)
         y = np.clip(base + rng.integers(-1, 2, size=160), 0, 4)
-        if chunk_rows is not None:
-            # 50 replicates in chunks of 7, the last one short; histograms a few rows at a time
-            windows = (x.shape[0] - n) // 2 + 1
-            monkeypatch.setattr(dependence, "BOOTSTRAP_CHUNK_VALUES", chunk_rows * windows)
-            monkeypatch.setattr(dependence, "_TABLE_CELLS", 1)
+        if budget is not None:
+            monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
         report = analyze_pair(x, y, n, stride=2, replicates=50, seed=11)
         q_ci, c_ci = reference_intervals(x, y, n, 2, 50, 11)
         assert report.comparison_ci == q_ci
@@ -741,7 +760,7 @@ class TestBootstrapEdgeCases:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_one_replicate_per_chunk(self, stride, monkeypatch):
-        monkeypatch.setattr(dependence, "BOOTSTRAP_CHUNK_VALUES", 1)
+        monkeypatch.setattr(_kernels, "CELL_BUDGET", 1)
         x, y = self.series(97 + stride)
         report = analyze_pair(x, y, 4, stride, replicates=25, seed=8)
         expected = reference_intervals(x, y, 4, stride, 25, 8)
@@ -761,8 +780,7 @@ class TestJointBootstrap:
     def test_every_pair_matches_per_replicate_loop(self, tiny, monkeypatch):
         if tiny:
             # one replicate per chunk, one pattern row per score-table slice
-            monkeypatch.setattr(dependence, "BOOTSTRAP_CHUNK_VALUES", 1)
-            monkeypatch.setattr(dependence, "_TABLE_CELLS", 1)
+            monkeypatch.setattr(_kernels, "CELL_BUDGET", 1)
         matrix = self.matrix()
         config = AnalysisConfig(n=3, stride=2, replicates=40, seed=19)
         labels, _, reports = run_pairwise(matrix, config)

@@ -329,6 +329,12 @@ class TestCli:
         assert main(["encode", "2", "2", "--tie-policy", "skip"]) == 0
         assert capsys.readouterr().out.strip() == "absent"
 
+    def test_encode_classical_rejects_nan(self, capsys):
+        assert main(["encode", "nan", "1", "2", "--tie-policy", "first_appearance"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
     def test_enumerate(self, capsys):
         assert main(["enumerate", "--n", "3"]) == 0
         out = capsys.readouterr().out

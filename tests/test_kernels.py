@@ -120,3 +120,19 @@ def test_pattern_length_limit_guards_key_overflow():
         _kernels.encode_windows(np.arange(40.0), 16, 1)
     with pytest.raises(ValueError, match="overflow"):
         pattern_keys(np.arange(16, 0, -1)[None, :])
+
+
+@pytest.mark.parametrize("count,cost", [(0, 5), (1, 5), (10, 1), (10, 3), (10, 4), (10, 40)])
+def test_chunks_cover_the_range_under_the_budget(count, cost, monkeypatch):
+    monkeypatch.setattr(_kernels, "CELL_BUDGET", 12)  # read at call time
+    parts = list(_kernels.chunks(count, cost))
+    assert [i for part in parts for i in range(count)[part]] == list(range(count))
+    for part in parts:
+        items = part.stop - part.start
+        assert items >= 1 and (items == 1 or items * cost <= 12)
+    assert len(parts) == (-(-count // max(1, 12 // cost)))
+
+
+def test_cell_budget_keeps_the_key_table_up_to_n6():
+    # pattern_index numbers keys below the budget through a lookup table
+    assert 7**6 <= _kernels.CELL_BUDGET < 8**7

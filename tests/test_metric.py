@@ -143,6 +143,14 @@ class TestWeightSchemes:
             WeightScheme("bad", {0: 1.0, 1: 0.2, 2: 0.8})
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             WeightScheme("bad", {0: 1.0, 1: 1.5})
+
+    def test_nan_weight_and_fractional_distance_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\], got nan at distance 1"):
+            WeightScheme("bad", {0: 1.0, 1: float("nan")})
+        with pytest.raises(ValueError, match="non-negative integers, got 1.5"):
+            WeightScheme("bad", {0: 1.0, 1.5: 0.5})
+        with pytest.raises(ValueError, match="non-negative integers, got -1"):
+            WeightScheme("bad", {-1: 1.0, 0: 1.0})
         custom = WeightScheme("halved", {0: 1.0, 1: 0.9, 4: 0.1})
         assert custom.weight(4) == 0.1
         assert custom.weight(2) == 0.0

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ordpat import patterns
+from ordpat import _kernels
 from ordpat._kernels import permutation_index, sliding_windows
 from ordpat.patterns import (
     TiePolicy,
@@ -96,6 +96,13 @@ class TestClassicalPolicies:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             encode_permutation((), TiePolicy.skip())
+
+    @pytest.mark.parametrize("kind", ["skip", "first_appearance"])
+    def test_non_finite_window_rejected(self, kind):
+        with pytest.raises(ValueError, match="window value at index 0 is not finite"):
+            encode_permutation((np.nan, 1, 2), TiePolicy(kind))
+        with pytest.raises(ValueError, match="index 1 is not finite"):
+            encode_permutation((1, np.inf, 2), TiePolicy.randomize(3))
 
     def test_randomize_requires_seed(self):
         with pytest.raises(ValueError, match="seed"):
@@ -320,11 +327,11 @@ class TestPatternKeys:
 
 
 class TestPatternIndex:
-    @pytest.mark.parametrize("table_size", [None, 0])  # lookup path, sort path
+    @pytest.mark.parametrize("budget", [None, 0])  # lookup path up to n = 6, sort path
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_matches_unique_reference(self, n, table_size, monkeypatch):
-        if table_size is not None:
-            monkeypatch.setattr(patterns, "_KEY_TABLE_SIZE", table_size)
+    def test_matches_unique_reference(self, n, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
         rng = np.random.default_rng(40 + n)
         arrays = [
             np.array([oracle_encode(w) for w in rng.integers(0, 3, size=(size, n)).tolist()])

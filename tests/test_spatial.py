@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_product_law
-from ordpat import spatial
+from ordpat import _kernels
 from ordpat.exceptions import NumericalWarning
 from ordpat.patterns import enumerate_patterns
 from ordpat.spatial import (
@@ -177,7 +177,7 @@ class TestBaseline:
         rng = np.random.default_rng(9)
         matrix = make_matrix(rng.integers(-1, 5, size=(150, 4)))
         whole = baseline_frequencies(matrix, matrix.gauges)
-        monkeypatch.setattr(spatial, "_BASELINE_CELLS", 13)
+        monkeypatch.setattr(_kernels, "CELL_BUDGET", 13)
         np.testing.assert_array_equal(baseline_frequencies(matrix, matrix.gauges), whole)
 
     def test_bad_input_rejected(self):
