@@ -10,14 +10,21 @@ Both encoders count vectorized column comparisons and sort nothing:
 Lehmer index of the classical descending permutation, which
 ``patterns.permutation_table`` turns into codes.
 
+Pattern codes lie in 1..n with n <= 15, so both pipelines keep them as
+int8 from the encoder to the distance: one byte per code.
+
 One kernel per pattern metric, ``df_rows`` (shift-minimized L1) and
 ``l1_rows`` (plain L1), serves aligned windows and all-pairs tables alike:
-both broadcast their (..., n) operands over the leading axes.
+both broadcast their (..., n) operands over the leading axes. Two int8
+operands are subtracted in int8 (``_narrow_pair``); the distances are
+int64.
 
 Every temporary that grows with the input is built in slices under one
-budget, ``CELL_BUDGET`` cells of 8 bytes (1 MiB): a cell is one float64
-or int64 element, or one of the n codes or values of a window row. Each
-chunked loop states its cost per item and iterates ``chunks``.
+budget of ``CELL_BUDGET`` cells. A cell is one element of a temporary:
+a float64 or int64 value (8 bytes), one of the n values of a window row
+(at most 8 bytes), or one of its n int8 codes (1 byte). The budget thus
+bounds each slice by 1 MiB. Each chunked loop states its cost per item
+and iterates ``chunks``.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ def window_count(length: int, n: int, stride: int) -> int:
 
 
 def rank_codes(windows: np.ndarray) -> np.ndarray:
-    """Dense rank codes of windows along the last axis.
+    """Dense rank codes of windows along the last axis, as int8.
 
     The code of x_j is 1 plus the number of distinct window values below
     x_j, each value counted once, at its first position. Equal values
@@ -82,7 +89,7 @@ def rank_codes(windows: np.ndarray) -> np.ndarray:
                 if first is not None:
                     below &= first
                 counts[j] += below
-    codes = np.empty(windows.shape, dtype=np.int64)
+    codes = np.empty(windows.shape, dtype=np.int8)
     for j in range(n):
         codes[..., j] = counts[j]
     return codes
@@ -112,15 +119,15 @@ def permutation_index(windows: np.ndarray) -> np.ndarray:
 def encode_windows(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
     """Dense-rank every sliding window of ``values`` along its last axis.
 
-    For a 1-d series the result has shape (num_windows, n); row w holds
-    the rank codes of ``values[w*stride : w*stride + n]``. Leading axes of
-    ``values`` (a stack of equally long series) are kept.
+    For a 1-d series the result is an int8 array of shape (num_windows, n);
+    row w holds the rank codes of ``values[w*stride : w*stride + n]``.
+    Leading axes of ``values`` (a stack of equally long series) are kept.
     """
     check_pattern_length(n)
     values = np.asarray(values)
     num = window_count(values.shape[-1], n, stride)
     if num == 0:
-        return np.empty((*values.shape[:-1], 0, n), dtype=np.int64)
+        return np.empty((*values.shape[:-1], 0, n), dtype=np.int8)
     return rank_codes(sliding_windows(values, n, stride))
 
 
@@ -146,10 +153,25 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _narrow_pair(t_codes: np.ndarray, u_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two int8 code arrays as they are, any other pair as int64.
+
+    Codes lie in 1..n with n <= 15, so the difference of two int8 codes
+    and the gap between two such differences both fit in an int8.
+    """
+    t_codes, u_codes = np.asarray(t_codes), np.asarray(u_codes)
+    if t_codes.dtype == u_codes.dtype == np.int8:
+        return t_codes, u_codes
+    return t_codes.astype(np.int64, copy=False), u_codes.astype(np.int64, copy=False)
+
+
 def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
-    """Shift-minimized L1 distance of two (..., n) code arrays, broadcast over leading axes."""
-    t_codes = np.asarray(t_codes, dtype=np.int64)
-    u_codes = np.asarray(u_codes, dtype=np.int64)
+    """Shift-minimized L1 distance of two (..., n) code arrays, broadcast over leading axes.
+
+    Two int8 operands are subtracted in int8, any other pair in int64
+    (``_narrow_pair``); the distances are int64.
+    """
+    t_codes, u_codes = _narrow_pair(t_codes, u_codes)
     n = t_codes.shape[-1]
     # minimize sum |t - u + k| over integer k: a median of the integer
     # differences minimizes it, which leaves the top n//2 differences
@@ -158,7 +180,7 @@ def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
     diffs = [t_codes[..., j] - u_codes[..., j] for j in range(n)]
     for i, j in _sorting_network(n):
         diffs[i], diffs[j] = np.minimum(diffs[i], diffs[j]), np.maximum(diffs[i], diffs[j])
-    distance = np.zeros_like(diffs[0])
+    distance = np.zeros(diffs[0].shape, dtype=np.int64)
     for low, high in zip(diffs[: n // 2], diffs[n - n // 2 :]):
         distance += high - low
     return distance
@@ -167,11 +189,8 @@ def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
 def l1_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
     """Plain L1 distance of two (..., n) code arrays, broadcast over leading axes.
 
-    Two int8 operands, codes in 1..n, are subtracted in int8; any other
-    pair in int64. The distances are int64 either way.
+    Two int8 operands are subtracted in int8, any other pair in int64
+    (``_narrow_pair``); the distances are int64.
     """
-    t_codes, u_codes = np.asarray(t_codes), np.asarray(u_codes)
-    if not t_codes.dtype == u_codes.dtype == np.int8:
-        t_codes = t_codes.astype(np.int64, copy=False)
-        u_codes = u_codes.astype(np.int64, copy=False)
+    t_codes, u_codes = _narrow_pair(t_codes, u_codes)
     return np.abs(t_codes - u_codes).sum(axis=-1)

@@ -17,14 +17,16 @@ randomize / first-appearance) run the same pipeline through permutation
 patterns and the plain L1 metric.
 
 One estimator core serves every caller: it takes G equally long series
-as one (G, W, n) code stack, numbers the patterns of every series and
-of the negated series 1..G-1 with one ``patterns.pattern_index`` call,
-and estimates all G(G-1)/2 pairs from those dense ids; a single pair is
+as one (G, W, n) int8 code stack, numbers the patterns of every series
+and of the negated series 1..G-1 with one ``patterns.pattern_index``
+call, and estimates all G(G-1)/2 pairs from those dense ids; a single pair is
 the case G = 2. One bootstrap per call resamples the window blocks of
 all series together. Each pipeline picks one encoder and one distance
 kernel of ``_kernels``: tie-aware patterns are ``rank_codes`` compared by
 ``df_rows``; classical ones are ``permutation_index`` looked up in
-``patterns.permutation_table`` and compared by ``l1_rows``.
+``patterns.permutation_table`` and compared by ``l1_rows``. Codes stay
+int8 through the negation, the pattern keys (int64) and the distance
+kernels, whose distances are int64.
 """
 
 from __future__ import annotations
@@ -113,7 +115,11 @@ def _stacked_codes(series: Sequence[SeriesLike], n: int, stride: int) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def _negated_codes(codes: np.ndarray) -> np.ndarray:
-    """Codes of the negated windows: m + 1 - c, m the window's largest code."""
+    """Codes of the negated windows: m + 1 - c, m the window's largest code.
+
+    Keeps the dtype of ``codes``: int8 codes stay int8, since m + 1 is at
+    most 16.
+    """
     top = codes[..., 0]
     for j in range(1, codes.shape[-1]):  # column by column: n is small
         top = np.maximum(top, codes[..., j])
@@ -128,13 +134,13 @@ def _score_comparisons(
 ) -> np.ndarray:
     """(G, G) sums h_i^T S h_j, S the score table of the patterns the G series show.
 
-    S is built a slice of rows at a time, each row costing m * n cells
-    (m patterns). The built-in weights are dyadic and the counts integers,
-    so every partial sum is exact and the slicing does not change the
-    result.
+    S is built from int8 codes a slice of rows at a time, each row
+    costing m * n cells (m patterns). The built-in weights are dyadic and
+    the counts integers, so every partial sum is exact and the slicing
+    does not change the result.
     """
     seen = np.flatnonzero(hists.any(axis=0))
-    counts, codes = hists[:, seen].astype(np.float64), patterns[seen]
+    counts, codes = hists[:, seen].astype(np.float64), patterns[seen].astype(np.int8)
     total = np.zeros((hists.shape[0], hists.shape[0]))
     for part in _kernels.chunks(seen.shape[0], seen.shape[0] * codes.shape[1]):
         table = scheme.weights_for(distance(codes[part, None], codes[None]))
@@ -288,7 +294,8 @@ def standardized_coefficient(
 ) -> float:
     """Positive-part contrast of the monotone and anti-monotone sides.
 
-    ((p - q)/(1 - q))^+ - ((r - s)/(1 - s))^+ in [-1, 1]. A degenerate
+    ((p - q)/(1 - q))^+ - ((r - s)/(1 - s))^+ in [-1, 1], for four
+    probabilities in [0, 1]; any other input is a ValueError. A degenerate
     marginal (comparison value 1, so every window shows one single
     pattern) makes a term 0/0; that term is defined as 0 with a warning
     since excess dependence is indistinguishable there.
@@ -296,6 +303,8 @@ def standardized_coefficient(
     for name, value in zip(("p_hat", "q_hat", "r_hat", "s_hat"), (p_hat, q_hat, r_hat, s_hat)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
     _warn_degenerate(q_hat, s_hat)
     return float(_coefficients(p_hat, q_hat, r_hat, s_hat))
 

@@ -10,6 +10,7 @@ scoring a pair of patterns composes the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 from typing import Mapping, Sequence
 
@@ -81,6 +82,13 @@ class WeightScheme:
             table[d] = w
         return table
 
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """``lookup()`` with a 0 appended, built once per scheme and read-only."""
+        table = np.append(self.lookup(), 0.0)
+        table.flags.writeable = False
+        return table
+
     def weights_for(self, distances: np.ndarray) -> np.ndarray:
         """Vectorized weight of a non-negative integer distance array."""
         distances = np.asarray(distances)
@@ -93,7 +101,7 @@ class WeightScheme:
         if distances.min(initial=0) < 0:
             raise ValueError("distance must be non-negative")
         # distances past the table score 0, the weight appended at its end
-        table = np.append(self.lookup(), 0.0)
+        table = self._padded
         return table[np.minimum(distances, table.shape[0] - 1)]
 
 

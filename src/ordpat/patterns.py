@@ -262,14 +262,20 @@ def pattern_keys(codes: np.ndarray) -> np.ndarray:
     """Collapse rank-code rows (last axis) to scalar int64 keys (base n+1 digits).
 
     Keys preserve lexicographic order and are unique for fixed n, so they
-    can stand in for patterns in counting and grouping.
+    can stand in for patterns in counting and grouping. They are built by
+    Horner's rule one code column at a time. An int8 column is added as it
+    is and any other column cast to int64, so int8 codes are never widened
+    as a whole array.
     """
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
     n = codes.shape[-1]
     _kernels.check_pattern_length(n)
-    weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return codes @ weights
-
+    keys = np.zeros(codes.shape[:-1], dtype=np.int64)
+    for j in range(n):
+        keys *= n + 1
+        column = codes[..., j]
+        keys += column if column.dtype == np.int8 else column.astype(np.int64, copy=False)
+    return keys
 
 
 def pattern_codes(keys: np.ndarray, n: int) -> np.ndarray:

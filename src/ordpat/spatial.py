@@ -82,13 +82,13 @@ def flood_validate(matrix: ClassMatrix) -> None:
 
 
 def spatial_encode(matrix: ClassMatrix, gauge_subset: Sequence[str]) -> np.ndarray:
-    """(events, d) pattern codes, one row per event over the gauges in subset order."""
+    """(events, d) int64 pattern codes, one row per event over the gauges in subset order."""
     if len(gauge_subset) > MAX_ENUM_LENGTH:
         raise ValueError(f"gauge subset of size {len(gauge_subset)} exceeds the cap of {MAX_ENUM_LENGTH}")
     rows = matrix.subset_columns(gauge_subset)
     # every row is its own window: encode the flattened series with stride d
     num, d = rows.shape
-    return _kernels.encode_windows(rows.reshape(-1), d, d)[:num]
+    return _kernels.encode_windows(rows.reshape(-1), d, d)[:num].astype(np.int64)
 
 
 def pattern_frequencies(

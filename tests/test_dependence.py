@@ -123,6 +123,14 @@ class TestStandardizedCoefficient:
         with pytest.raises(ValueError, match=f"{name} must be finite, got nan"):
             standardized_coefficient(*values)
 
+    def test_probability_above_one_rejected(self):
+        with pytest.raises(ValueError, match=r"p_hat must lie in \[0, 1\], got 2.0"):
+            standardized_coefficient(2.0, 0.2, 0.1, 0.3)
+
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValueError, match=r"q_hat must lie in \[0, 1\], got -0.5"):
+            standardized_coefficient(0.5, -0.5, 0.1, 0.3)
+
     def test_degenerate_marginal_warns(self):
         with pytest.warns(NumericalWarning, match="degenerate"):
             value = standardized_coefficient(1.0, 1.0, 0.0, 0.5)
@@ -576,6 +584,19 @@ class TestIdCore:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_long_n4_estimates_keep_codes_narrow(self):
+        # one (2, W, 4) int64 code stack is 6.1 MiB and its negated copy 3 MiB
+        # more; int8 codes take an eighth of that
+        rng = np.random.default_rng(81)
+        x, y = rng.poisson(4.0, size=(2, 100_000))
+        tracemalloc.start()
+        try:
+            dependence_estimates(x, y, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestAnalyzePair:

@@ -3,8 +3,11 @@
 Each digest is the SHA-256 of an output on a seeded synthetic input: the
 ``pairwise`` CSVs, the ``spatial`` report CSV and table with and without
 ``--include-zero`` (the whole-table baseline), the ``benchmark`` tables,
-and the ``repr`` of n=6 point estimates on a 5,000-long 5-class pair,
-whose score table is built in many slices. The bootstrap-interval
+the ``repr`` of n=6 point estimates on a 5,000-long 5-class pair,
+whose score table is built in many slices, and the estimator core on
+a 20,000-long dependent 6-class pair (point estimates at n=3, 4, 5, 7,
+the score comparison value at n=5) and on ten 500-long pairs (the bytes
+of the per-window scores at n=4 and 6). The bootstrap-interval
 columns of ``pairwise`` (``comparison_ci_*`` and ``coefficient_ci_*``)
 have their own digest: they moved once, in a documented stream change,
 when all gauge pairs of a run began to share one moving-block bootstrap,
@@ -19,8 +22,9 @@ import io
 import numpy as np
 
 from ordpat.cli import main
-from ordpat.dependence import dependence_estimates
+from ordpat.dependence import _row_scores, dependence_estimates, score_comparison_value
 from ordpat.io import PAIR_COLUMNS, save_class_matrix
+from ordpat.metric import scheme_for_length
 from ordpat.spatial import ClassMatrix
 
 BOOTSTRAP_COLUMNS = (
@@ -52,6 +56,20 @@ GOLDEN = {
         "3804e28938dd072c34ec0f439ef6a9dad1735eeef10148a3c607341f3b4aef7a",
     "dependence_estimates n=6, length 5000":
         "9688e929992d5a3b27298ca4918f839187995b6469466e171d6871171939f63f",
+    "dependence_estimates n=3, length 20000":
+        "0ef2fb95e810949385deec3ba4b9fcf5aeccbeed81e864ece392c5f81a0d330d",
+    "dependence_estimates n=4, length 20000":
+        "fee3c04778a7bf67e7353a76d1202d9a19d94a25b40538ecd2a6a03bca587433",
+    "dependence_estimates n=5, length 20000":
+        "32ce14539be636526b17f33f8dc42bb5399e28bef16d7db2eb747c6bcde1e024",
+    "dependence_estimates n=7, length 20000":
+        "b06859e74392755feea8690362acd4fc99dd2cfe364f6b7629d805695c6e417d",
+    "score_comparison_value n=5, length 20000":
+        "8cc17a6e1c42b93a1b49387fd6a7de3e084113dda89b7410109cc5f8762947d5",
+    "_row_scores n=4, 10 pairs of length 500":
+        "afec0f37e4f1e44c517fd9e930c05efd837440cc3c07051a70fb9a2d9a86bb38",
+    "_row_scores n=6, 10 pairs of length 500":
+        "7a48775492e811b1a00b3257c3254c2b4295cdae0dd7b43ceac285cbc515e0a5",
 }
 
 
@@ -114,7 +132,30 @@ def output_digests(tmp_path, capsys) -> dict:
     digests["dependence_estimates n=6, length 5000"] = _sha(
         repr(dependence_estimates(x, y, 6)).encode()
     )
+    x, y = class_pair()
+    for n in (3, 4, 5, 7):
+        digests[f"dependence_estimates n={n}, length 20000"] = _sha(
+            repr(dependence_estimates(x, y, n)).encode()
+        )
+    digests["score_comparison_value n=5, length 20000"] = _sha(
+        repr(score_comparison_value(x, y, 5)).encode()
+    )
+    xs, ys = np.random.default_rng(8).integers(0, 5, size=(2, 10, 500))
+    for n in (4, 6):
+        digests[f"_row_scores n={n}, 10 pairs of length 500"] = _sha(
+            _row_scores(xs, ys, n, 1, scheme_for_length(n)).tobytes()
+        )
     return digests
+
+
+def class_pair(length=20000, seed=14) -> tuple[np.ndarray, np.ndarray]:
+    """Two gauges that each move off a persistent 6-class basin signal by one class."""
+    rng = np.random.default_rng(seed)
+    moves = rng.choice([-1, 0, 1], p=[0.25, 0.5, 0.25], size=length)
+    base = np.abs((np.cumsum(moves) + 5) % 10 - 5) - 1
+    bumps = rng.choice([-1, 0, 1], p=[0.15, 0.7, 0.15], size=(2, length))
+    x, y = np.clip(base + bumps, -1, 4)
+    return x, y
 
 
 def test_outputs_match_golden_digests(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import oracle_encode, oracle_shift_min_l1, oracle_windows
 from ordpat import _kernels
+from ordpat.dependence import _negated_codes
 from ordpat.patterns import pattern_keys
 
 
@@ -110,6 +111,44 @@ def test_stacked_series_encode_row_by_row():
 
 def test_too_short_series_has_no_windows():
     assert _kernels.encode_windows(np.arange(3), 4, 1).shape == (0, 4)
+
+
+def test_codes_are_int8_for_series_stacks_and_empty_input():
+    rng = np.random.default_rng(4)
+    assert _kernels.encode_windows(rng.integers(0, 5, size=50), 4).dtype == np.int8
+    assert _kernels.encode_windows(rng.normal(size=(3, 50)), 6, 2).dtype == np.int8
+    assert _kernels.encode_windows(np.arange(3), 4).dtype == np.int8
+    assert _kernels.encode_windows(np.zeros((2, 3)), 4).dtype == np.int8
+
+
+def _extreme_and_random_rows(n, rng):
+    """Ascending, descending, all-1 and all-n code rows, then random ones, all in 1..n."""
+    fixed = [np.arange(1, n + 1), np.arange(n, 0, -1), np.ones(n), np.full(n, n)]
+    return np.concatenate([np.array(fixed), rng.integers(1, n + 1, size=(60, n))]).astype(np.int8)
+
+
+@pytest.mark.parametrize("kernel", [_kernels.df_rows, _kernels.l1_rows])
+@pytest.mark.parametrize("n", range(1, 16))
+def test_int8_distances_equal_the_int64_path(kernel, n):
+    rows = _extreme_and_random_rows(n, np.random.default_rng(500 + n))
+    wide = rows.astype(np.int64)
+    got = kernel(rows[:, None], rows[None])
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, kernel(wide[:, None], wide[None]))
+    # one int8 operand is not enough for the int8 path; the distances agree either way
+    np.testing.assert_array_equal(kernel(rows[:, None], wide[None]), got)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_negated_codes_stay_int8(n):
+    rng = np.random.default_rng(600 + n)
+    codes = _kernels.encode_windows(rng.integers(0, n + 2, size=(2, 120)), n)
+    negated = _negated_codes(codes)
+    assert negated.dtype == np.int8
+    wide = codes.astype(np.int64)
+    reference = wide.max(axis=-1, keepdims=True) + 1 - wide
+    np.testing.assert_array_equal(negated, reference)
+    np.testing.assert_array_equal(_negated_codes(wide), reference)
 
 
 def test_pattern_length_limit_guards_key_overflow():

@@ -325,6 +325,18 @@ class TestPatternKeys:
         assert decoded.dtype == np.int64
         np.testing.assert_array_equal(decoded, codes)
 
+    @pytest.mark.parametrize("n", [1, 3, 6, 8, 15])
+    def test_keys_do_not_depend_on_the_code_dtype(self, n):
+        # a (2, 51, n) stack whose last rows are the largest pattern, n..1
+        rng = np.random.default_rng(40 + n)
+        codes = rng.integers(1, n + 1, size=(2, 51, n))
+        codes[:, -1] = np.arange(n, 0, -1)
+        reference = codes @ (n + 1) ** np.arange(n - 1, -1, -1)
+        for dtype in (np.int64, np.int8, np.float64):
+            keys = pattern_keys(codes.astype(dtype))
+            assert keys.dtype == np.int64
+            np.testing.assert_array_equal(keys, reference)
+
 
 class TestPatternIndex:
     @pytest.mark.parametrize("budget", [None, 0])  # lookup path up to n = 6, sort path
