@@ -19,21 +19,23 @@ patterns and the plain L1 metric.
 One estimator core serves every caller: it takes G equally long series
 as one (G, W, n) int8 code stack, numbers the patterns of every series
 and of the negated series 1..G-1 with one ``patterns.pattern_index``
-call, and estimates all G(G-1)/2 pairs from those dense ids; a single pair is
-the case G = 2. One bootstrap per call resamples the window blocks of
-all series together. Each pipeline picks one encoder and one distance
-kernel of ``_kernels``: tie-aware patterns are ``rank_codes`` compared by
-``df_rows``; classical ones are ``permutation_index`` looked up in
-``patterns.permutation_table`` and compared by ``l1_rows``. Codes stay
-int8 through the negation, the pattern keys (int64) and the distance
-kernels, whose distances are int64.
+call, and estimates all G(G-1)/2 pairs from those dense ids in one pass per
+statistic (``_pair_terms`` also serves each bootstrap replicate, and one
+stacked long-run variance every pair); a single pair is the case G = 2.
+One bootstrap per call resamples the window blocks of all series together.
+Each pipeline picks one encoder and one distance kernel of ``_kernels``:
+tie-aware patterns are ``rank_codes`` compared by ``df_rows``; classical
+ones are ``permutation_index`` looked up in ``patterns.permutation_table``
+and compared by ``l1_rows``. Codes stay int8 through the negation, the
+pattern keys (int64) and the distance kernels, whose distances are int64.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import combinations
 from statistics import NormalDist
 from typing import Callable, Optional, Sequence, Union
 
@@ -157,6 +159,24 @@ def _warn_degenerate(q_hat: float, s_hat: float, prefix: str = "", stacklevel: i
         warnings.warn(message, NumericalWarning, stacklevel=stacklevel)
 
 
+def _pair_terms(
+    hists: np.ndarray, rates: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """p̂, q̂, r̂, ŝ and the coefficient of the pairs (first, second), each (R, K), for core and bootstrap.
+
+    Takes R stacks of (2G - 1, m) histograms (G series, then the negated
+    series 1..G-1, each summing to W) and the (R, 2K) coincidence rates
+    (x_i = x_j, then x_i = -x_j). Every term is an integer count over W or
+    W², so any summation order is exact.
+    """
+    gauges = (hists.shape[1] + 1) // 2
+    pairs = hists[0, 0].sum() ** 2
+    p_hat, r_hat = rates[:, : first.shape[0]], rates[:, first.shape[0] :]
+    q_hat = (hists[:, :gauges] @ hists[:, :gauges].transpose(0, 2, 1))[:, first, second] / pairs
+    s_hat = (hists[:, :gauges] @ hists[:, gauges:].transpose(0, 2, 1))[:, first, second - 1] / pairs
+    return p_hat, q_hat, r_hat, s_hat, _coefficients(p_hat, q_hat, r_hat, s_hat)
+
+
 def _estimates_from_codes(
     codes: np.ndarray,
     neg_codes: np.ndarray,
@@ -170,8 +190,8 @@ def _estimates_from_codes(
     ``neg_codes`` holds the codes of the negated series 1..G-1 (series 0
     is never the y of a pair). Coincidences come from id equality,
     comparison values from the histogram products H H^T and H H_-^T,
-    score comparisons from H S H^T and per-window scores from the aligned
-    distance kernel. A degenerate pair warns, named by its ``labels``.
+    score comparisons from H S H^T, per-window scores from one aligned
+    distance call per slice of pairs. A degenerate pair warns by ``labels``.
     Returns the estimates of the K pairs in row-major order; their (2K, W)
     coincidences x_i = x_j, then x_i = -x_j, per window; their (K, W)
     per-window scores; the (2G - 1, W) ids; and the symmetric (G, G)
@@ -183,23 +203,17 @@ def _estimates_from_codes(
     ids, hists = np.stack(ids), np.stack(hists)
     first, second = np.triu_indices(gauges, 1)
     same = np.concatenate([ids[first] == ids[second], ids[first] == ids[gauges + second - 1]])
-    pairs = num_windows * num_windows
-    p_hat, r_hat = np.count_nonzero(same, axis=1).reshape(2, -1) / num_windows
-    q_hat = (hists[:gauges] @ hists[:gauges].T)[first, second] / pairs
-    s_hat = (hists[:gauges] @ hists[gauges:].T)[first, second - 1] / pairs
-    coefficients = _coefficients(p_hat, q_hat, r_hat, s_hat)
-    upper = np.triu(_score_comparisons(hists[:gauges], patterns, scheme, distance)) / pairs
+    rates = np.count_nonzero(same, axis=1)[None] / num_windows
+    terms = [t[0] for t in _pair_terms(hists[None], rates, first, second)]
+    for k in (np.maximum(terms[1], terms[3]) >= 1.0).nonzero()[0].tolist():  # q̂ or ŝ is 1
+        _warn_degenerate(terms[1][k], terms[3][k], f"{labels[first[k]]}|{labels[second[k]]}: ", 4)
+    upper = np.triu(_score_comparisons(hists[:gauges], patterns, scheme, distance)) / num_windows**2
     comparisons = upper + np.triu(upper, 1).T
     scores = np.empty((first.shape[0], num_windows))
-    estimates = []
-    for k, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
-        _warn_degenerate(q_hat[k], s_hat[k], f"{labels[i]}|{labels[j]}: ", stacklevel=4)
-        scores[k] = scheme.weights_for(distance(codes[i], codes[j]))
-        estimates.append(DependenceEstimates(
-            float(p_hat[k]), float(q_hat[k]), float(r_hat[k]), float(s_hat[k]),
-            float(coefficients[k]), float(scores[k].sum() / num_windows),
-            float(comparisons[i, j]), n, stride, num_windows,
-        ))
+    for part in _kernels.chunks(first.shape[0], 2 * n * num_windows):
+        scores[part] = scheme.weights_for(distance(codes[first[part]], codes[second[part]]))
+    columns = (*terms, scores.sum(axis=1) / num_windows, comparisons[first, second])
+    estimates = [DependenceEstimates(*v, n, stride, num_windows) for v in zip(*(c.tolist() for c in columns))]
     return estimates, same, scores, ids, comparisons
 
 
@@ -486,6 +500,45 @@ def default_bandwidth(count: int) -> int:
     return int(math.ceil(count ** (1.0 / 3.0)))
 
 
+def _long_run_variances(
+    rows: np.ndarray, kernel: str, bandwidth: Optional[float], name: Callable[[int], str] = lambda k: ""
+) -> tuple[np.ndarray, float]:
+    """``long_run_variance`` of every sequence along the last axis of ``rows``, and the bandwidth.
+
+    Each row takes one dot product per lag, the same in any stack; a warning starts ``name(row)``.
+    """
+    count = rows.shape[-1]
+    if count < 2:
+        raise ValueError("need a 1-d sequence of length >= 2")
+    check_finite(rows, "sequence")
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; known: {sorted(KERNELS)}")
+    if bandwidth is None:
+        bandwidth = default_bandwidth(count)
+    if not math.isfinite(bandwidth):
+        raise ValueError(f"bandwidth must be finite, got {bandwidth}")
+    if bandwidth < 1:
+        raise ValueError("bandwidth must be >= 1")
+    stack = rows.reshape(-1, count)
+    max_lag = min(count - 1, int(math.floor(bandwidth)))
+    kernel_weights = KERNELS[kernel](np.arange(max_lag + 1) / bandwidth)
+    sigma2 = np.empty(stack.shape[0])
+    for part in _kernels.chunks(stack.shape[0], 2 * count):  # a float and a centered copy
+        block = stack[part].astype(np.float64, copy=False)
+        centered = block - block.sum(axis=1, keepdims=True) / count
+        acov = np.empty((block.shape[0], max_lag + 1, 1, 1))
+        for lag in range(max_lag + 1):
+            np.matmul(centered[:, None, : count - lag], centered[:, lag:, None], out=acov[:, lag])
+        weighted = acov.reshape(block.shape[0], -1) / count * kernel_weights
+        sigma2[part] = weighted[:, 0] + 2.0 * weighted[:, 1:].sum(axis=1)
+        sigma2[part][(block == block[:, :1]).all(axis=1)] = 0.0  # constant rows
+    for row in np.flatnonzero(sigma2 < 0.0).tolist():
+        message = f"{name(row)}long-run variance estimate {sigma2[row]:.3e} is negative; truncated to 0"
+        warnings.warn(message, NumericalWarning, stacklevel=3)
+        sigma2[row] = 0.0
+    return sigma2.reshape(rows.shape[:-1]), float(bandwidth)
+
+
 def long_run_variance(
     sequence: np.ndarray,
     kernel: str = "bartlett",
@@ -499,37 +552,10 @@ def long_run_variance(
     are truncated to 0 with a warning.
     """
     seq = np.asarray(sequence, dtype=np.float64)
-    if seq.ndim != 1 or seq.shape[0] < 2:
+    if seq.ndim != 1:
         raise ValueError("need a 1-d sequence of length >= 2")
-    check_finite(seq, "sequence")
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; known: {sorted(KERNELS)}")
-    count = seq.shape[0]
-    if bandwidth is None:
-        bandwidth = default_bandwidth(count)
-    if not math.isfinite(bandwidth):
-        raise ValueError(f"bandwidth must be finite, got {bandwidth}")
-    if bandwidth < 1:
-        raise ValueError("bandwidth must be >= 1")
-
-    if np.all(seq == seq[0]):
-        return VarianceEstimate(sigma2=0.0, kernel=kernel, bandwidth=float(bandwidth))
-    centered = seq - seq.mean()
-    max_lag = min(count - 1, int(math.floor(bandwidth)))
-    lags = np.arange(max_lag + 1)
-    kernel_weights = KERNELS[kernel](lags / bandwidth)
-    acov = np.array(
-        [centered[: count - lag] @ centered[lag:] / count for lag in lags]
-    )
-    sigma2 = float(acov[0] * kernel_weights[0] + 2.0 * (kernel_weights[1:] * acov[1:]).sum())
-    if sigma2 < 0.0:
-        warnings.warn(
-            f"long-run variance estimate {sigma2:.3e} is negative; truncated to 0",
-            NumericalWarning,
-            stacklevel=2,
-        )
-        sigma2 = 0.0
-    return VarianceEstimate(sigma2=sigma2, kernel=kernel, bandwidth=float(bandwidth))
+    sigma2, bandwidth = _long_run_variances(seq, kernel, bandwidth)
+    return VarianceEstimate(sigma2=float(sigma2), kernel=kernel, bandwidth=bandwidth)
 
 
 def confidence_interval(
@@ -584,8 +610,9 @@ def block_bootstrap_ci(
     pair gets the intervals a run on that pair alone gives at the same
     seed. A replicate is a vector of window multiplicities (+1 at each
     block start, -1 past each block end, accumulated; the last block is
-    cut to fill W windows); its histograms are weighted bincounts and its
-    pair statistics batched matrix products. Returns (comparison_ci,
+    cut to fill W windows); its histograms are weighted bincounts, and one
+    ``_pair_terms`` call per chunk of replicates gives every pair's
+    statistics with the point estimates' formulas. Returns (comparison_ci,
     coefficient_ci), (K, 2) arrays over the pairs i < j in row-major order.
     """
     if not 0.0 < level < 1.0:
@@ -607,9 +634,7 @@ def block_bootstrap_ci(
     first, second = np.triu_indices(gauges, 1)
     same = same.astype(np.float64)
     size = 1 + int(ids.max())
-    pairs = num_windows * num_windows
-    comparison = np.empty((replicates, first.shape[0]))
-    coefficient = np.empty((replicates, first.shape[0]))
+    comparison, coefficient = np.empty((2, replicates, first.shape[0]))
     # a replicate's cells: window multiplicities, histograms, pair statistics
     for part in _kernels.chunks(replicates, num_windows + arrays * size + 3 * gauges * gauges):
         rows = starts[part]
@@ -628,14 +653,8 @@ def block_bootstrap_ci(
             hists[:, a] = np.bincount(
                 (array_ids + id_offsets).ravel(), weights.ravel(), count * size
             ).reshape(count, size)
-        gauge_hists = hists[:, :gauges]
-        coincidences = weights @ same.T / num_windows
-        comparison[part] = (gauge_hists @ gauge_hists.transpose(0, 2, 1))[:, first, second] / pairs
-        anti = (gauge_hists @ hists[:, gauges:].transpose(0, 2, 1))[:, first, second - 1] / pairs
-        coefficient[part] = _coefficients(
-            coincidences[:, : first.shape[0]], comparison[part],
-            coincidences[:, first.shape[0] :], anti,
-        )
+        rates = weights @ same.T / num_windows
+        _, comparison[part], _, _, coefficient[part] = _pair_terms(hists, rates, first, second)
     alpha = 1.0 - level
     quantiles = [alpha / 2.0, 1.0 - alpha / 2.0]
     return (
@@ -671,30 +690,30 @@ def _analyze_pairs(
     """Reports for every pair i < j of equally long labelled series, and their score comparisons.
 
     One encode and one core call estimate all pairs, one bootstrap covers
-    them all, and each pair's long-run variances come from its per-window
-    sequences. Returns the reports in row-major pair order and the
-    symmetric (G, G) score comparison matrix, diagonal included.
+    them all, and so does one stacked long-run variance per statistic,
+    whose warnings name pair and statistic. Returns the reports in row-major
+    pair order and the symmetric (G, G) score comparisons, diagonal included.
     """
     codes = _stacked_codes(series, n, stride)
     estimates, same, scores, ids, comparisons = _estimates_from_codes(
         codes, _negated_codes(codes[1:]), scheme, stride, _kernels.df_rows, labels
     )
-
-    def with_ci(var: VarianceEstimate, point: float) -> VarianceEstimate:
-        low, high = confidence_interval(point, var.sigma2, codes.shape[1], level)
-        return replace(var, ci_low=low, ci_high=high, level=level)
-
     q_ci, c_ci = block_bootstrap_ci(ids, same, block, replicates, level, seed)
-    first, second = np.triu_indices(len(labels), 1)
-    reports = []
-    for k, (i, j, est) in enumerate(zip(first.tolist(), second.tolist(), estimates)):
-        var_p = with_ci(long_run_variance(same[k], kernel, bandwidth), est.coincidence)
-        var_s = with_ci(long_run_variance(scores[k], kernel, bandwidth), est.total_score)
-        reports.append(DependenceReport(
-            labels[i], labels[j], scheme.name, est, var_p, var_s,
-            tuple(q_ci[k].tolist()), tuple(c_ci[k].tolist()), level,
-        ))
-    return reports, comparisons
+    pairs = list(combinations(labels, 2))  # row-major, as the core's pairs i < j
+    variances = []
+    for what, field, rows in (("coincidence", "coincidence", same), ("score", "total_score", scores)):
+        sigma2, used = _long_run_variances(
+            rows[: len(pairs)], kernel, bandwidth, lambda k: "{}|{} {}: ".format(*pairs[k], what)
+        )
+        variances.append([
+            VarianceEstimate(s2, kernel, used, *confidence_interval(
+                getattr(est, field), s2, codes.shape[1], level), level)
+            for s2, est in zip(sigma2.tolist(), estimates)
+        ])
+    return [
+        DependenceReport(*pair, scheme.name, est, var_p, var_s, tuple(q), tuple(c), level)
+        for pair, est, var_p, var_s, q, c in zip(pairs, estimates, *variances, q_ci.tolist(), c_ci.tolist())
+    ], comparisons
 
 
 def analyze_pair(

@@ -54,7 +54,7 @@ class WeightScheme:
     """
 
     name: str
-    mapping: Mapping[int, float] = field(repr=False)
+    mapping: Mapping[int, float] = field(repr=False, hash=False)  # hashed by name alone
 
     def __post_init__(self) -> None:
         for d in self.mapping:

@@ -50,12 +50,13 @@ def encode_pattern(window: Sequence[float]) -> Pattern:
 
 
 def check_finite(values: np.ndarray, what: str = "series") -> None:
-    """Raise ValueError naming the first NaN or infinite entry of ``values``."""
+    """Raise ValueError naming the first NaN or infinite entry of ``values`` (an index tuple if N-d)."""
     if values.dtype.kind in "fc":
         bad = ~np.isfinite(values)
         if bad.any():
-            index = int(np.argmax(bad))
-            raise ValueError(f"{what} value at index {index} is not finite ({values[index]})")
+            index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), values.shape))
+            where = index[0] if len(index) == 1 else index
+            raise ValueError(f"{what} value at index {where} is not finite ({values[index]})")
 
 
 def valid_rows(codes: np.ndarray) -> np.ndarray:

@@ -36,7 +36,9 @@ from ordpat.dependence import (
 from ordpat.exceptions import NumericalWarning
 from ordpat.io import AnalysisConfig
 from ordpat.metric import CLASSICAL_SHORT, EXACT, GENERALIZED_SHORT, scheme_for_length
-from ordpat.patterns import TiePolicy, encode_pattern, permutation_table, randomize_values
+from ordpat.patterns import (
+    TiePolicy, encode_pattern, pattern_index, permutation_table, randomize_values,
+)
 from ordpat.spatial import ClassMatrix
 
 
@@ -293,6 +295,19 @@ class TestInvariances:
             assert est.total_score >= est.coincidence
 
 
+def dot_product_long_run_variance(seq, kernel, bandwidth):
+    """The 1-d estimator lag by lag: one 1-d dot product of the centered sequence per lag."""
+    count = seq.shape[0]
+    bandwidth = bandwidth or default_bandwidth(count)
+    if np.all(seq == seq[0]):
+        return 0.0
+    centered = seq - seq.mean()
+    lags = np.arange(min(count - 1, int(bandwidth)) + 1)
+    weights = dependence.KERNELS[kernel](lags / bandwidth)
+    acov = np.array([centered[: count - lag] @ centered[lag:] / count for lag in lags])
+    return max(float(acov[0] * weights[0] + 2.0 * (weights[1:] * acov[1:]).sum()), 0.0)
+
+
 class TestLongRunVariance:
     def test_matches_literal_double_sum(self):
         def parzen(u):
@@ -341,9 +356,40 @@ class TestLongRunVariance:
         # the truncated kernel is not positive semi-definite; alternating
         # signs drive the lag-1 term below -gamma(0)
         values = np.array([1.0, -1.0] * 30)
-        with pytest.warns(NumericalWarning, match="negative"):
+        message = r"^long-run variance estimate -9\.667e-01 is negative; truncated to 0$"
+        with pytest.warns(NumericalWarning, match=message):
             est = long_run_variance(values, kernel="truncated", bandwidth=1)
         assert est.sigma2 == 0.0
+
+    @pytest.mark.parametrize("kernel", sorted(dependence.KERNELS))
+    @pytest.mark.parametrize("bandwidth", [None, 1, 2.5, "past W"])
+    @pytest.mark.parametrize("length", [2, 37])
+    def test_stack_matches_one_row_calls(self, kernel, bandwidth, length, monkeypatch):
+        # three rows a chunk, so chunk boundaries fall inside the stack
+        monkeypatch.setattr(_kernels, "CELL_BUDGET", 3 * 2 * length)
+        if bandwidth == "past W":
+            bandwidth = length + 3
+        rng = np.random.default_rng(20 + length)
+        rows = np.concatenate([
+            (rng.random((4, length)) < 0.4).astype(np.float64),  # coincidence indicators
+            rng.integers(0, 5, size=(3, length)) / 4,  # dyadic scores
+            rng.normal(size=(4, length)),
+            np.full((2, length), 0.3),  # constant rows
+            np.array([1.0, -1.0] * length)[None, :length],  # negative under "truncated"
+        ])
+        with warnings.catch_warnings(record=True) as stacked:
+            warnings.simplefilter("always")
+            sigma2, used = dependence._long_run_variances(rows, kernel, bandwidth)
+            nested, _ = dependence._long_run_variances(rows.reshape(2, 7, length), kernel, bandwidth)
+        with warnings.catch_warnings(record=True) as single:
+            warnings.simplefilter("always")
+            expected = [long_run_variance(row, kernel, bandwidth) for row in rows]
+        assert sigma2.tobytes() == np.array([e.sigma2 for e in expected]).tobytes()
+        reference = [dot_product_long_run_variance(row, kernel, bandwidth) for row in rows]
+        assert sigma2.tobytes() == np.array(reference).tobytes()
+        assert {used} == {e.bandwidth for e in expected}
+        assert [str(w.message) for w in stacked] == 2 * [str(w.message) for w in single]
+        assert nested.shape == (2, 7) and nested.tobytes() == sigma2.tobytes()
 
     def test_degenerate_input_rejected(self):
         with pytest.raises(ValueError):
@@ -555,7 +601,8 @@ class TestIdCore:
             assert got.score_comparison == score_comparison
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
-    @pytest.mark.parametrize("cells", [None, 3, 4096])
+    # 1: one pair per distance call
+    @pytest.mark.parametrize("cells", [None, 1, 3, 4096])
     def test_window_scores_equal_row_kernel(self, n, cells, monkeypatch):
         if cells is not None:
             monkeypatch.setattr(_kernels, "CELL_BUDGET", cells)
@@ -571,6 +618,36 @@ class TestIdCore:
         assert scores.dtype == expected.dtype
         assert scores.tobytes() == expected.tobytes()
         assert total_score(x, y, n)[1].tobytes() == expected.tobytes()
+        # G = 4: every pair of the stack gets the scores of its own kernel call
+        codes = encode_windows(np.stack([x, y, rng.integers(0, 5, size=400), (x + y) % 5]), n)
+        _, _, scores, _, _ = dependence._estimates_from_codes(
+            codes, dependence._negated_codes(codes[1:]), scheme, 1, df_rows, "abcd"
+        )
+        pairs = zip(*np.triu_indices(4, 1))
+        expected = np.stack([scheme.weights_for(df_rows(codes[i], codes[j])) for i, j in pairs])
+        assert scores.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_pair_terms_are_the_estimates(self, dtype):
+        # unit multiplicities: the bootstrap's formulas on the original windows
+        rng = np.random.default_rng(85)
+        base = rng.integers(0, 4, size=90)
+        series = [np.clip(base + rng.integers(-1, 2, size=90), 0, 4) for _ in range(5)]
+        codes = encode_windows(np.stack(series), 4)
+        ids, hists, _ = pattern_index(*codes, *dependence._negated_codes(codes[1:]))
+        ids, hists = np.stack(ids), np.stack(hists).astype(dtype)
+        first, second = np.triu_indices(5, 1)
+        same = np.concatenate([ids[first] == ids[second], ids[first] == ids[5 + second - 1]])
+        num_windows = codes.shape[1]
+        rates = np.ones((1, num_windows), dtype) @ same.T.astype(dtype) / num_windows
+        terms = dependence._pair_terms(hists[None], rates, first, second)
+        assert {t.shape for t in terms} == {(1, 10)}
+        for k, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
+            est = dependence_estimates(series[i], series[j], 4)
+            assert [float(t[0, k]) for t in terms] == [
+                est.coincidence, est.comparison, est.anti_coincidence, est.anti_comparison,
+                est.coefficient,
+            ]
 
     def test_long_n6_estimates_stay_under_memory_budget(self):
         # the whole 3962 x 3960 float64 score table alone would take ~125 MB

@@ -295,6 +295,24 @@ class TestCli:
         assert main(["--strict", *args]) == 3
         assert "escalated (--strict)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "seed,statistic,value", [(9, "coincidence", "-2.103e-02"), (28, "score", "-6.962e-03")]
+    )
+    def test_negative_variances_named_in_warnings(self, tmp_path, capsys, seed, statistic, value):
+        # the truncated kernel is not positive semi-definite
+        data = tmp_path / "classes.csv"
+        save_class_matrix(synthetic_matrix(rows=40, gauges=3, seed=seed), data)
+        args = ["pairwise", "--data", str(data), "--n", "3", "--kernel", "truncated",
+                "--bandwidth", "3", "--replicates", "20"]
+        assert main(args) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        assert warned == [
+            f"ordpat: warning: g0|g2 {statistic}: long-run variance estimate {value} is negative; "
+            "truncated to 0"
+        ]
+        assert main(["--strict", *args]) == 3
+        assert "escalated (--strict)" in capsys.readouterr().err
+
     def test_closed_pipe_exits_quietly(self, monkeypatch, capsys):
         class ClosedPipe(io.StringIO):
             def write(self, text):

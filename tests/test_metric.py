@@ -1,5 +1,6 @@
 """Distance metric, weight schemes, and the similarity score."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from ordpat.metric import (
     EXACT,
     GENERALIZED_LONG,
     GENERALIZED_SHORT,
+    SCHEMES,
     WeightScheme,
     get_scheme,
     l1_distance,
@@ -154,6 +156,20 @@ class TestWeightSchemes:
         custom = WeightScheme("halved", {0: 1.0, 1: 0.9, 4: 0.1})
         assert custom.weight(4) == 0.1
         assert custom.weight(2) == 0.0
+
+    def test_schemes_hash_by_name(self):
+        for scheme in SCHEMES.values():
+            assert hash(scheme) == hash(WeightScheme(scheme.name, dict(scheme.mapping)))
+        a, b = WeightScheme("steps", {0: 1.0, 2: 0.5}), WeightScheme("steps", {0: 1.0, 2: 0.5})
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "first", b: "second"} == {a: "second"}
+
+        @functools.lru_cache(maxsize=None)
+        def second_weight(scheme):
+            return scheme.weight(2)
+
+        assert second_weight(a) == second_weight(b) == 0.5
+        assert second_weight.cache_info().hits == 1
 
     def test_selection_by_length(self):
         assert scheme_for_length(4) is GENERALIZED_SHORT

@@ -10,6 +10,7 @@ from ordpat import _kernels
 from ordpat._kernels import permutation_index, sliding_windows
 from ordpat.patterns import (
     TiePolicy,
+    check_finite,
     check_patterns,
     descending_permutations,
     encode_pattern,
@@ -63,6 +64,20 @@ class TestEncodePattern:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="empty window"):
             encode_pattern(())
+
+    def test_non_finite_index_in_a_series(self):
+        with pytest.raises(ValueError) as caught:
+            check_finite(np.array([1.0, 2.0, 4.0, np.nan, np.inf]), "sequence")
+        assert str(caught.value) == "sequence value at index 3 is not finite (nan)"
+
+    def test_non_finite_position_in_a_stack(self):
+        with pytest.raises(ValueError, match=r"^series value at index \(1, 1\) is not finite \(nan\)$"):
+            check_finite(np.array([[1, 2, 4, 5], [1, np.nan, 3, 1]]))
+        stack = np.zeros((2, 3, 4))
+        stack[1, 2, 0] = stack[1, 2, 3] = -np.inf
+        with pytest.raises(ValueError, match=r"index \(1, 2, 0\) is not finite \(-inf\)"):
+            check_finite(stack)
+        check_finite(np.zeros((3, 4)))
 
     def test_matches_oracle_on_random_windows(self):
         rng = np.random.default_rng(42)
