@@ -20,17 +20,26 @@ operands are subtracted in int8 (``_narrow_pair``); the distances are
 int64.
 
 Every temporary that grows with the input is built in slices under one
-budget of ``CELL_BUDGET`` cells. A cell is one element of a temporary:
-a float64 or int64 value (8 bytes), one of the n values of a window row
-(at most 8 bytes), or one of its n int8 codes (1 byte). The budget thus
-bounds each slice by 1 MiB. Each chunked loop states its cost per item
-and iterates ``chunks``.
+budget of ``CELL_BUDGET`` cells. A cell is 8 bytes, one float64 or int64
+value; a slice is charged the real bytes of its temporaries, so an int8
+code or a bool is 1/8 of a cell and a float32 half of one. The budget
+thus bounds each slice by 1 MiB. Each chunked loop states its cost per
+item and iterates ``chunks``; a loop over a grid of rows by windows (the
+pairs or replicates of a long series pair) iterates ``blocks``, which
+keeps whole rows together while one fits and cuts a longer row into
+window slices. Sliced by window: the rank codes of ``encode_windows``,
+the pattern keys of ``patterns.pattern_index``, and the coincidences,
+per-window scores and bootstrap multiplicities of ``dependence``. Only
+the arrays those statistics read span every window: the int8 code
+stack, one int64 id array, the bool coincidences and the float64
+scores.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,10 +51,28 @@ MAX_PATTERN_LENGTH = 15
 CELL_BUDGET = 1 << 17
 
 
-def chunks(count: int, cells_per_item: int) -> Iterator[slice]:
-    """Consecutive slices of range(count): each at least one item, at most CELL_BUDGET cells."""
-    step = max(1, CELL_BUDGET // max(1, cells_per_item))
+def chunks(count: int, cells_per_item: float) -> Iterator[slice]:
+    """Consecutive slices of range(count): each at least one item, at most CELL_BUDGET cells.
+
+    An item costs at least one byte (1/8 of a cell).
+    """
+    step = max(1, int(CELL_BUDGET // max(cells_per_item, 1 / 8)))
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
+def blocks(
+    rows: int, width: int, cells_per_cell: float, cells_per_row: float = 0.0
+) -> Iterator[tuple[slice, slice]]:
+    """(row slice, column slice) blocks of a rows x width grid, row-major, each under CELL_BUDGET.
+
+    A row costs ``width * cells_per_cell + cells_per_row`` cells. Whole
+    rows go together while one row fits the budget; a longer row goes
+    alone, cut into column slices, so a row's last block ends at ``width``.
+    """
+    row_cells = width * cells_per_cell + cells_per_row
+    if row_cells <= CELL_BUDGET:
+        return ((part, slice(0, width)) for part in chunks(rows, row_cells))
+    return ((slice(r, r + 1), part) for r in range(rows) for part in chunks(width, cells_per_cell))
 
 
 def check_pattern_length(n: int) -> None:
@@ -116,19 +143,28 @@ def permutation_index(windows: np.ndarray) -> np.ndarray:
     return index
 
 
-def encode_windows(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
+def encode_windows(
+    values: np.ndarray, n: int, stride: int = 1, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Dense-rank every sliding window of ``values`` along its last axis.
 
     For a 1-d series the result is an int8 array of shape (num_windows, n);
     row w holds the rank codes of ``values[w*stride : w*stride + n]``.
     Leading axes of ``values`` (a stack of equally long series) are kept.
+    The codes are built a slice of windows at a time, into ``out`` when
+    given (an int8 array of the result's shape).
     """
     check_pattern_length(n)
     values = np.asarray(values)
     num = window_count(values.shape[-1], n, stride)
+    codes = np.empty((*values.shape[:-1], num, n), dtype=np.int8) if out is None else out
     if num == 0:
-        return np.empty((*values.shape[:-1], 0, n), dtype=np.int8)
-    return rank_codes(sliding_windows(values, n, stride))
+        return codes
+    windows = sliding_windows(values, n, stride)
+    # per window and series: n counts and n codes (int8), three bool masks
+    for part in chunks(num, math.prod(values.shape[:-1]) * (2 * n + 3) / 8):
+        codes[..., part, :] = rank_codes(windows[..., part, :])
+    return codes
 
 
 def sliding_windows(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:

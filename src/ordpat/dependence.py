@@ -23,6 +23,10 @@ call, and estimates all G(G-1)/2 pairs from those dense ids in one pass per
 statistic (``_pair_terms`` also serves each bootstrap replicate, and one
 stacked long-run variance every pair); a single pair is the case G = 2.
 One bootstrap per call resamples the window blocks of all series together.
+Only the arrays the statistics read span every window of a long series:
+the int8 codes, one int64 id array, the bool coincidences and the float64
+scores; the other per-window temporaries are built in slices under
+``_kernels.CELL_BUDGET``.
 Each pipeline picks one encoder and one distance kernel of ``_kernels``:
 tie-aware patterns are ``rank_codes`` compared by ``df_rows``; classical
 ones are ``permutation_index`` looked up in ``patterns.permutation_table``
@@ -89,8 +93,8 @@ def _pair_labels(x: SeriesLike, y: SeriesLike) -> list[str]:
     return [series_label(x, "x"), series_label(y, "y")]
 
 
-def _stacked_values(series: Sequence[SeriesLike], n: int, stride: int) -> np.ndarray:
-    """The (G, L) values of equally long series that hold at least one window."""
+def _series_list(series: Sequence[SeriesLike], n: int, stride: int) -> list[np.ndarray]:
+    """The 1-d values of equally long series that hold at least one window."""
     values = [series_values(v) for v in series]
     for v in values[1:]:
         if v.shape[0] != values[0].shape[0]:
@@ -103,12 +107,29 @@ def _stacked_values(series: Sequence[SeriesLike], n: int, stride: int) -> np.nda
         raise ValueError(
             f"series of length {values[0].shape[0]} is shorter than pattern length {n}"
         )
-    return np.stack(values)
+    return values
+
+
+def _stacked_values(series: Sequence[SeriesLike], n: int, stride: int) -> np.ndarray:
+    """The (G, L) values of equally long series that hold at least one window."""
+    return np.stack(_series_list(series, n, stride))
 
 
 def _stacked_codes(series: Sequence[SeriesLike], n: int, stride: int) -> np.ndarray:
-    """(G, W, n) rank codes of equally long series, from one encode."""
-    return _kernels.encode_windows(_stacked_values(series, n, stride), n, stride)
+    """(G, W, n) rank codes of equally long series, encoded into one int8 array.
+
+    Series are encoded in groups under the cell budget, a stacked group
+    costing one cell per value; a series too long to share a group is
+    encoded as it is, without a copy.
+    """
+    values = _series_list(series, n, stride)
+    length = values[0].shape[0]
+    codes = np.empty((len(values), _kernels.window_count(length, n, stride), n), dtype=np.int8)
+    for part in _kernels.chunks(len(values), length):
+        group = values[part]
+        stack = group[0][None] if len(group) == 1 else np.stack(group)
+        _kernels.encode_windows(stack, n, stride, out=codes[part])
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +209,11 @@ def _estimates_from_codes(
     """Point estimates of every pair i < j of a (G, W, n) code stack.
 
     ``neg_codes`` holds the codes of the negated series 1..G-1 (series 0
-    is never the y of a pair). Coincidences come from id equality,
-    comparison values from the histogram products H H^T and H H_-^T,
-    score comparisons from H S H^T, per-window scores from one aligned
-    distance call per slice of pairs. A degenerate pair warns by ``labels``.
+    is never the y of a pair); the core drops them once they are numbered.
+    Coincidences come from id equality, comparison values from the
+    histogram products H H^T and H H_-^T, score comparisons from H S H^T,
+    per-window scores from one aligned distance call per block of pairs
+    and windows (``_kernels.blocks``). A degenerate pair warns by ``labels``.
     Returns the estimates of the K pairs in row-major order; their (2K, W)
     coincidences x_i = x_j, then x_i = -x_j, per window; their (K, W)
     per-window scores; the (2G - 1, W) ids; and the symmetric (G, G)
@@ -200,18 +222,29 @@ def _estimates_from_codes(
     """
     gauges, num_windows, n = codes.shape
     ids, hists, patterns = pattern_index(*codes, *neg_codes)
-    ids, hists = np.stack(ids), np.stack(hists)
+    # the ids carry all the core reads of the negated series: on CPython 3.11+,
+    # which hands call arguments to the callee, this frees a caller's temporary
+    del neg_codes
     first, second = np.triu_indices(gauges, 1)
-    same = np.concatenate([ids[first] == ids[second], ids[first] == ids[gauges + second - 1]])
+    pairs = first.shape[0]
+    left, right = np.concatenate([first, first]), np.concatenate([second, gauges + second - 1])
+    same = np.empty((2 * pairs, num_windows), dtype=bool)
+    # per pair and window: two int64 id copies and the bool result
+    for rows, part in _kernels.blocks(2 * pairs, num_windows, 2 + 1 / 8):
+        np.equal(ids[left[rows], part], ids[right[rows], part], out=same[rows, part])
     rates = np.count_nonzero(same, axis=1)[None] / num_windows
     terms = [t[0] for t in _pair_terms(hists[None], rates, first, second)]
     for k in (np.maximum(terms[1], terms[3]) >= 1.0).nonzero()[0].tolist():  # q̂ or ŝ is 1
         _warn_degenerate(terms[1][k], terms[3][k], f"{labels[first[k]]}|{labels[second[k]]}: ", 4)
     upper = np.triu(_score_comparisons(hists[:gauges], patterns, scheme, distance)) / num_windows**2
     comparisons = upper + np.triu(upper, 1).T
-    scores = np.empty((first.shape[0], num_windows))
-    for part in _kernels.chunks(first.shape[0], 2 * n * num_windows):
-        scores[part] = scheme.weights_for(distance(codes[first[part]], codes[second[part]]))
+    scores = np.empty((pairs, num_windows))
+    # per pair and window: two int8 code copies, n int8 differences and two
+    # more in the sort, the int64 distance, its clipped copy and the weight
+    for rows, part in _kernels.blocks(pairs, num_windows, (3 * n + 2) / 8 + 3):
+        scores[rows, part] = scheme.weights_for(
+            distance(codes[first[rows], part], codes[second[rows], part])
+        )
     columns = (*terms, scores.sum(axis=1) / num_windows, comparisons[first, second])
     estimates = [DependenceEstimates(*v, n, stride, num_windows) for v in zip(*(c.tolist() for c in columns))]
     return estimates, same, scores, ids, comparisons
@@ -356,7 +389,7 @@ def score_comparison_value(
     codes = _stacked_codes([x, y], n, stride)
     _, hists, patterns = pattern_index(*codes)
     scheme = scheme or scheme_for_length(n)
-    total = _score_comparisons(np.stack(hists), patterns, scheme, _kernels.df_rows)
+    total = _score_comparisons(hists, patterns, scheme, _kernels.df_rows)
     return float(total[0, 1] / (codes.shape[1] * codes.shape[1]))
 
 
@@ -578,17 +611,101 @@ def confidence_interval(
         raise ValueError("variance must be non-negative")
     if count < 1:
         raise ValueError("count must be >= 1")
-    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
-    half = z * math.sqrt(sigma2 / count)
-    low, high = point - half, point + half
+    low, high = _interval_bounds(np.float64(point), np.float64(sigma2), count, level, clip_unit)
+    return float(low), float(high)
+
+
+def _interval_bounds(
+    points: np.ndarray, sigma2: np.ndarray, count: int, level: float, clip_unit: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise point -/+ z * sqrt(sigma2 / count), z computed once; clipped to [0, 1] if ``clip_unit``."""
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * np.sqrt(sigma2 / count)
+    low, high = points - half, points + half
     if clip_unit:
-        low, high = max(low, 0.0), min(high, 1.0)
+        low, high = np.maximum(low, 0.0), np.minimum(high, 1.0)
     return low, high
 
 
 # ---------------------------------------------------------------------------
 # moving-block bootstrap
 # ---------------------------------------------------------------------------
+
+def _negation_map(ids: np.ndarray, gauges: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids ``source`` and ``target``: a negated series holds ``target[k]`` where its series holds ``source[k]``.
+
+    Checked once, window by window, against ``ids[gauges:]``: they must be
+    the images of ``ids[1:gauges]`` under one one-to-one map, as the
+    negation of patterns is. A negated series' histogram under any window
+    weights is then its series' histogram with bin ``source[k]`` moved to
+    ``target[k]``.
+    """
+    series, negated = ids[1:gauges], ids[gauges:]
+    message = "the ids of the negated series are not a one-to-one image of the series' ids"
+    image = np.full(1 + int(ids.max()), -1)
+    image[series] = negated
+    # per id: one int64 image and a bool
+    for rows, part in _kernels.blocks(gauges - 1, ids.shape[1], 1 + 1 / 8):
+        if not np.array_equal(image[series[rows, part]], negated[rows, part]):
+            raise ValueError(message)
+    source = np.flatnonzero(image >= 0)
+    target = image[source]
+    if np.bincount(target, minlength=1).max() > 1:  # np.unique would import numpy.ma
+        raise ValueError(message)
+    return source, target
+
+
+def _percentiles(stats: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
+    """``np.quantile(stats, quantiles, axis=0)`` of finite (R, K) stats, without ``np.quantile``.
+
+    The first ``np.quantile`` call imports ``numpy.ma`` (about 16 ms and
+    1.3 MiB). This is numpy's linear method: the quantile q lies at the
+    virtual index (R - 1) * q between the order statistics a and b around
+    it, at the fraction t past a, and is a + (b - a) * t, or
+    b - (b - a) * (1 - t) where t >= 0.5. One ``partition`` (in place)
+    places every a and b. Returns a (len(quantiles), K) array.
+    """
+    last = stats.shape[0] - 1
+    spots = []
+    for q in quantiles:
+        virtual = last * q
+        below = min(math.floor(virtual), last)
+        spots.append((below, min(below + 1, last), virtual - below))
+    stats.partition(sorted({i for below, above, _ in spots for i in (below, above)}), axis=0)
+    rows = []
+    for below, above, t in spots:
+        low, high = stats[below], stats[above]
+        rows.append(high - (high - low) * (1 - t) if t >= 0.5 else low + (high - low) * t)
+    return np.stack(rows)
+
+
+def _window_weights(
+    starts: np.ndarray, lengths: np.ndarray, lo: int, hi: int, carry: int
+) -> tuple[np.ndarray, int]:
+    """Multiplicities of windows lo..hi-1 in replicates of these block starts and lengths, and the last.
+
+    +1 at each block start and -1 at each block end, accumulated by one
+    integer cumsum flat over the replicates: an end at window hi falls in
+    the next replicate's first cell and closes its block there (past the
+    last cell for the last replicate). A replicate cut into window slices
+    takes such an end in its next slice, whose ``carry`` counts the blocks
+    open before window lo. Returns the flat float64 multiplicities,
+    replicate by replicate.
+    """
+    count, width = starts.shape[0], hi - lo
+    offsets = (np.arange(count) * width - lo)[:, None]
+    cells = count * width
+    ends = starts + lengths
+    steps = np.bincount((starts + offsets)[(starts >= lo) & (starts < hi)], minlength=cells + 1)
+    steps -= np.bincount((ends + offsets)[(ends >= lo) & (ends <= hi)], minlength=cells + 1)
+    np.cumsum(steps, out=steps)
+    steps += carry
+    return steps[:cells].astype(np.float64), int(steps[cells - 1])
+
+
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 def block_bootstrap_ci(
     ids: np.ndarray,
@@ -610,19 +727,24 @@ def block_bootstrap_ci(
     pair gets the intervals a run on that pair alone gives at the same
     seed. A replicate is a vector of window multiplicities (+1 at each
     block start, -1 past each block end, accumulated; the last block is
-    cut to fill W windows); its histograms are weighted bincounts, and one
-    ``_pair_terms`` call per chunk of replicates gives every pair's
+    cut to fill W windows), built a block of replicates or of windows at
+    a time. The histograms of the G series are weighted bincounts, those
+    of the negated series follow through the negation map of the ids, the
+    coincidence rates are one matrix product per block, and one
+    ``_pair_terms`` call per block of replicates gives every pair's
     statistics with the point estimates' formulas. Returns (comparison_ci,
     coefficient_ci), (K, 2) arrays over the pairs i < j in row-major order.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
+    _check_integer("replicates", replicates)
     if replicates < 2:
         raise ValueError("need at least 2 bootstrap replicates")
     arrays, num_windows = ids.shape
     gauges = (arrays + 1) // 2
     if block is None:
         block = default_bandwidth(num_windows)
+    _check_integer("block", block)
     if not 1 <= block <= num_windows:
         raise ValueError(
             f"bootstrap block must lie in 1..{num_windows} (the number of windows), got {block}"
@@ -632,35 +754,38 @@ def block_bootstrap_ci(
     lengths = np.full(starts.shape[1], block)
     lengths[-1] = num_windows - block * (starts.shape[1] - 1)
     first, second = np.triu_indices(gauges, 1)
-    same = same.astype(np.float64)
+    source, target = _negation_map(ids, gauges)
     size = 1 + int(ids.max())
+    # every count is an integer of at most W, so the float sums and products
+    # are exact in any order, in float32 up to W = 2^24
+    same = same.astype(np.float32 if num_windows <= 1 << 24 else np.float64)
     comparison, coefficient = np.empty((2, replicates, first.shape[0]))
-    # a replicate's cells: window multiplicities, histograms, pair statistics
-    for part in _kernels.chunks(replicates, num_windows + arrays * size + 3 * gauges * gauges):
-        rows = starts[part]
-        count = rows.shape[0]
-        cells = count * num_windows
-        offsets = (np.arange(count) * num_windows)[:, None]
-        ends = rows + lengths
-        steps = np.bincount((rows + offsets).ravel(), minlength=cells)
-        steps -= np.bincount((ends + offsets)[ends < num_windows], minlength=cells)
-        weights = np.cumsum(steps.reshape(count, num_windows), axis=1, dtype=np.float64)
-        # every count is an integer below 2^53, so the float sums and
-        # products are exact in any order
+    # a replicate's cells: per window int64 steps, float64 and float32
+    # multiplicities and an int64 bincount index, of which at most 2.5 cells
+    # are alive at once; its histograms and pair statistics
+    fixed = arrays * size + 3 * gauges * gauges
+    for rows, part in _kernels.blocks(replicates, num_windows, 2.5, fixed):
+        count, lo, hi = rows.stop - rows.start, part.start, part.stop
+        if lo == 0:
+            hists = np.zeros((count, arrays, size))
+            hits = np.zeros((count, same.shape[0]))
+            carry = 0
+        weights, carry = _window_weights(starts[rows], lengths, lo, hi, carry)
         id_offsets = (np.arange(count) * size)[:, None]
-        hists = np.empty((count, arrays, size))
-        for a, array_ids in enumerate(ids):
-            hists[:, a] = np.bincount(
-                (array_ids + id_offsets).ravel(), weights.ravel(), count * size
+        for a in range(gauges):
+            hists[:, a] += np.bincount(
+                (ids[a, part] + id_offsets).ravel(), weights, count * size
             ).reshape(count, size)
-        rates = weights @ same.T / num_windows
-        _, comparison[part], _, _, coefficient[part] = _pair_terms(hists, rates, first, second)
+        hits += weights.astype(same.dtype).reshape(count, hi - lo) @ same[:, part].T
+        del weights  # before the next block's temporaries
+        if hi == num_windows:
+            hists[:, gauges:, target] = hists[:, 1:gauges, source]
+            _, comparison[rows], _, _, coefficient[rows] = _pair_terms(
+                hists, hits / num_windows, first, second
+            )
     alpha = 1.0 - level
-    quantiles = [alpha / 2.0, 1.0 - alpha / 2.0]
-    return (
-        np.quantile(comparison, quantiles, axis=0, overwrite_input=True).T,
-        np.quantile(coefficient, quantiles, axis=0, overwrite_input=True).T,
-    )
+    quantiles = (alpha / 2.0, 1.0 - alpha / 2.0)
+    return _percentiles(comparison, quantiles).T, _percentiles(coefficient, quantiles).T
 
 
 # ---------------------------------------------------------------------------
@@ -695,20 +820,24 @@ def _analyze_pairs(
     pair order and the symmetric (G, G) score comparisons, diagonal included.
     """
     codes = _stacked_codes(series, n, stride)
+    num_windows = codes.shape[1]
     estimates, same, scores, ids, comparisons = _estimates_from_codes(
         codes, _negated_codes(codes[1:]), scheme, stride, _kernels.df_rows, labels
     )
+    del codes  # the bootstrap and the variances read ids, coincidences and scores
     q_ci, c_ci = block_bootstrap_ci(ids, same, block, replicates, level, seed)
+    del ids
     pairs = list(combinations(labels, 2))  # row-major, as the core's pairs i < j
     variances = []
     for what, field, rows in (("coincidence", "coincidence", same), ("score", "total_score", scores)):
         sigma2, used = _long_run_variances(
             rows[: len(pairs)], kernel, bandwidth, lambda k: "{}|{} {}: ".format(*pairs[k], what)
         )
+        points = np.array([getattr(est, field) for est in estimates])
+        low, high = _interval_bounds(points, sigma2, num_windows, level)
         variances.append([
-            VarianceEstimate(s2, kernel, used, *confidence_interval(
-                getattr(est, field), s2, codes.shape[1], level), level)
-            for s2, est in zip(sigma2.tolist(), estimates)
+            VarianceEstimate(s2, kernel, used, lo, hi, level)
+            for s2, lo, hi in zip(sigma2.tolist(), low.tolist(), high.tolist())
         ])
     return [
         DependenceReport(*pair, scheme.name, est, var_p, var_s, tuple(q), tuple(c), level)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb
 from typing import Optional, Sequence
 
@@ -286,25 +286,38 @@ def pattern_codes(keys: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(keys, dtype=np.int64)[..., None] // weights % (n + 1)
 
 
-def pattern_index(*codes: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+def pattern_index(*codes: np.ndarray) -> tuple[Sequence[np.ndarray], np.ndarray, np.ndarray]:
     """Number the patterns of (rows, n) code arrays 0..m-1 in key order, shared by all.
 
-    Keys below ``_kernels.CELL_BUDGET`` (every key up to n = 6) are
-    numbered through a lookup table, larger ones through a sort. Returns
-    the ids of each array, the histogram of each array over the m ids, and
-    the (m, n) codes of the numbered patterns.
+    The keys of every array go into one int64 buffer, a slice of rows at a
+    time, and are renumbered in place. Keys below ``_kernels.CELL_BUDGET``
+    (every key up to n = 6) are numbered through a lookup table, larger
+    ones through a sort. Returns the ids of each array (one (arrays, rows)
+    array when all arrays are equally long, else a list of views of the
+    buffer), the (arrays, m) histograms over the m ids, and the (m, n)
+    codes of the numbered patterns.
     """
-    keys = [pattern_keys(c) for c in codes]
-    size = max(int(k.max()) for k in keys) + 1
+    lengths = [c.shape[0] for c in codes]
+    ends = list(accumulate(lengths))
+    keys = np.empty(ends[-1], dtype=np.int64)
+    for array, end in zip(codes, ends):
+        start = end - array.shape[0]
+        # per row: its key and one int64 column of Horner's rule
+        for part in _kernels.chunks(array.shape[0], 2):
+            keys[start + part.start : start + part.stop] = pattern_keys(array[part])
+    size = int(keys.max()) + 1
     if size <= _kernels.CELL_BUDGET:
         seen = np.zeros(size, dtype=bool)
-        for k in keys:
-            seen[k] = True
+        seen[keys] = True
         distinct = np.flatnonzero(seen)
-        relabel = np.cumsum(seen) - 1
-        ids = [relabel[k] for k in keys]
+        relabel = np.cumsum(seen)
+        relabel -= 1
+        # mode="clip" writes in place; the default "raise" buffers a copy
+        np.take(relabel, keys, out=keys, mode="clip")
     else:
-        distinct, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-        ids = np.split(inverse, np.cumsum([k.size for k in keys])[:-1])
-    hists = [np.bincount(i, minlength=distinct.shape[0]) for i in ids]
+        distinct, keys[:] = np.unique(keys, return_inverse=True)
+    ids = keys.reshape(len(codes), -1) if len(set(lengths)) == 1 else np.split(keys, ends[:-1])
+    hists = np.empty((len(codes), distinct.shape[0]), dtype=np.int64)
+    for hist, array_ids in zip(hists, ids):
+        hist[:] = np.bincount(array_ids, minlength=distinct.shape[0])
     return ids, hists, pattern_codes(distinct, codes[0].shape[-1])

@@ -1,9 +1,15 @@
 """Dependence estimators against naive oracles and known values."""
 
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -437,6 +443,36 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError, match="must be finite"):
             confidence_interval(point, sigma2, 10)
 
+    @pytest.mark.parametrize("clip_unit", [True, False])
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    def test_vectorized_bounds_match_scalar_arithmetic(self, level, clip_unit):
+        # the scalar formula in Python floats, clipped with max/min; points
+        # near 0 and 1 with large variances clip on both sides
+        rng = np.random.default_rng(int(level * 100))
+        points = np.concatenate([rng.uniform(0, 1, 200), [0.0, 1.0, 0.001, 0.999, 0.5]])
+        sigma2 = np.concatenate([rng.uniform(0, 3, 200), [0.0, 0.0, 2.0, 2.0, 40.0]])
+        z = NormalDist().inv_cdf(0.5 * (1.0 + level))
+        raw = []
+        for point, s2 in zip(points.tolist(), sigma2.tolist()):
+            half = z * math.sqrt(s2 / 37)
+            raw.append((point - half, point + half))
+        assert any(low < 0.0 for low, _ in raw) and any(high > 1.0 for _, high in raw)
+        expected = [(max(low, 0.0), min(high, 1.0)) for low, high in raw] if clip_unit else raw
+        low, high = dependence._interval_bounds(points, sigma2, 37, level, clip_unit)
+        assert list(zip(low.tolist(), high.tolist())) == expected
+        assert [confidence_interval(p, s2, 37, level, clip_unit) for p, s2 in zip(points, sigma2)] == expected
+
+    def test_report_intervals_are_confidence_intervals(self):
+        rng = np.random.default_rng(26)
+        base = rng.integers(0, 3, size=150)
+        x, y = (np.clip(base + rng.integers(-1, 2, size=150), 0, 4) for _ in range(2))
+        report = analyze_pair(x, y, 3, replicates=20, level=0.9)
+        est = report.estimates
+        for var, point in ((report.coincidence_variance, est.coincidence),
+                           (report.score_variance, est.total_score)):
+            expected = confidence_interval(point, var.sigma2, est.num_windows, 0.9)
+            assert (var.ci_low, var.ci_high) == expected
+
 
 class TestClassicalBaselines:
     @pytest.mark.parametrize("stride", [0, -1])
@@ -829,6 +865,50 @@ class TestBatchedBootstrap:
             with pytest.raises(ValueError, match=r"block must lie in 1\.\.118"):
                 analyze_pair(x, y, 3, block=block, replicates=5)
 
+    @pytest.mark.parametrize("name,value", [
+        ("block", 2.5), ("block", 3.0), ("replicates", 2.5), ("replicates", 1.5), ("replicates", "20"),
+    ])
+    def test_non_integer_block_or_replicates_rejected(self, name, value):
+        x = np.arange(120) % 5
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            analyze_pair(x, x[::-1], 3, **{"replicates": 5, name: value})
+
+    def test_numpy_integer_block_and_replicates_accepted(self):
+        x = np.arange(120) % 5
+        report = analyze_pair(x, x[::-1], 3, block=np.int64(4), replicates=np.int32(6), seed=2)
+        assert report == analyze_pair(x, x[::-1], 3, block=4, replicates=6, seed=2)
+
+    def test_negated_ids_must_be_a_one_to_one_image(self):
+        rng = np.random.default_rng(45)
+        codes = encode_windows(rng.integers(0, 4, size=(3, 90)), 3)
+        ids, _, _ = pattern_index(*codes, *dependence._negated_codes(codes[1:]))
+        first, second = np.triu_indices(3, 1)
+        same = np.concatenate([ids[first] == ids[second], ids[first] == ids[3 + second - 1]])
+        dependence.block_bootstrap_ci(ids, same, replicates=5)
+        # a later window showing series 1's first pattern gets another image
+        later = np.flatnonzero(ids[1] == ids[1, 0])[1]
+        not_a_map = ids.copy()
+        not_a_map[3, later] = (ids[3, 0] + 1) % (ids.max() + 1)
+        many_to_one = ids.copy()
+        many_to_one[3:] = 0  # every pattern of series 1 and 2 negates to id 0
+        for bad in (not_a_map, many_to_one):
+            with pytest.raises(ValueError, match="not a one-to-one image"):
+                dependence.block_bootstrap_ci(bad, same, replicates=5)
+
+    @pytest.mark.parametrize("kind", ["random", "tied"])
+    @pytest.mark.parametrize("replicates", [2, 3, 20, 999, 1000])
+    def test_percentiles_match_numpy_quantile(self, replicates, kind):
+        rng = np.random.default_rng(replicates)
+        stats = rng.normal(size=(replicates, 4))
+        if kind == "tied":
+            stats = np.round(stats * 2) / 8
+        for level in (0.5, 0.9, 0.95, 0.99):
+            alpha = 1.0 - level
+            quantiles = [alpha / 2.0, 1.0 - alpha / 2.0]
+            expected = np.quantile(stats, quantiles, axis=0)
+            got = dependence._percentiles(stats.copy(), quantiles)
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestBootstrapEdgeCases:
     def series(self, seed):
@@ -924,3 +1004,64 @@ class TestNonFiniteInput:
     def test_finite_floats_and_integers_pass(self):
         est = dependence_estimates(np.arange(12.0), np.arange(12) % 5, 3)
         assert est.num_windows == 10
+
+
+class TestLongSeriesPairPath:
+    """The pair path keeps per-window temporaries under the cell budget, with the same results."""
+
+    @pytest.mark.parametrize("call,bound_mib", [
+        (lambda x, y: dependence_estimates(x, y, 4), 5),
+        (lambda x, y: analyze_pair(x, y, 4, replicates=20), 6),
+    ], ids=["estimates", "analyze_pair"])
+    def test_long_n4_peaks(self, call, bound_mib):
+        # kept per-window arrays: int8 codes (0.8 MB), the (3, W) int64 ids
+        # (2.4 MB), bool coincidences and float64 scores (1 MB); every other
+        # temporary is sliced under the 1 MiB budget
+        rng = np.random.default_rng(81)
+        x, y = rng.poisson(4.0, size=(2, 100_000))
+        tracemalloc.start()
+        try:
+            call(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
+
+    @pytest.mark.parametrize("budget", [8, 1 << 30])
+    def test_results_do_not_depend_on_the_budget(self, budget, monkeypatch):
+        rng = np.random.default_rng(82)
+        base = rng.integers(0, 4, size=160)
+        columns = [np.clip(base + rng.integers(-1, 2, size=160), 0, 4) for _ in range(8)]
+        matrix = ClassMatrix(np.column_stack(columns), tuple(f"g{i}" for i in range(8)))
+        config = AnalysisConfig(n=4, replicates=12, seed=4)
+        x, y = columns[0], rng.poisson(2.0, size=160)
+
+        def results():
+            return (
+                [dependence_estimates(x, y, n) for n in range(3, 8)],
+                analyze_pair(x, y, 4, replicates=30, seed=9),
+                analyze_pair(x, y, 3, block=160 - 2, replicates=5, seed=9),
+                run_pairwise(matrix, config),
+            )
+
+        expected = results()
+        monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
+        got = results()
+        assert got[:3] == expected[:3]
+        assert got[3][0] == expected[3][0] and got[3][2] == expected[3][2]
+        for name, values in expected[3][1].items():
+            assert got[3][1][name].tobytes() == values.tobytes()
+
+    def test_analyze_pair_leaves_numpy_ma_unimported(self):
+        # np.quantile and np.unique import numpy.ma on first use
+        code = (
+            "import sys, numpy as np, ordpat\n"
+            "x, y = np.random.default_rng(3).poisson(4.0, size=(2, 500))\n"
+            "ordpat.analyze_pair(x, y, 4, replicates=20)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(dependence.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

@@ -109,6 +109,18 @@ def test_stacked_series_encode_row_by_row():
         np.testing.assert_array_equal(row_codes, _kernels.encode_windows(row, 4, 2))
 
 
+@pytest.mark.parametrize("budget", [1, 16, 1 << 30])
+def test_encode_in_window_slices_into_out(budget, monkeypatch):
+    rng = np.random.default_rng(5)
+    stack = rng.integers(0, 4, size=(3, 80))
+    expected = _kernels.encode_windows(stack, 5, 2)
+    monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
+    np.testing.assert_array_equal(_kernels.encode_windows(stack, 5, 2), expected)
+    out = np.zeros((3, 38, 5), dtype=np.int8)
+    assert _kernels.encode_windows(stack, 5, 2, out=out) is out
+    np.testing.assert_array_equal(out, expected)
+
+
 def test_too_short_series_has_no_windows():
     assert _kernels.encode_windows(np.arange(3), 4, 1).shape == (0, 4)
 
@@ -170,6 +182,27 @@ def test_chunks_cover_the_range_under_the_budget(count, cost, monkeypatch):
         items = part.stop - part.start
         assert items >= 1 and (items == 1 or items * cost <= 12)
     assert len(parts) == (-(-count // max(1, 12 // cost)))
+
+
+@pytest.mark.parametrize("rows,width,cost,fixed", [
+    (0, 10, 1, 0), (5, 0, 1, 0), (5, 2, 1, 0), (4, 7, 1.5, 2), (3, 40, 1, 0), (3, 40, 0.125, 0), (2, 9, 13, 0),
+])
+def test_blocks_cover_the_grid_in_row_major_order(rows, width, cost, fixed, monkeypatch):
+    monkeypatch.setattr(_kernels, "CELL_BUDGET", 12)
+    cells = [
+        (r, c)
+        for row_part, column_part in _kernels.blocks(rows, width, cost, fixed)
+        for r in range(rows)[row_part]
+        for c in range(width)[column_part]
+    ]
+    assert cells == [(r, c) for r in range(rows) for c in range(width)]
+    for row_part, column_part in _kernels.blocks(rows, width, cost, fixed):
+        count = row_part.stop - row_part.start
+        span = column_part.stop - column_part.start
+        if count > 1:  # whole rows together
+            assert span == width and count * (width * cost + fixed) <= 12
+        elif span < width:  # one long row in window slices
+            assert width * cost + fixed > 12 and (span == 1 or span * cost <= 12)
 
 
 def test_cell_budget_keeps_the_key_table_up_to_n6():

@@ -375,3 +375,20 @@ class TestPatternIndex:
             np.testing.assert_array_equal(got, expected)
             np.testing.assert_array_equal(codes[got], a)
             np.testing.assert_array_equal(hist, np.bincount(expected, minlength=distinct.shape[0]))
+
+    @pytest.mark.parametrize("budget", [None, 0, 3])  # lookup path, sort path, keys one row at a time
+    def test_equal_lengths_share_one_id_array(self, budget, monkeypatch):
+        rng = np.random.default_rng(47)
+        arrays = [
+            np.array([oracle_encode(w) for w in rng.integers(0, 4, size=(70, 5)).tolist()], dtype=np.int8)
+            for _ in range(3)
+        ]
+        expected_ids, expected_hists, expected_codes = pattern_index(*arrays, arrays[0][:1])
+        if budget is not None:
+            monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
+        ids, hists, codes = pattern_index(*arrays)
+        assert isinstance(ids, np.ndarray) and ids.shape == (3, 70) and ids.dtype == np.int64
+        assert hists.shape == (3, codes.shape[0])
+        np.testing.assert_array_equal(codes, expected_codes)
+        np.testing.assert_array_equal(ids, np.stack(expected_ids[:3]))
+        np.testing.assert_array_equal(hists, expected_hists[:3])
