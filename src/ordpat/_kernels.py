@@ -15,9 +15,10 @@ int8 from the encoder to the distance: one byte per code.
 
 One kernel per pattern metric, ``df_rows`` (shift-minimized L1) and
 ``l1_rows`` (plain L1), serves aligned windows and all-pairs tables alike:
-both broadcast their (..., n) operands over the leading axes. Two int8
-operands are subtracted in int8 (``_narrow_pair``); the distances are
-int64.
+both broadcast their (..., n) operands over the leading axes and
+subtract them as given, in numpy's result dtype: int8 codes in int8 (the
+difference of two codes in 1..n, and the gap between two differences,
+fit in an int8), int64 codes in int64. The distances are int64.
 
 Every temporary that grows with the input is built in slices under one
 budget of ``CELL_BUDGET`` cells. A cell is 8 bytes, one float64 or int64
@@ -189,25 +190,8 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _narrow_pair(t_codes: np.ndarray, u_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two int8 code arrays as they are, any other pair as int64.
-
-    Codes lie in 1..n with n <= 15, so the difference of two int8 codes
-    and the gap between two such differences both fit in an int8.
-    """
-    t_codes, u_codes = np.asarray(t_codes), np.asarray(u_codes)
-    if t_codes.dtype == u_codes.dtype == np.int8:
-        return t_codes, u_codes
-    return t_codes.astype(np.int64, copy=False), u_codes.astype(np.int64, copy=False)
-
-
 def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
-    """Shift-minimized L1 distance of two (..., n) code arrays, broadcast over leading axes.
-
-    Two int8 operands are subtracted in int8, any other pair in int64
-    (``_narrow_pair``); the distances are int64.
-    """
-    t_codes, u_codes = _narrow_pair(t_codes, u_codes)
+    """Shift-minimized L1 distance of two (..., n) code arrays, broadcast over leading axes, as int64."""
     n = t_codes.shape[-1]
     # minimize sum |t - u + k| over integer k: a median of the integer
     # differences minimizes it, which leaves the top n//2 differences
@@ -223,10 +207,5 @@ def df_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
 
 
 def l1_rows(t_codes: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
-    """Plain L1 distance of two (..., n) code arrays, broadcast over leading axes.
-
-    Two int8 operands are subtracted in int8, any other pair in int64
-    (``_narrow_pair``); the distances are int64.
-    """
-    t_codes, u_codes = _narrow_pair(t_codes, u_codes)
+    """Plain L1 distance of two (..., n) code arrays, broadcast over leading axes, as int64."""
     return np.abs(t_codes - u_codes).sum(axis=-1)

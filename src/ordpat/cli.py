@@ -19,6 +19,7 @@ from . import __version__
 from .dependence import DependenceReport, _analyze_pairs, _row_scores
 from .exceptions import DataFormatError, NumericalWarning
 from .io import (
+    _fmt,
     AnalysisConfig,
     classify_peak,
     load_class_matrix,
@@ -259,7 +260,7 @@ def _cmd_benchmark(args) -> int:
     if args.out:
         columns = ["approach", "n", "mean", "min", "max"]
         write_csv(args.out, columns, (
-            [row["approach"], row["n"], *(format(row[c], ".10g") for c in columns[2:])]
+            [row["approach"], row["n"], *(_fmt(row[c]) for c in columns[2:])]
             for row in rows
         ))
         print(f"wrote {args.out}")

@@ -22,7 +22,9 @@ and of the negated series 1..G-1 with one ``patterns.pattern_index``
 call, and estimates all G(G-1)/2 pairs from those dense ids in one pass per
 statistic (``_pair_terms`` also serves each bootstrap replicate, and one
 stacked long-run variance every pair); a single pair is the case G = 2.
-One bootstrap per call resamples the window blocks of all series together.
+One bootstrap per call resamples the window blocks of all series together;
+it reads the series' ids and the numbered patterns, whose negations carry
+each series' counts to its negated series.
 Only the arrays the statistics read span every window of a long series:
 the int8 codes, one int64 id array, the bool coincidences and the float64
 scores; the other per-window temporaries are built in slices under
@@ -49,8 +51,8 @@ from . import _kernels
 from .exceptions import NumericalWarning
 from .metric import WeightScheme, scheme_for_length
 from .patterns import (
-    TiePolicy, check_finite, pattern_index, pattern_keys, permutation_table, randomize_values,
-    smallest_gap,
+    TiePolicy, check_finite, check_integer, pattern_index, pattern_keys, permutation_table,
+    randomize_values, smallest_gap,
 )
 
 
@@ -99,6 +101,8 @@ def _series_list(series: Sequence[SeriesLike], n: int, stride: int) -> list[np.n
     for v in values[1:]:
         if v.shape[0] != values[0].shape[0]:
             raise ValueError(f"series length mismatch: {values[0].shape[0]} vs {v.shape[0]}")
+    check_integer("n", n)
+    check_integer("stride", stride)
     if n < 1:
         raise ValueError("pattern length must be >= 1")
     if stride < 1:
@@ -205,20 +209,23 @@ def _estimates_from_codes(
     stride: int,
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     labels: Sequence[str],
-) -> tuple[list["DependenceEstimates"], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list["DependenceEstimates"], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Point estimates of every pair i < j of a (G, W, n) code stack.
 
     ``neg_codes`` holds the codes of the negated series 1..G-1 (series 0
     is never the y of a pair); the core drops them once they are numbered.
+    They are given, not derived: a classical negated window's permutation
+    is no function of the window's permutation under first-appearance ties.
     Coincidences come from id equality, comparison values from the
     histogram products H H^T and H H_-^T, score comparisons from H S H^T,
     per-window scores from one aligned distance call per block of pairs
     and windows (``_kernels.blocks``). A degenerate pair warns by ``labels``.
     Returns the estimates of the K pairs in row-major order; their (2K, W)
     coincidences x_i = x_j, then x_i = -x_j, per window; their (K, W)
-    per-window scores; the (2G - 1, W) ids; and the symmetric (G, G)
-    score comparisons. The first K coincidence rows and the scores feed
-    the long-run variances, the ids and all coincidences the bootstrap.
+    per-window scores; the (G, W) ids of the series; the (m, n) codes of
+    the numbered patterns; and the symmetric (G, G) score comparisons.
+    The first K coincidence rows and the scores feed the long-run
+    variances; the ids, the patterns and all coincidences the bootstrap.
     """
     gauges, num_windows, n = codes.shape
     ids, hists, patterns = pattern_index(*codes, *neg_codes)
@@ -247,7 +254,7 @@ def _estimates_from_codes(
         )
     columns = (*terms, scores.sum(axis=1) / num_windows, comparisons[first, second])
     estimates = [DependenceEstimates(*v, n, stride, num_windows) for v in zip(*(c.tolist() for c in columns))]
-    return estimates, same, scores, ids, comparisons
+    return estimates, same, scores, ids[:gauges], patterns, comparisons
 
 
 def _row_scores(
@@ -493,8 +500,9 @@ def classical_dependence(
     even-distance classical schemes (n = 4 or n = 6). Under "skip",
     windows containing a tie in either series are dropped from both.
     """
+    values = _stacked_values([x, y], n, stride)
     scheme = _classical_scheme(n, scheme)
-    windows = _classical_windows(_stacked_values([x, y], n, stride), n, stride, [policy])
+    windows = _classical_windows(values, n, stride, [policy])
     return _estimates_from_codes(
         _permutation_codes(windows), _permutation_codes(-windows[1:]), scheme, stride,
         _kernels.l1_rows, _pair_labels(x, y),
@@ -630,28 +638,19 @@ def _interval_bounds(
 # moving-block bootstrap
 # ---------------------------------------------------------------------------
 
-def _negation_map(ids: np.ndarray, gauges: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ids ``source`` and ``target``: a negated series holds ``target[k]`` where its series holds ``source[k]``.
+def _negation_ids(patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids ``source`` and ``target`` of the (m, n) numbered patterns (in key order): ``target[k]`` negates ``source[k]``.
 
-    Checked once, window by window, against ``ids[gauges:]``: they must be
-    the images of ``ids[1:gauges]`` under one one-to-one map, as the
-    negation of patterns is. A negated series' histogram under any window
-    weights is then its series' histogram with bin ``source[k]`` moved to
-    ``target[k]``.
+    Holds every numbered pattern whose negation is numbered too. Negation
+    maps patterns one to one, so a negated series' histogram under any
+    window weights is its series' histogram with bin ``source[k]`` moved
+    to ``target[k]``: a pattern left out has a negation that no series shows.
     """
-    series, negated = ids[1:gauges], ids[gauges:]
-    message = "the ids of the negated series are not a one-to-one image of the series' ids"
-    image = np.full(1 + int(ids.max()), -1)
-    image[series] = negated
-    # per id: one int64 image and a bool
-    for rows, part in _kernels.blocks(gauges - 1, ids.shape[1], 1 + 1 / 8):
-        if not np.array_equal(image[series[rows, part]], negated[rows, part]):
-            raise ValueError(message)
-    source = np.flatnonzero(image >= 0)
-    target = image[source]
-    if np.bincount(target, minlength=1).max() > 1:  # np.unique would import numpy.ma
-        raise ValueError(message)
-    return source, target
+    keys = pattern_keys(patterns)
+    negated = pattern_keys(_negated_codes(patterns))
+    target = np.searchsorted(keys, negated)
+    source = np.flatnonzero(keys[np.minimum(target, keys.shape[0] - 1)] == negated)
+    return source, target[source]
 
 
 def _percentiles(stats: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
@@ -702,13 +701,9 @@ def _window_weights(
     return steps[:cells].astype(np.float64), int(steps[cells - 1])
 
 
-def _check_integer(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def block_bootstrap_ci(
     ids: np.ndarray,
+    patterns: np.ndarray,
     same: np.ndarray,
     block: Optional[int] = None,
     replicates: int = 1000,
@@ -717,19 +712,23 @@ def block_bootstrap_ci(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moving-block bootstrap intervals of the comparison value and coefficient of every pair.
 
-    Takes the (2G - 1, W) pattern ids of G series, then of the negated
-    series 1..G-1, and the (2K, W) per-window coincidences of the K pairs
-    i < j in row-major order (x_i = x_j, then x_i = -x_j). Resamples
-    blocks of ``block`` consecutive windows (default
-    ``default_bandwidth(W)``) jointly from all of them: Kuensch's
-    moving-block bootstrap of the multivariate pattern sequence. One
+    Takes the (G, W) pattern ids of G series; the (m, n) codes of the m
+    numbered patterns in key order, as ``patterns.pattern_index`` gives
+    them, which hold the patterns of the negated series 1..G-1 too; and
+    the (2K, W) per-window coincidences of the K pairs i < j in row-major
+    order (x_i = x_j, then x_i = -x_j). Resamples blocks of ``block``
+    consecutive windows (default ``default_bandwidth(W)``) jointly from
+    all of them: Kuensch's moving-block bootstrap of the multivariate
+    pattern sequence. One
     generator draws the block starts, which every series shares, so a
     pair gets the intervals a run on that pair alone gives at the same
-    seed. A replicate is a vector of window multiplicities (+1 at each
-    block start, -1 past each block end, accumulated; the last block is
-    cut to fill W windows), built a block of replicates or of windows at
-    a time. The histograms of the G series are weighted bincounts, those
-    of the negated series follow through the negation map of the ids, the
+    seed; it draws them a block of replicates at a time, which gives the
+    same stream as one draw of them all. A replicate is a vector of window
+    multiplicities (+1 at each block start, -1 past each block end,
+    accumulated; the last block is cut to fill W windows), built a block
+    of replicates or of windows at a time. The histograms of the G series
+    are weighted bincounts, those of the negated series move their
+    series' bins to the negated patterns (``_negation_ids``), the
     coincidence rates are one matrix product per block, and one
     ``_pair_terms`` call per block of replicates gives every pair's
     statistics with the point estimates' formulas. Returns (comparison_ci,
@@ -737,40 +736,42 @@ def block_bootstrap_ci(
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
-    _check_integer("replicates", replicates)
+    check_integer("replicates", replicates)
     if replicates < 2:
         raise ValueError("need at least 2 bootstrap replicates")
-    arrays, num_windows = ids.shape
-    gauges = (arrays + 1) // 2
+    gauges, num_windows = ids.shape
+    arrays = 2 * gauges - 1
     if block is None:
         block = default_bandwidth(num_windows)
-    _check_integer("block", block)
+    check_integer("block", block)
     if not 1 <= block <= num_windows:
         raise ValueError(
             f"bootstrap block must lie in 1..{num_windows} (the number of windows), got {block}"
         )
     rng = np.random.default_rng(seed)
-    starts = rng.integers(0, num_windows - block + 1, size=(replicates, -(-num_windows // block)))
-    lengths = np.full(starts.shape[1], block)
-    lengths[-1] = num_windows - block * (starts.shape[1] - 1)
+    spans = -(-num_windows // block)
+    lengths = np.full(spans, block)
+    lengths[-1] = num_windows - block * (spans - 1)
     first, second = np.triu_indices(gauges, 1)
-    source, target = _negation_map(ids, gauges)
-    size = 1 + int(ids.max())
+    source, target = _negation_ids(patterns)
+    size = patterns.shape[0]
     # every count is an integer of at most W, so the float sums and products
     # are exact in any order, in float32 up to W = 2^24
     same = same.astype(np.float32 if num_windows <= 1 << 24 else np.float64)
     comparison, coefficient = np.empty((2, replicates, first.shape[0]))
     # a replicate's cells: per window int64 steps, float64 and float32
     # multiplicities and an int64 bincount index, of which at most 2.5 cells
-    # are alive at once; its histograms and pair statistics
-    fixed = arrays * size + 3 * gauges * gauges
+    # are alive at once; its histograms and pair statistics; per block its
+    # int64 start and end
+    fixed = arrays * size + 3 * gauges * gauges + 2 * spans
     for rows, part in _kernels.blocks(replicates, num_windows, 2.5, fixed):
         count, lo, hi = rows.stop - rows.start, part.start, part.stop
         if lo == 0:
+            starts = rng.integers(0, num_windows - block + 1, size=(count, spans))
             hists = np.zeros((count, arrays, size))
             hits = np.zeros((count, same.shape[0]))
             carry = 0
-        weights, carry = _window_weights(starts[rows], lengths, lo, hi, carry)
+        weights, carry = _window_weights(starts, lengths, lo, hi, carry)
         id_offsets = (np.arange(count) * size)[:, None]
         for a in range(gauges):
             hists[:, a] += np.bincount(
@@ -821,11 +822,11 @@ def _analyze_pairs(
     """
     codes = _stacked_codes(series, n, stride)
     num_windows = codes.shape[1]
-    estimates, same, scores, ids, comparisons = _estimates_from_codes(
+    estimates, same, scores, ids, patterns, comparisons = _estimates_from_codes(
         codes, _negated_codes(codes[1:]), scheme, stride, _kernels.df_rows, labels
     )
     del codes  # the bootstrap and the variances read ids, coincidences and scores
-    q_ci, c_ci = block_bootstrap_ci(ids, same, block, replicates, level, seed)
+    q_ci, c_ci = block_bootstrap_ci(ids, patterns, same, block, replicates, level, seed)
     del ids
     pairs = list(combinations(labels, 2))  # row-major, as the core's pairs i < j
     variances = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import permutations
 from math import comb
 from typing import Optional, Sequence
 
@@ -57,6 +57,12 @@ def check_finite(values: np.ndarray, what: str = "series") -> None:
             index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), values.shape))
             where = index[0] if len(index) == 1 else index
             raise ValueError(f"{what} value at index {where} is not finite ({values[index]})")
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (a Python or numpy one)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def valid_rows(codes: np.ndarray) -> np.ndarray:
@@ -286,25 +292,27 @@ def pattern_codes(keys: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(keys, dtype=np.int64)[..., None] // weights % (n + 1)
 
 
-def pattern_index(*codes: np.ndarray) -> tuple[Sequence[np.ndarray], np.ndarray, np.ndarray]:
-    """Number the patterns of (rows, n) code arrays 0..m-1 in key order, shared by all.
+def pattern_index(*codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the patterns of equally long (rows, n) code arrays 0..m-1 in key order, shared by all.
 
-    The keys of every array go into one int64 buffer, a slice of rows at a
-    time, and are renumbered in place. Keys below ``_kernels.CELL_BUDGET``
-    (every key up to n = 6) are numbered through a lookup table, larger
-    ones through a sort. Returns the ids of each array (one (arrays, rows)
-    array when all arrays are equally long, else a list of views of the
-    buffer), the (arrays, m) histograms over the m ids, and the (m, n)
-    codes of the numbered patterns.
+    The keys of every array go into one (arrays, rows) int64 buffer, a
+    slice of rows at a time, and are renumbered in place. Keys below
+    ``_kernels.CELL_BUDGET`` (every key up to n = 6) are numbered through a
+    lookup table, larger ones through a sort. Returns that buffer as the
+    (arrays, rows) ids, the (arrays, m) histograms over the m ids, and the
+    (m, n) codes of the numbered patterns. Arrays of unequal lengths are a
+    ValueError.
     """
-    lengths = [c.shape[0] for c in codes]
-    ends = list(accumulate(lengths))
-    keys = np.empty(ends[-1], dtype=np.int64)
-    for array, end in zip(codes, ends):
-        start = end - array.shape[0]
+    rows = codes[0].shape[0]
+    for array in codes[1:]:
+        if array.shape[0] != rows:
+            raise ValueError(f"code arrays of unequal lengths: {rows} vs {array.shape[0]} rows")
+    ids = np.empty((len(codes), rows), dtype=np.int64)
+    for array, keys in zip(codes, ids):
         # per row: its key and one int64 column of Horner's rule
-        for part in _kernels.chunks(array.shape[0], 2):
-            keys[start + part.start : start + part.stop] = pattern_keys(array[part])
+        for part in _kernels.chunks(rows, 2):
+            keys[part] = pattern_keys(array[part])
+    keys = ids.reshape(-1)
     size = int(keys.max()) + 1
     if size <= _kernels.CELL_BUDGET:
         seen = np.zeros(size, dtype=bool)
@@ -316,7 +324,6 @@ def pattern_index(*codes: np.ndarray) -> tuple[Sequence[np.ndarray], np.ndarray,
         np.take(relabel, keys, out=keys, mode="clip")
     else:
         distinct, keys[:] = np.unique(keys, return_inverse=True)
-    ids = keys.reshape(len(codes), -1) if len(set(lengths)) == 1 else np.split(keys, ends[:-1])
     hists = np.empty((len(codes), distinct.shape[0]), dtype=np.int64)
     for hist, array_ids in zip(hists, ids):
         hist[:] = np.bincount(array_ids, minlength=distinct.shape[0])

@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from .patterns import check_integer
+
 
 @dataclass(frozen=True)
 class IngarchSpec:
@@ -54,6 +56,8 @@ class IngarchSpec:
             raise ValueError("feedback coefficients must be non-negative")
         if sum(self.beta) + sum(self.alpha) >= 1.0:
             raise ValueError("sum(beta) + sum(alpha) must be < 1 for stationarity")
+        check_integer("length", self.length)
+        check_integer("burn_in", self.burn_in)
         if self.length < 1:
             raise ValueError("length must be >= 1")
         if self.burn_in < 0:
@@ -102,6 +106,7 @@ def _feedback(coefficients: tuple[float, ...], ring: np.ndarray, t: int):
 
 def simulate_pairs(spec: IngarchSpec, replications: int) -> tuple[np.ndarray, np.ndarray]:
     """Independent stream pairs x, y: the two halves of 2 * replications rows."""
+    check_integer("replications", replications)
     if replications < 1:
         raise ValueError("replications must be >= 1")
     both = simulate_ingarch(spec, rows=2 * replications)

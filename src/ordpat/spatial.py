@@ -20,7 +20,9 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import NumericalWarning
-from .patterns import MAX_ENUM_LENGTH, check_patterns, enumerate_patterns, pattern_index, pattern_keys
+from .patterns import (
+    MAX_ENUM_LENGTH, check_integer, check_patterns, enumerate_patterns, pattern_index, pattern_keys,
+)
 
 
 @dataclass(frozen=True)
@@ -312,6 +314,7 @@ def cramers_v_autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
     values = np.asarray(series)
     if values.ndim != 1:
         raise ValueError("series must be one-dimensional")
+    check_integer("max_lag", max_lag)
     if max_lag < 1 or max_lag >= values.shape[0] / 2:
         raise ValueError("max_lag must satisfy 1 <= max_lag < len(series)/2")
     return np.array([cramers_v(values[:-k], values[k:]) for k in range(1, max_lag + 1)])

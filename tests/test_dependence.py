@@ -647,7 +647,7 @@ class TestIdCore:
         y = rng.integers(0, 5, size=400)
         cx, cy = encode_windows(x, n), encode_windows(y, n)
         scheme = scheme_for_length(n)
-        _, _, (scores,), _, _ = dependence._estimates_from_codes(
+        _, _, (scores,), _, _, _ = dependence._estimates_from_codes(
             np.stack([cx, cy]), dependence._negated_codes(cy[None]), scheme, 1, df_rows, "xy"
         )
         expected = scheme.weights_for(df_rows(cx, cy))
@@ -656,7 +656,7 @@ class TestIdCore:
         assert total_score(x, y, n)[1].tobytes() == expected.tobytes()
         # G = 4: every pair of the stack gets the scores of its own kernel call
         codes = encode_windows(np.stack([x, y, rng.integers(0, 5, size=400), (x + y) % 5]), n)
-        _, _, scores, _, _ = dependence._estimates_from_codes(
+        _, _, scores, _, _, _ = dependence._estimates_from_codes(
             codes, dependence._negated_codes(codes[1:]), scheme, 1, df_rows, "abcd"
         )
         pairs = zip(*np.triu_indices(4, 1))
@@ -671,7 +671,7 @@ class TestIdCore:
         series = [np.clip(base + rng.integers(-1, 2, size=90), 0, 4) for _ in range(5)]
         codes = encode_windows(np.stack(series), 4)
         ids, hists, _ = pattern_index(*codes, *dependence._negated_codes(codes[1:]))
-        ids, hists = np.stack(ids), np.stack(hists).astype(dtype)
+        hists = hists.astype(dtype)
         first, second = np.triu_indices(5, 1)
         same = np.concatenate([ids[first] == ids[second], ids[first] == ids[5 + second - 1]])
         num_windows = codes.shape[1]
@@ -873,27 +873,38 @@ class TestBatchedBootstrap:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             analyze_pair(x, x[::-1], 3, **{"replicates": 5, name: value})
 
+    @pytest.mark.parametrize("high", [1, 2, 7, 118, 99_954, 2**32 - 1, 2**32, 2**32 + 1, 2**62])
+    def test_block_starts_drawn_in_chunks_repeat_one_draw(self, high):
+        # the bootstrap draws its (replicates, blocks) starts a block of
+        # replicates at a time: PCG64 keeps its spare 32-bit half in the
+        # generator state, so the chunked draws give one draw's stream
+        replicates, spans = 40, 13
+        whole = np.random.default_rng(17).integers(0, high, size=(replicates, spans))
+        rng = np.random.default_rng(17)
+        parts = [rng.integers(0, high, size=(count, spans)) for count in (1, 2, 3, 5, replicates - 11)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
     def test_numpy_integer_block_and_replicates_accepted(self):
         x = np.arange(120) % 5
         report = analyze_pair(x, x[::-1], 3, block=np.int64(4), replicates=np.int32(6), seed=2)
         assert report == analyze_pair(x, x[::-1], 3, block=4, replicates=6, seed=2)
 
-    def test_negated_ids_must_be_a_one_to_one_image(self):
-        rng = np.random.default_rng(45)
-        codes = encode_windows(rng.integers(0, 4, size=(3, 90)), 3)
-        ids, _, _ = pattern_index(*codes, *dependence._negated_codes(codes[1:]))
-        first, second = np.triu_indices(3, 1)
-        same = np.concatenate([ids[first] == ids[second], ids[first] == ids[3 + second - 1]])
-        dependence.block_bootstrap_ci(ids, same, replicates=5)
-        # a later window showing series 1's first pattern gets another image
-        later = np.flatnonzero(ids[1] == ids[1, 0])[1]
-        not_a_map = ids.copy()
-        not_a_map[3, later] = (ids[3, 0] + 1) % (ids.max() + 1)
-        many_to_one = ids.copy()
-        many_to_one[3:] = 0  # every pattern of series 1 and 2 negates to id 0
-        for bad in (not_a_map, many_to_one):
-            with pytest.raises(ValueError, match="not a one-to-one image"):
-                dependence.block_bootstrap_ci(bad, same, replicates=5)
+    @pytest.mark.parametrize("gauges", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_table_negation_carries_ids_onto_negated_ids(self, gauges, n):
+        # tied inputs: few values, long plateaus
+        rng = np.random.default_rng(10 * gauges + n)
+        values = np.repeat(rng.integers(0, 3, size=(gauges, 40)), 3, axis=1)[:, rng.permutation(120)]
+        codes = encode_windows(values, n)
+        ids, _, patterns = pattern_index(*codes, *dependence._negated_codes(codes[1:]))
+        source, target = dependence._negation_ids(patterns)
+        np.testing.assert_array_equal(
+            dependence._negated_codes(patterns[source]), patterns[target]
+        )
+        image = np.full(patterns.shape[0], -1)
+        image[source] = target
+        # window by window, series 1..G-1 onto the negated series
+        np.testing.assert_array_equal(image[ids[1:gauges]], ids[gauges:])
 
     @pytest.mark.parametrize("kind", ["random", "tied"])
     @pytest.mark.parametrize("replicates", [2, 3, 20, 999, 1000])
@@ -987,6 +998,37 @@ class TestJointBootstrap:
         assert alone == next(r for r in everything if (r.label_x, r.label_y) == ("g1", "g3"))
 
 
+class TestIntegerArguments:
+    ESTIMATORS = {
+        "coincidence_probability": coincidence_probability,
+        "comparison_value": comparison_value,
+        "anti_estimates": anti_estimates,
+        "total_score": total_score,
+        "score_comparison_value": score_comparison_value,
+        "dependence_estimates": dependence_estimates,
+        "classical_dependence": classical_dependence,
+        "analyze_pair": lambda x, y, n, stride=1: analyze_pair(x, y, n, stride, replicates=5),
+    }
+
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    @pytest.mark.parametrize("argument,value", [("n", 2.5), ("n", 4.0), ("stride", 2.0), ("stride", "2")])
+    def test_non_integer_n_or_stride_rejected(self, name, argument, value):
+        x = np.arange(60) % 5
+        kwargs = {"n": 4, "stride": 1, argument: value}
+        with pytest.raises(ValueError, match=f"{argument} must be an integer, got {value!r}"):
+            self.ESTIMATORS[name](x, x[::-1], **kwargs)
+
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_numpy_integer_n_and_stride_accepted(self, name):
+        x = np.arange(60) % 5
+        call = self.ESTIMATORS[name]
+        got, expected = call(x, x[::-1], np.int64(4), np.int32(2)), call(x, x[::-1], 4, 2)
+        if isinstance(expected, tuple) and isinstance(expected[-1], np.ndarray):
+            assert got[0] == expected[0] and got[1].tobytes() == expected[1].tobytes()
+        else:
+            assert got == expected
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejected_with_first_bad_index(self, bad):
@@ -1012,7 +1054,10 @@ class TestLongSeriesPairPath:
     @pytest.mark.parametrize("call,bound_mib", [
         (lambda x, y: dependence_estimates(x, y, 4), 5),
         (lambda x, y: analyze_pair(x, y, 4, replicates=20), 6),
-    ], ids=["estimates", "analyze_pair"])
+        # the block starts are drawn per block of replicates, not as one
+        # (1000, 2128) int64 table of 17 MB
+        (lambda x, y: analyze_pair(x, y, 4, replicates=1000), 6),
+    ], ids=["estimates", "analyze_pair", "analyze_pair_1000_replicates"])
     def test_long_n4_peaks(self, call, bound_mib):
         # kept per-window arrays: int8 codes (0.8 MB), the (3, W) int64 ids
         # (2.4 MB), bool coincidences and float64 scores (1 MB); every other

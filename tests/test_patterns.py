@@ -360,21 +360,20 @@ class TestPatternIndex:
         if budget is not None:
             monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
         rng = np.random.default_rng(40 + n)
-        arrays = [
-            np.array([oracle_encode(w) for w in rng.integers(0, 3, size=(size, n)).tolist()])
-            for size in (300, 1, 57)
-        ]
-        ids, hists, codes = pattern_index(*arrays)
-        keys = [pattern_keys(a) for a in arrays]
-        distinct, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-        np.testing.assert_array_equal(codes, pattern_codes(distinct, n))
-        np.testing.assert_array_equal(pattern_keys(codes), distinct)
-        for a, got, hist, expected in zip(
-            arrays, ids, hists, np.split(inverse, np.cumsum([a.shape[0] for a in arrays])[:-1])
-        ):
-            np.testing.assert_array_equal(got, expected)
-            np.testing.assert_array_equal(codes[got], a)
-            np.testing.assert_array_equal(hist, np.bincount(expected, minlength=distinct.shape[0]))
+        for rows in (300, 1):
+            arrays = [
+                np.array([oracle_encode(w) for w in rng.integers(0, 3, size=(rows, n)).tolist()])
+                for _ in range(3)
+            ]
+            ids, hists, codes = pattern_index(*arrays)
+            keys = [pattern_keys(a) for a in arrays]
+            distinct, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+            np.testing.assert_array_equal(codes, pattern_codes(distinct, n))
+            np.testing.assert_array_equal(pattern_keys(codes), distinct)
+            for a, got, hist, expected in zip(arrays, ids, hists, inverse.reshape(3, rows)):
+                np.testing.assert_array_equal(got, expected)
+                np.testing.assert_array_equal(codes[got], a)
+                np.testing.assert_array_equal(hist, np.bincount(expected, minlength=distinct.shape[0]))
 
     @pytest.mark.parametrize("budget", [None, 0, 3])  # lookup path, sort path, keys one row at a time
     def test_equal_lengths_share_one_id_array(self, budget, monkeypatch):
@@ -383,12 +382,17 @@ class TestPatternIndex:
             np.array([oracle_encode(w) for w in rng.integers(0, 4, size=(70, 5)).tolist()], dtype=np.int8)
             for _ in range(3)
         ]
-        expected_ids, expected_hists, expected_codes = pattern_index(*arrays, arrays[0][:1])
+        expected_ids, expected_hists, expected_codes = pattern_index(*arrays)
         if budget is not None:
             monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
         ids, hists, codes = pattern_index(*arrays)
         assert isinstance(ids, np.ndarray) and ids.shape == (3, 70) and ids.dtype == np.int64
         assert hists.shape == (3, codes.shape[0])
         np.testing.assert_array_equal(codes, expected_codes)
-        np.testing.assert_array_equal(ids, np.stack(expected_ids[:3]))
-        np.testing.assert_array_equal(hists, expected_hists[:3])
+        np.testing.assert_array_equal(ids, expected_ids)
+        np.testing.assert_array_equal(hists, expected_hists)
+
+    def test_unequal_lengths_rejected(self):
+        codes = np.array([[1, 2], [2, 1], [1, 1]])
+        with pytest.raises(ValueError, match="unequal lengths: 3 vs 1 rows"):
+            pattern_index(codes, codes[:1])

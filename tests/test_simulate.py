@@ -30,6 +30,19 @@ class TestIngarchSpec:
             with pytest.raises(ValueError, match="alpha must be finite"):
                 IngarchSpec(beta0=1.0, alpha=(bad,))
 
+    @pytest.mark.parametrize("name,value", [
+        ("length", 2.5), ("length", 100.0), ("burn_in", 0.5), ("burn_in", "10"),
+    ])
+    def test_non_integer_length_or_burn_in_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            IngarchSpec(beta0=1.0, **{name: value})
+
+    def test_numpy_integer_length_and_burn_in_accepted(self):
+        spec = IngarchSpec(beta0=1.0, length=np.int64(30), burn_in=np.int32(5), seed=3)
+        np.testing.assert_array_equal(
+            simulate_ingarch(spec), simulate_ingarch(IngarchSpec(beta0=1.0, length=30, burn_in=5, seed=3))
+        )
+
     def test_stationary_mean(self):
         assert IngarchSpec(beta0=2.0).stationary_mean == pytest.approx(2.0)
         assert IngarchSpec(beta0=2.0, beta=(0.3,)).stationary_mean == pytest.approx(2.0 / 0.7)
@@ -127,3 +140,10 @@ class TestCoherenceBenchmark:
         ):
             with pytest.raises(ValueError, match="replications must be >= 1"):
                 call()
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_non_integer_replications_rejected(self, value):
+        with pytest.raises(ValueError, match=f"replications must be an integer, got {value!r}"):
+            simulate_pairs(IngarchSpec(beta0=1.0, length=20), value)
+        xs, _ = simulate_pairs(IngarchSpec(beta0=1.0, length=20), np.int64(3))
+        assert xs.shape == (3, 20)

@@ -353,3 +353,12 @@ class TestCramersV:
             cramers_v_autocorrelation(np.arange(10), max_lag=5)
         with pytest.raises(ValueError):
             cramers_v_autocorrelation(np.arange(10), max_lag=0)
+
+    def test_non_integer_lag_rejected(self):
+        for value in (2.5, 2.0):
+            with pytest.raises(ValueError, match=f"max_lag must be an integer, got {value!r}"):
+                cramers_v_autocorrelation(np.arange(10), max_lag=value)
+        np.testing.assert_array_equal(
+            cramers_v_autocorrelation(np.arange(10) % 3, max_lag=np.int64(2)),
+            cramers_v_autocorrelation(np.arange(10) % 3, max_lag=2),
+        )
