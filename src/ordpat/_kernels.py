@@ -30,10 +30,7 @@ pairs or replicates of a long series pair) iterates ``blocks``, which
 keeps whole rows together while one fits and cuts a longer row into
 window slices. Sliced by window: the rank codes of ``encode_windows``,
 the pattern keys of ``patterns.pattern_index``, and the coincidences,
-per-window scores and bootstrap multiplicities of ``dependence``. Only
-the arrays those statistics read span every window: the int8 code
-stack, one int64 id array, the bool coincidences and the float64
-scores.
+per-window scores and bootstrap multiplicities of ``dependence``.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .dependence import DependenceReport, _analyze_pairs, _row_scores
+from .dependence import DependenceReport, _analyze_pairs, _pair_indices, _row_scores
 from .exceptions import DataFormatError, NumericalWarning
 from .io import (
     _fmt,
@@ -87,7 +87,7 @@ def run_pairwise(
         _resolve_scheme(config.scheme, config.n), config.level, config.kernel, config.bandwidth,
         config.block, config.replicates, config.seed,
     )
-    first, second = np.triu_indices(len(labels), 1)
+    first, second = _pair_indices(len(labels))
     score, coefficient = np.ones((2, len(labels), len(labels)))
     score[first, second] = score[second, first] = [r.estimates.total_score for r in reports]
     coefficient[first, second] = coefficient[second, first] = [
@@ -137,10 +137,9 @@ def run_benchmark_data(
         raise ValueError("tie-handling benchmark on data needs at least 2 gauges")
     series = list(matrix.subset_columns(labels).T)
     pairs = []
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            seed = _pair_seed(config.seed, labels[i], labels[j])
-            pairs.append((series[i], series[j], lambda n, seed=seed: seed))
+    for i, j in _pair_indices(len(labels)).T.tolist():
+        seed = _pair_seed(config.seed, labels[i], labels[j])
+        pairs.append((series[i], series[j], lambda n, seed=seed: seed))
     return run_benchmark(pairs, config, lengths)
 
 
@@ -149,8 +148,9 @@ def run_benchmark_simulated(
     replications: int, lengths: Sequence[int] = (4, 6),
 ) -> list[dict]:
     """Tie-handling comparison over independent simulated stream pairs."""
+    xs, ys = simulate_pairs(spec, replications)  # first: it rejects a count range() cannot take
     seeds = [lambda n, k=k: config.seed + 7919 * k + n for k in range(replications)]
-    return run_benchmark(zip(*simulate_pairs(spec, replications), seeds), config, lengths)
+    return run_benchmark(zip(xs, ys, seeds), config, lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -16,24 +16,23 @@ standardized coefficient. The classical tie-handling baselines (skip /
 randomize / first-appearance) run the same pipeline through permutation
 patterns and the plain L1 metric.
 
-One estimator core serves every caller: it takes G equally long series
-as one (G, W, n) int8 code stack, numbers the patterns of every series
-and of the negated series 1..G-1 with one ``patterns.pattern_index``
-call, and estimates all G(G-1)/2 pairs from those dense ids in one pass per
-statistic (``_pair_terms`` also serves each bootstrap replicate, and one
-stacked long-run variance every pair); a single pair is the case G = 2.
-One bootstrap per call resamples the window blocks of all series together;
-it reads the series' ids and the numbered patterns, whose negations carry
-each series' counts to its negated series.
-Only the arrays the statistics read span every window of a long series:
-the int8 codes, one int64 id array, the bool coincidences and the float64
-scores; the other per-window temporaries are built in slices under
-``_kernels.CELL_BUDGET``.
-Each pipeline picks one encoder and one distance kernel of ``_kernels``:
-tie-aware patterns are ``rank_codes`` compared by ``df_rows``; classical
-ones are ``permutation_index`` looked up in ``patterns.permutation_table``
-and compared by ``l1_rows``. Codes stay int8 through the negation, the
-pattern keys (int64) and the distance kernels, whose distances are int64.
+One estimator core serves every caller. It takes G equally long series
+as one (G, W, n) int8 stack of rank codes and numbers only the series,
+with one ``patterns.pattern_index`` call. A pipeline is an alphabet on
+the numbered patterns: the identity (tie-aware, compared by
+``_kernels.df_rows``) or the descending permutation (classical, looked
+up in ``patterns.permutation_table`` and compared by ``_kernels.l1_rows``).
+A second call numbers the symbols of the patterns and of their
+negations in one table, which maps each pattern to both, so the negated
+series 1..G-1 (x against -y) are never built as windows. All G(G-1)/2
+pairs are estimated from the dense symbol ids in one pass per statistic
+(``_pair_terms`` also serves each bootstrap replicate, and one stacked
+long-run variance every pair); a single pair is the case G = 2. One
+bootstrap per call resamples the window blocks of all series together
+and moves each series' counts to its negated series through that map.
+Only the int8 codes, the int64 symbol ids, the bool coincidences and the
+float64 scores span every window of a long series; the other per-window
+temporaries are built in slices under ``_kernels.CELL_BUDGET``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Callable, Optional, Sequence, Union
 
@@ -108,15 +107,8 @@ def _series_list(series: Sequence[SeriesLike], n: int, stride: int) -> list[np.n
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if values[0].shape[0] < n:
-        raise ValueError(
-            f"series of length {values[0].shape[0]} is shorter than pattern length {n}"
-        )
+        raise ValueError(f"series of length {values[0].shape[0]} is shorter than pattern length {n}")
     return values
-
-
-def _stacked_values(series: Sequence[SeriesLike], n: int, stride: int) -> np.ndarray:
-    """The (G, L) values of equally long series that hold at least one window."""
-    return np.stack(_series_list(series, n, stride))
 
 
 def _stacked_codes(series: Sequence[SeriesLike], n: int, stride: int) -> np.ndarray:
@@ -137,16 +129,25 @@ def _stacked_codes(series: Sequence[SeriesLike], n: int, stride: int) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# estimator core: one (G, W, n) code stack, dense pattern ids, every gauge
-# pair at once; shared by the tie-aware and classical pipelines
+# estimator core: one (G, W, n) rank-code stack, dense symbol ids, every
+# gauge pair at once; shared by the tie-aware and classical pipelines
 # ---------------------------------------------------------------------------
 
-def _negated_codes(codes: np.ndarray) -> np.ndarray:
-    """Codes of the negated windows: m + 1 - c, m the window's largest code.
+@lru_cache(maxsize=None)
+def _pair_indices(gauges: int) -> np.ndarray:
+    """The (2, K) series indices (first, second) of the K pairs i < j of G series in row-major order, read-only."""
+    pairs = np.stack(np.triu_indices(gauges, 1))
+    pairs.flags.writeable = False
+    return pairs
 
-    Keeps the dtype of ``codes``: int8 codes stay int8, since m + 1 is at
-    most 16.
-    """
+
+def _identity(codes: np.ndarray) -> np.ndarray:
+    """The tie-aware alphabet: a rank pattern is its own symbol."""
+    return codes
+
+
+def _negated_codes(codes: np.ndarray) -> np.ndarray:
+    """Codes of the negated windows: m + 1 - c, m the window's largest code; int8 stays int8 (m < 16)."""
     top = codes[..., 0]
     for j in range(1, codes.shape[-1]):  # column by column: n is small
         top = np.maximum(top, codes[..., j])
@@ -202,59 +203,79 @@ def _pair_terms(
     return p_hat, q_hat, r_hat, s_hat, _coefficients(p_hat, q_hat, r_hat, s_hat)
 
 
+def _symbol_ids(
+    codes: np.ndarray, alphabet: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Symbol ids of a (G, W, n) rank-code stack's windows and of its negated series 1..G-1.
+
+    ``pattern_index`` numbers the m patterns of the G series, then the k
+    symbols that ``alphabet`` gives those patterns and their negations;
+    the second call's (2, m) ids map each pattern to its symbol and to its
+    negation's. Returns the (G, W) symbol ids of the series (renumbered in
+    place), the (G - 1, W) ids of the negated series 1..G-1 (series 0 is
+    never the y of a pair), their (2G - 1, k) histograms (the maps'
+    bincounts weighted by the pattern counts), the map and the (k, n) symbols.
+    """
+    ids, counts, patterns = pattern_index(*codes)
+    negation, _, symbols = pattern_index(alphabet(patterns), alphabet(_negated_codes(patterns)))
+    negated = np.take(negation[1], ids[1:])
+    np.take(negation[0], ids, out=ids, mode="clip")  # "clip" writes in place
+    hists = np.empty((2 * len(codes) - 1, symbols.shape[0]), dtype=np.int64)
+    for row, (hist, weights) in enumerate(zip(hists, [*counts, *counts[1:]])):  # series, then negated
+        hist[:] = np.bincount(negation[int(row >= len(codes))], weights, hist.shape[0])  # exact: integers
+    return ids, negated, hists, negation, symbols
+
+
 def _estimates_from_codes(
     codes: np.ndarray,
-    neg_codes: np.ndarray,
+    alphabet: Callable[[np.ndarray], np.ndarray],
     scheme: WeightScheme,
     stride: int,
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     labels: Sequence[str],
 ) -> tuple[list["DependenceEstimates"], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Point estimates of every pair i < j of a (G, W, n) code stack.
+    """Point estimates of every pair i < j of a (G, W, n) rank-code stack.
 
-    ``neg_codes`` holds the codes of the negated series 1..G-1 (series 0
-    is never the y of a pair); the core drops them once they are numbered.
-    They are given, not derived: a classical negated window's permutation
-    is no function of the window's permutation under first-appearance ties.
-    Coincidences come from id equality, comparison values from the
-    histogram products H H^T and H H_-^T, score comparisons from H S H^T,
-    per-window scores from one aligned distance call per block of pairs
-    and windows (``_kernels.blocks``). A degenerate pair warns by ``labels``.
-    Returns the estimates of the K pairs in row-major order; their (2K, W)
-    coincidences x_i = x_j, then x_i = -x_j, per window; their (K, W)
-    per-window scores; the (G, W) ids of the series; the (m, n) codes of
-    the numbered patterns; and the symmetric (G, G) score comparisons.
-    The first K coincidence rows and the scores feed the long-run
-    variances; the ids, the patterns and all coincidences the bootstrap.
+    ``alphabet`` maps (..., n) rank codes to symbol codes: ``_identity``
+    (tie-aware) or ``_permutation_codes`` (classical), exact because
+    ``permutation_index`` reads only a window's ``>=`` comparisons, which
+    rank codes keep. Coincidences come from symbol-id equality
+    (``_symbol_ids``), comparison values from the histogram products
+    H H^T and H H_-^T, score comparisons from H S H^T, per-window scores
+    from one aligned distance call per block of pairs and windows
+    (``_kernels.blocks``). A degenerate pair warns by ``labels``. Returns
+    the estimates of the K pairs in row-major order; their (2K, W)
+    coincidences x_i = x_j, then x_i = -x_j; their (K, W) scores; the
+    (G, W) symbol ids; the (2, m) negation map; and the symmetric (G, G)
+    score comparisons. The first K coincidence rows and the scores feed
+    the long-run variances; the ids, the map and all coincidences the bootstrap.
     """
     gauges, num_windows, n = codes.shape
-    ids, hists, patterns = pattern_index(*codes, *neg_codes)
-    # the ids carry all the core reads of the negated series: on CPython 3.11+,
-    # which hands call arguments to the callee, this frees a caller's temporary
-    del neg_codes
-    first, second = np.triu_indices(gauges, 1)
+    ids, negated, hists, negation, symbols = _symbol_ids(codes, alphabet)
+    first, second = pair_index = _pair_indices(gauges)
     pairs = first.shape[0]
-    left, right = np.concatenate([first, first]), np.concatenate([second, gauges + second - 1])
     same = np.empty((2 * pairs, num_windows), dtype=bool)
-    # per pair and window: two int64 id copies and the bool result
-    for rows, part in _kernels.blocks(2 * pairs, num_windows, 2 + 1 / 8):
-        np.equal(ids[left[rows], part], ids[right[rows], part], out=same[rows, part])
+    # per pair and window: three int64 id copies and two bool results
+    for rows, part in _kernels.blocks(pairs, num_windows, 3 + 2 / 8):
+        left = ids[first[rows], part]
+        np.equal(left, ids[second[rows], part], out=same[rows, part])
+        np.equal(left, negated[second[rows] - 1, part], out=same[pairs:][rows, part])
+    del negated
     rates = np.count_nonzero(same, axis=1)[None] / num_windows
     terms = [t[0] for t in _pair_terms(hists[None], rates, first, second)]
     for k in (np.maximum(terms[1], terms[3]) >= 1.0).nonzero()[0].tolist():  # q̂ or ŝ is 1
         _warn_degenerate(terms[1][k], terms[3][k], f"{labels[first[k]]}|{labels[second[k]]}: ", 4)
-    upper = np.triu(_score_comparisons(hists[:gauges], patterns, scheme, distance)) / num_windows**2
-    comparisons = upper + np.triu(upper, 1).T
+    comparisons = _score_comparisons(hists[:gauges], symbols, scheme, distance) / num_windows**2
+    comparisons[second, first] = comparisons[first, second]  # symmetric as the upper triangle
     scores = np.empty((pairs, num_windows))
-    # per pair and window: two int8 code copies, n int8 differences and two
+    # per pair and window: two int8 code copies, two int64 Lehmer indices and
+    # two int8 symbols of a classical alphabet, n int8 differences and two
     # more in the sort, the int64 distance, its clipped copy and the weight
-    for rows, part in _kernels.blocks(pairs, num_windows, (3 * n + 2) / 8 + 3):
-        scores[rows, part] = scheme.weights_for(
-            distance(codes[first[rows], part], codes[second[rows], part])
-        )
+    for rows, part in _kernels.blocks(pairs, num_windows, (5 * n + 2) / 8 + 5):
+        scores[rows, part] = scheme.weights_for(distance(*alphabet(codes[pair_index[:, rows], part])))
     columns = (*terms, scores.sum(axis=1) / num_windows, comparisons[first, second])
     estimates = [DependenceEstimates(*v, n, stride, num_windows) for v in zip(*(c.tolist() for c in columns))]
-    return estimates, same, scores, ids[:gauges], patterns, comparisons
+    return estimates, same, scores, ids, negation, comparisons
 
 
 def _row_scores(
@@ -275,7 +296,7 @@ def _row_scores(
     length = series_values(xs[0]).shape[0]
     parts = []
     for part in _kernels.chunks(len(xs), 2 * n * length):
-        values = _stacked_values([*xs[part], *ys[part]], n, stride)
+        values = np.stack(_series_list([*xs[part], *ys[part]], n, stride))
         if values.shape[1] != length:
             raise ValueError(f"series length mismatch: {length} vs {values.shape[1]}")
         if policies is None:
@@ -395,8 +416,7 @@ def score_comparison_value(
     """
     codes = _stacked_codes([x, y], n, stride)
     _, hists, patterns = pattern_index(*codes)
-    scheme = scheme or scheme_for_length(n)
-    total = _score_comparisons(hists, patterns, scheme, _kernels.df_rows)
+    total = _score_comparisons(hists, patterns, scheme or scheme_for_length(n), _kernels.df_rows)
     return float(total[0, 1] / (codes.shape[1] * codes.shape[1]))
 
 
@@ -428,9 +448,8 @@ def dependence_estimates(
     scheme: Optional[WeightScheme] = None,
 ) -> DependenceEstimates:
     """All point estimates for one pair through the tie-aware pipeline."""
-    codes = _stacked_codes([x, y], n, stride)
     return _estimates_from_codes(
-        codes, _negated_codes(codes[1:]), scheme or scheme_for_length(n), stride,
+        _stacked_codes([x, y], n, stride), _identity, scheme or scheme_for_length(n), stride,
         _kernels.df_rows, _pair_labels(x, y),
     )[0][0]
 
@@ -500,12 +519,11 @@ def classical_dependence(
     even-distance classical schemes (n = 4 or n = 6). Under "skip",
     windows containing a tie in either series are dropped from both.
     """
-    values = _stacked_values([x, y], n, stride)
+    values = np.stack(_series_list([x, y], n, stride))
     scheme = _classical_scheme(n, scheme)
-    windows = _classical_windows(values, n, stride, [policy])
+    codes = _kernels.rank_codes(_classical_windows(values, n, stride, [policy]))
     return _estimates_from_codes(
-        _permutation_codes(windows), _permutation_codes(-windows[1:]), scheme, stride,
-        _kernels.l1_rows, _pair_labels(x, y),
+        codes, _permutation_codes, scheme, stride, _kernels.l1_rows, _pair_labels(x, y)
     )[0][0]
 
 
@@ -638,21 +656,6 @@ def _interval_bounds(
 # moving-block bootstrap
 # ---------------------------------------------------------------------------
 
-def _negation_ids(patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids ``source`` and ``target`` of the (m, n) numbered patterns (in key order): ``target[k]`` negates ``source[k]``.
-
-    Holds every numbered pattern whose negation is numbered too. Negation
-    maps patterns one to one, so a negated series' histogram under any
-    window weights is its series' histogram with bin ``source[k]`` moved
-    to ``target[k]``: a pattern left out has a negation that no series shows.
-    """
-    keys = pattern_keys(patterns)
-    negated = pattern_keys(_negated_codes(patterns))
-    target = np.searchsorted(keys, negated)
-    source = np.flatnonzero(keys[np.minimum(target, keys.shape[0] - 1)] == negated)
-    return source, target[source]
-
-
 def _percentiles(stats: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
     """``np.quantile(stats, quantiles, axis=0)`` of finite (R, K) stats, without ``np.quantile``.
 
@@ -703,7 +706,7 @@ def _window_weights(
 
 def block_bootstrap_ci(
     ids: np.ndarray,
-    patterns: np.ndarray,
+    negation: np.ndarray,
     same: np.ndarray,
     block: Optional[int] = None,
     replicates: int = 1000,
@@ -712,27 +715,27 @@ def block_bootstrap_ci(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moving-block bootstrap intervals of the comparison value and coefficient of every pair.
 
-    Takes the (G, W) pattern ids of G series; the (m, n) codes of the m
-    numbered patterns in key order, as ``patterns.pattern_index`` gives
-    them, which hold the patterns of the negated series 1..G-1 too; and
-    the (2K, W) per-window coincidences of the K pairs i < j in row-major
-    order (x_i = x_j, then x_i = -x_j). Resamples blocks of ``block``
-    consecutive windows (default ``default_bandwidth(W)``) jointly from
-    all of them: Kuensch's moving-block bootstrap of the multivariate
-    pattern sequence. One
-    generator draws the block starts, which every series shares, so a
-    pair gets the intervals a run on that pair alone gives at the same
-    seed; it draws them a block of replicates at a time, which gives the
-    same stream as one draw of them all. A replicate is a vector of window
-    multiplicities (+1 at each block start, -1 past each block end,
-    accumulated; the last block is cut to fill W windows), built a block
-    of replicates or of windows at a time. The histograms of the G series
-    are weighted bincounts, those of the negated series move their
-    series' bins to the negated patterns (``_negation_ids``), the
-    coincidence rates are one matrix product per block, and one
-    ``_pair_terms`` call per block of replicates gives every pair's
-    statistics with the point estimates' formulas. Returns (comparison_ci,
-    coefficient_ci), (K, 2) arrays over the pairs i < j in row-major order.
+    Takes the (G, W) symbol ids of G series, the (2, m) negation map
+    (``source``, ``target``) of ``_symbol_ids`` and the (2K, W) per-window
+    coincidences of the K pairs i < j in row-major order (x_i = x_j, then
+    x_i = -x_j). ``source``, the symbol of each pattern, must be one to
+    one, as under the tie-aware alphabet: a negated series' histogram is
+    then its series' histogram with bin ``source[k]`` moved to
+    ``target[k]``, the symbol of pattern k's negation. Resamples blocks of
+    ``block`` consecutive windows (default ``default_bandwidth(W)``)
+    jointly from all series: Kuensch's moving-block bootstrap of the
+    multivariate pattern sequence. One generator draws the block starts,
+    which every series shares, so a pair gets the intervals a run on that
+    pair alone gives at the same seed; it draws them a block of replicates
+    at a time, which gives the same stream as one draw of them all. A
+    replicate is a vector of window multiplicities (+1 at each block start,
+    -1 past each block end, accumulated; the last block is cut to fill W
+    windows), built a block of replicates or of windows at a time. The
+    series' histograms are weighted bincounts, the coincidence rates one
+    matrix product per block, and one ``_pair_terms`` call per block of
+    replicates gives every pair's statistics with the point estimates'
+    formulas. Returns (comparison_ci, coefficient_ci), (K, 2) arrays over
+    the pairs i < j in row-major order.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
@@ -752,9 +755,9 @@ def block_bootstrap_ci(
     spans = -(-num_windows // block)
     lengths = np.full(spans, block)
     lengths[-1] = num_windows - block * (spans - 1)
-    first, second = np.triu_indices(gauges, 1)
-    source, target = _negation_ids(patterns)
-    size = patterns.shape[0]
+    first, second = _pair_indices(gauges)
+    source, target = negation
+    size = int(negation.max()) + 1  # every symbol is a pattern's or its negation's
     # every count is an integer of at most W, so the float sums and products
     # are exact in any order, in float32 up to W = 2^24
     same = same.astype(np.float32 if num_windows <= 1 << 24 else np.float64)
@@ -820,15 +823,14 @@ def _analyze_pairs(
     whose warnings name pair and statistic. Returns the reports in row-major
     pair order and the symmetric (G, G) score comparisons, diagonal included.
     """
-    codes = _stacked_codes(series, n, stride)
-    num_windows = codes.shape[1]
-    estimates, same, scores, ids, patterns, comparisons = _estimates_from_codes(
-        codes, _negated_codes(codes[1:]), scheme, stride, _kernels.df_rows, labels
+    # the codes live only as the core's argument: later steps read ids, coincidences and scores
+    estimates, same, scores, ids, negation, comparisons = _estimates_from_codes(
+        _stacked_codes(series, n, stride), _identity, scheme, stride, _kernels.df_rows, labels
     )
-    del codes  # the bootstrap and the variances read ids, coincidences and scores
-    q_ci, c_ci = block_bootstrap_ci(ids, patterns, same, block, replicates, level, seed)
+    num_windows = ids.shape[1]
+    q_ci, c_ci = block_bootstrap_ci(ids, negation, same, block, replicates, level, seed)
     del ids
-    pairs = list(combinations(labels, 2))  # row-major, as the core's pairs i < j
+    pairs = [(labels[i], labels[j]) for i, j in _pair_indices(len(labels)).T.tolist()]
     variances = []
     for what, field, rows in (("coincidence", "coincidence", same), ("score", "total_score", scores)):
         sigma2, used = _long_run_variances(

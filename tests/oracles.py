@@ -30,6 +30,15 @@ def oracle_shift_min_l1(t, u, reach=1):
     )
 
 
+def oracle_first_appearance(window):
+    """Classical pattern: positions 1..n by descending value, the larger position first on ties."""
+    return tuple(sorted(range(1, len(window) + 1), key=lambda j: (-window[j - 1], -j)))
+
+
+def oracle_l1(t, u):
+    return sum(abs(a - b) for a, b in zip(t, u))
+
+
 def oracle_estimates(x, y, n, stride=1, weights=None):
     """p, q, r, s and the total score, window by window.
 
@@ -38,9 +47,31 @@ def oracle_estimates(x, y, n, stride=1, weights=None):
     comparable with the library.
     """
     weights = weights if weights is not None else {0: 1.0}
-    wx = [oracle_encode(w) for w in oracle_windows(x, n, stride)]
-    wy = [oracle_encode(w) for w in oracle_windows(y, n, stride)]
-    wyn = [oracle_encode(tuple(-v for v in w)) for w in oracle_windows(y, n, stride)]
+    pairs = list(zip(oracle_windows(x, n, stride), oracle_windows(y, n, stride)))
+    return _pair_estimates(pairs, oracle_encode, oracle_shift_min_l1, weights)
+
+
+def oracle_classical_estimates(x, y, n, stride, weights, skip=False):
+    """p, q, r, s, the total score and the score comparison of first-appearance patterns.
+
+    ``weights`` maps plain L1 distances to scores. With ``skip`` the
+    windows holding a tie in either series are dropped first.
+    """
+    pairs = list(zip(oracle_windows(x, n, stride), oracle_windows(y, n, stride)))
+    if skip:
+        pairs = [(a, b) for a, b in pairs if len(set(a)) == n and len(set(b)) == n]
+    expected = _pair_estimates(pairs, oracle_first_appearance, oracle_l1, weights)
+    wx = Counter(oracle_first_appearance(a) for a, _ in pairs)
+    wy = Counter(oracle_first_appearance(b) for _, b in pairs)
+    total = sum(m * k * weights.get(oracle_l1(t, u), 0.0) for t, m in wx.items() for u, k in wy.items())
+    expected["score_comparison"] = total / (len(pairs) * len(pairs))
+    return expected
+
+
+def _pair_estimates(pairs, encode, distance, weights):
+    wx = [encode(a) for a, _ in pairs]
+    wy = [encode(b) for _, b in pairs]
+    wyn = [encode(tuple(-v for v in b)) for _, b in pairs]
     count = len(wx)
 
     def prob(a, b):
@@ -50,7 +81,7 @@ def oracle_estimates(x, y, n, stride=1, weights=None):
         ca, cb = Counter(a), Counter(b)
         return sum(ca[t] * cb[t] for t in ca if t in cb) / (count * count)
 
-    total = sum(weights.get(oracle_shift_min_l1(s, t), 0.0) for s, t in zip(wx, wy))
+    total = sum(weights.get(distance(s, t), 0.0) for s, t in zip(wx, wy))
     return {
         "coincidence": prob(wx, wy),
         "comparison": indep(wx, wy),

@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    oracle_classical_estimates,
     oracle_encode,
     oracle_estimates,
+    oracle_first_appearance,
+    oracle_l1,
     oracle_long_run_variance,
     oracle_shift_min_l1,
     oracle_windows,
@@ -43,7 +46,7 @@ from ordpat.exceptions import NumericalWarning
 from ordpat.io import AnalysisConfig
 from ordpat.metric import CLASSICAL_SHORT, EXACT, GENERALIZED_SHORT, scheme_for_length
 from ordpat.patterns import (
-    TiePolicy, encode_pattern, pattern_index, permutation_table, randomize_values,
+    TiePolicy, encode_pattern, pattern_index, pattern_keys, permutation_table, randomize_values,
 )
 from ordpat.spatial import ClassMatrix
 
@@ -571,15 +574,6 @@ def explicit_score_comparison(a, b, distance, weights):
     return total / (len(a) * len(b))
 
 
-def descending_positions(window):
-    """One-based positions of a tie-free window by descending value."""
-    return tuple(sorted(range(1, len(window) + 1), key=lambda j: -window[j - 1]))
-
-
-def plain_l1(t, u):
-    return sum(abs(a - b) for a, b in zip(t, u))
-
-
 ORACLE_FIELDS = ("coincidence", "comparison", "anti_coincidence", "anti_comparison", "total_score")
 
 
@@ -624,9 +618,9 @@ class TestIdCore:
         expected = oracle_estimates(x.tolist(), y.tolist(), n, stride)
         scheme = scheme_for_length(n, classical=True)
         patterns = [
-            [descending_positions(w) for w in oracle_windows(v.tolist(), n, stride)] for v in (x, y)
+            [oracle_first_appearance(w) for w in oracle_windows(v.tolist(), n, stride)] for v in (x, y)
         ]
-        score_comparison = explicit_score_comparison(*patterns, plain_l1, dict(scheme.mapping))
+        score_comparison = explicit_score_comparison(*patterns, oracle_l1, dict(scheme.mapping))
         for policy in (TiePolicy.first_appearance(), TiePolicy.skip()):
             got = classical_dependence(x, y, n, stride, policy)
             assert {f: getattr(got, f) for f in ORACLE_FIELDS[:4]} == {
@@ -635,6 +629,28 @@ class TestIdCore:
             scores = dependence._row_scores([x], [y], n, stride, scheme, [policy])[0]
             assert got.total_score == scores.sum() / scores.shape[0]
             assert got.score_comparison == score_comparison
+
+    @pytest.mark.parametrize("classes", [3, 4, 5])
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_classical_matches_oracle_on_tied_series(self, classes, n, stride):
+        # ties make the anti side differ from the rank pipeline's: the
+        # first-appearance pattern of -y breaks its ties by position again
+        rng = np.random.default_rng(100 * classes + 10 * n + stride)
+        x = rng.integers(0, classes, size=600)
+        y = np.where(rng.random(600) < 0.6, x, rng.integers(0, classes, size=600))
+        scheme = scheme_for_length(n, classical=True)
+        fields = (*ORACLE_FIELDS, "score_comparison")
+        for policy in (TiePolicy.first_appearance(), TiePolicy.skip()):
+            skip = policy.kind == "skip"
+            if skip and classes < n:  # every window holds a tie
+                with pytest.raises(ValueError, match="skip policy removed every window"):
+                    classical_dependence(x, y, n, stride, policy)
+                continue
+            expected = oracle_classical_estimates(x.tolist(), y.tolist(), n, stride, dict(scheme.mapping), skip)
+            got = classical_dependence(x, y, n, stride, policy)
+            assert {f: getattr(got, f) for f in fields} == expected
+            assert got.coefficient == standardized_coefficient(*(expected[f] for f in fields[:4]))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     # 1: one pair per distance call
@@ -648,7 +664,7 @@ class TestIdCore:
         cx, cy = encode_windows(x, n), encode_windows(y, n)
         scheme = scheme_for_length(n)
         _, _, (scores,), _, _, _ = dependence._estimates_from_codes(
-            np.stack([cx, cy]), dependence._negated_codes(cy[None]), scheme, 1, df_rows, "xy"
+            np.stack([cx, cy]), dependence._identity, scheme, 1, df_rows, "xy"
         )
         expected = scheme.weights_for(df_rows(cx, cy))
         assert scores.dtype == expected.dtype
@@ -657,9 +673,9 @@ class TestIdCore:
         # G = 4: every pair of the stack gets the scores of its own kernel call
         codes = encode_windows(np.stack([x, y, rng.integers(0, 5, size=400), (x + y) % 5]), n)
         _, _, scores, _, _, _ = dependence._estimates_from_codes(
-            codes, dependence._negated_codes(codes[1:]), scheme, 1, df_rows, "abcd"
+            codes, dependence._identity, scheme, 1, df_rows, "abcd"
         )
-        pairs = zip(*np.triu_indices(4, 1))
+        pairs = zip(*dependence._pair_indices(4))
         expected = np.stack([scheme.weights_for(df_rows(codes[i], codes[j])) for i, j in pairs])
         assert scores.tobytes() == expected.tobytes()
 
@@ -896,15 +912,22 @@ class TestBatchedBootstrap:
         rng = np.random.default_rng(10 * gauges + n)
         values = np.repeat(rng.integers(0, 3, size=(gauges, 40)), 3, axis=1)[:, rng.permutation(120)]
         codes = encode_windows(values, n)
-        ids, _, patterns = pattern_index(*codes, *dependence._negated_codes(codes[1:]))
-        source, target = dependence._negation_ids(patterns)
-        np.testing.assert_array_equal(
-            dependence._negated_codes(patterns[source]), patterns[target]
-        )
-        image = np.full(patterns.shape[0], -1)
-        image[source] = target
-        # window by window, series 1..G-1 onto the negated series
-        np.testing.assert_array_equal(image[ids[1:gauges]], ids[gauges:])
+        for alphabet in (dependence._identity, dependence._permutation_codes):
+            ids, negated, hists, _, symbols = dependence._symbol_ids(codes, alphabet)
+            keys = pattern_keys(symbols)
+
+            def symbol_ids(rows):
+                found = np.searchsorted(keys, pattern_keys(alphabet(rows)))
+                np.testing.assert_array_equal(keys[found], pattern_keys(alphabet(rows)))
+                return found
+
+            # window by window, series 0..G-1 and the negated series 1..G-1
+            np.testing.assert_array_equal(ids, [symbol_ids(c) for c in codes])
+            np.testing.assert_array_equal(
+                negated, [symbol_ids(dependence._negated_codes(c)) for c in codes[1:]]
+            )
+            expected = [np.bincount(i, minlength=keys.shape[0]) for i in (*ids, *negated)]
+            np.testing.assert_array_equal(hists, expected)
 
     @pytest.mark.parametrize("kind", ["random", "tied"])
     @pytest.mark.parametrize("replicates", [2, 3, 20, 999, 1000])
@@ -1098,10 +1121,14 @@ class TestLongSeriesPairPath:
             assert got[3][1][name].tobytes() == values.tobytes()
 
     def test_analyze_pair_leaves_numpy_ma_unimported(self):
-        # np.quantile and np.unique import numpy.ma on first use
+        # np.quantile, np.unique(return_inverse=True) and np.union1d import
+        # numpy.ma on first use; one line per call, in order
         code = (
             "import sys, numpy as np, ordpat\n"
             "x, y = np.random.default_rng(3).poisson(4.0, size=(2, 500))\n"
+            "for call in (ordpat.dependence_estimates, ordpat.classical_dependence):\n"
+            "    call(x, y, 4)\n"
+            "    print('numpy.ma' in sys.modules)\n"
             "ordpat.analyze_pair(x, y, 4, replicates=20)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
@@ -1109,4 +1136,4 @@ class TestLongSeriesPairPath:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False"] * 3

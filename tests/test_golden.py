@@ -4,7 +4,9 @@ Each digest is the SHA-256 of an output on a seeded synthetic input: the
 ``pairwise`` CSVs, the ``spatial`` report CSV and table with and without
 ``--include-zero`` (the whole-table baseline), the ``benchmark`` tables,
 the ``repr`` of n=6 point estimates on a 5,000-long 5-class pair,
-whose score table is built in many slices, and the estimator core on
+whose score table is built in many slices, and of the classical
+estimates on that tied pair (first-appearance at n=4 and 6, skip at
+n=4), the estimator core on
 a 20,000-long dependent 6-class pair (point estimates at n=3, 4, 5, 7,
 the score comparison value at n=5) and on ten 500-long pairs (the bytes
 of the per-window scores at n=4 and 6). The bootstrap-interval
@@ -22,9 +24,12 @@ import io
 import numpy as np
 
 from ordpat.cli import main
-from ordpat.dependence import _row_scores, dependence_estimates, score_comparison_value
+from ordpat.dependence import (
+    _row_scores, classical_dependence, dependence_estimates, score_comparison_value,
+)
 from ordpat.io import PAIR_COLUMNS, save_class_matrix
 from ordpat.metric import scheme_for_length
+from ordpat.patterns import TiePolicy
 from ordpat.spatial import ClassMatrix
 
 BOOTSTRAP_COLUMNS = (
@@ -56,6 +61,12 @@ GOLDEN = {
         "3804e28938dd072c34ec0f439ef6a9dad1735eeef10148a3c607341f3b4aef7a",
     "dependence_estimates n=6, length 5000":
         "9688e929992d5a3b27298ca4918f839187995b6469466e171d6871171939f63f",
+    "classical_dependence first_appearance n=4, length 5000":
+        "e898849dd86f1308968fa62575c64cb4c6a113a860a7b4fd20bc226bc5e8732a",
+    "classical_dependence first_appearance n=6, length 5000":
+        "ab2734cd4e9d1518a3bfdff39f20a72879ba0855e07fac97e86eda85da680060",
+    "classical_dependence skip n=4, length 5000":
+        "3555f1cb3c408ff359ef508b2f35591b8eb433e999c5e2c4c91e0c66870d5be7",
     "dependence_estimates n=3, length 20000":
         "0ef2fb95e810949385deec3ba4b9fcf5aeccbeed81e864ece392c5f81a0d330d",
     "dependence_estimates n=4, length 20000":
@@ -132,6 +143,10 @@ def output_digests(tmp_path, capsys) -> dict:
     digests["dependence_estimates n=6, length 5000"] = _sha(
         repr(dependence_estimates(x, y, 6)).encode()
     )
+    for policy, n in ((TiePolicy.first_appearance(), 4), (TiePolicy.first_appearance(), 6), (TiePolicy.skip(), 4)):
+        digests[f"classical_dependence {policy.kind} n={n}, length 5000"] = _sha(
+            repr(classical_dependence(x, y, n, policy=policy)).encode()
+        )
     x, y = class_pair()
     for n in (3, 4, 5, 7):
         digests[f"dependence_estimates n={n}, length 20000"] = _sha(

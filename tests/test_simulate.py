@@ -143,7 +143,9 @@ class TestCoherenceBenchmark:
 
     @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
     def test_non_integer_replications_rejected(self, value):
-        with pytest.raises(ValueError, match=f"replications must be an integer, got {value!r}"):
-            simulate_pairs(IngarchSpec(beta0=1.0, length=20), value)
+        spec = IngarchSpec(beta0=1.0, length=20)
+        for call in (simulate_pairs, lambda s, v: run_benchmark_simulated(s, AnalysisConfig(), v)):
+            with pytest.raises(ValueError, match=f"replications must be an integer, got {value!r}"):
+                call(spec, value)
         xs, _ = simulate_pairs(IngarchSpec(beta0=1.0, length=20), np.int64(3))
         assert xs.shape == (3, 20)
