@@ -53,6 +53,16 @@ def _resolve_scheme(name: str, n: int) -> WeightScheme:
     return get_scheme(name)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of ``--seed``: numpy takes only non-negative integer seeds."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _tie_policy(name: str, seed: int) -> TiePolicy:
     if name == "randomize":
         return TiePolicy.randomize(seed)
@@ -309,7 +319,7 @@ _FLAGS = {
         choices=["skip", "randomize", "first_appearance"], default=None,
         help="classical tie policy (baselines only)",
     ),
-    "seed": dict(type=int, default=0, help="master seed"),
+    "seed": dict(type=_non_negative_int, default=0, help="master seed"),
     "level": dict(type=float, default=0.95, help="confidence level"),
     "kernel": dict(
         default="bartlett", choices=["bartlett", "parzen", "truncated"],

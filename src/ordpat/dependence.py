@@ -12,9 +12,11 @@ measured by
 Kernel-weighted long-run variances give asymptotic confidence intervals
 for the probability-type estimators; one moving-block bootstrap of the
 window pattern sequence covers the comparison value and the
-standardized coefficient. The classical tie-handling baselines (skip /
-randomize / first-appearance) run the same pipeline through permutation
-patterns and the plain L1 metric.
+standardized coefficient. The classical tie-handling baselines run the
+same pipeline through permutation patterns and the plain L1 metric.
+Randomize adds noise to the values before the encode and skip drops the
+windows whose int8 rank codes hold a tie: ``classical_dependence`` takes
+every policy, ``_row_scores`` all but skip.
 
 One estimator core serves every caller. It takes G equally long series
 as one (G, W, n) int8 stack of rank codes and numbers only the series,
@@ -289,10 +291,13 @@ def _row_scores(
     """Per-window scores of the equally long pairs (xs[k], ys[k]), an (R, W) array.
 
     Without ``policies`` the pairs run through the tie-aware pipeline,
-    with one classical tie policy per pair through the classical one.
-    Each chunk of pairs, at 2 * n * length cells a pair, takes one encode
-    and one distance call.
+    with one randomize or first_appearance policy per pair through the
+    classical one (skip drops windows: ``classical_dependence``). Each
+    chunk of pairs, at 2 * n * length cells a pair, takes one encode and
+    one distance call.
     """
+    if policies is not None and any(policy.kind == "skip" for policy in policies):
+        raise ValueError("the skip policy drops windows: use classical_dependence")
     length = series_values(xs[0]).shape[0]
     parts = []
     for part in _kernels.chunks(len(xs), 2 * n * length):
@@ -302,7 +307,7 @@ def _row_scores(
         if policies is None:
             codes, distance = _kernels.encode_windows(values, n, stride), _kernels.df_rows
         else:
-            windows = _classical_windows(values, n, stride, policies[part])
+            windows = _kernels.sliding_windows(_tie_broken(values, policies[part]), n, stride)
             codes, distance = _permutation_codes(windows), _kernels.l1_rows
         half = codes.shape[0] // 2
         parts.append(scheme.weights_for(distance(codes[:half], codes[half:])))
@@ -468,34 +473,21 @@ def _classical_scheme(n: int, scheme: Optional[WeightScheme]) -> WeightScheme:
     return scheme
 
 
-def _classical_windows(
-    values: np.ndarray, n: int, stride: int, policies: Sequence[TiePolicy]
-) -> np.ndarray:
-    """(2R, W, n) windows of R pairs after their tie policies.
+def _tie_broken(values: np.ndarray, policies: Sequence[TiePolicy]) -> np.ndarray:
+    """(2R, length) values of R pairs, x series then y series, after their policies' value step.
 
-    ``values`` stacks the R x series, then the R y series. The policies,
-    one per pair, share one kind; "randomize" draws each
-    pair's noise from its own seed. "skip" drops the windows with a tie in
-    either series, which takes one pair at a time.
+    The policies, one per pair, share one kind: "randomize" adds each
+    pair's noise, drawn from its own seed, to a float64 copy; any other
+    kind returns ``values`` as they are.
     """
-    kind = policies[0].kind
+    if policies[0].kind != "randomize":
+        return values
     values = values.astype(np.float64)
-    pairs = len(policies)
-    if kind == "randomize":
-        gaps = smallest_gap(values)
-        for k, policy in enumerate(policies):
-            for row, seed in zip((k, pairs + k), np.random.SeedSequence(policy.seed).spawn(2)):
-                values[row] = randomize_values(values[row], seed, gaps[row])
-    windows = _kernels.sliding_windows(values, n, stride)
-    if kind == "skip":
-        if pairs != 1:
-            raise ValueError("the skip policy drops windows pair by pair: pass one pair")
-        ordered = np.sort(windows, axis=-1)
-        keep = np.all(ordered[..., 1:] != ordered[..., :-1], axis=-1).all(axis=0)
-        if not keep.any():
-            raise ValueError("skip policy removed every window (ties everywhere)")
-        windows = windows[:, keep]
-    return windows
+    gaps = smallest_gap(values)
+    for k, policy in enumerate(policies):
+        for row, seed in zip((k, len(policies) + k), np.random.SeedSequence(policy.seed).spawn(2)):
+            values[row] = randomize_values(values[row], seed, gaps[row])
+    return values
 
 
 def _permutation_codes(windows: np.ndarray) -> np.ndarray:
@@ -517,11 +509,17 @@ def classical_dependence(
     tie policy and compared with the plain L1 metric, whose values on
     permutations are always even; the weight scheme must be one of the
     even-distance classical schemes (n = 4 or n = 6). Under "skip",
-    windows containing a tie in either series are dropped from both.
+    windows containing a tie in either series are dropped from both after
+    the encode: a window is tie-free exactly when its largest code is n.
     """
-    values = np.stack(_series_list([x, y], n, stride))
+    values = _series_list([x, y], n, stride)
     scheme = _classical_scheme(n, scheme)
-    codes = _kernels.rank_codes(_classical_windows(values, n, stride, [policy]))
+    codes = _kernels.encode_windows(_tie_broken(np.stack(values), [policy]), n, stride)
+    if policy.kind == "skip":
+        keep = (codes.max(axis=-1) == n).all(axis=0)
+        if not keep.any():
+            raise ValueError("skip policy removed every window (ties everywhere)")
+        codes = codes[:, keep]
     return _estimates_from_codes(
         codes, _permutation_codes, scheme, stride, _kernels.l1_rows, _pair_labels(x, y)
     )[0][0]

@@ -25,7 +25,7 @@ from oracles import (
     oracle_windows,
 )
 from ordpat import _kernels, dependence
-from ordpat._kernels import df_rows, encode_windows, sliding_windows
+from ordpat._kernels import df_rows, encode_windows
 from ordpat.cli import run_pairwise
 from ordpat.dependence import (
     ClassSeries,
@@ -621,12 +621,13 @@ class TestIdCore:
             [oracle_first_appearance(w) for w in oracle_windows(v.tolist(), n, stride)] for v in (x, y)
         ]
         score_comparison = explicit_score_comparison(*patterns, oracle_l1, dict(scheme.mapping))
+        # skip drops no window of tie-free series, so it scores as first-appearance
+        scores = dependence._row_scores([x], [y], n, stride, scheme, [TiePolicy.first_appearance()])[0]
         for policy in (TiePolicy.first_appearance(), TiePolicy.skip()):
             got = classical_dependence(x, y, n, stride, policy)
             assert {f: getattr(got, f) for f in ORACLE_FIELDS[:4]} == {
                 f: expected[f] for f in ORACLE_FIELDS[:4]
             }
-            scores = dependence._row_scores([x], [y], n, stride, scheme, [policy])[0]
             assert got.total_score == scores.sum() / scores.shape[0]
             assert got.score_comparison == score_comparison
 
@@ -753,7 +754,7 @@ class TestClassicalTotalScore:
         x = rng.integers(0, 12, size=150)
         y = rng.integers(0, 12, size=150)
         scheme = scheme_for_length(n, classical=True)
-        for policy in (TiePolicy.first_appearance(), TiePolicy.randomize(4), TiePolicy.skip()):
+        for policy in (TiePolicy.first_appearance(), TiePolicy.randomize(4)):
             scores = dependence._row_scores([x], [y], n, 1, scheme, [policy])[0]
             full = classical_dependence(x, y, n, 1, policy)
             assert scores.sum() / scores.shape[0] == full.total_score
@@ -767,12 +768,19 @@ class TestClassicalRowScores:
         values = rng.integers(0, 4, size=(6, 50)) * scales
         values[2] = 5.0
         policies = [TiePolicy.randomize(s) for s in (3, 8, 21)]
-        windows = dependence._classical_windows(values, 4, 1, policies)
+        noisy = dependence._tie_broken(values, policies)
         expected = values.copy()
         for k, policy in enumerate(policies):
             for row, child in zip((k, 3 + k), np.random.SeedSequence(policy.seed).spawn(2)):
                 expected[row] = randomize_values(values[row], child)
-        assert windows.tobytes() == sliding_windows(expected, 4).tobytes()
+        assert noisy.tobytes() == expected.tobytes()
+        # every other policy leaves the values as they are, without a copy
+        assert dependence._tie_broken(values, [TiePolicy.first_appearance()] * 3) is values
+
+    def test_skip_rejected(self):
+        x = np.arange(20.0)
+        with pytest.raises(ValueError, match="skip policy drops windows: use classical_dependence"):
+            dependence._row_scores([x], [x[::-1]], 4, 1, CLASSICAL_SHORT, [TiePolicy.skip()])
 
     def test_stacked_scores_stay_under_memory_budget(self, monkeypatch):
         # one chunk of 200 pairs x 1000 values at n=6: a single int64
@@ -1080,7 +1088,15 @@ class TestLongSeriesPairPath:
         # the block starts are drawn per block of replicates, not as one
         # (1000, 2128) int64 table of 17 MB
         (lambda x, y: analyze_pair(x, y, 4, replicates=1000), 6),
-    ], ids=["estimates", "analyze_pair", "analyze_pair_1000_replicates"])
+        # the classical encode is sliced too; skip filters the int8 codes,
+        # not a sorted copy of the float64 windows (10.2 MiB)
+        (lambda x, y: classical_dependence(x, y, 4, policy=TiePolicy.skip()), 6),
+        (lambda x, y: classical_dependence(x, y, 4, policy=TiePolicy.randomize(5)), 6),
+        (lambda x, y: classical_dependence(x, y, 4, policy=TiePolicy.first_appearance()), 6),
+    ], ids=[
+        "estimates", "analyze_pair", "analyze_pair_1000_replicates",
+        "classical_skip", "classical_randomize", "classical_first_appearance",
+    ])
     def test_long_n4_peaks(self, call, bound_mib):
         # kept per-window arrays: int8 codes (0.8 MB), the (3, W) int64 ids
         # (2.4 MB), bool coincidences and float64 scores (1 MB); every other
@@ -1103,22 +1119,26 @@ class TestLongSeriesPairPath:
         matrix = ClassMatrix(np.column_stack(columns), tuple(f"g{i}" for i in range(8)))
         config = AnalysisConfig(n=4, replicates=12, seed=4)
         x, y = columns[0], rng.poisson(2.0, size=160)
+        # wide enough that skip keeps some 6-windows of both series
+        cx, cy = rng.integers(0, 50, size=(2, 160))
+        policies = (TiePolicy.skip(), TiePolicy.randomize(6), TiePolicy.first_appearance())
 
         def results():
             return (
                 [dependence_estimates(x, y, n) for n in range(3, 8)],
                 analyze_pair(x, y, 4, replicates=30, seed=9),
                 analyze_pair(x, y, 3, block=160 - 2, replicates=5, seed=9),
+                [classical_dependence(cx, cy, n, policy=p) for n in (4, 6) for p in policies],
                 run_pairwise(matrix, config),
             )
 
         expected = results()
         monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
         got = results()
-        assert got[:3] == expected[:3]
-        assert got[3][0] == expected[3][0] and got[3][2] == expected[3][2]
-        for name, values in expected[3][1].items():
-            assert got[3][1][name].tobytes() == values.tobytes()
+        assert got[:4] == expected[:4]
+        assert got[4][0] == expected[4][0] and got[4][2] == expected[4][2]
+        for name, values in expected[4][1].items():
+            assert got[4][1][name].tobytes() == values.tobytes()
 
     def test_analyze_pair_leaves_numpy_ma_unimported(self):
         # np.quantile, np.unique(return_inverse=True) and np.union1d import

@@ -5,11 +5,12 @@ Each digest is the SHA-256 of an output on a seeded synthetic input: the
 ``--include-zero`` (the whole-table baseline), the ``benchmark`` tables,
 the ``repr`` of n=6 point estimates on a 5,000-long 5-class pair,
 whose score table is built in many slices, and of the classical
-estimates on that tied pair (first-appearance at n=4 and 6, skip at
-n=4), the estimator core on
+estimates on that tied pair (first-appearance and randomize at n=4 and
+6, skip at n=4), the estimator core on
 a 20,000-long dependent 6-class pair (point estimates at n=3, 4, 5, 7,
 the score comparison value at n=5) and on ten 500-long pairs (the bytes
-of the per-window scores at n=4 and 6). The bootstrap-interval
+of the per-window scores at n=4 and 6, tie-aware and classical under
+first-appearance and randomize). The bootstrap-interval
 columns of ``pairwise`` (``comparison_ci_*`` and ``coefficient_ci_*``)
 have their own digest: they moved once, in a documented stream change,
 when all gauge pairs of a run began to share one moving-block bootstrap,
@@ -67,6 +68,10 @@ GOLDEN = {
         "ab2734cd4e9d1518a3bfdff39f20a72879ba0855e07fac97e86eda85da680060",
     "classical_dependence skip n=4, length 5000":
         "3555f1cb3c408ff359ef508b2f35591b8eb433e999c5e2c4c91e0c66870d5be7",
+    "classical_dependence randomize n=4, length 5000":
+        "7a2135acc9be7c9e5168f033c9ecb9507a6b435d412a0ea7b1ee4c91854a9b8a",
+    "classical_dependence randomize n=6, length 5000":
+        "a66c18a61aea21f68c8f1284207c2f2fa5d310d6ea56e0bedcf13ced3bb1302a",
     "dependence_estimates n=3, length 20000":
         "0ef2fb95e810949385deec3ba4b9fcf5aeccbeed81e864ece392c5f81a0d330d",
     "dependence_estimates n=4, length 20000":
@@ -81,6 +86,14 @@ GOLDEN = {
         "afec0f37e4f1e44c517fd9e930c05efd837440cc3c07051a70fb9a2d9a86bb38",
     "_row_scores n=6, 10 pairs of length 500":
         "7a48775492e811b1a00b3257c3254c2b4295cdae0dd7b43ceac285cbc515e0a5",
+    "_row_scores first_appearance n=4, 10 pairs of length 500":
+        "bb8153ff69980a4614f16dec123e3e7fe1b52878bcb190108215d2f2c1767ead",
+    "_row_scores randomize n=4, 10 pairs of length 500":
+        "9300d1674e24718709fc12eb910e47403d7f4fc4e8d38200fd80d7f3d1a40ccf",
+    "_row_scores first_appearance n=6, 10 pairs of length 500":
+        "052f688c65536dcc89f660bf8452259e41dee128aecb590036878772ba2398c7",
+    "_row_scores randomize n=6, 10 pairs of length 500":
+        "0ba9308ef52513ccc24feafe957a00983301ca29db44d85e69fde2084ef513d3",
 }
 
 
@@ -143,7 +156,10 @@ def output_digests(tmp_path, capsys) -> dict:
     digests["dependence_estimates n=6, length 5000"] = _sha(
         repr(dependence_estimates(x, y, 6)).encode()
     )
-    for policy, n in ((TiePolicy.first_appearance(), 4), (TiePolicy.first_appearance(), 6), (TiePolicy.skip(), 4)):
+    for policy, n in (
+        (TiePolicy.first_appearance(), 4), (TiePolicy.first_appearance(), 6), (TiePolicy.skip(), 4),
+        (TiePolicy.randomize(13), 4), (TiePolicy.randomize(13), 6),
+    ):
         digests[f"classical_dependence {policy.kind} n={n}, length 5000"] = _sha(
             repr(classical_dependence(x, y, n, policy=policy)).encode()
         )
@@ -160,6 +176,11 @@ def output_digests(tmp_path, capsys) -> dict:
         digests[f"_row_scores n={n}, 10 pairs of length 500"] = _sha(
             _row_scores(xs, ys, n, 1, scheme_for_length(n)).tobytes()
         )
+        classical = scheme_for_length(n, classical=True)
+        for policies in ([TiePolicy.first_appearance()] * 10, [TiePolicy.randomize(40 + k) for k in range(10)]):
+            digests[f"_row_scores {policies[0].kind} n={n}, 10 pairs of length 500"] = _sha(
+                _row_scores(xs, ys, n, 1, classical, policies).tobytes()
+            )
     return digests
 
 

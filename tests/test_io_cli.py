@@ -372,6 +372,19 @@ class TestCli:
             main(["no-such-command"])
         assert info.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["pairwise", "--data", "m.csv"],
+        ["benchmark"],
+        ["benchmark", "--data", "m.csv"],
+        ["simulate"],
+        ["encode", "--tie-policy", "randomize", "1", "2"],
+    ], ids=["pairwise", "benchmark", "benchmark_data", "simulate", "encode"])
+    def test_negative_seed_is_usage_error_naming_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--seed", "-3"])
+        assert info.value.code == 1
+        assert "argument --seed: expected a non-negative integer, got '-3'" in capsys.readouterr().err
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         assert main(["pairwise", "--data", str(missing)]) == 2
