@@ -28,9 +28,11 @@ thus bounds each slice by 1 MiB. Each chunked loop states its cost per
 item and iterates ``chunks``; a loop over a grid of rows by windows (the
 pairs or replicates of a long series pair) iterates ``blocks``, which
 keeps whole rows together while one fits and cuts a longer row into
-window slices. Sliced by window: the rank codes of ``encode_windows``,
-the pattern keys of ``patterns.pattern_index``, and the coincidences,
-per-window scores and bootstrap multiplicities of ``dependence``.
+window slices. Sliced by window: the rank codes of ``encode_windows``
+and the coincidences, per-window scores and bootstrap multiplicities of
+``dependence``. ``patterns.pattern_index`` takes no slices: it writes the
+pattern keys into the ids it returns, and its lookup table or sort
+stays within a fixed multiple of them.
 """
 
 from __future__ import annotations

@@ -63,6 +63,21 @@ def _non_negative_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
+def _comma_list(kind: type, *, may_be_empty: bool = False) -> Callable[[str], tuple]:
+    """argparse type of a comma list of ``kind`` values; empty text is the empty list if ``may_be_empty``."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in text.split(",")) if text or not may_be_empty else ()
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {kind.__name__} values, got {text!r}"
+            ) from None
+    return parse
+
+
+_coefficients = _comma_list(float, may_be_empty=True)  # a process may have no feedback terms
+
+
 def _tie_policy(name: str, seed: int) -> TiePolicy:
     if name == "randomize":
         return TiePolicy.randomize(seed)
@@ -243,11 +258,8 @@ def _cmd_spatial(args) -> int:
 
 
 def _ingarch_spec(args) -> IngarchSpec:
-    def coefficients(text: str) -> tuple[float, ...]:
-        return tuple(float(v) for v in text.split(",")) if text else ()
-
     return IngarchSpec(
-        beta0=args.beta0, beta=coefficients(args.beta), alpha=coefficients(args.alpha),
+        beta0=args.beta0, beta=args.beta, alpha=args.alpha,
         length=args.length, seed=args.seed, burn_in=args.burn_in,
     )
 
@@ -256,11 +268,10 @@ def _cmd_benchmark(args) -> int:
     config = AnalysisConfig(
         stride=args.stride, scheme=args.scheme, seed=args.seed, gauges=_gauge_list(args)
     )
-    lengths = tuple(int(v) for v in args.lengths.split(","))
     if args.data:
-        rows = run_benchmark_data(load_class_matrix(args.data), config, lengths)
+        rows = run_benchmark_data(load_class_matrix(args.data), config, args.lengths)
     else:
-        rows = run_benchmark_simulated(_ingarch_spec(args), config, args.replications, lengths)
+        rows = run_benchmark_simulated(_ingarch_spec(args), config, args.replications, args.lengths)
     print(f"{'approach':<18} {'n':>2} {'mean%':>7} {'min%':>7} {'max%':>7}")
     for row in rows:
         print(
@@ -335,8 +346,8 @@ _FLAGS = {
     "format": dict(choices=["matrix", "long"], default="matrix", help="stdout layout"),
     # the count-process parameters of ``benchmark`` and ``simulate``
     "beta0": dict(type=float, default=2.0, help="count-process intercept (default 2.0)"),
-    "beta": dict(default="0.3", help="comma list of count-feedback coefficients"),
-    "alpha": dict(default="", help="comma list of mean-feedback coefficients"),
+    "beta": dict(type=_coefficients, default="0.3", help="comma list of count-feedback coefficients"),
+    "alpha": dict(type=_coefficients, default="", help="comma list of mean-feedback coefficients"),
     "length": dict(type=int, default=1000, help="simulated series length"),
     "burn-in": dict(type=int, default=500, help="discarded initial draws (default 500)"),
 }
@@ -388,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         p, "stride", "scheme", "seed", "gauges", "beta0", "beta", "alpha", "length", "burn-in"
     )
     p.add_argument("--data", default=None, help="class matrix CSV (else simulate)")
-    p.add_argument("--lengths", default="4,6", help="pattern lengths (default 4,6)")
+    p.add_argument("--lengths", type=_comma_list(int), default="4,6", help="pattern lengths (default 4,6)")
     p.add_argument("--replications", type=int, default=100)
     p.add_argument("--out", default=None, help="summary CSV path")
     p.set_defaults(func=_cmd_benchmark)

@@ -33,8 +33,9 @@ long-run variance every pair); a single pair is the case G = 2. One
 bootstrap per call resamples the window blocks of all series together
 and moves each series' counts to its negated series through that map.
 Only the int8 codes, the int64 symbol ids, the bool coincidences and the
-float64 scores span every window of a long series; the other per-window
-temporaries are built in slices under ``_kernels.CELL_BUDGET``.
+float64 scores span every window of a long series; the numbering's
+temporaries stay within a fixed multiple of the ids, and the other
+per-window temporaries are built in slices under ``_kernels.CELL_BUDGET``.
 """
 
 from __future__ import annotations
@@ -821,19 +822,24 @@ def _analyze_pairs(
     whose warnings name pair and statistic. Returns the reports in row-major
     pair order and the symmetric (G, G) score comparisons, diagonal included.
     """
-    # the codes live only as the core's argument: later steps read ids, coincidences and scores
+    codes = _stacked_codes(series, n, stride)
+    num_windows = codes.shape[1]
+    if num_windows < 2:
+        raise ValueError(f"need at least 2 windows, got {num_windows} (n={n}, stride={stride})")
     estimates, same, scores, ids, negation, comparisons = _estimates_from_codes(
-        _stacked_codes(series, n, stride), _identity, scheme, stride, _kernels.df_rows, labels
+        codes, _identity, scheme, stride, _kernels.df_rows, labels
     )
-    num_windows = ids.shape[1]
+    del codes  # later steps read ids, coincidences and scores
+    pairs = [(labels[i], labels[j]) for i, j in _pair_indices(len(labels)).T.tolist()]
+    stacked = []  # before the bootstrap, so that a bad bandwidth fails before it runs
+    for what, field, rows in (("coincidence", "coincidence", same), ("score", "total_score", scores)):
+        stacked.append((field, *_long_run_variances(
+            rows[: len(pairs)], kernel, bandwidth, lambda k: "{}|{} {}: ".format(*pairs[k], what)
+        )))
     q_ci, c_ci = block_bootstrap_ci(ids, negation, same, block, replicates, level, seed)
     del ids
-    pairs = [(labels[i], labels[j]) for i, j in _pair_indices(len(labels)).T.tolist()]
     variances = []
-    for what, field, rows in (("coincidence", "coincidence", same), ("score", "total_score", scores)):
-        sigma2, used = _long_run_variances(
-            rows[: len(pairs)], kernel, bandwidth, lambda k: "{}|{} {}: ".format(*pairs[k], what)
-        )
+    for field, sigma2, used in stacked:
         points = np.array([getattr(est, field) for est in estimates])
         low, high = _interval_bounds(points, sigma2, num_windows, level)
         variances.append([

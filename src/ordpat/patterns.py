@@ -265,23 +265,23 @@ def enumerate_patterns(n: int) -> PatternTable:
     return PatternTable(n=n, codes=codes, keys=keys)
 
 
-def pattern_keys(codes: np.ndarray) -> np.ndarray:
+def pattern_keys(codes: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Collapse rank-code rows (last axis) to scalar int64 keys (base n+1 digits).
 
     Keys preserve lexicographic order and are unique for fixed n, so they
     can stand in for patterns in counting and grouping. They are built by
-    Horner's rule one code column at a time. An int8 column is added as it
-    is and any other column cast to int64, so int8 codes are never widened
-    as a whole array.
+    Horner's rule one code column at a time, into ``out`` when given (an
+    int64 array of the result's shape). Each column is cast as numpy adds
+    it, a buffer at a time, so no code column is widened as a whole array.
     """
     codes = np.asarray(codes)
     n = codes.shape[-1]
     _kernels.check_pattern_length(n)
-    keys = np.zeros(codes.shape[:-1], dtype=np.int64)
+    keys = np.empty(codes.shape[:-1], dtype=np.int64) if out is None else out
+    keys.fill(0)
     for j in range(n):
         keys *= n + 1
-        column = codes[..., j]
-        keys += column if column.dtype == np.int8 else column.astype(np.int64, copy=False)
+        np.add(keys, codes[..., j], out=keys, dtype=np.int64, casting="unsafe")
     return keys
 
 
@@ -295,10 +295,11 @@ def pattern_codes(keys: np.ndarray, n: int) -> np.ndarray:
 def pattern_index(*codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number the patterns of equally long (rows, n) code arrays 0..m-1 in key order, shared by all.
 
-    The keys of every array go into one (arrays, rows) int64 buffer, a
-    slice of rows at a time, and are renumbered in place. Keys below
-    ``_kernels.CELL_BUDGET`` (every key up to n = 6) are numbered through a
-    lookup table, larger ones through a sort. Returns that buffer as the
+    The keys of every array are written into one (arrays, rows) int64
+    buffer and renumbered in place. Keys whose range (the largest key
+    plus one) is at most twice their number are numbered through a lookup
+    table over that range, sparser ones through a sort, so the temporaries
+    stay within a fixed multiple of the buffer. Returns that buffer as the
     (arrays, rows) ids, the (arrays, m) histograms over the m ids, and the
     (m, n) codes of the numbered patterns. Arrays of unequal lengths are a
     ValueError.
@@ -309,12 +310,10 @@ def pattern_index(*codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
             raise ValueError(f"code arrays of unequal lengths: {rows} vs {array.shape[0]} rows")
     ids = np.empty((len(codes), rows), dtype=np.int64)
     for array, keys in zip(codes, ids):
-        # per row: its key and one int64 column of Horner's rule
-        for part in _kernels.chunks(rows, 2):
-            keys[part] = pattern_keys(array[part])
+        pattern_keys(array, out=keys)
     keys = ids.reshape(-1)
     size = int(keys.max()) + 1
-    if size <= _kernels.CELL_BUDGET:
+    if size <= 2 * keys.shape[0]:
         seen = np.zeros(size, dtype=bool)
         seen[keys] = True
         distinct = np.flatnonzero(seen)

@@ -744,6 +744,25 @@ class TestAnalyzePair:
         assert report.comparison_ci[0] <= report.comparison_ci[1]
         assert report.level == 0.95
 
+    def test_one_window_rejected_naming_count_length_and_stride(self):
+        x, y = np.arange(6), np.arange(6)[::-1]
+        with pytest.raises(ValueError, match=r"need at least 2 windows, got 1 \(n=6, stride=1\)"):
+            analyze_pair(x, y, n=len(x))
+        with pytest.raises(ValueError, match=r"got 1 \(n=2, stride=5\)"):
+            analyze_pair(x, y, n=2, stride=5)
+
+    def test_bad_bandwidth_fails_before_the_bootstrap(self, monkeypatch):
+        def bootstrap(*args, **kwargs):
+            raise AssertionError("the bootstrap ran")
+
+        monkeypatch.setattr(dependence, "block_bootstrap_ci", bootstrap)
+        rng = np.random.default_rng(26)
+        x, y = rng.integers(0, 4, size=(2, 60))
+        # the bandwidth error comes first, also when the block is bad too
+        for block in (None, 0):
+            with pytest.raises(ValueError, match="bandwidth must be >= 1"):
+                analyze_pair(x, y, 4, bandwidth=0.5, block=block)
+
 
 class TestClassicalTotalScore:
     """The classical total score from ``_row_scores`` alone is the full pipeline's."""
@@ -1099,7 +1118,8 @@ class TestLongSeriesPairPath:
     ])
     def test_long_n4_peaks(self, call, bound_mib):
         # kept per-window arrays: int8 codes (0.8 MB), the (3, W) int64 ids
-        # (2.4 MB), bool coincidences and float64 scores (1 MB); every other
+        # (2.4 MB), bool coincidences and float64 scores (1 MB); the numbering's
+        # temporaries stay within a multiple of the ids and every other
         # temporary is sliced under the 1 MiB budget
         rng = np.random.default_rng(81)
         x, y = rng.poisson(4.0, size=(2, 100_000))

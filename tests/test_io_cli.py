@@ -385,6 +385,19 @@ class TestCli:
         assert info.value.code == 1
         assert "argument --seed: expected a non-negative integer, got '-3'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag,text,kind", [
+        (["benchmark", "--lengths"], "lengths", "4,x", "int"),
+        (["benchmark", "--lengths"], "lengths", "", "int"),
+        (["simulate", "--beta"], "beta", "0.3,x", "float"),
+        (["benchmark", "--alpha"], "alpha", "0.1,", "float"),
+    ], ids=["lengths", "empty_lengths", "beta", "alpha"])
+    def test_malformed_comma_list_is_usage_error_naming_the_flag(self, argv, flag, text, kind, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, text])
+        assert info.value.code == 1
+        expected = f"argument --{flag}: expected a comma list of {kind} values, got {text!r}"
+        assert expected in capsys.readouterr().err
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         assert main(["pairwise", "--data", str(missing)]) == 2

@@ -204,7 +204,3 @@ def test_blocks_cover_the_grid_in_row_major_order(rows, width, cost, fixed, monk
         elif span < width:  # one long row in window slices
             assert width * cost + fixed > 12 and (span == 1 or span * cost <= 12)
 
-
-def test_cell_budget_keeps_the_key_table_up_to_n6():
-    # pattern_index numbers keys below the budget through a lookup table
-    assert 7**6 <= _kernels.CELL_BUDGET < 8**7

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,21 +354,38 @@ class TestPatternKeys:
             np.testing.assert_array_equal(keys, reference)
 
 
+def sorts(monkeypatch):
+    """Record whether ``pattern_index`` numbers through a sort: a list that ``np.unique`` appends to."""
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(True)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    return calls
+
+
 class TestPatternIndex:
-    @pytest.mark.parametrize("budget", [None, 0])  # lookup path up to n = 6, sort path
+    @pytest.mark.parametrize("budget", [None, 0])  # the budget no longer selects a path
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_unique_reference(self, n, budget, monkeypatch):
         if budget is not None:
             monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
+        sorted_calls = sorts(monkeypatch)
         rng = np.random.default_rng(40 + n)
         for rows in (300, 1):
             arrays = [
                 np.array([oracle_encode(w) for w in rng.integers(0, 3, size=(rows, n)).tolist()])
                 for _ in range(3)
             ]
-            ids, hists, codes = pattern_index(*arrays)
             keys = [pattern_keys(a) for a in arrays]
             distinct, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+            sorted_calls.clear()
+            ids, hists, codes = pattern_index(*arrays)
+            # a lookup table when the key range is at most twice the 3 * rows keys
+            assert sorted_calls == [True] * (int(max(k.max() for k in keys)) + 1 > 2 * 3 * rows)
             np.testing.assert_array_equal(codes, pattern_codes(distinct, n))
             np.testing.assert_array_equal(pattern_keys(codes), distinct)
             for a, got, hist, expected in zip(arrays, ids, hists, inverse.reshape(3, rows)):
@@ -375,7 +393,27 @@ class TestPatternIndex:
                 np.testing.assert_array_equal(codes[got], a)
                 np.testing.assert_array_equal(hist, np.bincount(expected, minlength=distinct.shape[0]))
 
-    @pytest.mark.parametrize("budget", [None, 0, 3])  # lookup path, sort path, keys one row at a time
+    @pytest.mark.parametrize("rows,arrays,sort", [
+        (4, 2, False),  # range 8 below 2 x 8 keys
+        (2, 2, False),  # range 8 at 2 x 4 keys
+        (4, 1, False),  # range 8 at 2 x 4 keys
+        (3, 1, True),  # range 8 above 2 x 3 keys
+        (1, 2, True),  # range 8 above 2 x 2 keys
+    ])
+    def test_key_range_picks_the_path(self, rows, arrays, sort, monkeypatch):
+        # n = 2 keys are base-3 numbers: (1, 1) -> 4, (1, 2) -> 5, (2, 1) -> 7; the first
+        # array starts with (2, 1), so the range is 8
+        patterns = np.array([[2, 1], [1, 1], [1, 2], [1, 1]], dtype=np.int8)
+        codes = [np.roll(patterns, k, axis=0)[:rows] for k in range(arrays)]
+        sorted_calls = sorts(monkeypatch)
+        ids, hists, distinct = pattern_index(*codes)
+        assert sorted_calls == [True] * sort
+        keys = pattern_keys(np.stack(codes))
+        np.testing.assert_array_equal(pattern_keys(distinct), np.unique(keys))
+        np.testing.assert_array_equal(distinct[ids], np.stack(codes))
+        np.testing.assert_array_equal(hists.sum(axis=1), [rows] * arrays)
+
+    @pytest.mark.parametrize("budget", [None, 0, 3])  # the budget no longer selects a path
     def test_equal_lengths_share_one_id_array(self, budget, monkeypatch):
         rng = np.random.default_rng(47)
         arrays = [
@@ -391,6 +429,32 @@ class TestPatternIndex:
         np.testing.assert_array_equal(codes, expected_codes)
         np.testing.assert_array_equal(ids, expected_ids)
         np.testing.assert_array_equal(hists, expected_hists)
+
+    def test_short_n6_numbering_stays_small(self):
+        # a lookup table over the 7^6 keys of n = 6 would take 1.1 MiB for 74 keys
+        rng = np.random.default_rng(48)
+        codes = _kernels.encode_windows(rng.integers(0, 5, size=(2, 40)), 6)
+        pattern_index(*codes)
+        tracemalloc.start()
+        try:
+            pattern_index(*codes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+    def test_long_n7_numbering_is_linear_in_the_keys(self):
+        # 2e5 keys spread over 8^7 take the sort: the returned (2, W) int64 ids
+        # and np.unique's sorted copies, order and inverse, about 6.3 times the ids
+        rng = np.random.default_rng(49)
+        codes = _kernels.encode_windows(rng.poisson(4.0, size=(2, 100_000)), 7)
+        tracemalloc.start()
+        try:
+            ids, _, _ = pattern_index(*codes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * ids.nbytes
 
     def test_unequal_lengths_rejected(self):
         codes = np.array([[1, 2], [2, 1], [1, 1]])
