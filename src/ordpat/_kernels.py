@@ -26,13 +26,13 @@ value; a slice is charged the real bytes of its temporaries, so an int8
 code or a bool is 1/8 of a cell and a float32 half of one. The budget
 thus bounds each slice by 1 MiB. Each chunked loop states its cost per
 item and iterates ``chunks``; a loop over a grid of rows by windows (the
-pairs or replicates of a long series pair) iterates ``blocks``, which
-keeps whole rows together while one fits and cuts a longer row into
-window slices. Sliced by window: the rank codes of ``encode_windows``
-and the coincidences, per-window scores and bootstrap multiplicities of
-``dependence``. ``patterns.pattern_index`` takes no slices: it writes the
-pattern keys into the ids it returns, and its lookup table or sort
-stays within a fixed multiple of them.
+pairs of a long series pair) iterates ``blocks``, which keeps whole rows
+together while one fits and cuts a longer row into window slices.
+Sliced by window: the rank codes of ``encode_windows`` and the
+coincidences and per-window scores of ``dependence``. Two loops pass
+the budget within a fixed multiple of a series' ids: ``pattern_index``
+numbers the keys it writes into its ids by a lookup table or a sort,
+and the bootstrap builds at least one whole replicate per chunk.
 """
 
 from __future__ import annotations
@@ -60,16 +60,14 @@ def chunks(count: int, cells_per_item: float) -> Iterator[slice]:
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
-def blocks(
-    rows: int, width: int, cells_per_cell: float, cells_per_row: float = 0.0
-) -> Iterator[tuple[slice, slice]]:
+def blocks(rows: int, width: int, cells_per_cell: float) -> Iterator[tuple[slice, slice]]:
     """(row slice, column slice) blocks of a rows x width grid, row-major, each under CELL_BUDGET.
 
-    A row costs ``width * cells_per_cell + cells_per_row`` cells. Whole
-    rows go together while one row fits the budget; a longer row goes
-    alone, cut into column slices, so a row's last block ends at ``width``.
+    A row costs ``width * cells_per_cell`` cells. Whole rows go together
+    while one row fits the budget; a longer row goes alone, cut into
+    column slices.
     """
-    row_cells = width * cells_per_cell + cells_per_row
+    row_cells = width * cells_per_cell
     if row_cells <= CELL_BUDGET:
         return ((part, slice(0, width)) for part in chunks(rows, row_cells))
     return ((slice(r, r + 1), part) for r in range(rows) for part in chunks(width, cells_per_cell))

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .dependence import DependenceReport, _analyze_pairs, _pair_indices, _row_scores
+from .dependence import KERNELS, DependenceReport, _analyze_pairs, _pair_indices, _row_scores
 from .exceptions import DataFormatError, NumericalWarning
 from .io import (
     _fmt,
@@ -327,13 +327,13 @@ _FLAGS = {
         help="weight scheme (default: auto by length)",
     ),
     "tie-policy": dict(
-        choices=["skip", "randomize", "first_appearance"], default=None,
+        choices=TiePolicy.KINDS, default=None,
         help="classical tie policy (baselines only)",
     ),
     "seed": dict(type=_non_negative_int, default=0, help="master seed"),
     "level": dict(type=float, default=0.95, help="confidence level"),
     "kernel": dict(
-        default="bartlett", choices=["bartlett", "parzen", "truncated"],
+        default="bartlett", choices=KERNELS,
         help="long-run variance kernel",
     ),
     "bandwidth": dict(type=float, default=None, help="kernel bandwidth"),

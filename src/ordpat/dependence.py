@@ -33,9 +33,11 @@ long-run variance every pair); a single pair is the case G = 2. One
 bootstrap per call resamples the window blocks of all series together
 and moves each series' counts to its negated series through that map.
 Only the int8 codes, the int64 symbol ids, the bool coincidences and the
-float64 scores span every window of a long series; the numbering's
-temporaries stay within a fixed multiple of the ids, and the other
-per-window temporaries are built in slices under ``_kernels.CELL_BUDGET``.
+float64 scores span every window of a long series. The numbering's
+temporaries stay within a fixed multiple of the ids, and so do the
+bootstrap's, which builds whole replicates under ``_kernels.CELL_BUDGET``
+and at least one at a time; the other per-window temporaries are built
+in slices under that budget.
 """
 
 from __future__ import annotations
@@ -679,28 +681,21 @@ def _percentiles(stats: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
     return np.stack(rows)
 
 
-def _window_weights(
-    starts: np.ndarray, lengths: np.ndarray, lo: int, hi: int, carry: int
-) -> tuple[np.ndarray, int]:
-    """Multiplicities of windows lo..hi-1 in replicates of these block starts and lengths, and the last.
+def _window_weights(starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """Window multiplicities of replicates of ``width`` windows with these block starts and lengths.
 
-    +1 at each block start and -1 at each block end, accumulated by one
-    integer cumsum flat over the replicates: an end at window hi falls in
-    the next replicate's first cell and closes its block there (past the
-    last cell for the last replicate). A replicate cut into window slices
-    takes such an end in its next slice, whose ``carry`` counts the blocks
-    open before window lo. Returns the flat float64 multiplicities,
-    replicate by replicate.
+    One weighted bincount, flat over the replicates, puts +1 at each block
+    start and -1 at each block end, and one float64 cumsum accumulates them
+    in place. Every block ends by window ``width``, so the running total
+    is 0 again where an end at ``width`` falls: in the next replicate's
+    first cell, whose starts then count from 0, or past the last cell for
+    the last replicate. Returns the flat float64 multiplicities, replicate
+    by replicate.
     """
-    count, width = starts.shape[0], hi - lo
-    offsets = (np.arange(count) * width - lo)[:, None]
-    cells = count * width
-    ends = starts + lengths
-    steps = np.bincount((starts + offsets)[(starts >= lo) & (starts < hi)], minlength=cells + 1)
-    steps -= np.bincount((ends + offsets)[(ends >= lo) & (ends <= hi)], minlength=cells + 1)
-    np.cumsum(steps, out=steps)
-    steps += carry
-    return steps[:cells].astype(np.float64), int(steps[cells - 1])
+    offsets = (np.arange(starts.shape[0]) * width)[:, None]
+    index = np.concatenate([(starts + offsets).ravel(), (starts + lengths + offsets).ravel()])
+    steps = np.bincount(index, np.repeat([1.0, -1.0], starts.size), starts.shape[0] * width + 1)
+    return np.cumsum(steps[:-1], out=steps[:-1])
 
 
 def block_bootstrap_ci(
@@ -725,14 +720,14 @@ def block_bootstrap_ci(
     jointly from all series: Kuensch's moving-block bootstrap of the
     multivariate pattern sequence. One generator draws the block starts,
     which every series shares, so a pair gets the intervals a run on that
-    pair alone gives at the same seed; it draws them a block of replicates
+    pair alone gives at the same seed; it draws them a chunk of replicates
     at a time, which gives the same stream as one draw of them all. A
     replicate is a vector of window multiplicities (+1 at each block start,
     -1 past each block end, accumulated; the last block is cut to fill W
-    windows), built a block of replicates or of windows at a time. The
-    series' histograms are weighted bincounts, the coincidence rates one
-    matrix product per block, and one ``_pair_terms`` call per block of
-    replicates gives every pair's statistics with the point estimates'
+    windows), built a chunk of whole replicates at a time, at least one
+    per chunk. The series' histograms are weighted bincounts, the
+    coincidence rates one matrix product per chunk, and one ``_pair_terms``
+    call per chunk gives every pair's statistics with the point estimates'
     formulas. Returns (comparison_ci, coefficient_ci), (K, 2) arrays over
     the pairs i < j in row-major order.
     """
@@ -761,31 +756,26 @@ def block_bootstrap_ci(
     # are exact in any order, in float32 up to W = 2^24
     same = same.astype(np.float32 if num_windows <= 1 << 24 else np.float64)
     comparison, coefficient = np.empty((2, replicates, first.shape[0]))
-    # a replicate's cells: per window int64 steps, float64 and float32
-    # multiplicities and an int64 bincount index, of which at most 2.5 cells
-    # are alive at once; its histograms and pair statistics; per block its
+    # a replicate's cells: per window its float64 multiplicities, their
+    # float32 copy and, in a chunk of several replicates, an int64 bincount
+    # index (2.5 cells); its histograms and pair statistics; per block its
     # int64 start and end
     fixed = arrays * size + 3 * gauges * gauges + 2 * spans
-    for rows, part in _kernels.blocks(replicates, num_windows, 2.5, fixed):
-        count, lo, hi = rows.stop - rows.start, part.start, part.stop
-        if lo == 0:
-            starts = rng.integers(0, num_windows - block + 1, size=(count, spans))
-            hists = np.zeros((count, arrays, size))
-            hits = np.zeros((count, same.shape[0]))
-            carry = 0
-        weights, carry = _window_weights(starts, lengths, lo, hi, carry)
+    for rows in _kernels.chunks(replicates, 2.5 * num_windows + fixed):
+        count = rows.stop - rows.start
+        starts = rng.integers(0, num_windows - block + 1, size=(count, spans))
+        weights = _window_weights(starts, lengths, num_windows)
+        hists = np.zeros((count, arrays, size))
         id_offsets = (np.arange(count) * size)[:, None]
         for a in range(gauges):
-            hists[:, a] += np.bincount(
-                (ids[a, part] + id_offsets).ravel(), weights, count * size
-            ).reshape(count, size)
-        hits += weights.astype(same.dtype).reshape(count, hi - lo) @ same[:, part].T
-        del weights  # before the next block's temporaries
-        if hi == num_windows:
-            hists[:, gauges:, target] = hists[:, 1:gauges, source]
-            _, comparison[rows], _, _, coefficient[rows] = _pair_terms(
-                hists, hits / num_windows, first, second
-            )
+            index = ids[a] if count == 1 else (ids[a] + id_offsets).ravel()
+            hists[:, a] = np.bincount(index, weights, count * size).reshape(count, size)
+        hists[:, gauges:, target] = hists[:, 1:gauges, source]
+        hits = weights.astype(same.dtype).reshape(count, num_windows) @ same.T
+        del weights  # before the next chunk's temporaries
+        _, comparison[rows], _, _, coefficient[rows] = _pair_terms(
+            hists, hits.astype(np.float64) / num_windows, first, second  # float64 rates, as in the core
+        )
     alpha = 1.0 - level
     quantiles = (alpha / 2.0, 1.0 - alpha / 2.0)
     return _percentiles(comparison, quantiles).T, _percentiles(coefficient, quantiles).T
@@ -836,6 +826,7 @@ def _analyze_pairs(
         stacked.append((field, *_long_run_variances(
             rows[: len(pairs)], kernel, bandwidth, lambda k: "{}|{} {}: ".format(*pairs[k], what)
         )))
+    del scores, rows  # the bootstrap reads the ids and the coincidences
     q_ci, c_ci = block_bootstrap_ci(ids, negation, same, block, replicates, level, seed)
     del ids
     variances = []

@@ -60,8 +60,8 @@ def check_finite(values: np.ndarray, what: str = "series") -> None:
 
 
 def check_integer(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer (a Python or numpy one)."""
-    if not isinstance(value, (int, np.integer)):
+    """Raise ValueError unless ``value`` is an integer (a Python or numpy one, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -103,11 +103,11 @@ class TiePolicy:
     kind: str
     seed: Optional[int] = None
 
-    _KINDS = ("skip", "randomize", "first_appearance")
+    KINDS = ("skip", "randomize", "first_appearance")
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown tie policy {self.kind!r}; expected one of {self._KINDS}")
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown tie policy {self.kind!r}; expected one of {self.KINDS}")
         if self.kind == "randomize" and self.seed is None:
             raise ValueError("randomize tie policy requires an explicit seed")
 
@@ -301,13 +301,15 @@ def pattern_index(*codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     table over that range, sparser ones through a sort, so the temporaries
     stay within a fixed multiple of the buffer. Returns that buffer as the
     (arrays, rows) ids, the (arrays, m) histograms over the m ids, and the
-    (m, n) codes of the numbered patterns. Arrays of unequal lengths are a
-    ValueError.
+    (m, n) codes of the numbered patterns. Arrays of unequal lengths or
+    of no rows are a ValueError.
     """
     rows = codes[0].shape[0]
     for array in codes[1:]:
         if array.shape[0] != rows:
             raise ValueError(f"code arrays of unequal lengths: {rows} vs {array.shape[0]} rows")
+    if rows == 0:
+        raise ValueError("no code rows to number: the code arrays are empty")
     ids = np.empty((len(codes), rows), dtype=np.int64)
     for array, keys in zip(codes, ids):
         pattern_keys(array, out=keys)

@@ -910,6 +910,7 @@ class TestBatchedBootstrap:
 
     @pytest.mark.parametrize("name,value", [
         ("block", 2.5), ("block", 3.0), ("replicates", 2.5), ("replicates", 1.5), ("replicates", "20"),
+        ("block", True),
     ])
     def test_non_integer_block_or_replicates_rejected(self, name, value):
         x = np.arange(120) % 5
@@ -918,7 +919,7 @@ class TestBatchedBootstrap:
 
     @pytest.mark.parametrize("high", [1, 2, 7, 118, 99_954, 2**32 - 1, 2**32, 2**32 + 1, 2**62])
     def test_block_starts_drawn_in_chunks_repeat_one_draw(self, high):
-        # the bootstrap draws its (replicates, blocks) starts a block of
+        # the bootstrap draws its (replicates, blocks) starts a chunk of
         # replicates at a time: PCG64 keeps its spare 32-bit half in the
         # generator state, so the chunked draws give one draw's stream
         replicates, spans = 40, 13
@@ -1061,7 +1062,9 @@ class TestIntegerArguments:
     }
 
     @pytest.mark.parametrize("name", ESTIMATORS)
-    @pytest.mark.parametrize("argument,value", [("n", 2.5), ("n", 4.0), ("stride", 2.0), ("stride", "2")])
+    @pytest.mark.parametrize("argument,value", [
+        ("n", 2.5), ("n", 4.0), ("stride", 2.0), ("stride", "2"), ("n", True), ("stride", True),
+    ])
     def test_non_integer_n_or_stride_rejected(self, name, argument, value):
         x = np.arange(60) % 5
         kwargs = {"n": 4, "stride": 1, argument: value}
@@ -1104,7 +1107,7 @@ class TestLongSeriesPairPath:
     @pytest.mark.parametrize("call,bound_mib", [
         (lambda x, y: dependence_estimates(x, y, 4), 5),
         (lambda x, y: analyze_pair(x, y, 4, replicates=20), 6),
-        # the block starts are drawn per block of replicates, not as one
+        # the block starts are drawn per chunk of replicates, not as one
         # (1000, 2128) int64 table of 17 MB
         (lambda x, y: analyze_pair(x, y, 4, replicates=1000), 6),
         # the classical encode is sliced too; skip filters the int8 codes,
@@ -1119,7 +1122,8 @@ class TestLongSeriesPairPath:
     def test_long_n4_peaks(self, call, bound_mib):
         # kept per-window arrays: int8 codes (0.8 MB), the (3, W) int64 ids
         # (2.4 MB), bool coincidences and float64 scores (1 MB); the numbering's
-        # temporaries stay within a multiple of the ids and every other
+        # temporaries stay within a multiple of the ids, the bootstrap builds
+        # one whole replicate at a time (2.5 cells a window), and every other
         # temporary is sliced under the 1 MiB budget
         rng = np.random.default_rng(81)
         x, y = rng.poisson(4.0, size=(2, 100_000))
@@ -1160,9 +1164,25 @@ class TestLongSeriesPairPath:
         for name, values in expected[4][1].items():
             assert got[4][1][name].tobytes() == values.tobytes()
 
+    def test_bootstrap_peaks_near_the_ids(self):
+        # one replicate a chunk: float64 multiplicities and their float32 copy,
+        # with no offset copy of the ids to bincount
+        x, y = np.random.default_rng(81).poisson(4.0, size=(2, 100_000))
+        codes = dependence._stacked_codes([x, y], 4, 1)
+        _, same, _, ids, negation, _ = dependence._estimates_from_codes(
+            codes, dependence._identity, scheme_for_length(4), 1, _kernels.df_rows, ["x", "y"]
+        )
+        tracemalloc.start()
+        try:
+            dependence.block_bootstrap_ci(ids, negation, same, replicates=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ids.nbytes
+
     def test_analyze_pair_leaves_numpy_ma_unimported(self):
-        # np.quantile, np.unique(return_inverse=True) and np.union1d import
-        # numpy.ma on first use; one line per call, in order
+        # np.quantile, np.union1d and np.unique without return_inverse or
+        # return_counts import numpy.ma on first use; one line per call, in order
         code = (
             "import sys, numpy as np, ordpat\n"
             "x, y = np.random.default_rng(3).poisson(4.0, size=(2, 500))\n"

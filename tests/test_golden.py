@@ -10,7 +10,9 @@ estimates on that tied pair (first-appearance and randomize at n=4 and
 a 20,000-long dependent 6-class pair (point estimates at n=3, 4, 5, 7,
 the score comparison value at n=5) and on ten 500-long pairs (the bytes
 of the per-window scores at n=4 and 6, tie-aware and classical under
-first-appearance and randomize). The bootstrap-interval
+first-appearance and randomize), and the ``repr`` of ``analyze_pair`` on
+two 100,000-long Poisson(4) series, whose bootstrap takes one replicate
+per budget-sized chunk. The bootstrap-interval
 columns of ``pairwise`` (``comparison_ci_*`` and ``coefficient_ci_*``)
 have their own digest: they moved once, in a documented stream change,
 when all gauge pairs of a run began to share one moving-block bootstrap,
@@ -26,7 +28,7 @@ import numpy as np
 
 from ordpat.cli import main
 from ordpat.dependence import (
-    _row_scores, classical_dependence, dependence_estimates, score_comparison_value,
+    _row_scores, analyze_pair, classical_dependence, dependence_estimates, score_comparison_value,
 )
 from ordpat.io import PAIR_COLUMNS, save_class_matrix
 from ordpat.metric import scheme_for_length
@@ -94,6 +96,8 @@ GOLDEN = {
         "052f688c65536dcc89f660bf8452259e41dee128aecb590036878772ba2398c7",
     "_row_scores randomize n=6, 10 pairs of length 500":
         "0ba9308ef52513ccc24feafe957a00983301ca29db44d85e69fde2084ef513d3",
+    "analyze_pair n=4, 20 replicates, length 100000":
+        "c859860806676dc995b8a6411a085d7b1bf495e70ceb623e9b1f5a0dc592416f",
 }
 
 
@@ -181,6 +185,10 @@ def output_digests(tmp_path, capsys) -> dict:
             digests[f"_row_scores {policies[0].kind} n={n}, 10 pairs of length 500"] = _sha(
                 _row_scores(xs, ys, n, 1, classical, policies).tobytes()
             )
+    x, y = np.random.default_rng(81).poisson(4.0, size=(2, 100_000))
+    digests["analyze_pair n=4, 20 replicates, length 100000"] = _sha(
+        repr(analyze_pair(x, y, 4, replicates=20, seed=3)).encode()
+    )
     return digests
 
 

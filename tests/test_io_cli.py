@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import ordpat
-from ordpat.cli import main, run_benchmark, run_benchmark_data, run_pairwise
-from ordpat.dependence import classical_dependence, score_comparison_value, total_score
+from ordpat.cli import build_parser, main, run_benchmark, run_benchmark_data, run_pairwise
+from ordpat.dependence import KERNELS, classical_dependence, score_comparison_value, total_score
 from ordpat.metric import scheme_for_length
 from ordpat.patterns import TiePolicy
 from ordpat.exceptions import DataFormatError
@@ -384,6 +384,13 @@ class TestCli:
             main([*argv, "--seed", "-3"])
         assert info.value.code == 1
         assert "argument --seed: expected a non-negative integer, got '-3'" in capsys.readouterr().err
+
+    def test_kernel_and_tie_policy_flags_take_every_library_choice(self):
+        parser = build_parser()
+        for kernel in KERNELS:
+            assert parser.parse_args(["pairwise", "--data", "m.csv", "--kernel", kernel]).kernel == kernel
+        for kind in TiePolicy.KINDS:
+            assert parser.parse_args(["encode", "--tie-policy", kind, "1", "2"]).tie_policy == kind
 
     @pytest.mark.parametrize("argv,flag,text,kind", [
         (["benchmark", "--lengths"], "lengths", "4,x", "int"),

@@ -184,23 +184,23 @@ def test_chunks_cover_the_range_under_the_budget(count, cost, monkeypatch):
     assert len(parts) == (-(-count // max(1, 12 // cost)))
 
 
-@pytest.mark.parametrize("rows,width,cost,fixed", [
-    (0, 10, 1, 0), (5, 0, 1, 0), (5, 2, 1, 0), (4, 7, 1.5, 2), (3, 40, 1, 0), (3, 40, 0.125, 0), (2, 9, 13, 0),
+@pytest.mark.parametrize("rows,width,cost", [
+    (0, 10, 1), (5, 0, 1), (5, 2, 1), (4, 7, 1.5), (3, 40, 1), (3, 40, 0.125), (2, 9, 13),
 ])
-def test_blocks_cover_the_grid_in_row_major_order(rows, width, cost, fixed, monkeypatch):
+def test_blocks_cover_the_grid_in_row_major_order(rows, width, cost, monkeypatch):
     monkeypatch.setattr(_kernels, "CELL_BUDGET", 12)
     cells = [
         (r, c)
-        for row_part, column_part in _kernels.blocks(rows, width, cost, fixed)
+        for row_part, column_part in _kernels.blocks(rows, width, cost)
         for r in range(rows)[row_part]
         for c in range(width)[column_part]
     ]
     assert cells == [(r, c) for r in range(rows) for c in range(width)]
-    for row_part, column_part in _kernels.blocks(rows, width, cost, fixed):
+    for row_part, column_part in _kernels.blocks(rows, width, cost):
         count = row_part.stop - row_part.start
         span = column_part.stop - column_part.start
         if count > 1:  # whole rows together
-            assert span == width and count * (width * cost + fixed) <= 12
+            assert span == width and count * width * cost <= 12
         elif span < width:  # one long row in window slices
-            assert width * cost + fixed > 12 and (span == 1 or span * cost <= 12)
+            assert width * cost > 12 and (span == 1 or span * cost <= 12)
 

@@ -460,3 +460,9 @@ class TestPatternIndex:
         codes = np.array([[1, 2], [2, 1], [1, 1]])
         with pytest.raises(ValueError, match="unequal lengths: 3 vs 1 rows"):
             pattern_index(codes, codes[:1])
+
+    @pytest.mark.parametrize("arrays", [1, 2])
+    def test_no_rows_rejected(self, arrays):
+        empty = np.empty((0, 3), dtype=np.int8)
+        with pytest.raises(ValueError, match="no code rows to number"):
+            pattern_index(*[empty] * arrays)

@@ -31,7 +31,7 @@ class TestIngarchSpec:
                 IngarchSpec(beta0=1.0, alpha=(bad,))
 
     @pytest.mark.parametrize("name,value", [
-        ("length", 2.5), ("length", 100.0), ("burn_in", 0.5), ("burn_in", "10"),
+        ("length", 2.5), ("length", 100.0), ("burn_in", 0.5), ("burn_in", "10"), ("length", True),
     ])
     def test_non_integer_length_or_burn_in_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
@@ -141,7 +141,7 @@ class TestCoherenceBenchmark:
             with pytest.raises(ValueError, match="replications must be >= 1"):
                 call()
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_non_integer_replications_rejected(self, value):
         spec = IngarchSpec(beta0=1.0, length=20)
         for call in (simulate_pairs, lambda s, v: run_benchmark_simulated(s, AnalysisConfig(), v)):

@@ -355,7 +355,7 @@ class TestCramersV:
             cramers_v_autocorrelation(np.arange(10), max_lag=0)
 
     def test_non_integer_lag_rejected(self):
-        for value in (2.5, 2.0):
+        for value in (2.5, 2.0, True):
             with pytest.raises(ValueError, match=f"max_lag must be an integer, got {value!r}"):
                 cramers_v_autocorrelation(np.arange(10), max_lag=value)
         np.testing.assert_array_equal(
