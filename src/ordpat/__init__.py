@@ -32,7 +32,6 @@ from .exceptions import DataFormatError, NumericalWarning
 from .io import (
     AnalysisConfig,
     FLOOD_CLASSES,
-    FloodClassBoundaries,
     classify_peak,
     load_class_matrix,
     save_class_matrix,
@@ -83,7 +82,6 @@ __all__ = [
     "DependenceReport",
     "EXACT",
     "FLOOD_CLASSES",
-    "FloodClassBoundaries",
     "GENERALIZED_LONG",
     "GENERALIZED_SHORT",
     "IngarchSpec",

@@ -623,12 +623,11 @@ def confidence_interval(
     sigma2: float,
     count: int,
     level: float = 0.95,
-    clip_unit: bool = True,
 ) -> tuple[float, float]:
-    """Normal-approximation interval point +- z * sigma / sqrt(count).
+    """Normal-approximation interval point +- z * sigma / sqrt(count), clipped to [0, 1].
 
-    clip_unit restricts the interval to [0, 1] for probability-valued
-    points.
+    The points it serves, the coincidence probability and the total
+    score, are probabilities.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
@@ -638,19 +637,16 @@ def confidence_interval(
         raise ValueError("variance must be non-negative")
     if count < 1:
         raise ValueError("count must be >= 1")
-    low, high = _interval_bounds(np.float64(point), np.float64(sigma2), count, level, clip_unit)
+    low, high = _interval_bounds(np.float64(point), np.float64(sigma2), count, level)
     return float(low), float(high)
 
 
 def _interval_bounds(
-    points: np.ndarray, sigma2: np.ndarray, count: int, level: float, clip_unit: bool = True
+    points: np.ndarray, sigma2: np.ndarray, count: int, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise point -/+ z * sqrt(sigma2 / count), z computed once; clipped to [0, 1] if ``clip_unit``."""
+    """Elementwise point -/+ z * sqrt(sigma2 / count), z computed once, clipped to [0, 1]."""
     half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * np.sqrt(sigma2 / count)
-    low, high = points - half, points + half
-    if clip_unit:
-        low, high = np.maximum(low, 0.0), np.minimum(high, 1.0)
-    return low, high
+    return np.maximum(points - half, 0.0), np.minimum(points + half, 1.0)
 
 
 # ---------------------------------------------------------------------------

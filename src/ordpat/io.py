@@ -1,12 +1,17 @@
 """Class-matrix ingestion, flood classification, and report emission.
 
-The input format is delimited text (comma), UTF-8, LF or CRLF: a header
+The input format is comma-separated text, UTF-8, LF or CRLF: a header
 row with the event-id column label followed by gauge labels, then one row
 per event with integer class cells; -1 marks "no flood at this gauge".
 Parse failures name the offending row and column.
 
+Flood classes 0..4 follow from a peak's non-exceedance probability
+through the fixed lower bounds ``FLOOD_CLASSES``.
+
 Every CSV the package writes, files and ``--format long`` stdout alike,
 goes through ``write_csv``: comma-separated, minimal quoting, LF line ends.
+A symmetric matrix has the gauge labels as its header and first column,
+under the corner label ``gauge``.
 """
 
 from __future__ import annotations
@@ -29,52 +34,24 @@ PathLike = Union[str, Path]
 # flood classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FloodClassBoundaries:
-    """Ordered (class id, lower non-exceedance probability bound) pairs.
-
-    Intervals are half-open [lower, next lower), the last class extending
-    to 1.0 inclusive; at a printed boundary the higher class wins.
-    """
-
-    bounds: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.bounds:
-            raise ValueError("no class boundaries")
-        ids = [c for c, _ in self.bounds]
-        lows = [b for _, b in self.bounds]
-        if ids != list(range(len(ids))):
-            raise ValueError("class ids must be contiguous from 0")
-        if any(b2 <= b1 for b1, b2 in zip(lows, lows[1:])):
-            raise ValueError("class bounds must be strictly increasing")
-        if lows[0] >= 0.5:
-            raise ValueError("the lowest class must start below 0.5")
-
-    def lower_bounds(self) -> np.ndarray:
-        return np.array([b for _, b in self.bounds])
+# lower non-exceedance probability bound of flood classes 0..4; a class
+# holds [its bound, the next bound), the last one up to 1.0 inclusive, so
+# at a printed boundary the higher class wins
+FLOOD_CLASSES = (0.0, 0.5, 0.8, 0.933, 0.966)
 
 
-FLOOD_CLASSES = FloodClassBoundaries(
-    bounds=((0, 0.0), (1, 0.5), (2, 0.8), (3, 0.933), (4, 0.966)),
-)
-
-
-def classify_peak(
-    non_exceedance: float, boundaries: FloodClassBoundaries = FLOOD_CLASSES
-) -> int:
+def classify_peak(non_exceedance: float) -> int:
     """Flood class of a peak from its non-exceedance probability."""
     if not 0.0 <= non_exceedance <= 1.0:
         raise ValueError(f"non-exceedance probability {non_exceedance} outside [0, 1]")
-    lows = boundaries.lower_bounds()
-    return int(np.searchsorted(lows, non_exceedance, side="right") - 1)
+    return int(np.searchsorted(FLOOD_CLASSES, non_exceedance, side="right") - 1)
 
 
 # ---------------------------------------------------------------------------
 # class-matrix loading / saving
 # ---------------------------------------------------------------------------
 
-def load_class_matrix(path: PathLike, delimiter: str = ",") -> ClassMatrix:
+def load_class_matrix(path: PathLike) -> ClassMatrix:
     """Load and validate an event x gauge class matrix.
 
     Raises DataFormatError with row/column context on the first offending
@@ -83,7 +60,7 @@ def load_class_matrix(path: PathLike, delimiter: str = ",") -> ClassMatrix:
     """
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -165,28 +142,13 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-def write_symmetric_matrix(
-    labels: Sequence[str],
-    values: np.ndarray,
-    path: PathLike,
-    corner: str = "gauge",
-) -> None:
-    """Emit a labeled symmetric matrix as CSV."""
+def write_symmetric_matrix(labels: Sequence[str], values: np.ndarray, path: PathLike) -> None:
+    """Emit a labeled symmetric matrix as CSV, its corner cell reading ``gauge``."""
     values = np.asarray(values)
     if values.shape != (len(labels), len(labels)):
         raise ValueError("matrix shape does not match the label count")
     rows = ([label, *(_fmt(v) for v in row)] for label, row in zip(labels, values))
-    write_csv(path, [corner, *labels], rows)
-
-
-def read_symmetric_matrix(path: PathLike) -> tuple[list[str], np.ndarray]:
-    """Read back a matrix written by :func:`write_symmetric_matrix`."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        labels = header[1:]
-        rows = [[float(c) for c in row[1:]] for row in reader]
-    return labels, np.array(rows)
+    write_csv(path, ["gauge", *labels], rows)
 
 
 PAIR_COLUMNS = (

@@ -74,18 +74,12 @@ class WeightScheme:
         """Score for a single non-negative integer distance."""
         return float(self.weights_for(distance))
 
-    def lookup(self) -> np.ndarray:
-        """Dense weight-by-distance vector for vectorized scoring."""
-        size = max(self.mapping) + 1
-        table = np.zeros(size, dtype=np.float64)
-        for d, w in self.mapping.items():
-            table[d] = w
-        return table
-
     @cached_property
     def _padded(self) -> np.ndarray:
-        """``lookup()`` with a 0 appended, built once per scheme and read-only."""
-        table = np.append(self.lookup(), 0.0)
+        """Weight by distance 0..max+1, the last one 0; built once per scheme and read-only."""
+        table = np.zeros(max(self.mapping) + 2)
+        for d, w in self.mapping.items():
+            table[d] = w
         table.flags.writeable = False
         return table
 

@@ -40,11 +40,14 @@ def encode_pattern(window: Sequence[float]) -> Pattern:
     distinct values of the window (smallest -> 1). Equal values get equal
     codes, so e.g. (5, 5, 5, 4) -> (2, 2, 2, 1).
 
-    Raises ValueError on an empty window.
+    Raises ValueError on an empty window or one of more than 127 values,
+    the largest code an int8 holds.
     """
     arr = np.asarray(window)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise ValueError("empty window")
+    if arr.shape[0] > 127:
+        raise ValueError(f"window of {arr.shape[0]} values exceeds the limit of 127 (int8 rank codes)")
     check_finite(arr, "window")
     return tuple(int(c) for c in _kernels.rank_codes(arr))
 
@@ -69,11 +72,6 @@ def valid_rows(codes: np.ndarray) -> np.ndarray:
     """Per row of a (..., n) code array: True if its values are exactly {1..m}."""
     ordered = np.sort(np.asarray(codes, dtype=np.int64), axis=-1)
     return (ordered[..., 0] == 1) & np.all(np.diff(ordered, axis=-1) <= 1, axis=-1)
-
-
-def is_valid_pattern(codes: Sequence[int]) -> bool:
-    """True if ``codes`` is a dense rank vector: values exactly {1..m}."""
-    return len(codes) > 0 and bool(valid_rows(np.asarray(codes, dtype=np.int64)))
 
 
 def check_patterns(codes: Sequence[int], n: int) -> np.ndarray:
@@ -164,7 +162,8 @@ def encode_permutation(window: Sequence[float], policy: TiePolicy) -> Optional[P
         raise ValueError("empty window")
     check_finite(arr, "window")
     if policy.kind == "skip":
-        if np.unique(arr).shape[0] < arr.shape[0]:
+        # a plain np.unique would import numpy.ma
+        if (np.diff(np.sort(arr)) == 0).any():
             return None
     elif policy.kind == "randomize":
         arr = randomize_values(arr, policy.seed)
@@ -230,10 +229,6 @@ class PatternTable:
         """Position of a pattern, or of each row of a (rows, n) array of them."""
         positions = np.searchsorted(self.keys, pattern_keys(check_patterns(pattern, self.n)))
         return int(positions[0]) if np.ndim(pattern) == 1 else positions
-
-    def __contains__(self, pattern: Sequence[int]) -> bool:
-        # the table holds every valid pattern of its length
-        return len(pattern) == self.n and is_valid_pattern(pattern)
 
 
 @lru_cache(maxsize=None)

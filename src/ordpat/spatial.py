@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import NumericalWarning
 from .patterns import (
-    MAX_ENUM_LENGTH, check_integer, check_patterns, enumerate_patterns, pattern_index, pattern_keys,
+    MAX_ENUM_LENGTH, check_finite, check_integer, check_patterns, enumerate_patterns, pattern_index, pattern_keys,
 )
 
 
@@ -34,7 +34,7 @@ class ClassMatrix:
     event_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.classes, dtype=np.int64)
+        arr = np.asarray(self.classes)
         if arr.ndim != 2:
             raise ValueError("class matrix must be two-dimensional (events x gauges)")
         if arr.shape[1] != len(self.gauges):
@@ -43,7 +43,13 @@ class ClassMatrix:
             raise ValueError("duplicate gauge labels")
         if self.event_ids and len(self.event_ids) != arr.shape[0]:
             raise ValueError(f"{arr.shape[0]} rows but {len(self.event_ids)} event ids")
-        object.__setattr__(self, "classes", arr)
+        if arr.dtype.kind == "f":  # only floats hold NaN, inf or fractions; the loader gives int64
+            bad = ~(np.abs(arr) < 2.0**63) | (arr != np.round(arr))  # NaN and inf included
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                cell = f"class {arr[i, j]} at event {i + 1}, gauge {self.gauges[j]!r}"
+                raise ValueError(f"{cell} is not an integer in the int64 range")
+        object.__setattr__(self, "classes", arr.astype(np.int64, copy=False))
 
     @property
     def num_events(self) -> int:
@@ -66,21 +72,6 @@ class ClassMatrix:
             raise ValueError(f"gauge list repeats the label {repeated[0]!r}")
         idx = [self._gauge_index(g) for g in gauge_subset]
         return self.classes[:, idx]
-
-
-def flood_validate(matrix: ClassMatrix) -> None:
-    """Flood-data invariants: classes in {-1..4}, each event seen somewhere."""
-    arr = matrix.classes
-    bad = (arr < -1) | (arr > 4)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(
-            f"class {arr[i, j]} at event {i + 1}, gauge {matrix.gauges[j]!r} "
-            "outside the flood range -1..4"
-        )
-    empty = np.all(arr < 0, axis=1)
-    if empty.any():
-        raise ValueError(f"event {int(np.argwhere(empty)[0][0]) + 1} has no flood at any gauge")
 
 
 def spatial_encode(matrix: ClassMatrix, gauge_subset: Sequence[str]) -> np.ndarray:
@@ -214,7 +205,8 @@ def spatial_significance(
     z = sqrt(K) (observed - baseline) / sqrt(baseline (1 - baseline)).
     Patterns with baseline probability 0 but positive observed frequency
     cannot be z-tested and are flagged impossible-under-baseline instead.
-    Warns below K = 30 where the normal approximation is shaky.
+    Warns below K = 30 where the normal approximation is shaky. A
+    frequency outside [0, 1], NaN included, or K below 1 is a ValueError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level alpha must lie strictly between 0 and 1, got {alpha}")
@@ -224,6 +216,14 @@ def spatial_significance(
     if patterns.ndim != 2 or not observed.shape == baseline.shape == patterns.shape[:1]:
         shapes = f"patterns {patterns.shape}, observed {observed.shape}, baseline {baseline.shape}"
         raise ValueError(f"misaligned inputs: {shapes}")
+    if num_events < 1:
+        raise ValueError(f"num_events must be at least 1, got {num_events}")
+    # a baseline sums products of marginals, which may round past 1 by a few ulps
+    for name, column, top in (("observed", observed, 1.0), ("baseline", baseline, 1.0 + 1e-9)):
+        bad = ~((column >= 0.0) & (column <= top))  # NaN included
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"{name} frequency {column[row]} at row {row} is not a probability in [0, 1]")
     if num_events < 30:
         warnings.warn(
             f"only {num_events} events; spatial z-statistics are asymptotic",
@@ -292,6 +292,8 @@ def cramers_v(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape or a.ndim != 1 or a.shape[0] == 0:
         raise ValueError("need two equal-length 1-d vectors")
+    check_finite(a, "first vector")
+    check_finite(b, "second vector")
     _, ia = np.unique(a, return_inverse=True)
     _, ib = np.unique(b, return_inverse=True)
     rows = ia.max() + 1
@@ -314,6 +316,7 @@ def cramers_v_autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
     values = np.asarray(series)
     if values.ndim != 1:
         raise ValueError("series must be one-dimensional")
+    check_finite(values)
     check_integer("max_lag", max_lag)
     if max_lag < 1 or max_lag >= values.shape[0] / 2:
         raise ValueError("max_lag must satisfy 1 <= max_lag < len(series)/2")

@@ -434,8 +434,8 @@ class TestConfidenceInterval:
     def test_clipping(self):
         low, high = confidence_interval(0.02, 1.0, 10)
         assert low == 0.0 and high <= 1.0
-        low, high = confidence_interval(0.02, 1.0, 10, clip_unit=False)
-        assert low < 0.0
+        low, high = confidence_interval(0.98, 1.0, 10)
+        assert low >= 0.0 and high == 1.0
 
     def test_invalid_level(self):
         with pytest.raises(ValueError):
@@ -446,24 +446,31 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError, match="must be finite"):
             confidence_interval(point, sigma2, 10)
 
-    @pytest.mark.parametrize("clip_unit", [True, False])
+    @pytest.mark.parametrize("clips", [True, False])
     @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
-    def test_vectorized_bounds_match_scalar_arithmetic(self, level, clip_unit):
-        # the scalar formula in Python floats, clipped with max/min; points
-        # near 0 and 1 with large variances clip on both sides
+    def test_vectorized_bounds_match_scalar_arithmetic(self, level, clips):
+        # the scalar formula in Python floats, clipped with max/min. With
+        # ``clips``, points near 0 and 1 with large variances clip on both
+        # sides; without, small variances around 1/2 leave every bound as
+        # the formula gives it
         rng = np.random.default_rng(int(level * 100))
-        points = np.concatenate([rng.uniform(0, 1, 200), [0.0, 1.0, 0.001, 0.999, 0.5]])
-        sigma2 = np.concatenate([rng.uniform(0, 3, 200), [0.0, 0.0, 2.0, 2.0, 40.0]])
+        if clips:
+            points = np.concatenate([rng.uniform(0, 1, 200), [0.0, 1.0, 0.001, 0.999, 0.5]])
+            sigma2 = np.concatenate([rng.uniform(0, 3, 200), [0.0, 0.0, 2.0, 2.0, 40.0]])
+        else:
+            points, sigma2 = rng.uniform(0.3, 0.7, 200), rng.uniform(0, 0.5, 200)
         z = NormalDist().inv_cdf(0.5 * (1.0 + level))
         raw = []
         for point, s2 in zip(points.tolist(), sigma2.tolist()):
             half = z * math.sqrt(s2 / 37)
             raw.append((point - half, point + half))
-        assert any(low < 0.0 for low, _ in raw) and any(high > 1.0 for _, high in raw)
-        expected = [(max(low, 0.0), min(high, 1.0)) for low, high in raw] if clip_unit else raw
-        low, high = dependence._interval_bounds(points, sigma2, 37, level, clip_unit)
+        outside = any(low < 0.0 for low, _ in raw) and any(high > 1.0 for _, high in raw)
+        inside = all(0.0 <= low and high <= 1.0 for low, high in raw)
+        assert outside if clips else inside
+        expected = [(max(low, 0.0), min(high, 1.0)) for low, high in raw]
+        low, high = dependence._interval_bounds(points, sigma2, 37, level)
         assert list(zip(low.tolist(), high.tolist())) == expected
-        assert [confidence_interval(p, s2, 37, level, clip_unit) for p, s2 in zip(points, sigma2)] == expected
+        assert [confidence_interval(p, s2, 37, level) for p, s2 in zip(points, sigma2)] == expected
 
     def test_report_intervals_are_confidence_intervals(self):
         rng = np.random.default_rng(26)

@@ -1,5 +1,6 @@
 """File ingestion, emission formats, and the command-line surface."""
 
+import csv
 import io
 import os
 import subprocess
@@ -18,10 +19,8 @@ from ordpat.exceptions import DataFormatError
 from ordpat.io import (
     AnalysisConfig,
     FLOOD_CLASSES,
-    FloodClassBoundaries,
     classify_peak,
     load_class_matrix,
-    read_symmetric_matrix,
     save_class_matrix,
     write_symmetric_matrix,
 )
@@ -43,6 +42,14 @@ def matrix_file(tmp_path):
     return path
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this checkout's ordpat."""
+    env = dict(os.environ)
+    src = str(Path(ordpat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def synthetic_matrix(rows=120, gauges=4, seed=0):
     rng = np.random.default_rng(seed)
     base = rng.integers(0, 3, size=rows)
@@ -61,6 +68,7 @@ class TestClassify:
         assert classify_peak(1.0) == 4
 
     def test_boundaries_take_the_higher_class(self):
+        assert FLOOD_CLASSES == (0.0, 0.5, 0.8, 0.933, 0.966)
         assert classify_peak(0.5) == 1
         assert classify_peak(0.8) == 2
         assert classify_peak(0.933) == 3
@@ -71,15 +79,6 @@ class TestClassify:
             classify_peak(-0.1)
         with pytest.raises(ValueError):
             classify_peak(1.01)
-
-    def test_boundary_validation(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            FloodClassBoundaries(bounds=((0, 0.0), (2, 0.5)))
-        with pytest.raises(ValueError, match="increasing"):
-            FloodClassBoundaries(bounds=((0, 0.0), (1, 0.8), (2, 0.5)))
-        with pytest.raises(ValueError, match="below 0.5"):
-            FloodClassBoundaries(bounds=((0, 0.6), (1, 0.7)))
-        assert FLOOD_CLASSES.bounds[0] == (0, 0.0)
 
 
 class TestLoader:
@@ -154,9 +153,11 @@ class TestEmission:
         values = np.array([[1.0, 0.25], [0.25, 1.0]])
         path = tmp_path / "m.csv"
         write_symmetric_matrix(["a", "b"], values, path)
-        labels, loaded = read_symmetric_matrix(path)
-        assert labels == ["a", "b"]
-        np.testing.assert_array_equal(loaded, values)
+        with open(path, newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["gauge", "a", "b"]
+        assert [row[0] for row in rows] == ["a", "b"]
+        np.testing.assert_array_equal([[float(v) for v in row[1:]] for row in rows], values)
 
     def test_plot_data_round_trip(self, tmp_path):
         matrix = synthetic_matrix(rows=30)
@@ -324,12 +325,9 @@ class TestCli:
 
     def test_closed_pipe_from_reader(self):
         # the reader takes one line and closes; the rest must not raise
-        env = dict(os.environ)
-        src = str(Path(ordpat.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.Popen(
             [sys.executable, "-m", "ordpat.cli", "enumerate", "--n", "6"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
         )
         assert proc.stdout.readline() == b"(1,1,1,1,1,1)\n"
         proc.stdout.close()
@@ -337,9 +335,42 @@ class TestCli:
         assert proc.wait(timeout=60) == 0
         assert err == b""
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["encode", "1", "2", "2", "4"], id="encode"),
+        *(
+            pytest.param(["encode", "--tie-policy", kind, "1", "2", "3", "4"], id=f"encode-{kind}")
+            for kind in TiePolicy.KINDS
+        ),
+        pytest.param(["enumerate", "--n", "3"], id="enumerate"),
+        pytest.param(["classify", "0.5", "0.95"], id="classify"),
+        pytest.param(["simulate", "--length", "20"], id="simulate"),
+        pytest.param(["pairwise", "--data", "{data}", "--n", "2", "--replicates", "8"], id="pairwise"),
+        pytest.param(["spatial", "--data", "{data}"], id="spatial"),
+        pytest.param(["spatial", "--data", "{data}", "--include-zero"], id="spatial-include-zero"),
+        pytest.param(["benchmark", "--replications", "3", "--length", "40"], id="benchmark"),
+        pytest.param(["benchmark", "--data", "{data}", "--lengths", "4"], id="benchmark-data"),
+        pytest.param(["plot-data", "--data", "{data}", "--out", "{out}"], id="plot-data"),
+    ])
+    def test_subcommand_leaves_numpy_ma_unimported(self, argv, matrix_file, tmp_path):
+        # the first np.quantile, np.union1d or plain np.unique imports
+        # numpy.ma, which costs a fresh process about 16 ms
+        argv = [arg.format(data=matrix_file, out=tmp_path / "out.csv") for arg in argv]
+        code = "import sys\nfrom ordpat.cli import main\nprint(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=fresh_env(), timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "0 False"
+
     def test_encode_generalized(self, capsys):
         assert main(["encode", "1", "2", "4", "3"]) == 0
         assert capsys.readouterr().out.strip() == "(1,2,4,3)"
+
+    def test_encode_window_past_int8_codes_is_a_data_error(self, capsys):
+        assert main(["encode", *map(str, range(1, 128))]) == 0
+        assert capsys.readouterr().out.strip() == "(" + ",".join(map(str, range(1, 128))) + ")"
+        assert main(["encode", *map(str, range(1, 129))]) == 2
+        assert "window of 128 values exceeds the limit of 127" in capsys.readouterr().err
 
     def test_encode_classical(self, capsys):
         assert main(["encode", "4", "4", "4", "4", "--tie-policy", "first_appearance"]) == 0
@@ -484,7 +515,8 @@ class TestCli:
             bytes_a = (tmp_path / f"a_{suffix}.csv").read_bytes()
             bytes_b = (tmp_path / f"b_{suffix}.csv").read_bytes()
             assert bytes_a == bytes_b
-        labels, score = read_symmetric_matrix(tmp_path / "a_score.csv")
+        with open(tmp_path / "a_score.csv", newline="") as handle:
+            score = np.array([[float(v) for v in row[1:]] for row in list(csv.reader(handle))[1:]])
         np.testing.assert_array_equal(score, score.T)
 
     def test_pairwise_long_format(self, matrix_file, capsys):
@@ -497,8 +529,6 @@ class TestCli:
         assert "aue,zwickau" in out
 
     def test_pairwise_long_format_is_the_pairs_csv(self, tmp_path, capsys):
-        import csv
-
         matrix = synthetic_matrix(rows=40, gauges=3, seed=5)
         data = tmp_path / "m.csv"
         save_class_matrix(ClassMatrix(matrix.classes, ("G,1", 'say "b"', "c")), data)
@@ -532,8 +562,6 @@ class TestCli:
         assert row.split(",")[5] == "2"
 
     def test_spatial_report(self, tmp_path, capsys):
-        import csv
-
         matrix = synthetic_matrix(rows=300, gauges=3, seed=11)
         data = tmp_path / "m.csv"
         save_class_matrix(matrix, data)
@@ -547,7 +575,6 @@ class TestCli:
         assert sum(float(row[2]) for row in rows[1:]) == pytest.approx(100.0, abs=1e-6)
 
     def test_spatial_include_zero_matches_oracles(self, tmp_path, capsys):
-        import csv
         from collections import Counter
         from statistics import NormalDist
 

@@ -15,7 +15,6 @@ from ordpat.spatial import (
     baseline_frequencies,
     cramers_v,
     cramers_v_autocorrelation,
-    flood_validate,
     pattern_frequencies,
     spatial_encode,
     spatial_significance,
@@ -44,13 +43,18 @@ class TestClassMatrix:
         with pytest.raises(ValueError, match="duplicate"):
             make_matrix([[0, 1]], gauges=("a", "a"))
 
-    def test_flood_invariants(self):
-        good = make_matrix([[0, 4], [-1, 2]])
-        flood_validate(good)
-        with pytest.raises(ValueError, match="outside the flood range"):
-            flood_validate(make_matrix([[0, 5]]))
-        with pytest.raises(ValueError, match="no flood at any gauge"):
-            flood_validate(make_matrix([[0, 1], [-1, -1]]))
+    @pytest.mark.parametrize("classes,cell", [
+        ([[1.5, 2.0], [0.2, 3.9]], "class 1.5 at event 1, gauge 'g0'"),
+        ([[1.0, 2.0], [0.0, np.nan]], "class nan at event 2, gauge 'g1'"),
+        ([[1.0, 2.0], [np.inf, 3.0]], "class inf at event 2, gauge 'g0'"),
+        ([[1.0, -1e30], [0.0, 3.0]], "class -1e\\+30 at event 1, gauge 'g1'"),
+    ], ids=["fraction", "nan", "inf", "past-int64"])
+    def test_non_integral_or_non_finite_cells_rejected(self, classes, cell):
+        with pytest.raises(ValueError, match=f"^{cell} is not an integer in the int64 range$"):
+            make_matrix(classes)
+        matrix = make_matrix([[1.0, -1.0], [0.0, 4.0]])
+        assert matrix.classes.dtype == np.int64
+        assert matrix.classes.tolist() == [[1, -1], [0, 4]]
 
     def test_column_lookup(self):
         matrix = make_matrix([[0, 1], [2, 3]], gauges=("a", "b"))
@@ -270,6 +274,27 @@ class TestSignificance:
         with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
             spatial_significance([(1, 2)], [1.0], [0.5], num_events=100, alpha=alpha)
 
+    @pytest.mark.parametrize("observed,baseline,message", [
+        ([0.5, np.nan], [0.2, 0.3], "observed frequency nan at row 1"),
+        ([0.5, 0.5], [np.nan, 0.3], "baseline frequency nan at row 0"),
+        ([0.5, 0.5], [1.5, -0.5], "baseline frequency 1.5 at row 0"),
+        ([0.5, 0.5], [0.3, -0.5], "baseline frequency -0.5 at row 1"),
+        ([np.inf, 0.5], [0.3, 0.2], "observed frequency inf at row 0"),
+    ], ids=["observed-nan", "baseline-nan", "baseline-above-one", "baseline-negative", "observed-inf"])
+    def test_frequencies_outside_unit_interval_rejected(self, observed, baseline, message):
+        with pytest.raises(ValueError, match=f"^{message} is not a probability in \\[0, 1\\]$"):
+            spatial_significance([(1, 2), (2, 1)], observed, baseline, num_events=100)
+
+    def test_baseline_rounded_past_one_accepted(self):
+        # 18/56 + 36/56 + 2/56 rounds to 1 + 2^-52
+        report = analyze_spatial(make_matrix([[0]] * 18 + [[1]] * 36 + [[2]] * 2), ("g0",))
+        assert report.baseline[0] > 1.0
+
+    @pytest.mark.parametrize("num_events", [0, -3])
+    def test_no_events_rejected(self, num_events):
+        with pytest.raises(ValueError, match=f"num_events must be at least 1, got {num_events}"):
+            spatial_significance([(1, 2)], [1.0], [0.5], num_events=num_events)
+
     def test_mismatched_tables_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
             spatial_significance([(1, 2), (2, 1)], [1.0], [0.5, 0.5], num_events=100)
@@ -353,6 +378,18 @@ class TestCramersV:
             cramers_v_autocorrelation(np.arange(10), max_lag=5)
         with pytest.raises(ValueError):
             cramers_v_autocorrelation(np.arange(10), max_lag=0)
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValueError, match=r"^first vector value at index 1 is not finite \(nan\)$"):
+            cramers_v([1, np.nan, 2, 2], [1, 2, np.nan, 1])
+        with pytest.raises(ValueError, match=r"^second vector value at index 3 is not finite \(inf\)$"):
+            cramers_v([1, 2, 2, 1], [1, 2, 1, np.inf])
+
+    def test_autocorrelation_of_non_finite_series_rejected(self):
+        series = np.arange(10.0) % 3
+        series[6] = np.nan
+        with pytest.raises(ValueError, match=r"^series value at index 6 is not finite \(nan\)$"):
+            cramers_v_autocorrelation(series, max_lag=2)
 
     def test_non_integer_lag_rejected(self):
         for value in (2.5, 2.0, True):
