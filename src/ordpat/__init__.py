@@ -30,7 +30,6 @@ from .dependence import (
 )
 from .exceptions import DataFormatError, NumericalWarning
 from .io import (
-    AnalysisConfig,
     FLOOD_CLASSES,
     classify_peak,
     load_class_matrix,
@@ -72,7 +71,6 @@ from .spatial import (
 )
 
 __all__ = [
-    "AnalysisConfig",
     "CLASSICAL_LONG",
     "CLASSICAL_SHORT",
     "ClassMatrix",

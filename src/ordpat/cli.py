@@ -11,7 +11,7 @@ import math
 import os
 import sys
 import warnings
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .dependence import KERNELS, DependenceReport, _analyze_pairs, _pair_indices
 from .exceptions import DataFormatError, NumericalWarning
 from .io import (
     _fmt,
-    AnalysisConfig,
     classify_peak,
     load_class_matrix,
     pair_record,
@@ -47,10 +46,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_scheme(name: str, n: int) -> WeightScheme:
-    if name == "auto":
-        return scheme_for_length(n)
-    return get_scheme(name)
+def _resolve_scheme(name: str) -> Optional[WeightScheme]:
+    """The ``--scheme`` choice; ``auto`` is None, the drivers' scheme by length."""
+    return None if name == "auto" else get_scheme(name)
 
 
 def _non_negative_int(text: str) -> int:
@@ -96,21 +94,24 @@ def _pair_seed(master: int, label_a: str, label_b: str) -> int:
 # ---------------------------------------------------------------------------
 
 def run_pairwise(
-    matrix: ClassMatrix, config: AnalysisConfig
+    matrix: ClassMatrix, gauges: Sequence[str] = (), n: int = 4, stride: int = 1,
+    scheme: Optional[WeightScheme] = None, level: float = 0.95, kernel: str = "bartlett",
+    bandwidth: Optional[float] = None, block: Optional[int] = None, replicates: int = 1000,
+    seed: int = 0,
 ) -> tuple[list[str], dict[str, np.ndarray], list[DependenceReport]]:
-    """Analyze every unordered gauge pair; symmetric matrices + long records.
+    """Analyze every unordered pair of ``gauges`` (default: all); symmetric matrices + long records.
 
-    One estimator call at ``config.seed`` covers all pairs: pair a|b gets
-    the bootstrap intervals ``analyze_pair`` gives it at that seed,
-    whatever other gauges are in the run.
+    The settings are ``analyze_pair``'s. One estimator call at ``seed``
+    covers all pairs: pair a|b gets the bootstrap intervals
+    ``analyze_pair`` gives it at that seed, whatever other gauges are in
+    the run.
     """
-    labels = list(config.gauges) if config.gauges else list(matrix.gauges)
+    labels = list(gauges or matrix.gauges)
     if len(labels) < 2:
         raise ValueError("pairwise analysis needs at least 2 gauges")
     reports, comparison = _analyze_pairs(
-        matrix.subset_columns(labels).T, labels, config.n, config.stride,
-        _resolve_scheme(config.scheme, config.n), config.level, config.kernel, config.bandwidth,
-        config.block, config.replicates, config.seed,
+        matrix.subset_columns(labels).T, labels, n, stride, scheme or scheme_for_length(n),
+        level, kernel, bandwidth, block, replicates, seed,
     )
     first, second = _pair_indices(len(labels))
     score, coefficient = np.ones((2, len(labels), len(labels)))
@@ -122,30 +123,28 @@ def run_pairwise(
     return labels, matrices, reports
 
 
-BenchmarkPair = tuple[np.ndarray, np.ndarray, Callable[[int], int]]
-
-
 def run_benchmark(
-    pairs: Iterable[BenchmarkPair], config: AnalysisConfig, lengths: Sequence[int] = (4, 6)
+    xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], seeds: Sequence[Sequence[int]],
+    lengths: Sequence[int] = (4, 6), stride: int = 1, scheme: Optional[WeightScheme] = None,
 ) -> list[dict]:
     """Tie-handling comparison: total-score summaries per approach and length.
 
-    Each pair is (x, y, randomize_seed), where ``randomize_seed(n)`` seeds
-    the randomized tie policy of that pair at pattern length n. All pairs
-    must be equally long: each approach and length scores them with one
-    stacked ``_row_scores`` call.
+    ``seeds[k][i]`` seeds the randomized tie policy of pair (xs[k], ys[k])
+    at pattern length ``lengths[i]``. All pairs must be equally long: each
+    approach and length scores them with one stacked ``_row_scores`` call.
     """
-    xs, ys, seeds = zip(*pairs)
+    if not len(xs) == len(ys) == len(seeds):
+        raise ValueError(f"got {len(xs)} xs, {len(ys)} ys and {len(seeds)} seed rows: one each per pair")
     rows = []
-    for n in lengths:
+    for i, n in enumerate(lengths):
         classical = scheme_for_length(n, classical=True)
         approaches = {
-            "generalized": (_resolve_scheme(config.scheme, n), None),
-            "randomized": (classical, [TiePolicy.randomize(seed(n)) for seed in seeds]),
+            "generalized": (scheme or scheme_for_length(n), None),
+            "randomized": (classical, [TiePolicy.randomize(pair[i]) for pair in seeds]),
             "first_appearance": (classical, [TiePolicy.first_appearance()] * len(xs)),
         }
-        for method, (scheme, policies) in approaches.items():
-            vals = _row_scores(xs, ys, n, config.stride, scheme, policies).mean(axis=1)
+        for method, (weights, policies) in approaches.items():
+            vals = _row_scores(xs, ys, n, stride, weights, policies).mean(axis=1)
             rows.append({
                 "approach": method, "n": n,
                 "mean": float(vals.mean()), "min": float(vals.min()), "max": float(vals.max()),
@@ -154,28 +153,29 @@ def run_benchmark(
 
 
 def run_benchmark_data(
-    matrix: ClassMatrix, config: AnalysisConfig, lengths: Sequence[int] = (4, 6)
+    matrix: ClassMatrix, gauges: Sequence[str] = (), lengths: Sequence[int] = (4, 6),
+    stride: int = 1, scheme: Optional[WeightScheme] = None, seed: int = 0,
 ) -> list[dict]:
-    """Tie-handling comparison over all gauge pairs of a data matrix."""
-    labels = list(config.gauges) if config.gauges else list(matrix.gauges)
+    """Tie-handling comparison over all pairs of ``gauges`` (default: all) of a data matrix."""
+    labels = list(gauges or matrix.gauges)
     if len(labels) < 2:
         raise ValueError("tie-handling benchmark on data needs at least 2 gauges")
     series = list(matrix.subset_columns(labels).T)
-    pairs = []
-    for i, j in _pair_indices(len(labels)).T.tolist():
-        seed = _pair_seed(config.seed, labels[i], labels[j])
-        pairs.append((series[i], series[j], lambda n, seed=seed: seed))
-    return run_benchmark(pairs, config, lengths)
+    first, second = _pair_indices(len(labels)).tolist()
+    seeds = [[_pair_seed(seed, labels[i], labels[j])] * len(lengths) for i, j in zip(first, second)]
+    return run_benchmark(
+        [series[i] for i in first], [series[j] for j in second], seeds, lengths, stride, scheme
+    )
 
 
 def run_benchmark_simulated(
-    spec: IngarchSpec, config: AnalysisConfig,
-    replications: int, lengths: Sequence[int] = (4, 6),
+    spec: IngarchSpec, replications: int, lengths: Sequence[int] = (4, 6),
+    stride: int = 1, scheme: Optional[WeightScheme] = None, seed: int = 0,
 ) -> list[dict]:
     """Tie-handling comparison over independent simulated stream pairs."""
     xs, ys = simulate_pairs(spec, replications)  # first: it rejects a count range() cannot take
-    seeds = [lambda n, k=k: config.seed + 7919 * k + n for k in range(replications)]
-    return run_benchmark(zip(xs, ys, seeds), config, lengths)
+    seeds = [[seed + 7919 * k + n for n in lengths] for k in range(replications)]
+    return run_benchmark(xs, ys, seeds, lengths, stride, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -200,25 +200,11 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _gauge_list(args) -> tuple[str, ...]:
-    return tuple(args.gauges.split(",")) if args.gauges else ()
-
-
 def _cmd_pairwise(args) -> int:
-    matrix = load_class_matrix(args.data)
-    config = AnalysisConfig(
-        n=args.n,
-        stride=args.stride,
-        scheme=args.scheme,
-        level=args.level,
-        kernel=args.kernel,
-        bandwidth=args.bandwidth,
-        block=args.block,
-        replicates=args.replicates,
-        seed=args.seed,
-        gauges=_gauge_list(args),
+    labels, matrices, reports = run_pairwise(
+        load_class_matrix(args.data), args.gauges, args.n, args.stride, _resolve_scheme(args.scheme),
+        args.level, args.kernel, args.bandwidth, args.block, args.replicates, args.seed,
     )
-    labels, matrices, reports = run_pairwise(matrix, config)
     if args.out:
         for name, values in matrices.items():
             write_symmetric_matrix(labels, values, f"{args.out}_{name}.csv")
@@ -237,7 +223,7 @@ def _cmd_pairwise(args) -> int:
 
 def _cmd_spatial(args) -> int:
     matrix = load_class_matrix(args.data)
-    gauges = _gauge_list(args) or matrix.gauges
+    gauges = args.gauges or matrix.gauges
     report = analyze_spatial(
         matrix, gauges, alpha=args.alpha, include_zero_observed=args.include_zero
     )
@@ -265,13 +251,11 @@ def _ingarch_spec(args) -> IngarchSpec:
 
 
 def _cmd_benchmark(args) -> int:
-    config = AnalysisConfig(
-        stride=args.stride, scheme=args.scheme, seed=args.seed, gauges=_gauge_list(args)
-    )
+    settings = (args.lengths, args.stride, _resolve_scheme(args.scheme), args.seed)
     if args.data:
-        rows = run_benchmark_data(load_class_matrix(args.data), config, args.lengths)
+        rows = run_benchmark_data(load_class_matrix(args.data), args.gauges, *settings)
     else:
-        rows = run_benchmark_simulated(_ingarch_spec(args), config, args.replications, args.lengths)
+        rows = run_benchmark_simulated(_ingarch_spec(args), args.replications, *settings)
     print(f"{'approach':<18} {'n':>2} {'mean%':>7} {'min%':>7} {'max%':>7}")
     for row in rows:
         print(
@@ -306,7 +290,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_plot_data(args) -> int:
     matrix = load_class_matrix(args.data)
-    gauges = _gauge_list(args) or matrix.gauges
+    gauges = args.gauges or matrix.gauges
     subset = ClassMatrix(matrix.subset_columns(gauges), gauges, matrix.event_ids)
     save_class_matrix(subset, args.out, id_label="index")
     print(f"wrote {args.out} ({matrix.num_events} rows, {len(gauges)} gauges)")
@@ -342,7 +326,9 @@ _FLAGS = {
         help="bootstrap block length in windows (default: ceil(windows^(1/3)))",
     ),
     "replicates": dict(type=int, default=1000, help="bootstrap replicates"),
-    "gauges": dict(default=None, help="comma-separated gauge subset"),
+    "gauges": dict(
+        type=_comma_list(str, may_be_empty=True), default=(), help="comma-separated gauge subset"
+    ),
     "format": dict(choices=["matrix", "long"], default="matrix", help="stdout layout"),
     # the count-process parameters of ``benchmark`` and ``simulate``
     "beta0": dict(type=float, default=2.0, help="count-process intercept (default 2.0)"),

@@ -301,12 +301,11 @@ def _row_scores(
     """
     if policies is not None and any(policy.kind == "skip" for policy in policies):
         raise ValueError("the skip policy drops windows: use classical_dependence")
-    length = series_values(xs[0]).shape[0]
+    series = _series_list([*xs, *ys], n, stride)
+    xs, ys = series[: len(xs)], series[len(xs):]
     parts = []
-    for part in _kernels.chunks(len(xs), 2 * n * length):
-        values = np.stack(_series_list([*xs[part], *ys[part]], n, stride))
-        if values.shape[1] != length:
-            raise ValueError(f"series length mismatch: {length} vs {values.shape[1]}")
+    for part in _kernels.chunks(len(xs), 2 * n * series[0].shape[0]):
+        values = np.stack(xs[part] + ys[part])
         if policies is None:
             codes, distance = _kernels.encode_windows(values, n, stride), _kernels.df_rows
         else:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -55,7 +54,7 @@ def load_class_matrix(path: PathLike) -> ClassMatrix:
     """Load and validate an event x gauge class matrix.
 
     Raises DataFormatError with row/column context on the first offending
-    cell (non-integer, empty) or a malformed header (duplicate gauge
+    cell (non-integer, empty, past the int64 range) or a malformed header (duplicate gauge
     labels, no gauge columns).
     """
     path = Path(path)
@@ -75,6 +74,7 @@ def load_class_matrix(path: PathLike) -> ClassMatrix:
             raise DataFormatError(f"{path}: duplicate gauge label {dupe!r}")
 
         event_ids: list[str] = []
+        line_nos: list[int] = []
         rows: list[list[int]] = []
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -84,6 +84,7 @@ def load_class_matrix(path: PathLike) -> ClassMatrix:
                     f"{path}, line {line_no}: expected {len(header)} cells, found {len(row)}"
                 )
             event_ids.append(row[0].strip())
+            line_nos.append(line_no)
             try:
                 parsed = list(map(int, row[1:]))
             except ValueError:
@@ -93,11 +94,14 @@ def load_class_matrix(path: PathLike) -> ClassMatrix:
 
     if not rows:
         raise DataFormatError(f"{path}: no event rows")
-    return ClassMatrix(
-        classes=np.array(rows, dtype=np.int64),
-        gauges=tuple(gauges),
-        event_ids=tuple(event_ids),
-    )
+    try:
+        classes = np.array(rows, dtype=np.int64)
+    except OverflowError:  # name the first cell past the int64 range
+        k, j = next((k, j) for k, row in enumerate(rows) for j, v in enumerate(row) if not -2**63 <= v < 2**63)
+        raise DataFormatError(
+            f"{path}, line {line_nos[k]}, gauge {gauges[j]!r}: {rows[k][j]} is not an integer in the int64 range"
+        ) from None
+    return ClassMatrix(classes=classes, gauges=tuple(gauges), event_ids=tuple(event_ids))
 
 
 def _parse_cells(path: Path, line_no: int, gauges: Sequence[str], cells: Sequence[str]) -> list[int]:
@@ -223,22 +227,3 @@ def write_spatial_report(report: SpatialReport, path: PathLike) -> None:
         for label, count, observed, baseline, z, significant, impossible in spatial_rows(report)
     ))
 
-
-# ---------------------------------------------------------------------------
-# analysis configuration
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AnalysisConfig:
-    """Knobs shared by the CLI drivers."""
-
-    n: int = 4
-    stride: int = 1
-    scheme: str = "auto"
-    level: float = 0.95
-    kernel: str = "bartlett"
-    bandwidth: Optional[float] = None
-    block: Optional[int] = None
-    replicates: int = 1000
-    seed: int = 0
-    gauges: tuple[str, ...] = field(default_factory=tuple)

@@ -25,6 +25,14 @@ from .patterns import (
 )
 
 
+def _is_int64(value) -> bool:
+    """Whether an object-array cell is an integer in the int64 range."""
+    try:
+        return int(value) == value and -2**63 <= int(value) < 2**63
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class ClassMatrix:
     """Event x gauge integer class matrix with -1 as the absence mark."""
@@ -43,8 +51,13 @@ class ClassMatrix:
             raise ValueError("duplicate gauge labels")
         if self.event_ids and len(self.event_ids) != arr.shape[0]:
             raise ValueError(f"{arr.shape[0]} rows but {len(self.event_ids)} event ids")
-        if arr.dtype.kind == "f":  # only floats hold NaN, inf or fractions; the loader gives int64
-            bad = ~(np.abs(arr) < 2.0**63) | (arr != np.round(arr))  # NaN and inf included
+        if arr.dtype.kind in "fuO":  # the dtypes whose values int64 may not hold; the loader gives int64
+            if arr.dtype.kind == "f":
+                bad = ~(np.abs(arr) < 2.0**63) | (arr != np.round(arr))  # NaN and inf included
+            elif arr.dtype.kind == "u":
+                bad = arr > np.iinfo(np.int64).max
+            else:  # Python integers past int64, or cells that are no integers at all
+                bad = ~np.frompyfunc(_is_int64, 1, 1)(arr).astype(bool)
             if bad.any():
                 i, j = np.argwhere(bad)[0]
                 cell = f"class {arr[i, j]} at event {i + 1}, gauge {self.gauges[j]!r}"
@@ -237,11 +250,12 @@ def spatial_significance(
     testable = base > 0.0
     tests = int(testable.sum())
     crit = NormalDist().inv_cdf(1.0 - alpha / max(tests, 1) / 2.0)
-    variance = base * (1.0 - base)
+    capped = np.minimum(base, 1.0)  # tested as 1 where it rounds past 1; reported as it is
+    variance = capped * (1.0 - capped)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.sqrt(num_events) * (obs - base) / np.sqrt(variance)
+        z = np.sqrt(num_events) * (obs - capped) / np.sqrt(variance)
     sure = variance == 0.0  # baseline 1, or 0 and not testable
-    z[sure] = np.where(obs[sure] == base[sure], 0.0, -np.inf)
+    z[sure] = np.where(obs[sure] == capped[sure], 0.0, -np.inf)
     z[~testable] = np.nan
     return SpatialReport(
         patterns=patterns[order],

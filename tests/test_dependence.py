@@ -7,7 +7,6 @@ import sys
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
 
@@ -43,7 +42,6 @@ from ordpat.dependence import (
     total_score,
 )
 from ordpat.exceptions import NumericalWarning
-from ordpat.io import AnalysisConfig
 from ordpat.metric import CLASSICAL_SHORT, EXACT, GENERALIZED_SHORT, scheme_for_length
 from ordpat.patterns import (
     TiePolicy, encode_pattern, pattern_index, pattern_keys, permutation_table, randomize_values,
@@ -1029,8 +1027,7 @@ class TestJointBootstrap:
             # one replicate per chunk, one pattern row per score-table slice
             monkeypatch.setattr(_kernels, "CELL_BUDGET", 1)
         matrix = self.matrix()
-        config = AnalysisConfig(n=3, stride=2, replicates=40, seed=19)
-        labels, _, reports = run_pairwise(matrix, config)
+        labels, _, reports = run_pairwise(matrix, n=3, stride=2, replicates=40, seed=19)
         assert len(reports) == 10
         for report in reports:
             x, y = matrix.column(report.label_x), matrix.column(report.label_y)
@@ -1040,19 +1037,18 @@ class TestJointBootstrap:
 
     def test_two_gauge_run_is_analyze_pair(self):
         matrix = self.matrix(gauges=2, seed=62)
-        config = AnalysisConfig(n=4, replicates=60, seed=23)
-        _, _, (report,) = run_pairwise(matrix, config)
+        _, _, (report,) = run_pairwise(matrix, n=4, replicates=60, seed=23)
         alone = analyze_pair(
             ClassSeries(matrix.column("g0"), "g0"), ClassSeries(matrix.column("g1"), "g1"),
-            4, replicates=60, seed=config.seed,
+            4, replicates=60, seed=23,
         )
         assert report == alone
 
     def test_pair_intervals_do_not_depend_on_the_other_gauges(self):
         matrix = self.matrix(gauges=4, seed=63)
-        config = AnalysisConfig(n=3, replicates=30, seed=5)
-        _, _, everything = run_pairwise(matrix, config)
-        _, _, (alone,) = run_pairwise(matrix, replace(config, gauges=("g1", "g3")))
+        settings = dict(n=3, replicates=30, seed=5)
+        _, _, everything = run_pairwise(matrix, **settings)
+        _, _, (alone,) = run_pairwise(matrix, gauges=("g1", "g3"), **settings)
         assert alone == next(r for r in everything if (r.label_x, r.label_y) == ("g1", "g3"))
 
 
@@ -1148,7 +1144,6 @@ class TestLongSeriesPairPath:
         base = rng.integers(0, 4, size=160)
         columns = [np.clip(base + rng.integers(-1, 2, size=160), 0, 4) for _ in range(8)]
         matrix = ClassMatrix(np.column_stack(columns), tuple(f"g{i}" for i in range(8)))
-        config = AnalysisConfig(n=4, replicates=12, seed=4)
         x, y = columns[0], rng.poisson(2.0, size=160)
         # wide enough that skip keeps some 6-windows of both series
         cx, cy = rng.integers(0, 50, size=(2, 160))
@@ -1160,7 +1155,7 @@ class TestLongSeriesPairPath:
                 analyze_pair(x, y, 4, replicates=30, seed=9),
                 analyze_pair(x, y, 3, block=160 - 2, replicates=5, seed=9),
                 [classical_dependence(cx, cy, n, policy=p) for n in (4, 6) for p in policies],
-                run_pairwise(matrix, config),
+                run_pairwise(matrix, n=4, replicates=12, seed=4),
             )
 
         expected = results()

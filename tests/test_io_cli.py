@@ -1,23 +1,29 @@
 """File ingestion, emission formats, and the command-line surface."""
 
 import csv
+import inspect
 import io
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ordpat
-from ordpat.cli import build_parser, main, run_benchmark, run_benchmark_data, run_pairwise
-from ordpat.dependence import KERNELS, classical_dependence, score_comparison_value, total_score
+from ordpat.cli import (
+    _resolve_scheme, build_parser, main, run_benchmark, run_benchmark_data, run_benchmark_simulated,
+    run_pairwise,
+)
+from ordpat.dependence import (
+    KERNELS, analyze_pair, classical_dependence, score_comparison_value, total_score,
+)
 from ordpat.metric import scheme_for_length
 from ordpat.patterns import TiePolicy
 from ordpat.exceptions import DataFormatError
 from ordpat.io import (
-    AnalysisConfig,
     FLOOD_CLASSES,
     classify_peak,
     load_class_matrix,
@@ -58,6 +64,16 @@ def synthetic_matrix(rows=120, gauges=4, seed=0):
         classes=np.column_stack(cols),
         gauges=tuple(f"g{i}" for i in range(gauges)),
     )
+
+
+class TestPackage:
+    def test_all_is_sorted_and_names_every_public_binding(self):
+        public = {
+            name for name, value in vars(ordpat).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert ordpat.__all__ == sorted(ordpat.__all__)
+        assert set(ordpat.__all__) == public
 
 
 class TestClassify:
@@ -116,6 +132,18 @@ class TestLoader:
         path.write_text("event,a,b,c\n1, 3 ,-1,+2\n2,0,4,  \n")
         with pytest.raises(DataFormatError, match=r"line 3, gauge 'c': empty cell"):
             load_class_matrix(path)
+
+    @pytest.mark.parametrize("cell", ["99999999999999999999", "-9223372036854775809"])
+    def test_cell_past_int64_names_line_and_gauge(self, tmp_path, cell, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"event,a,b\n1,0,1\n\n2,3,{cell}\n")
+        message = rf"line 4, gauge 'b': {cell} is not an integer in the int64 range"
+        with pytest.raises(DataFormatError, match=message):
+            load_class_matrix(path)
+        assert main(["spatial", "--data", str(path)]) == 2
+        assert "line 4, gauge 'b'" in capsys.readouterr().err
+        path.write_text("event,a,b\n1,9223372036854775807,-9223372036854775808\n")
+        assert load_class_matrix(path).classes.tolist() == [[2**63 - 1, -2**63]]
 
     def test_duplicate_gauge_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -192,8 +220,7 @@ class TestEmission:
 class TestPairwiseDriver:
     def test_symmetric_outputs_with_unit_diagonal(self, tmp_path):
         matrix = synthetic_matrix()
-        config = AnalysisConfig(n=4, replicates=20, seed=3)
-        labels, matrices, reports = run_pairwise(matrix, config)
+        labels, matrices, reports = run_pairwise(matrix, n=4, replicates=20, seed=3)
         assert labels == list(matrix.gauges)
         for name in ("score", "comparison", "coefficient"):
             np.testing.assert_array_equal(matrices[name], matrices[name].T)
@@ -203,8 +230,7 @@ class TestPairwiseDriver:
     def test_comparison_matrix_is_score_baseline(self):
         # diagonal included: every cell is the score comparison value of its pair
         matrix = synthetic_matrix()
-        config = AnalysisConfig(n=4, replicates=4, seed=3)
-        labels, matrices, _ = run_pairwise(matrix, config)
+        labels, matrices, _ = run_pairwise(matrix, n=4, replicates=4, seed=3)
         for i, a in enumerate(labels):
             for j, b in enumerate(labels):
                 expected = score_comparison_value(matrix.column(a), matrix.column(b), 4)
@@ -216,8 +242,7 @@ class TestPairwiseDriver:
         dup = ClassMatrix(
             classes=classes, gauges=(*matrix.gauges, "gdup")
         )
-        config = AnalysisConfig(n=4, replicates=4, seed=1)
-        labels, matrices, _ = run_pairwise(dup, config)
+        labels, matrices, _ = run_pairwise(dup, n=4, replicates=4, seed=1)
         score = matrices["score"]
         pair = score[labels.index("g0"), labels.index("gdup")]
         assert pair == 1.0
@@ -227,34 +252,33 @@ class TestPairwiseDriver:
     def test_needs_two_gauges(self):
         matrix = synthetic_matrix(gauges=1)
         with pytest.raises(ValueError, match="at least 2"):
-            run_pairwise(matrix, AnalysisConfig())
+            run_pairwise(matrix)
 
     def test_repeated_gauge_rejected(self):
         matrix = synthetic_matrix(gauges=3)
         with pytest.raises(ValueError, match="repeats the label 'g1'"):
-            run_pairwise(matrix, AnalysisConfig(gauges=("g1", "g1")))
+            run_pairwise(matrix, gauges=("g1", "g1"))
 
 
 class TestBenchmarkDriver:
     def test_data_mode_rows(self):
         matrix = synthetic_matrix(rows=150)
-        config = AnalysisConfig(seed=2)
-        rows = run_benchmark_data(matrix, config, lengths=(4,))
+        rows = run_benchmark_data(matrix, lengths=(4,), seed=2)
         assert {r["approach"] for r in rows} == {"generalized", "randomized", "first_appearance"}
         for row in rows:
             assert 0.0 <= row["min"] <= row["mean"] <= row["max"] <= 1.0
 
     def test_data_mode_needs_two_distinct_gauges(self):
         with pytest.raises(ValueError, match="needs at least 2 gauges"):
-            run_benchmark_data(synthetic_matrix(gauges=1), AnalysisConfig(), lengths=(4,))
+            run_benchmark_data(synthetic_matrix(gauges=1), lengths=(4,))
         with pytest.raises(ValueError, match="repeats the label 'g0'"):
-            run_benchmark_data(synthetic_matrix(), AnalysisConfig(gauges=("g0", "g0")), lengths=(4,))
+            run_benchmark_data(synthetic_matrix(), gauges=("g0", "g0"), lengths=(4,))
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_scores_equal_full_pipelines(self, n):
         matrix = synthetic_matrix(rows=150)
         x, y = matrix.column("g0"), matrix.column("g1")
-        rows = run_benchmark([(x, y, lambda n: 17 + n)], AnalysisConfig(), lengths=(n,))
+        rows = run_benchmark([x], [y], [[17 + n]], lengths=(n,))
         classical = scheme_for_length(n, classical=True)
         expected = {
             "generalized": total_score(x, y, n)[0],
@@ -271,9 +295,15 @@ class TestBenchmarkDriver:
     def test_unequal_pair_lengths_rejected(self):
         matrix = synthetic_matrix(rows=150)
         x, y = matrix.column("g0"), matrix.column("g1")
-        pairs = [(x, y, lambda n: n), (x[:120], y[:120], lambda n: n)]
         with pytest.raises(ValueError, match="series length mismatch: 150 vs 120"):
-            run_benchmark(pairs, AnalysisConfig(), lengths=(4,))
+            run_benchmark([x, x[:120]], [y, y[:120]], [[4], [4]], lengths=(4,))
+
+    def test_one_y_and_one_seed_row_per_x(self):
+        x = synthetic_matrix(rows=150).column("g0")
+        with pytest.raises(ValueError, match="got 2 xs, 1 ys and 2 seed rows"):
+            run_benchmark([x, x], [x], [[4], [4]], lengths=(4,))
+        with pytest.raises(ValueError, match="got 1 xs, 1 ys and 2 seed rows"):
+            run_benchmark([x], [x], [[4], [4]], lengths=(4,))
 
 
 class TestCli:
@@ -415,6 +445,35 @@ class TestCli:
             main([*argv, "--seed", "-3"])
         assert info.value.code == 1
         assert "argument --seed: expected a non-negative integer, got '-3'" in capsys.readouterr().err
+
+    def test_pairwise_flag_defaults_are_the_driver_defaults(self):
+        args = vars(build_parser().parse_args(["pairwise", "--data", "m.csv"]))
+        driver = inspect.signature(run_pairwise).parameters
+        analyze = inspect.signature(analyze_pair).parameters
+        names = ["n", "stride", "level", "kernel", "bandwidth", "block", "replicates", "seed", "gauges"]
+        for name in names:
+            assert args[name] == driver[name].default, name
+            if name not in ("n", "gauges"):  # analyze_pair takes two series and no default n
+                assert driver[name].default == analyze[name].default, name
+        assert args["scheme"] == "auto" and _resolve_scheme("auto") is None
+        assert driver["scheme"].default is None and analyze["scheme"].default is None
+
+    def test_benchmark_flag_defaults_are_the_driver_defaults(self):
+        args = vars(build_parser().parse_args(["benchmark"]))
+        for driver in (run_benchmark_data, run_benchmark_simulated):
+            parameters = inspect.signature(driver).parameters
+            for name in ("lengths", "stride", "seed"):
+                assert args[name] == parameters[name].default, (driver.__name__, name)
+            assert parameters["scheme"].default is None
+        assert args["gauges"] == inspect.signature(run_benchmark_data).parameters["gauges"].default
+        assert args["scheme"] == "auto"
+
+    def test_gauges_flag_is_a_comma_list(self):
+        parser = build_parser()
+        for argv in (["spatial", "--data", "m.csv"], ["plot-data", "--data", "m.csv", "--out", "o.csv"]):
+            assert parser.parse_args(argv).gauges == ()
+            assert parser.parse_args([*argv, "--gauges", ""]).gauges == ()
+            assert parser.parse_args([*argv, "--gauges", "a,b"]).gauges == ("a", "b")
 
     def test_kernel_and_tie_policy_flags_take_every_library_choice(self):
         parser = build_parser()

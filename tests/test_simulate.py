@@ -6,7 +6,6 @@ import pytest
 from oracles import oracle_ingarch
 from ordpat.cli import run_benchmark_simulated
 from ordpat.dependence import dependence_estimates
-from ordpat.io import AnalysisConfig
 from ordpat.simulate import IngarchSpec, simulate_ingarch, simulate_pairs
 
 
@@ -102,8 +101,8 @@ class TestSimulate:
 class TestCoherenceBenchmark:
     def test_summary_shape_and_determinism(self):
         spec = IngarchSpec(beta0=2.0, beta=(0.3,), length=300, seed=9)
-        one = run_benchmark_simulated(spec, AnalysisConfig(seed=4), 20, lengths=(4, 6))
-        two = run_benchmark_simulated(spec, AnalysisConfig(seed=4), 20, lengths=(4, 6))
+        one = run_benchmark_simulated(spec, 20, lengths=(4, 6), seed=4)
+        two = run_benchmark_simulated(spec, 20, lengths=(4, 6), seed=4)
         assert [(row["approach"], row["n"]) for row in one] == [
             (approach, n) for n in (4, 6)
             for approach in ("generalized", "randomized", "first_appearance")
@@ -135,7 +134,7 @@ class TestCoherenceBenchmark:
 
     def test_replications_validated(self):
         for call in (
-            lambda: run_benchmark_simulated(IngarchSpec(beta0=1.0), AnalysisConfig(), 0),
+            lambda: run_benchmark_simulated(IngarchSpec(beta0=1.0), 0),
             lambda: simulate_pairs(IngarchSpec(beta0=1.0), 0),
         ):
             with pytest.raises(ValueError, match="replications must be >= 1"):
@@ -144,7 +143,7 @@ class TestCoherenceBenchmark:
     @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_non_integer_replications_rejected(self, value):
         spec = IngarchSpec(beta0=1.0, length=20)
-        for call in (simulate_pairs, lambda s, v: run_benchmark_simulated(s, AnalysisConfig(), v)):
+        for call in (simulate_pairs, run_benchmark_simulated):
             with pytest.raises(ValueError, match=f"replications must be an integer, got {value!r}"):
                 call(spec, value)
         xs, _ = simulate_pairs(IngarchSpec(beta0=1.0, length=20), np.int64(3))

@@ -56,6 +56,19 @@ class TestClassMatrix:
         assert matrix.classes.dtype == np.int64
         assert matrix.classes.tolist() == [[1, -1], [0, 4]]
 
+    @pytest.mark.parametrize("value", [2**70, -2**70, 2**64, -2**63 - 1, None])
+    def test_object_cells_past_int64_rejected(self, value):
+        cell = f"class {value} at event 2, gauge 'g0'"
+        with pytest.raises(ValueError, match=f"^{cell} is not an integer in the int64 range$"):
+            make_matrix([[1, 2], [value, 3]])
+        extremes = make_matrix(np.array([[2**63 - 1, -2**63]], dtype=object))
+        assert extremes.classes.tolist() == [[2**63 - 1, -2**63]]
+
+    def test_unsigned_cells_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="^class 9223372036854775808 at event 1, gauge 'g1' is not"):
+            make_matrix(np.array([[3, 2**63]], dtype=np.uint64))
+        assert make_matrix(np.array([[3, 2**63 - 1]], dtype=np.uint64)).classes.tolist() == [[3, 2**63 - 1]]
+
     def test_column_lookup(self):
         matrix = make_matrix([[0, 1], [2, 3]], gauges=("a", "b"))
         np.testing.assert_array_equal(matrix.column("b"), [1, 3])
@@ -289,6 +302,13 @@ class TestSignificance:
         # 18/56 + 36/56 + 2/56 rounds to 1 + 2^-52
         report = analyze_spatial(make_matrix([[0]] * 18 + [[1]] * 36 + [[2]] * 2), ("g0",))
         assert report.baseline[0] > 1.0
+
+    def test_baseline_rounded_past_one_tests_as_one(self):
+        # every event shows the one pattern that the baseline gives 1 + 2^-52
+        report = analyze_spatial(make_matrix([[0]] * 18 + [[1]] * 36 + [[2]] * 2), ("g0",))
+        assert report.observed.tolist() == [1.0]
+        assert report.z.tolist() == [0.0]
+        assert report.significant.tolist() == [False]
 
     @pytest.mark.parametrize("num_events", [0, -3])
     def test_no_events_rejected(self, num_events):
