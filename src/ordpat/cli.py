@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
+from ._kernels import MAX_PATTERN_LENGTH
 from .dependence import KERNELS, DependenceReport, _analyze_pairs, _pair_indices, _row_scores
 from .exceptions import DataFormatError, NumericalWarning
 from .io import (
@@ -44,6 +45,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _ModeFlag(argparse.Action):
+    """``store``, noting in ``mode_flags`` a flag that one ``benchmark`` mode alone reads.
+
+    ``const`` is True for the ``--data`` mode and False for the simulated
+    one; the handler rejects a flag of the other mode, whatever its value.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.mode_flags = {**getattr(namespace, "mode_flags", {}), self.option_strings[0]: self.const}
 
 
 def _resolve_scheme(name: str) -> Optional[WeightScheme]:
@@ -183,9 +196,10 @@ def run_benchmark_simulated(
 # ---------------------------------------------------------------------------
 
 def _cmd_enumerate(args) -> int:
-    table = enumerate_patterns(args.n)
     if not args.count_only:
-        print("\n".join(pattern_labels(table.codes)))
+        print("\n".join(pattern_labels(enumerate_patterns(args.n).codes)))
+    elif not 1 <= args.n <= MAX_PATTERN_LENGTH:  # counting builds no table
+        raise ValueError(f"pattern length for counting must be in 1..{MAX_PATTERN_LENGTH}, got {args.n}")
     print(f"patterns of length {args.n}: {fubini(args.n)}")
     return 0
 
@@ -251,6 +265,11 @@ def _ingarch_spec(args) -> IngarchSpec:
 
 
 def _cmd_benchmark(args) -> int:
+    modes = getattr(args, "mode_flags", {})
+    stray = [flag for flag, data_only in modes.items() if data_only != bool(args.data)]
+    if stray:
+        reason = "benchmark --data does not read it" if args.data else "benchmark reads it only with --data"
+        raise argparse.ArgumentError(None, f"argument {stray[0]}: {reason}")
     settings = (args.lengths, args.stride, _resolve_scheme(args.scheme), args.seed)
     if args.data:
         rows = run_benchmark_data(load_class_matrix(args.data), args.gauges, *settings)
@@ -339,9 +358,9 @@ _FLAGS = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+def _add_flags(parser: argparse.ArgumentParser, *names: str, **settings) -> None:
     for name in names:
-        parser.add_argument(f"--{name}", **_FLAGS[name])
+        parser.add_argument(f"--{name}", **_FLAGS[name], **settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spatial)
 
     p = sub.add_parser("benchmark", help="tie-handling comparison table")
-    _add_flags(
-        p, "stride", "scheme", "seed", "gauges", "beta0", "beta", "alpha", "length", "burn-in"
-    )
+    _add_flags(p, "stride", "scheme", "seed")
+    _add_flags(p, "gauges", action=_ModeFlag, const=True)
+    _add_flags(p, "beta0", "beta", "alpha", "length", "burn-in", action=_ModeFlag, const=False)
     p.add_argument("--data", default=None, help="class matrix CSV (else simulate)")
     p.add_argument("--lengths", type=_comma_list(int), default="4,6", help="pattern lengths (default 4,6)")
-    p.add_argument("--replications", type=int, default=100)
+    p.add_argument("--replications", type=int, default=100, action=_ModeFlag, const=False)
     p.add_argument("--out", default=None, help="summary CSV path")
     p.set_defaults(func=_cmd_benchmark)
 
@@ -428,6 +447,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             status = args.func(args)
             sys.stdout.flush()
+        except argparse.ArgumentError as exc:  # a flag that the run does not read
+            parser.error(str(exc))
         except BrokenPipeError:
             # the reader closed the pipe (``ordpat ... | head``): stop quietly
             _discard_stdout()

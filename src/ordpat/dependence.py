@@ -465,16 +465,6 @@ def dependence_estimates(
 # classical tie-policy baselines
 # ---------------------------------------------------------------------------
 
-def _classical_scheme(n: int, scheme: Optional[WeightScheme]) -> WeightScheme:
-    scheme = scheme or scheme_for_length(n, classical=True)
-    required = {"classical-short": 4, "classical-long": 6}.get(scheme.name)
-    if required is None:
-        raise ValueError(f"classical pipeline needs a classical weight scheme, got {scheme.name!r}")
-    if n != required:
-        raise ValueError(f"scheme {scheme.name!r} requires pattern length n={required}, got n={n}")
-    return scheme
-
-
 def _tie_broken(values: np.ndarray, policies: Sequence[TiePolicy]) -> np.ndarray:
     """(2R, length) values of R pairs, x series then y series, after their policies' value step.
 
@@ -503,19 +493,18 @@ def classical_dependence(
     n: int,
     stride: int = 1,
     policy: TiePolicy = TiePolicy.first_appearance(),
-    scheme: Optional[WeightScheme] = None,
 ) -> DependenceEstimates:
     """The dependence pipeline through classical permutation patterns.
 
     Windows are encoded as descending-order permutations under the given
     tie policy and compared with the plain L1 metric, whose values on
-    permutations are always even; the weight scheme must be one of the
-    even-distance classical schemes (n = 4 or n = 6). Under "skip",
-    windows containing a tie in either series are dropped from both after
-    the encode: a window is tie-free exactly when its largest code is n.
+    permutations are always even, under the classical scheme of n
+    (``scheme_for_length(n, classical=True)``, so n is 4 or 6). Under
+    "skip", windows containing a tie in either series are dropped from both
+    after the encode: a window is tie-free exactly when its largest code is n.
     """
     values = _series_list([x, y], n, stride)
-    scheme = _classical_scheme(n, scheme)
+    scheme = scheme_for_length(n, classical=True)
     codes = _kernels.encode_windows(_tie_broken(np.stack(values), [policy]), n, stride)
     if policy.kind == "skip":
         keep = (codes.max(axis=-1) == n).all(axis=0)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -205,9 +204,15 @@ def fubini(n: int) -> int:
     """n-th Fubini (ordered Bell) number: patterns of length n."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return 1
-    return sum(comb(n, k) * fubini(n - k) for k in range(1, n + 1))
+    # levels[k]: patterns of length m with k levels. Position m joins one
+    # of the k levels, or is alone at one of k ranks among them.
+    levels = [1]
+    for m in range(1, n + 1):
+        levels.append(0)
+        for k in range(m, 0, -1):
+            levels[k] = k * (levels[k] + levels[k - 1])
+        levels[0] = 0
+    return sum(levels)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ gauge" and participates as the smallest class. Observed pattern
 frequencies are compared against the law the patterns would follow if
 gauges were independent (the product of the per-gauge marginal class
 distributions), with z-statistics from the Bernoulli CLT and a
-Bonferroni-corrected significance flag.
+Bonferroni-corrected significance flag. ``analyze_spatial`` alone decides
+which pattern rows a report lists.
 """
 
 from __future__ import annotations
@@ -88,36 +89,28 @@ class ClassMatrix:
 
 
 def spatial_encode(matrix: ClassMatrix, gauge_subset: Sequence[str]) -> np.ndarray:
-    """(events, d) int64 pattern codes, one row per event over the gauges in subset order."""
+    """(events, d) int64 pattern codes, one row per event over the gauges in subset order.
+
+    Each event row is encoded as one window; the temporaries (int8 counts
+    and codes, bool masks) stay within a fixed multiple of the subset copy
+    of the rows.
+    """
     if len(gauge_subset) > MAX_ENUM_LENGTH:
         raise ValueError(f"gauge subset of size {len(gauge_subset)} exceeds the cap of {MAX_ENUM_LENGTH}")
-    rows = matrix.subset_columns(gauge_subset)
-    # every row is its own window: encode the flattened series with stride d
-    num, d = rows.shape
-    return _kernels.encode_windows(rows.reshape(-1), d, d)[:num].astype(np.int64)
+    return _kernels.rank_codes(matrix.subset_columns(gauge_subset)).astype(np.int64)
 
 
-def pattern_frequencies(
-    codes: np.ndarray, include_zero: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def pattern_frequencies(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct pattern rows of a (rows, d) code array and their frequencies.
 
-    Rows come in key (lexicographic) order. With ``include_zero`` they are
-    the whole pattern space of length d, zero-frequency rows included,
-    which is how "patterns that never occur" are surfaced. Raises
+    Rows come in key (lexicographic) order, observed rows only. Raises
     ValueError on a row that is not a pattern.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 2 or codes.shape[0] == 0:
         raise ValueError("no patterns to tabulate")
     _, (counts,), patterns = pattern_index(check_patterns(codes, codes.shape[1]))
-    frequencies = counts / codes.shape[0]
-    if not include_zero:
-        return patterns, frequencies
-    table = enumerate_patterns(codes.shape[1])
-    full = np.zeros(len(table))
-    full[table.index_of(patterns)] = frequencies
-    return table.codes, full
+    return patterns, counts / codes.shape[0]
 
 
 def baseline_frequencies(
@@ -208,13 +201,12 @@ def spatial_significance(
     num_events: int,
     alpha: float = 0.05,
     gauges: Sequence[str] = (),
-    include_zero_observed: bool = False,
 ) -> SpatialReport:
     """z-statistics and Bonferroni-corrected significance per pattern.
 
     ``patterns`` is a (rows, d) code array; ``observed`` and ``baseline``
-    hold one frequency per row. A row is reported when it was observed or,
-    with ``include_zero_observed``, when its baseline is positive.
+    hold one frequency per row. A row is reported when it was observed or
+    its baseline is positive; ``analyze_spatial`` decides which rows to give.
     z = sqrt(K) (observed - baseline) / sqrt(baseline (1 - baseline)).
     Patterns with baseline probability 0 but positive observed frequency
     cannot be z-tested and are flagged impossible-under-baseline instead.
@@ -239,11 +231,12 @@ def spatial_significance(
             raise ValueError(f"{name} frequency {column[row]} at row {row} is not a probability in [0, 1]")
     if num_events < 30:
         warnings.warn(
-            f"only {num_events} events; spatial z-statistics are asymptotic",
+            f"{','.join(gauges) + ': ' if gauges else ''}only {num_events} events; "
+            "spatial z-statistics are asymptotic",
             NumericalWarning,
             stacklevel=2,
         )
-    keep = (observed > 0.0) | (include_zero_observed & (baseline > 0.0))
+    keep = (observed > 0.0) | (baseline > 0.0)
     order = np.lexsort((pattern_keys(patterns), -observed))
     order = order[keep[order]]
     obs, base = observed[order], baseline[order]
@@ -278,13 +271,20 @@ def analyze_spatial(
     alpha: float = 0.05,
     include_zero_observed: bool = False,
 ) -> SpatialReport:
-    """Encode, tabulate, baseline and test one gauge subset."""
-    codes = spatial_encode(matrix, gauge_subset)
-    patterns, observed = pattern_frequencies(codes, include_zero=include_zero_observed)
-    # the report lists only observed rows unless zero rows are asked for
-    baseline = baseline_frequencies(
-        matrix, gauge_subset, None if include_zero_observed else patterns
-    )
+    """Encode, tabulate, baseline and test one gauge subset.
+
+    The one owner of the reported rows: the observed patterns, or with
+    ``include_zero_observed`` also every other pattern of positive baseline.
+    """
+    patterns, observed = pattern_frequencies(spatial_encode(matrix, gauge_subset))
+    if not include_zero_observed:
+        baseline = baseline_frequencies(matrix, gauge_subset, patterns)
+    else:  # every pattern, in the row order of the whole-table baseline
+        table = enumerate_patterns(patterns.shape[1])
+        full = np.zeros(len(table))
+        full[table.index_of(patterns)] = observed
+        patterns, observed = table.codes, full
+        baseline = baseline_frequencies(matrix, gauge_subset)
     return spatial_significance(
         patterns,
         observed,
@@ -292,7 +292,6 @@ def analyze_spatial(
         matrix.num_events,
         alpha=alpha,
         gauges=gauge_subset,
-        include_zero_observed=include_zero_observed,
     )
 
 

@@ -549,12 +549,8 @@ class TestClassicalBaselines:
 
     def test_scheme_length_pairing_enforced(self):
         x = np.arange(20)
-        with pytest.raises(ValueError, match="requires pattern length"):
-            classical_dependence(x, x, 5, policy=TiePolicy.first_appearance(),
-                                 scheme=CLASSICAL_SHORT)
-        with pytest.raises(ValueError, match="classical weight scheme"):
-            classical_dependence(x, x, 4, policy=TiePolicy.first_appearance(),
-                                 scheme=GENERALIZED_SHORT)
+        with pytest.raises(ValueError, match=r"classical weight schemes exist only for n in \(4, 6\), got n=5"):
+            classical_dependence(x, x, 5, policy=TiePolicy.first_appearance())
 
     def test_classical_distances_even(self):
         rng = np.random.default_rng(22)

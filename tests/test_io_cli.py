@@ -1,5 +1,6 @@
 """File ingestion, emission formats, and the command-line surface."""
 
+import argparse
 import csv
 import inspect
 import io
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import ordpat
+from ordpat import cli
 from ordpat.cli import (
     _resolve_scheme, build_parser, main, run_benchmark, run_benchmark_data, run_benchmark_simulated,
     run_pairwise,
@@ -20,7 +22,6 @@ from ordpat.cli import (
 from ordpat.dependence import (
     KERNELS, analyze_pair, classical_dependence, score_comparison_value, total_score,
 )
-from ordpat.metric import scheme_for_length
 from ordpat.patterns import TiePolicy
 from ordpat.exceptions import DataFormatError
 from ordpat.io import (
@@ -279,15 +280,10 @@ class TestBenchmarkDriver:
         matrix = synthetic_matrix(rows=150)
         x, y = matrix.column("g0"), matrix.column("g1")
         rows = run_benchmark([x], [y], [[17 + n]], lengths=(n,))
-        classical = scheme_for_length(n, classical=True)
         expected = {
             "generalized": total_score(x, y, n)[0],
-            "randomized": classical_dependence(
-                x, y, n, 1, TiePolicy.randomize(17 + n), classical
-            ).total_score,
-            "first_appearance": classical_dependence(
-                x, y, n, 1, TiePolicy.first_appearance(), classical
-            ).total_score,
+            "randomized": classical_dependence(x, y, n, 1, TiePolicy.randomize(17 + n)).total_score,
+            "first_appearance": classical_dependence(x, y, n, 1, TiePolicy.first_appearance()).total_score,
         }
         for row in rows:
             assert row["mean"] == row["min"] == row["max"] == expected[row["approach"]]
@@ -304,6 +300,24 @@ class TestBenchmarkDriver:
             run_benchmark([x, x], [x], [[4], [4]], lengths=(4,))
         with pytest.raises(ValueError, match="got 1 xs, 1 ys and 2 seed rows"):
             run_benchmark([x], [x], [[4], [4]], lengths=(4,))
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of each attribute read once ``reads`` is a set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def subcommand_actions(parser, command):
+    """The actions of one subcommand's parser, its help action left out."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in subparsers.choices[command]._actions if a.default is not argparse.SUPPRESS]
 
 
 class TestCli:
@@ -526,6 +540,61 @@ class TestCli:
     def test_enumerate_out_of_range_is_data_error(self, capsys):
         assert main(["enumerate", "--n", "11"]) == 2
 
+    def test_count_only_builds_no_table(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "enumerate_patterns", None)  # a call would raise TypeError
+        assert main(["enumerate", "--n", "10", "--count-only"]) == 0
+        assert main(["enumerate", "--n", "15", "--count-only"]) == 0
+        assert capsys.readouterr().out == (
+            "patterns of length 10: 102247563\npatterns of length 15: 230283190977853\n"
+        )
+        for n in ("0", "16"):
+            assert main(["enumerate", "--n", n, "--count-only"]) == 2
+            assert f"pattern length for counting must be in 1..15, got {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--gauges", "nosuch", "--replications", "2", "--length", "50", "--lengths", "4"], "--gauges"),
+        (["--data", "{data}", "--beta0", "-5", "--replications", "0", "--lengths", "4"], "--beta0"),
+        (["--data", "{data}", "--length", "1000"], "--length"),
+        (["--gauges", "", "--replications", "2"], "--gauges"),
+    ], ids=["gauges-simulated", "beta0-data", "length-default-data", "gauges-default-simulated"])
+    def test_benchmark_flag_of_the_other_mode_is_usage_error(self, argv, flag, matrix_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["benchmark", *(arg.format(data=matrix_file) for arg in argv)])
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: benchmark" in captured.err and "--data" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["enumerate", "--n", "3"], id="enumerate"),
+        pytest.param(["encode", "--tie-policy", "randomize", "--seed", "3", "1", "2", "2", "4"], id="encode"),
+        pytest.param(["pairwise", "--data", "{data}", "--n", "3", "--replicates", "20"], id="pairwise"),
+        pytest.param(["spatial", "--data", "{data}"], id="spatial"),
+        pytest.param(["benchmark", "--replications", "3", "--length", "40", "--lengths", "4"], id="benchmark"),
+        pytest.param(["benchmark", "--data", "{data}", "--lengths", "4"], id="benchmark-data"),
+        pytest.param(["simulate", "--length", "20"], id="simulate"),
+        pytest.param(["classify", "0.5", "0.95"], id="classify"),
+        pytest.param(["plot-data", "--data", "{data}", "--out", "{out}"], id="plot-data"),
+    ])
+    def test_every_declared_flag_is_read_or_rejected(self, argv, tmp_path, capsys):
+        # a flag that the handler does not read in this run must be a usage
+        # error when given, even at its default value, not a silent no-op
+        data = tmp_path / "classes.csv"
+        save_class_matrix(synthetic_matrix(rows=40, gauges=3, seed=4), data)
+        argv = [arg.format(data=data, out=tmp_path / "out.csv") for arg in argv]
+        parser = build_parser()
+        args = parser.parse_args(argv, namespace=ReadRecorder())
+        args.reads = set()
+        assert args.func(args) == 0
+        unread = [a for a in subcommand_actions(parser, argv[0]) if a.dest not in args.reads]
+        for action in unread:
+            default = action.default
+            value = ",".join(default) if isinstance(default, tuple) else str(default)
+            given = [action.option_strings[0], *([value] if action.nargs != 0 else [])]
+            with pytest.raises(SystemExit) as info:
+                main([*argv, *given])
+            assert info.value.code == 1, given
+
     def test_non_finite_coefficient_is_data_error(self, capsys):
         assert main(["simulate", "--beta", "nan"]) == 2
         assert "beta must be finite" in capsys.readouterr().err
@@ -556,6 +625,12 @@ class TestCli:
         for alpha in ("0", "1", "2", "-0.5"):
             assert main(["spatial", "--data", str(matrix_file), "--alpha", alpha]) == 2
             assert "alpha must lie strictly between 0 and 1" in capsys.readouterr().err
+
+    def test_spatial_small_sample_warning_names_the_gauges(self, matrix_file, capsys):
+        assert main(["spatial", "--data", str(matrix_file), "--gauges", "zwickau,aue"]) == 0
+        assert capsys.readouterr().err == (
+            "ordpat: warning: zwickau,aue: only 5 events; spatial z-statistics are asymptotic\n"
+        )
 
     def test_unknown_gauge_message_is_plain(self, matrix_file, capsys):
         assert main(["spatial", "--data", str(matrix_file), "--gauges", "aue,zz"]) == 2

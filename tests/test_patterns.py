@@ -252,6 +252,13 @@ class TestEnumeration:
     def test_fubini_length_eight_against_surjection_oracle(self):
         assert fubini(8) == surjection_count(8) == 545835
 
+    def test_fubini_of_long_lengths_needs_no_recursion(self):
+        assert [fubini(n) for n in range(11)][8:] == [545835, 7087261, 102247563]
+        assert fubini(150) == surjection_count(150)
+        # a(n) = n! / (2 ln(2)^(n+1)) up to a relative term far below float precision
+        expected = math.lgamma(1201) - math.log(2) - 1201 * math.log(math.log(2))
+        assert math.log(fubini(1200)) == pytest.approx(expected, rel=1e-12)
+
     def test_table_sizes(self):
         assert len(enumerate_patterns(1)) == 1
         assert enumerate_patterns(1).codes.tolist() == [[1]]

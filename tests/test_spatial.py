@@ -1,5 +1,6 @@
 """Cross-sectional pattern frequencies, baselines, and significance."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -83,6 +84,19 @@ class TestSpatialEncode:
         assert patterns.dtype == np.int64
         assert patterns.tolist() == [[1, 1, 1, 1]] * 4
 
+    def test_peak_within_one_and_a_half_results(self):
+        # one window per event row: no flattened copy of the rows and no int8
+        # code array beside the int64 result
+        rng = np.random.default_rng(40)
+        matrix = make_matrix(rng.integers(-1, 5, size=(200_000, 8)))
+        tracemalloc.start()
+        try:
+            codes = spatial_encode(matrix, matrix.gauges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * codes.nbytes
+
     def test_single_raised_gauge(self):
         for k in (-1, 0, 3):
             row = [[k + 1, k, k, k]]
@@ -134,18 +148,20 @@ class TestFrequencies:
         assert freq.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_include_zero_lists_whole_space(self):
-        patterns, freq = pattern_frequencies([(1, 2)] * 4, include_zero=True)
-        assert patterns.tolist() == [[1, 1], [1, 2], [2, 1]]
-        assert freq.tolist() == [0.0, 1.0, 0.0]
+        # both gauges take every class, so each pattern of length 2 has a positive baseline
+        matrix = make_matrix([[0, 1]] * 30 + [[1, 0]] * 10)
+        report = analyze_spatial(matrix, matrix.gauges, include_zero_observed=True)
+        assert report.patterns.tolist() == [[1, 2], [2, 1], [1, 1]]  # observed first, then key order
+        assert report.observed.tolist() == [0.75, 0.25, 0.0]
+        assert analyze_spatial(matrix, matrix.gauges).patterns.tolist() == [[1, 2], [2, 1]]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pattern_frequencies([])
         with pytest.raises(ValueError):
             pattern_frequencies(np.empty((0, 3), dtype=np.int64))
-        for include_zero in (False, True):
-            with pytest.raises(ValueError, match="not a valid pattern"):
-                pattern_frequencies([(1, 3)], include_zero=include_zero)
+        with pytest.raises(ValueError, match="not a valid pattern"):
+            pattern_frequencies([(1, 3)])
 
 
 class TestBaseline:
@@ -231,9 +247,9 @@ class TestBaseline:
     def test_observed_matches_product_law_for_independent_columns(self):
         rng = np.random.default_rng(4)
         matrix = make_matrix(rng.integers(0, 6, size=(10_000, 3)))
-        _, observed = pattern_frequencies(spatial_encode(matrix, matrix.gauges), include_zero=True)
-        baseline = baseline_frequencies(matrix, matrix.gauges)
-        assert np.all(np.abs(observed - baseline) < 0.02)
+        report = analyze_spatial(matrix, matrix.gauges, include_zero_observed=True)
+        assert len(report.patterns) == len(enumerate_patterns(3))
+        assert np.all(np.abs(report.observed - report.baseline) < 0.02)
 
 
 class TestSignificance:
@@ -251,8 +267,7 @@ class TestSignificance:
 
     def test_never_observed_pattern_not_significant(self):
         report = spatial_significance(
-            [(1, 2, 3, 4), (1, 1, 1, 1)], [1.0, 0.0], [0.99, 0.01],
-            num_events=314, include_zero_observed=True,
+            [(1, 2, 3, 4), (1, 1, 1, 1)], [1.0, 0.0], [0.99, 0.01], num_events=314,
         )
         row = report.patterns.tolist().index([1, 1, 1, 1])
         assert report.z[row] == pytest.approx(-1.78, abs=0.01)
@@ -270,17 +285,26 @@ class TestSignificance:
         observed = [0.25, 0.25, 0.5, 0.0, 0.0]
         baseline = [0.2, 0.2, 0.3, 0.3, 0.0]
         report = spatial_significance(patterns, observed, baseline, num_events=400)
-        assert report.patterns.tolist() == [[1, 1, 1], [1, 2, 1], [2, 1, 1]]
-        with_zero = spatial_significance(
-            patterns, observed, baseline, num_events=400, include_zero_observed=True
-        )
         # a zero row is listed when its baseline is positive
-        assert with_zero.patterns.tolist() == [[1, 1, 1], [1, 2, 1], [2, 1, 1], [1, 2, 3]]
-        assert with_zero.tests == 4
+        assert report.patterns.tolist() == [[1, 1, 1], [1, 2, 1], [2, 1, 1], [1, 2, 3]]
+        assert report.tests == 4
+        observed_only = spatial_significance(patterns[:3], observed[:3], baseline[:3], num_events=400)
+        assert observed_only.patterns.tolist() == [[1, 1, 1], [1, 2, 1], [2, 1, 1]]
 
     def test_small_sample_warns(self):
         with pytest.warns(NumericalWarning, match="asymptotic"):
             spatial_significance([(1, 1)], [1.0], [1.0], num_events=10)
+
+    def test_small_sample_warning_names_the_gauge_subset(self):
+        matrix = make_matrix(np.arange(30).reshape(10, 3) % 4, gauges=("G01", "G02", "G03"))
+        with pytest.warns(NumericalWarning) as caught:
+            analyze_spatial(matrix, ("G03", "G01"))
+        assert [str(w.message) for w in caught] == [
+            "G03,G01: only 10 events; spatial z-statistics are asymptotic"
+        ]
+        with pytest.warns(NumericalWarning) as caught:
+            spatial_significance([(1, 1)], [1.0], [1.0], num_events=10)
+        assert [str(w.message) for w in caught] == ["only 10 events; spatial z-statistics are asymptotic"]
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
