@@ -11,6 +11,8 @@ classical tie-handling baselines for comparison.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .dependence import (
     ClassSeries,
     DependenceEstimates,
@@ -70,55 +72,7 @@ from .spatial import (
     spatial_significance,
 )
 
-__all__ = [
-    "CLASSICAL_LONG",
-    "CLASSICAL_SHORT",
-    "ClassMatrix",
-    "ClassSeries",
-    "DataFormatError",
-    "DependenceEstimates",
-    "DependenceReport",
-    "EXACT",
-    "FLOOD_CLASSES",
-    "GENERALIZED_LONG",
-    "GENERALIZED_SHORT",
-    "IngarchSpec",
-    "NumericalWarning",
-    "PatternTable",
-    "SCHEMES",
-    "SpatialReport",
-    "TiePolicy",
-    "VarianceEstimate",
-    "WeightScheme",
-    "analyze_pair",
-    "analyze_spatial",
-    "anti_estimates",
-    "baseline_frequencies",
-    "classical_dependence",
-    "classify_peak",
-    "coincidence_probability",
-    "comparison_value",
-    "confidence_interval",
-    "cramers_v",
-    "cramers_v_autocorrelation",
-    "dependence_estimates",
-    "encode_pattern",
-    "encode_permutation",
-    "enumerate_patterns",
-    "fubini",
-    "get_scheme",
-    "l1_distance",
-    "load_class_matrix",
-    "long_run_variance",
-    "pattern_distance",
-    "pattern_frequencies",
-    "save_class_matrix",
-    "scheme_for_length",
-    "score",
-    "score_comparison_value",
-    "simulate_ingarch",
-    "spatial_encode",
-    "spatial_significance",
-    "standardized_coefficient",
-    "total_score",
-]
+# every public binding above, in sorted order
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -270,6 +270,8 @@ def _cmd_benchmark(args) -> int:
     if stray:
         reason = "benchmark --data does not read it" if args.data else "benchmark reads it only with --data"
         raise argparse.ArgumentError(None, f"argument {stray[0]}: {reason}")
+    if repeated := [n for i, n in enumerate(args.lengths) if n in args.lengths[:i]]:
+        raise argparse.ArgumentError(None, f"argument --lengths: repeats the length {repeated[0]}")
     settings = (args.lengths, args.stride, _resolve_scheme(args.scheme), args.seed)
     if args.data:
         rows = run_benchmark_data(load_class_matrix(args.data), args.gauges, *settings)

@@ -222,7 +222,8 @@ def _symbol_ids(
     bincounts weighted by the pattern counts), the map and the (k, n) symbols.
     """
     ids, counts, patterns = pattern_index(*codes)
-    negation, _, symbols = pattern_index(alphabet(patterns), alphabet(_negated_codes(patterns)))
+    both = alphabet(np.concatenate((patterns, _negated_codes(patterns))))  # one call for the two tables
+    negation, _, symbols = pattern_index(both[: len(patterns)], both[len(patterns) :])
     negated = np.take(negation[1], ids[1:])
     np.take(negation[0], ids, out=ids, mode="clip")  # "clip" writes in place
     hists = np.empty((2 * len(codes) - 1, symbols.shape[0]), dtype=np.int64)
@@ -273,10 +274,11 @@ def _estimates_from_codes(
     comparisons = _score_comparisons(hists[:gauges], symbols, scheme, distance) / num_windows**2
     comparisons[second, first] = comparisons[first, second]  # symmetric as the upper triangle
     scores = np.empty((pairs, num_windows))
-    # per pair and window: two int8 code copies, two int64 Lehmer indices and
-    # two int8 symbols of a classical alphabet, n int8 differences and two
-    # more in the sort, the int64 distance, its clipped copy and the weight
-    for rows, part in _kernels.blocks(pairs, num_windows, (5 * n + 2) / 8 + 5):
+    # per pair and window: two int8 code copies; for a classical alphabet their
+    # position-major copies, n - 1 digits and n - 1 comparisons each, two int64
+    # Lehmer indices and two int8 symbols; n int8 differences and two more in
+    # the sort, the int64 distance, its clipped copy and the weight
+    for rows, part in _kernels.blocks(pairs, num_windows, (11 * n - 2) / 8 + 5):
         scores[rows, part] = scheme.weights_for(distance(*alphabet(codes[pair_index[:, rows], part])))
     columns = (*terms, scores.sum(axis=1) / num_windows, comparisons[first, second])
     estimates = [DependenceEstimates(*v, n, stride, num_windows) for v in zip(*(c.tolist() for c in columns))]
@@ -309,8 +311,8 @@ def _row_scores(
         if policies is None:
             codes, distance = _kernels.encode_windows(values, n, stride), _kernels.df_rows
         else:
-            windows = _kernels.sliding_windows(_tie_broken(values, policies[part]), n, stride)
-            codes, distance = _permutation_codes(windows), _kernels.l1_rows
+            index = _kernels.window_permutation_index(_tie_broken(values, policies[part]), n, stride)
+            codes, distance = np.take(permutation_table(n), index, axis=0), _kernels.l1_rows
         half = codes.shape[0] // 2
         parts.append(scheme.weights_for(distance(codes[:half], codes[half:])))
     return np.concatenate(parts)

@@ -53,12 +53,23 @@ def classify_peak(non_exceedance: float) -> int:
 def load_class_matrix(path: PathLike) -> ClassMatrix:
     """Load and validate an event x gauge class matrix.
 
-    Raises DataFormatError with row/column context on the first offending
-    cell (non-integer, empty, past the int64 range) or a malformed header (duplicate gauge
-    labels, no gauge columns).
+    A class cell is an ASCII optional sign and digits, with surrounding
+    ASCII whitespace allowed. Raises DataFormatError with row/column
+    context on the first offending cell (not such an integer, empty, past
+    the int64 range), on text that is not UTF-8, or on a malformed header
+    (duplicate gauge labels, no gauge columns).
     """
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            line, byte = exc.object.count(b"\n", 0, exc.start) + 1, exc.object[exc.start]
+            raise DataFormatError(f"{path}, line {line}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
+        # without non-ASCII text, underscores and \x1c-\x1f, int() reads rule-abiding cells only
+        strict = not text.isascii() or any(c in text for c in "_\x1c\x1d\x1e\x1f")
+        del text
+        handle.seek(0)
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -85,11 +96,13 @@ def load_class_matrix(path: PathLike) -> ClassMatrix:
                 )
             event_ids.append(row[0].strip())
             line_nos.append(line_no)
-            try:
-                parsed = list(map(int, row[1:]))
-            except ValueError:
-                # rescan cell by cell to name the offending cell
+            if strict:
                 parsed = _parse_cells(path, line_no, gauges, row[1:])
+            else:
+                try:
+                    parsed = list(map(int, row[1:]))
+                except ValueError:  # rescan cell by cell to name the offending cell
+                    parsed = _parse_cells(path, line_no, gauges, row[1:])
             rows.append(parsed)
 
     if not rows:
@@ -108,15 +121,13 @@ def _parse_cells(path: Path, line_no: int, gauges: Sequence[str], cells: Sequenc
     """The integers of a row's gauge cells; DataFormatError names the first empty or bad cell."""
     parsed = []
     for col, cell in zip(gauges, cells):
-        text = cell.strip()
+        text = cell.strip(" \t\n\r\v\f")
         if not text:
             raise DataFormatError(f"{path}, line {line_no}, gauge {col!r}: empty cell")
-        try:
-            parsed.append(int(text))
-        except ValueError:
-            raise DataFormatError(
-                f"{path}, line {line_no}, gauge {col!r}: {text!r} is not an integer"
-            ) from None
+        digits = text[1:] if text[0] in "+-" else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise DataFormatError(f"{path}, line {line_no}, gauge {col!r}: {text!r} is not an integer")
+        parsed.append(int(text))
     return parsed
 
 

@@ -91,9 +91,8 @@ class ClassMatrix:
 def spatial_encode(matrix: ClassMatrix, gauge_subset: Sequence[str]) -> np.ndarray:
     """(events, d) int64 pattern codes, one row per event over the gauges in subset order.
 
-    Each event row is encoded as one window; the temporaries (int8 counts
-    and codes, bool masks) stay within a fixed multiple of the subset copy
-    of the rows.
+    Each event row is encoded as one window, in slices of rows under the
+    cell budget, so the temporaries stay small beside the subset copy.
     """
     if len(gauge_subset) > MAX_ENUM_LENGTH:
         raise ValueError(f"gauge subset of size {len(gauge_subset)} exceeds the cap of {MAX_ENUM_LENGTH}")

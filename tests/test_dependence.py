@@ -556,11 +556,13 @@ class TestClassicalBaselines:
         rng = np.random.default_rng(22)
         x = rng.integers(0, 3, size=100)
         y = rng.integers(0, 3, size=100)
-        from ordpat._kernels import l1_rows, sliding_windows
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        from ordpat._kernels import l1_rows
         from ordpat.patterns import descending_permutations
 
-        perms_x = descending_permutations(sliding_windows(x.astype(float), 4))
-        perms_y = descending_permutations(sliding_windows(y.astype(float), 4))
+        perms_x = descending_permutations(sliding_window_view(x.astype(float), 4))
+        perms_y = descending_permutations(sliding_window_view(y.astype(float), 4))
         assert np.all(l1_rows(perms_x, perms_y) % 2 == 0)
 
 

@@ -146,6 +146,38 @@ class TestLoader:
         path.write_text("event,a,b\n1,9223372036854775807,-9223372036854775808\n")
         assert load_class_matrix(path).classes.tolist() == [[2**63 - 1, -2**63]]
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff15", "\xa05", "\x1c5"])
+    def test_cell_is_an_ascii_sign_and_digits(self, tmp_path, cell, capsys):
+        # int() reads each of these cells: digit grouping, Arabic-Indic and
+        # fullwidth digits, a no-break space, a separator Python counts as space
+        path = tmp_path / "rule.csv"
+        path.write_text(f"event,a,b\n1,0,1\n2,{cell},3\n", encoding="utf-8")
+        message = f"line 3, gauge 'a': {cell!r} is not an integer"
+        with pytest.raises(DataFormatError) as info:
+            load_class_matrix(path)
+        assert str(info.value) == f"{path}, {message}"
+        assert main(["spatial", "--data", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_ascii_labels_and_event_ids_load(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        text = "event,G\u00f6ritzhain,b_1\nev_1, 1 ,\t-2\n\u00e9v\u00e9nement,+0,007\n"
+        path.write_text(text, encoding="utf-8")
+        matrix = load_class_matrix(path)
+        assert matrix.classes.tolist() == [[1, -2], [0, 7]]
+        assert matrix.gauges == ("G\u00f6ritzhain", "b_1")
+        assert matrix.event_ids == ("ev_1", "\u00e9v\u00e9nement")
+
+    def test_non_utf8_file_names_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"event,a,b\n1,0,1\n2,3,1\n\xe9t\xe9,1,2\n")
+        message = f"{path}, line 4: not UTF-8 text (byte 0xe9: invalid continuation byte)"
+        with pytest.raises(DataFormatError) as info:
+            load_class_matrix(path)
+        assert str(info.value) == message
+        assert main(["spatial", "--data", str(path)]) == 2
+        assert capsys.readouterr().err == f"ordpat: data error: {message}\n"
+
     def test_duplicate_gauge_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("event,a,a\n1,0,1\n")
@@ -564,6 +596,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: benchmark" in captured.err and "--data" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--replications", "2", "--length", "50", "--lengths", "4,6,4"],
+        ["--data", "{data}", "--lengths", "4,4"],
+    ], ids=["simulated", "data"])
+    def test_benchmark_repeated_length_is_usage_error(self, argv, matrix_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["benchmark", *(arg.format(data=matrix_file) for arg in argv)])
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --lengths: repeats the length 4" in captured.err
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["enumerate", "--n", "3"], id="enumerate"),

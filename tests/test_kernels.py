@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from oracles import oracle_encode, oracle_shift_min_l1, oracle_windows
+from oracles import oracle_encode, oracle_first_appearance, oracle_l1, oracle_shift_min_l1, oracle_windows
 from ordpat import _kernels
 from ordpat.dependence import _negated_codes
-from ordpat.patterns import pattern_keys
+from ordpat.patterns import descending_permutations, pattern_keys, permutation_table
 
 
 def oracle_codes(values, n, stride=1):
@@ -90,14 +91,85 @@ def _kernel_inputs(kind, size, rng):
     return np.repeat(rng.integers(0, 4, size=size // 3 + 1), 3)[:size]  # plateaus
 
 
+def _strides(n):
+    """Strides where windows overlap at every lag, at some, at one, and not at all."""
+    return sorted({1, 2, max(n - 1, 1), n, n + 2})
+
+
+def oracle_permutation_codes(values, n, stride=1):
+    return np.array(
+        [oracle_first_appearance(w) for w in oracle_windows(list(values), n, stride)], dtype=np.int64
+    ).reshape(-1, n)
+
+
 @pytest.mark.parametrize("kind", ["int", "float", "ties", "plateaus"])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rank_kernel_matches_oracle(kind, n):
     values = _kernel_inputs(kind, 400, np.random.default_rng(n))
-    for stride in sorted({1, n}):
+    for stride in _strides(n):
         np.testing.assert_array_equal(
             _kernels.encode_windows(values, n, stride), oracle_codes(values.tolist(), n, stride)
         )
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "ties", "plateaus"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lehmer_index_matches_oracle(kind, n):
+    values = _kernel_inputs(kind, 400, np.random.default_rng(50 + n))
+    table = permutation_table(n)
+    for stride in _strides(n):
+        index = _kernels.window_permutation_index(values, n, stride)
+        assert index.dtype == np.int64
+        windows = sliding_window_view(values, n)[::stride]
+        np.testing.assert_array_equal(table[index], descending_permutations(windows))
+        np.testing.assert_array_equal(table[index], oracle_permutation_codes(values.tolist(), n, stride))
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "ties", "plateaus"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_window_rows_match_the_series_encoders(kind, n):
+    # rows are the one-window case: C- and F-ordered stacks, a single 1-d window
+    values = _kernel_inputs(kind, 120, np.random.default_rng(70 + n))
+    rows = np.ascontiguousarray(sliding_window_view(values, n)[::2])
+    codes = oracle_codes(values.tolist(), n, 2)
+    index = _kernels.window_permutation_index(values, n, 2)
+    every, strided = slice(None), slice(0, 30, 2)
+    stacks = [(rows, every), (np.asfortranarray(rows), every), (rows[:30].reshape(3, 10, n)[:, ::2], strided)]
+    for stack, picked in stacks:
+        np.testing.assert_array_equal(_kernels.rank_codes(stack).reshape(-1, n), codes[picked])
+        np.testing.assert_array_equal(_kernels.permutation_index(stack).reshape(-1), index[picked])
+    assert _kernels.rank_codes(rows[0]).tolist() == codes[0].tolist()
+    assert _kernels.permutation_index(rows[0]) == index[0]
+
+
+@pytest.mark.parametrize("budget", [1, 40, 1 << 30])
+@pytest.mark.parametrize("n", [3, 6])
+def test_encoders_straddle_window_slices(budget, n, monkeypatch):
+    # a small budget cuts the windows into slices that share series values
+    rng = np.random.default_rng(90 + n)
+    stack = rng.integers(0, 4, size=(3, 70))
+    monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
+    for stride in _strides(n):
+        codes = _kernels.encode_windows(stack, n, stride)
+        index = _kernels.window_permutation_index(stack, n, stride)
+        for row, row_codes, row_index in zip(stack.tolist(), codes, index):
+            np.testing.assert_array_equal(row_codes, oracle_codes(row, n, stride))
+            np.testing.assert_array_equal(
+                permutation_table(n)[row_index], oracle_permutation_codes(row, n, stride)
+            )
+    rows = stack.reshape(-1, n * 5)[:, :n]
+    np.testing.assert_array_equal(_kernels.rank_codes(rows), [oracle_encode(r) for r in rows.tolist()])
+
+
+def test_l1_rows_broadcast_into_int64():
+    rng = np.random.default_rng(8)
+    a = rng.integers(1, 6, size=(40, 1, 5)).astype(np.int8)
+    b = rng.integers(1, 6, size=(1, 50, 5)).astype(np.int8)
+    got = _kernels.l1_rows(a, b)
+    assert got.dtype == np.int64 and got.shape == (40, 50)
+    expected = [[oracle_l1(t, u) for u in b[0].tolist()] for t in a[:, 0].tolist()]
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(_kernels.l1_rows(a.astype(np.int64), b), expected)
 
 
 def test_stacked_series_encode_row_by_row():

@@ -6,9 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ordpat import _kernels
-from ordpat._kernels import permutation_index, sliding_windows
+from ordpat._kernels import permutation_index
 from ordpat.patterns import (
     TiePolicy,
     check_finite,
@@ -171,7 +172,7 @@ class TestClassicalPolicies:
     def test_single_window_and_batched_encoders_agree(self, n):
         # a tie-heavy integer series: most windows hold ties
         values = np.random.default_rng(n).integers(0, 3, size=400).astype(float)
-        windows = sliding_windows(values, n)
+        windows = sliding_window_view(values, n)
         batched = descending_permutations(windows)
         for window, row in zip(windows, batched.tolist()):
             single = encode_permutation(window, TiePolicy.first_appearance())
