@@ -170,6 +170,8 @@ def test_l1_rows_broadcast_into_int64():
     expected = [[oracle_l1(t, u) for u in b[0].tolist()] for t in a[:, 0].tolist()]
     np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(_kernels.l1_rows(a.astype(np.int64), b), expected)
+    # operands of different rank broadcast over the leading axes too
+    np.testing.assert_array_equal(_kernels.l1_rows(a[0, 0], b[0]), expected[0])
 
 
 def test_stacked_series_encode_row_by_row():
