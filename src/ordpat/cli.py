@@ -11,13 +11,14 @@ import math
 import os
 import sys
 import warnings
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from ._kernels import MAX_PATTERN_LENGTH
-from .dependence import KERNELS, DependenceReport, _analyze_pairs, _pair_indices, _row_scores
+from .dependence import KERNELS, DependenceReport, _analyze_pairs, _pair_indices, _score_slices
 from .exceptions import DataFormatError, NumericalWarning
 from .io import (
     _fmt,
@@ -144,10 +145,15 @@ def run_benchmark(
 
     ``seeds[k][i]`` seeds the randomized tie policy of pair (xs[k], ys[k])
     at pattern length ``lengths[i]``. All pairs must be equally long: each
-    approach and length scores them with one stacked ``_row_scores`` call.
+    approach and length scores them slice by slice with ``_score_slices``
+    and keeps only each pair's mean score, so no (pairs, windows) array
+    is built.
     """
     if not len(xs) == len(ys) == len(seeds):
         raise ValueError(f"got {len(xs)} xs, {len(ys)} ys and {len(seeds)} seed rows: one each per pair")
+    for k, row in enumerate(seeds):
+        if len(row) != len(lengths):
+            raise ValueError(f"seed row {k} holds {len(row)} seeds for {len(lengths)} pattern lengths")
     rows = []
     for i, n in enumerate(lengths):
         classical = scheme_for_length(n, classical=True)
@@ -157,7 +163,9 @@ def run_benchmark(
             "first_appearance": (classical, [TiePolicy.first_appearance()] * len(xs)),
         }
         for method, (weights, policies) in approaches.items():
-            vals = _row_scores(xs, ys, n, stride, weights, policies).mean(axis=1)
+            vals = np.concatenate([
+                scores.mean(axis=1) for scores in _score_slices(xs, ys, n, stride, weights, policies)
+            ])
             rows.append({
                 "approach": method, "n": n,
                 "mean": float(vals.mean()), "min": float(vals.min()), "max": float(vals.max()),
@@ -365,6 +373,8 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str, **settings) -> None
         parser.add_argument(f"--{name}", **_FLAGS[name], **settings)
 
 
+# parse_args leaves the parser as it is, so one tree serves every main call
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ordpat", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ordpat {__version__}")

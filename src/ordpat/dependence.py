@@ -16,7 +16,7 @@ standardized coefficient. The classical tie-handling baselines run the
 same pipeline through permutation patterns and the plain L1 metric.
 Randomize adds noise to the values before the encode and skip drops the
 windows whose int8 rank codes hold a tie: ``classical_dependence`` takes
-every policy, ``_row_scores`` all but skip.
+every policy, ``_score_slices`` all but skip.
 
 One estimator core serves every caller. It takes G equally long series
 as one (G, W, n) int8 stack of rank codes and numbers only the series,
@@ -47,7 +47,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -285,27 +285,26 @@ def _estimates_from_codes(
     return estimates, same, scores, ids, negation, comparisons
 
 
-def _row_scores(
+def _score_slices(
     xs: Sequence[SeriesLike],
     ys: Sequence[SeriesLike],
     n: int,
     stride: int,
     scheme: WeightScheme,
     policies: Optional[Sequence[TiePolicy]] = None,
-) -> np.ndarray:
-    """Per-window scores of the equally long pairs (xs[k], ys[k]), an (R, W) array.
+) -> Iterator[np.ndarray]:
+    """Per-window scores of the equally long pairs (xs[k], ys[k]), a (rows, W) array per slice of pairs.
 
     Without ``policies`` the pairs run through the tie-aware pipeline,
     with one randomize or first_appearance policy per pair through the
     classical one (skip drops windows: ``classical_dependence``). Each
-    chunk of pairs, at 2 * n * length cells a pair, takes one encode and
-    one distance call.
+    slice of pairs, at 2 * n * length cells a pair, takes one encode and
+    one distance call; the slices come in pair order.
     """
     if policies is not None and any(policy.kind == "skip" for policy in policies):
         raise ValueError("the skip policy drops windows: use classical_dependence")
     series = _series_list([*xs, *ys], n, stride)
     xs, ys = series[: len(xs)], series[len(xs):]
-    parts = []
     for part in _kernels.chunks(len(xs), 2 * n * series[0].shape[0]):
         values = np.stack(xs[part] + ys[part])
         if policies is None:
@@ -314,8 +313,19 @@ def _row_scores(
             index = _kernels.window_permutation_index(_tie_broken(values, policies[part]), n, stride)
             codes, distance = np.take(permutation_table(n), index, axis=0), _kernels.l1_rows
         half = codes.shape[0] // 2
-        parts.append(scheme.weights_for(distance(codes[:half], codes[half:])))
-    return np.concatenate(parts)
+        yield scheme.weights_for(distance(codes[:half], codes[half:]))
+
+
+def _row_scores(
+    xs: Sequence[SeriesLike],
+    ys: Sequence[SeriesLike],
+    n: int,
+    stride: int,
+    scheme: WeightScheme,
+    policies: Optional[Sequence[TiePolicy]] = None,
+) -> np.ndarray:
+    """Per-window scores of the pairs (xs[k], ys[k]), an (R, W) array: ``_score_slices`` joined."""
+    return np.concatenate(list(_score_slices(xs, ys, n, stride, scheme, policies)))
 
 
 # ---------------------------------------------------------------------------

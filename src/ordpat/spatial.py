@@ -139,13 +139,17 @@ def baseline_frequencies(
         raise ValueError("no events to estimate the gauge marginals from")
     codes = enumerate_patterns(d).codes if patterns is None else check_patterns(patterns, d)
 
-    values, index = np.unique(cols, return_inverse=True)
-    index = index.reshape(cols.shape)
+    # one column's values and counts at a time: V and the marginals never
+    # take a temporary the size of ``cols``; return_counts also keeps
+    # np.unique off the path that imports numpy.ma
+    columns = [np.unique(cols[:, j], return_counts=True) for j in range(d)]
+    values, _ = np.unique(np.concatenate([v for v, _ in columns]), return_counts=True)
     # products[mask] is the product of p_j(v) over the gauges j in the bit
     # mask, so f_l is the row of the mask of the gauges at level l
     products = np.ones((1, values.shape[0]))
-    for j in range(d):
-        marginal = np.bincount(index[:, j], minlength=values.shape[0]) / num_events
+    for column_values, counts in columns:
+        marginal = np.zeros(values.shape[0])
+        marginal[np.searchsorted(values, column_values)] = counts / num_events
         products = np.concatenate([products, products * marginal])
     probs = np.empty(codes.shape[0])
     # each pattern row's chain temporaries hold one float64 per class value

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -705,30 +704,20 @@ class TestIdCore:
                 est.coefficient,
             ]
 
-    def test_long_n6_estimates_stay_under_memory_budget(self):
+    def test_long_n6_estimates_stay_under_memory_budget(self, traced_peak):
         # the whole 3962 x 3960 float64 score table alone would take ~125 MB
         rng = np.random.default_rng(80)
         x = rng.integers(0, 5, size=100_000)
         y = rng.integers(0, 5, size=100_000)
-        tracemalloc.start()
-        try:
-            dependence_estimates(x, y, 6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: dependence_estimates(x, y, 6))
         assert peak < 64 * 2**20
 
-    def test_long_n4_estimates_keep_codes_narrow(self):
+    def test_long_n4_estimates_keep_codes_narrow(self, traced_peak):
         # one (2, W, 4) int64 code stack is 6.1 MiB and its negated copy 3 MiB
         # more; int8 codes take an eighth of that
         rng = np.random.default_rng(81)
         x, y = rng.poisson(4.0, size=(2, 100_000))
-        tracemalloc.start()
-        try:
-            dependence_estimates(x, y, 4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: dependence_estimates(x, y, 4))
         assert peak < 10 * 2**20
 
 
@@ -804,7 +793,7 @@ class TestClassicalRowScores:
         with pytest.raises(ValueError, match="skip policy drops windows: use classical_dependence"):
             dependence._row_scores([x], [x[::-1]], 4, 1, CLASSICAL_SHORT, [TiePolicy.skip()])
 
-    def test_stacked_scores_stay_under_memory_budget(self, monkeypatch):
+    def test_stacked_scores_stay_under_memory_budget(self, monkeypatch, traced_peak):
         # one chunk of 200 pairs x 1000 values at n=6: a single int64
         # (400, 995, 6) array of gathered codes or their differences takes
         # 18.2 MiB, and a float64 (720, 720) score table 4 MiB on top of the
@@ -817,12 +806,7 @@ class TestClassicalRowScores:
         for policies in ([TiePolicy.first_appearance()] * 200,
                          [TiePolicy.randomize(k) for k in range(200)]):
             permutation_table.cache_clear()
-            tracemalloc.start()
-            try:
-                scores = dependence._row_scores(xs, ys, 6, 1, scheme, policies)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            scores, peak = traced_peak(lambda: dependence._row_scores(xs, ys, 6, 1, scheme, policies))
             assert scores.shape == (200, 995)
             assert peak < 16 * 2**20
 
@@ -1120,7 +1104,7 @@ class TestLongSeriesPairPath:
         "estimates", "analyze_pair", "analyze_pair_1000_replicates",
         "classical_skip", "classical_randomize", "classical_first_appearance",
     ])
-    def test_long_n4_peaks(self, call, bound_mib):
+    def test_long_n4_peaks(self, call, bound_mib, traced_peak):
         # kept per-window arrays: int8 codes (0.8 MB), the (3, W) int64 ids
         # (2.4 MB), bool coincidences and float64 scores (1 MB); the numbering's
         # temporaries stay within a multiple of the ids, the bootstrap builds
@@ -1128,12 +1112,7 @@ class TestLongSeriesPairPath:
         # temporary is sliced under the 1 MiB budget
         rng = np.random.default_rng(81)
         x, y = rng.poisson(4.0, size=(2, 100_000))
-        tracemalloc.start()
-        try:
-            call(x, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: call(x, y))
         assert peak < bound_mib * 2**20
 
     @pytest.mark.parametrize("budget", [8, 1 << 30])
@@ -1164,7 +1143,7 @@ class TestLongSeriesPairPath:
         for name, values in expected[4][1].items():
             assert got[4][1][name].tobytes() == values.tobytes()
 
-    def test_bootstrap_peaks_near_the_ids(self):
+    def test_bootstrap_peaks_near_the_ids(self, traced_peak):
         # one replicate a chunk: float64 multiplicities and their float32 copy,
         # with no offset copy of the ids to bincount
         x, y = np.random.default_rng(81).poisson(4.0, size=(2, 100_000))
@@ -1172,12 +1151,7 @@ class TestLongSeriesPairPath:
         _, same, _, ids, negation, _ = dependence._estimates_from_codes(
             codes, dependence._identity, scheme_for_length(4), 1, _kernels.df_rows, ["x", "y"]
         )
-        tracemalloc.start()
-        try:
-            dependence.block_bootstrap_ci(ids, negation, same, replicates=20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: dependence.block_bootstrap_ci(ids, negation, same, replicates=20))
         assert peak < 1.5 * ids.nbytes
 
     def test_analyze_pair_leaves_numpy_ma_unimported(self):

@@ -2,9 +2,11 @@
 
 Each digest is the SHA-256 of an output on a seeded synthetic input: the
 ``pairwise`` CSVs, the ``spatial`` report CSV and table with and without
-``--include-zero`` (the whole-table baseline), the ``benchmark`` tables,
-the ``repr`` of n=6 point estimates on a 5,000-long 5-class pair,
-whose score table is built in many slices, and of the classical
+``--include-zero`` (the whole-table baseline), the ``benchmark`` tables
+and ``--out`` CSVs (the tables round the means to one decimal, the CSVs
+keep ten significant digits), the ``repr`` of n=6 point estimates on a
+5,000-long 5-class pair, whose score table is built in many slices, and
+of the classical
 estimates on that tied pair (first-appearance and randomize at n=4 and
 6, skip at n=4), the estimator core on
 a 20,000-long dependent 6-class pair (point estimates at n=3, 4, 5, 7,
@@ -62,6 +64,10 @@ GOLDEN = {
         "4e378d5201782f76e45f1cdc63bb51cc6a84ec3ec450f6a7433bc0e920713d85",
     "benchmark data stdout":
         "3804e28938dd072c34ec0f439ef6a9dad1735eeef10148a3c607341f3b4aef7a",
+    "benchmark simulated csv":
+        "120297584a59908c0d5e1faeca6246cbe1df97549ca7b816185be21eb39ab8dd",
+    "benchmark data csv":
+        "653332704d40f5833c21abb3c638dca6d64c0c89f86923ddf538815c9f23568a",
     "dependence_estimates n=6, length 5000":
         "9688e929992d5a3b27298ca4918f839187995b6469466e171d6871171939f63f",
     "classical_dependence first_appearance n=4, length 5000":
@@ -151,10 +157,14 @@ def output_digests(tmp_path, capsys) -> dict:
         stdout = _stdout(capsys, ["spatial", "--data", str(data), *flags, "--out", str(out)])
         digests[f"{name} csv"] = _sha(out.read_bytes())
         digests[f"{name} stdout"] = _sha(stdout.replace(str(out).encode(), b"OUT"))
-    digests["benchmark simulated stdout"] = _sha(_stdout(capsys, [
-        "benchmark", "--replications", "20", "--lengths", "4,6", "--seed", "3",
-    ]))
-    digests["benchmark data stdout"] = _sha(_stdout(capsys, ["benchmark", "--data", str(data)]))
+    out = tmp_path / "benchmark.csv"
+    for mode, flags in (
+        ("simulated", ["--replications", "20", "--lengths", "4,6", "--seed", "3"]),
+        ("data", ["--data", str(data)]),
+    ):
+        stdout = _stdout(capsys, ["benchmark", *flags, "--out", str(out)])
+        digests[f"benchmark {mode} stdout"] = _sha(stdout.replace(f"wrote {out}\n".encode(), b""))
+        digests[f"benchmark {mode} csv"] = _sha(out.read_bytes())
     rng = np.random.default_rng(5)
     x, y = rng.integers(0, 5, size=(2, 5000))
     digests["dependence_estimates n=6, length 5000"] = _sha(

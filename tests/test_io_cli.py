@@ -333,6 +333,24 @@ class TestBenchmarkDriver:
         with pytest.raises(ValueError, match="got 1 xs, 1 ys and 2 seed rows"):
             run_benchmark([x], [x], [[4], [4]], lengths=(4,))
 
+    def test_one_seed_per_length_in_each_seed_row(self):
+        x, y = (synthetic_matrix(rows=150).column(g) for g in ("g0", "g1"))
+        with pytest.raises(ValueError, match="seed row 0 holds 1 seeds for 2 pattern lengths"):
+            run_benchmark([x], [y], [[17]], lengths=(4, 6))
+        with pytest.raises(ValueError, match="seed row 1 holds 3 seeds for 2 pattern lengths"):
+            run_benchmark([x, x], [y, y], [[17, 18], [17, 18, 19]], lengths=(4, 6))
+
+    @pytest.mark.parametrize("pairs", [100, 400])
+    def test_peak_does_not_grow_with_pairs_times_windows(self, pairs, traced_peak):
+        # only each slice's per-window scores and each pair's mean are kept:
+        # the (pairs, windows) float64 scores alone would take 6.1 MiB at 400
+        xs, ys = np.random.default_rng(pairs).poisson(4.0, size=(2, pairs, 2000))
+        xs, ys = list(xs), list(ys)
+        seeds = [[k, k + 1] for k in range(pairs)]
+        rows, peak = traced_peak(lambda: run_benchmark(xs, ys, seeds, lengths=(4, 6)))
+        assert len(rows) == 6
+        assert peak < 3 * 2**20
+
 
 class ReadRecorder(argparse.Namespace):
     """A namespace that records the name of each attribute read once ``reads`` is a set."""

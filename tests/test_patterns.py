@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,30 +446,20 @@ class TestPatternIndex:
         np.testing.assert_array_equal(ids, expected_ids)
         np.testing.assert_array_equal(hists, expected_hists)
 
-    def test_short_n6_numbering_stays_small(self):
+    def test_short_n6_numbering_stays_small(self, traced_peak):
         # a lookup table over the 7^6 keys of n = 6 would take 1.1 MiB for 74 keys
         rng = np.random.default_rng(48)
         codes = _kernels.encode_windows(rng.integers(0, 5, size=(2, 40)), 6)
         pattern_index(*codes)
-        tracemalloc.start()
-        try:
-            pattern_index(*codes)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: pattern_index(*codes))
         assert peak < 64 * 2**10
 
-    def test_long_n7_numbering_is_linear_in_the_keys(self):
+    def test_long_n7_numbering_is_linear_in_the_keys(self, traced_peak):
         # 2e5 keys spread over 8^7 take the sort: the returned (2, W) int64 ids
         # and np.unique's sorted copies, order and inverse, about 6.3 times the ids
         rng = np.random.default_rng(49)
         codes = _kernels.encode_windows(rng.poisson(4.0, size=(2, 100_000)), 7)
-        tracemalloc.start()
-        try:
-            ids, _, _ = pattern_index(*codes)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (ids, _, _), peak = traced_peak(lambda: pattern_index(*codes))
         assert peak < 7 * ids.nbytes
 
     def test_unequal_lengths_rejected(self):

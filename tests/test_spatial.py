@@ -1,6 +1,5 @@
 """Cross-sectional pattern frequencies, baselines, and significance."""
 
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -84,17 +83,12 @@ class TestSpatialEncode:
         assert patterns.dtype == np.int64
         assert patterns.tolist() == [[1, 1, 1, 1]] * 4
 
-    def test_peak_within_one_and_a_half_results(self):
+    def test_peak_within_one_and_a_half_results(self, traced_peak):
         # one window per event row: no flattened copy of the rows and no int8
         # code array beside the int64 result
         rng = np.random.default_rng(40)
         matrix = make_matrix(rng.integers(-1, 5, size=(200_000, 8)))
-        tracemalloc.start()
-        try:
-            codes = spatial_encode(matrix, matrix.gauges)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        codes, peak = traced_peak(lambda: spatial_encode(matrix, matrix.gauges))
         assert peak <= 1.5 * codes.nbytes
 
     def test_single_raised_gauge(self):
@@ -212,6 +206,14 @@ class TestBaseline:
         whole = baseline_frequencies(matrix, matrix.gauges)
         monkeypatch.setattr(_kernels, "CELL_BUDGET", 13)
         np.testing.assert_array_equal(baseline_frequencies(matrix, matrix.gauges), whole)
+
+    def test_marginals_peak_within_twice_the_subset_copy(self, traced_peak):
+        # the class values are numbered one column at a time; numbering the
+        # whole (200000, 8) subset copy at once peaked at ~6 times that copy
+        matrix = make_matrix(np.random.default_rng(3).integers(-1, 5, size=(200_000, 8)))
+        enumerate_patterns(8)  # the cached pattern table outlives the call
+        _, peak = traced_peak(lambda: baseline_frequencies(matrix, matrix.gauges))
+        assert peak <= 2 * matrix.subset_columns(matrix.gauges).nbytes
 
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError, match="no events"):
