@@ -3,14 +3,14 @@
 All kernels are exact integer computations in numpy. The encoders take
 the sliding windows of a series, or of a stack of equally long series,
 along the last axis; each series is encoded once (the block bootstrap
-resamples encoded windows, not values). Windows given as (..., n) rows
-are the one-window case of the same code. Neither encoder sorts:
+resamples encoded windows, not values). Neither encoder sorts:
 ``encode_windows`` gives the tie-aware dense ranks,
 ``window_permutation_index`` the Lehmer index of the classical descending
 permutation (``patterns.permutation_table`` turns it into codes). Both
 read each pair of window positions (i, i + d) from one comparison per lag
 d over the series where windows overlap at that lag, and compare the two
-window columns directly where they do not.
+window columns directly where they do not. ``rank_codes`` ranks windows
+given as (..., n) rows, the one-window case of the same code.
 
 Pattern codes lie in 1..n with n <= 15, so both pipelines keep them as
 int8 from the encoder to the distance. One kernel per pattern metric,
@@ -112,9 +112,19 @@ def encode_windows(
 
 
 def rank_codes(windows: np.ndarray) -> np.ndarray:
-    """``encode_windows`` codes of (..., n) windows, one window per row."""
+    """``encode_windows`` codes of (..., n) windows, one window per row: a single window is its own position view."""
     windows = np.asarray(windows)
-    return _by_row(_rank_block, windows, np.empty(windows.shape, dtype=np.int8), windows.shape[-1] / 2)
+    n = windows.shape[-1]
+    codes = np.empty(windows.shape, dtype=np.int8)
+    if windows.ndim == 1:
+        _rank_block(windows, None, n, codes)
+        return codes
+    rows, flat = windows.reshape(-1, n), codes.reshape(-1, n)
+    # a slice of rows is its (n, rows) position view, copied (and charged) where the rows lie apart
+    for part in chunks(rows.shape[0], n / 2 + n * windows.itemsize / 8):
+        cols = rows[part].T
+        _rank_block(cols if cols.strides[-1] == cols.itemsize else cols.copy(), None, n, flat[part])
+    return codes
 
 
 def window_permutation_index(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
@@ -132,12 +142,6 @@ def window_permutation_index(values: np.ndarray, n: int, stride: int = 1) -> np.
     return _by_window(_lehmer_block, values, n, stride, index, n / 4)  # n - 1 digits, a comparison
 
 
-def permutation_index(windows: np.ndarray) -> np.ndarray:
-    """``window_permutation_index`` of (..., n) windows, one window per row."""
-    windows = np.asarray(windows)
-    return _by_row(_lehmer_block, windows, np.empty(windows.shape[:-1], dtype=np.int64), windows.shape[-1] / 4)
-
-
 def _by_window(block, values: np.ndarray, n: int, stride: int, out: np.ndarray, cells: float) -> np.ndarray:
     """Fill ``out`` by ``block(cols, span, stride, out_part)`` per slice of windows, ``cells`` a window.
 
@@ -149,23 +153,6 @@ def _by_window(block, values: np.ndarray, n: int, stride: int, out: np.ndarray, 
         *steps, step = span.strides
         cols = as_strided(span, (n, *span.shape[:-1], part.stop - part.start), (step, *steps, stride * step))
         block(cols, span, stride, out[(slice(None),) * lead + (part,)])
-    return out
-
-
-def _by_row(block, windows: np.ndarray, out: np.ndarray, cells: float) -> np.ndarray:
-    """``_by_window`` for (..., n) rows, one window each: a single window is its own position view.
-
-    A slice of rows is its (n, rows) position view, copied (and charged) where the rows lie apart.
-    """
-    n = windows.shape[-1]
-    if windows.ndim == 1:
-        block(windows, None, n, out)
-        return out
-    rows = windows.reshape(-1, n)
-    flat = out.reshape(rows.shape[0], *out.shape[windows.ndim - 1 :])
-    for part in chunks(rows.shape[0], cells + n * windows.itemsize / 8):
-        cols = rows[part].T
-        block(cols if cols.strides[-1] == cols.itemsize else cols.copy(), None, n, flat[part])
     return out
 
 

@@ -22,16 +22,18 @@ One estimator core serves every caller. It takes G equally long series
 as one (G, W, n) int8 stack of rank codes and numbers only the series,
 with one ``patterns.pattern_index`` call. A pipeline is an alphabet on
 the numbered patterns: the identity (tie-aware, compared by
-``_kernels.df_rows``) or the descending permutation (classical, looked
-up in ``patterns.permutation_table`` and compared by ``_kernels.l1_rows``).
-A second call numbers the symbols of the patterns and of their
-negations in one table, which maps each pattern to both, so the negated
-series 1..G-1 (x against -y) are never built as windows. All G(G-1)/2
-pairs are estimated from the dense symbol ids in one pass per statistic
-(``_pair_terms`` also serves each bootstrap replicate, and one stacked
-long-run variance every pair); a single pair is the case G = 2. One
-bootstrap per call resamples the window blocks of all series together
-and moves each series' counts to its negated series through that map.
+``_kernels.df_rows``) or the descending permutation (classical, the rule
+of ``patterns.permutation_table``, compared by ``_kernels.l1_rows``).
+A second call numbers the symbols of the patterns and of their negations
+in one table, which maps each pattern to both, so the negated series
+1..G-1 (x against -y) are never built as windows, nor are the classical
+symbols of a series: a block of per-window scores gathers them by id.
+All G(G-1)/2 pairs are estimated from the dense symbol ids in one pass
+per statistic (``_pair_terms`` also serves each bootstrap replicate, and
+one stacked long-run variance every pair); a single pair is the case
+G = 2. One bootstrap per call resamples the window blocks of all series
+together and moves each series' counts to its negated series through
+that map.
 Only the int8 codes, the int64 symbol ids, the bool coincidences and the
 float64 scores span every window of a long series. The numbering's
 temporaries stay within a fixed multiple of the ids, and so do the
@@ -55,8 +57,8 @@ from . import _kernels
 from .exceptions import NumericalWarning
 from .metric import WeightScheme, scheme_for_length
 from .patterns import (
-    TiePolicy, check_finite, check_integer, pattern_index, pattern_keys, permutation_table,
-    randomize_values, smallest_gap,
+    TiePolicy, check_finite, check_integer, check_real, descending_permutations, pattern_index,
+    pattern_keys, permutation_table, randomize_values, smallest_gap,
 )
 
 
@@ -71,7 +73,7 @@ class ClassSeries:
         object.__setattr__(self, "values", np.asarray(self.values))
         if self.values.ndim != 1:
             raise ValueError("series values must be one-dimensional")
-        check_finite(self.values)
+        check_real(self.values)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -87,7 +89,7 @@ def series_values(x: SeriesLike) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError("series must be one-dimensional")
-    check_finite(arr)
+    check_real(arr)
     return arr
 
 
@@ -242,14 +244,14 @@ def _estimates_from_codes(
 ) -> tuple[list["DependenceEstimates"], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Point estimates of every pair i < j of a (G, W, n) rank-code stack.
 
-    ``alphabet`` maps (..., n) rank codes to symbol codes: ``_identity``
-    (tie-aware) or ``_permutation_codes`` (classical), exact because
-    ``permutation_index`` reads only a window's ``>=`` comparisons, which
-    rank codes keep. Coincidences come from symbol-id equality
-    (``_symbol_ids``), comparison values from the histogram products
-    H H^T and H H_-^T, score comparisons from H S H^T, per-window scores
-    from one aligned distance call per block of pairs and windows
-    (``_kernels.blocks``). A degenerate pair warns by ``labels``. Returns
+    ``alphabet`` maps the numbered (m, n) patterns to symbols: ``_identity``
+    (tie-aware) or ``_permutation_codes`` (classical), exact because a
+    descending permutation reads only ``>=`` comparisons, which rank codes
+    keep. Coincidences come from symbol-id equality (``_symbol_ids``),
+    comparison values from H H^T and H H_-^T, score comparisons from
+    H S H^T, per-window scores from one aligned distance call per block of
+    pairs and windows (``_kernels.blocks``) on their gathered rank codes or
+    classical symbols (``np.take`` by id). A degenerate pair warns by ``labels``. Returns
     the estimates of the K pairs in row-major order; their (2K, W)
     coincidences x_i = x_j, then x_i = -x_j; their (K, W) scores; the
     (G, W) symbol ids; the (2, m) negation map; and the symmetric (G, G)
@@ -274,12 +276,13 @@ def _estimates_from_codes(
     comparisons = _score_comparisons(hists[:gauges], symbols, scheme, distance) / num_windows**2
     comparisons[second, first] = comparisons[first, second]  # symmetric as the upper triangle
     scores = np.empty((pairs, num_windows))
-    # per pair and window: two int8 code copies; for a classical alphabet their
-    # position-major copies, n - 1 digits and n - 1 comparisons each, two int64
-    # Lehmer indices and two int8 symbols; n int8 differences and two more in
-    # the sort, the int64 distance, its clipped copy and the weight
-    for rows, part in _kernels.blocks(pairs, num_windows, (11 * n - 2) / 8 + 5):
-        scores[rows, part] = scheme.weights_for(distance(*alphabet(codes[pair_index[:, rows], part])))
+    table = None if alphabet is _identity else symbols.astype(np.int8)
+    # per pair and window: two int64 id copies and two int8 symbols of a classical table (or two int8
+    # code copies), n int8 differences and two more in the sort, the int64 distance, a clipped copy, a weight
+    for rows, part in _kernels.blocks(pairs, num_windows, (3 * n + 2) / 8 + 5):
+        index = pair_index[:, rows]
+        operands = codes[index, part] if table is None else np.take(table, ids[index, part], axis=0)
+        scores[rows, part] = scheme.weights_for(distance(*operands))
     columns = (*terms, scores.sum(axis=1) / num_windows, comparisons[first, second])
     estimates = [DependenceEstimates(*v, n, stride, num_windows) for v in zip(*(c.tolist() for c in columns))]
     return estimates, same, scores, ids, negation, comparisons
@@ -495,8 +498,8 @@ def _tie_broken(values: np.ndarray, policies: Sequence[TiePolicy]) -> np.ndarray
 
 
 def _permutation_codes(windows: np.ndarray) -> np.ndarray:
-    """int8 descending permutations of (..., n) windows: one table row per Lehmer index."""
-    return np.take(permutation_table(windows.shape[-1]), _kernels.permutation_index(windows), axis=0)
+    """int8 descending permutations of (..., n) windows, the rows of ``permutation_table``."""
+    return descending_permutations(windows).astype(np.int8)
 
 
 def classical_dependence(

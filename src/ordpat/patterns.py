@@ -47,7 +47,7 @@ def encode_pattern(window: Sequence[float]) -> Pattern:
         raise ValueError("empty window")
     if arr.shape[0] > 127:
         raise ValueError(f"window of {arr.shape[0]} values exceeds the limit of 127 (int8 rank codes)")
-    check_finite(arr, "window")
+    check_real(arr, "window")
     return tuple(int(c) for c in _kernels.rank_codes(arr))
 
 
@@ -59,6 +59,13 @@ def check_finite(values: np.ndarray, what: str = "series") -> None:
             index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), values.shape))
             where = index[0] if len(index) == 1 else index
             raise ValueError(f"{what} value at index {where} is not finite ({values[index]})")
+
+
+def check_real(values: np.ndarray, what: str = "series") -> None:
+    """``check_finite``, after a ValueError naming the dtype unless ``values`` are boolean, integer or real."""
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"{what} values must be boolean, integer or real numbers, got dtype {values.dtype}")
+    check_finite(values, what)
 
 
 def check_integer(name: str, value) -> None:
@@ -105,8 +112,12 @@ class TiePolicy:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown tie policy {self.kind!r}; expected one of {self.KINDS}")
-        if self.kind == "randomize" and self.seed is None:
-            raise ValueError("randomize tie policy requires an explicit seed")
+        if self.kind == "randomize":
+            if self.seed is None:
+                raise ValueError("randomize tie policy requires an explicit seed")
+            check_integer("randomize seed", self.seed)
+            if self.seed < 0:
+                raise ValueError(f"randomize seed must be non-negative, got {self.seed}")
 
     @classmethod
     def skip(cls) -> "TiePolicy":
@@ -184,12 +195,12 @@ def permutation_table(n: int) -> np.ndarray:
     """(n!, n) int8 descending permutations by Lehmer index (n <= 8), read-only.
 
     Row k is ``descending_permutations`` of the tie-free windows whose
-    ``_kernels.permutation_index`` is k, so ``permutation_table(n)[index]``
-    encodes windows with or without ties under the first-appearance rule.
-    Those windows are the permutations of 0..n-1 in lexicographic order,
-    negated: digit i of a negated permutation's index counts the later
-    positions with a smaller value in the permutation, which is digit i of
-    its lexicographic rank.
+    Lehmer index (``_kernels.window_permutation_index``) is k, so
+    ``permutation_table(n)[index]`` encodes windows with or without ties
+    under the first-appearance rule. Those windows are the permutations of
+    0..n-1 in lexicographic order, negated: digit i of a negated
+    permutation's index counts the later positions with a smaller value in
+    the permutation, which is digit i of its lexicographic rank.
     """
     if not 1 <= n <= MAX_ENUM_LENGTH:
         raise ValueError(f"pattern length for enumeration must be in 1..{MAX_ENUM_LENGTH}, got {n}")

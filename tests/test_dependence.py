@@ -810,6 +810,35 @@ class TestClassicalRowScores:
             assert scores.shape == (200, 995)
             assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("budget", [_kernels.CELL_BUDGET, 500])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_core_window_scores_equal_row_scores(self, n, stride, budget, monkeypatch):
+        # the core gathers classical symbols from its numbered pattern table;
+        # _row_scores takes them from the Lehmer index of every window. A
+        # budget of 500 cells cuts the core's rows of ~300 windows into slices.
+        monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
+        rng = np.random.default_rng(10 * n + stride)
+        scheme = scheme_for_length(n, classical=True)
+        tied = np.repeat(rng.integers(0, 3, size=(3, 100)), 3, axis=1)  # plateaus: ties everywhere
+
+        def core_scores(values):
+            codes = encode_windows(values, n, stride)
+            labels = [str(k) for k in range(len(values))]
+            return dependence._estimates_from_codes(
+                codes, dependence._permutation_codes, scheme, stride, _kernels.l1_rows, labels
+            )[2]
+
+        # pairs 0|1, 0|2 and 1|2 of three tied series under first-appearance
+        xs, ys, first = tied[[0, 0, 1]], tied[[1, 2, 2]], [TiePolicy.first_appearance()] * 3
+        rows = dependence._row_scores(list(xs), list(ys), n, stride, scheme, first)
+        assert core_scores(tied).tobytes() == rows.tobytes()
+        # one randomized pair, its noise added as classical_dependence adds it
+        x, y = rng.poisson(2.0, size=(2, 300))
+        policy = TiePolicy.randomize(n + stride)
+        rows = dependence._row_scores([x], [y], n, stride, scheme, [policy])
+        assert core_scores(dependence._tie_broken(np.stack([x, y]), [policy])).tobytes() == rows.tobytes()
+
 
 def reference_intervals(x, y, n, stride, replicates, seed, level=0.95, block=None):
     """Bootstrap intervals of analyze_pair, one resampled window list at a time.
@@ -1084,6 +1113,38 @@ class TestNonFiniteInput:
     def test_finite_floats_and_integers_pass(self):
         est = dependence_estimates(np.arange(12.0), np.arange(12) % 5, 3)
         assert est.num_windows == 10
+
+
+class TestNonNumericInput:
+    # strings order as text ('10' < '9'), complex values do not order at all
+    X = [1, 10, 9, 2, 3, 10, 9, 1]
+    Y = [2, 9, 10, 1, 3, 9, 10, 2]
+
+    @pytest.mark.parametrize("values,dtype", [
+        ([str(v) for v in X], "<U2"),
+        (np.array(X) + 0j, "complex128"),
+        (np.array([1, None, 3, 4, 5, 6, 7, 8], dtype=object), "object"),
+        (np.array(X, dtype=object), "object"),
+    ], ids=["str", "complex", "object_none", "object_int"])
+    def test_rejected_naming_the_dtype(self, values, dtype):
+        message = f"values must be boolean, integer or real numbers, got dtype {dtype}"
+        with pytest.raises(ValueError, match=f"^series {message}$"):
+            ClassSeries(values)
+        with pytest.raises(ValueError, match=f"^series {message}$"):
+            dependence_estimates(values, self.Y, 3)
+        with pytest.raises(ValueError, match=f"^series {message}$"):
+            classical_dependence(self.Y, values, 4)
+        with pytest.raises(ValueError, match=f"^window {message}$"):
+            encode_pattern(values[:3])
+
+    def test_boolean_integer_and_real_series_pass(self):
+        expected = dependence_estimates(self.X, self.Y, 3)
+        assert expected.coincidence == 1 / 3
+        for dtype in (np.int8, np.uint16, np.float32, np.float64):
+            assert dependence_estimates(np.array(self.X, dtype=dtype), self.Y, 3) == expected
+        flags = np.array(self.X) > 5
+        assert dependence_estimates(flags, self.Y, 3) == dependence_estimates(flags.astype(int), self.Y, 3)
+        assert encode_pattern(np.array([True, False, True])) == (2, 1, 2)
 
 
 class TestLongSeriesPairPath:

@@ -132,14 +132,11 @@ def test_one_window_rows_match_the_series_encoders(kind, n):
     values = _kernel_inputs(kind, 120, np.random.default_rng(70 + n))
     rows = np.ascontiguousarray(sliding_window_view(values, n)[::2])
     codes = oracle_codes(values.tolist(), n, 2)
-    index = _kernels.window_permutation_index(values, n, 2)
     every, strided = slice(None), slice(0, 30, 2)
     stacks = [(rows, every), (np.asfortranarray(rows), every), (rows[:30].reshape(3, 10, n)[:, ::2], strided)]
     for stack, picked in stacks:
         np.testing.assert_array_equal(_kernels.rank_codes(stack).reshape(-1, n), codes[picked])
-        np.testing.assert_array_equal(_kernels.permutation_index(stack).reshape(-1), index[picked])
     assert _kernels.rank_codes(rows[0]).tolist() == codes[0].tolist()
-    assert _kernels.permutation_index(rows[0]) == index[0]
 
 
 @pytest.mark.parametrize("budget", [1, 40, 1 << 30])

@@ -8,7 +8,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ordpat import _kernels
-from ordpat._kernels import permutation_index
+from ordpat._kernels import window_permutation_index
 from ordpat.patterns import (
     TiePolicy,
     check_finite,
@@ -135,6 +135,24 @@ class TestClassicalPolicies:
         with pytest.raises(ValueError, match="seed"):
             TiePolicy("randomize")
 
+    @pytest.mark.parametrize("seed,message", [
+        (True, "randomize seed must be an integer, got True"),
+        (1.5, "randomize seed must be an integer, got 1.5"),
+        ("3", "randomize seed must be an integer, got '3'"),
+        (-1, "randomize seed must be non-negative, got -1"),
+        (np.int64(-2), "randomize seed must be non-negative, got -2"),
+    ])
+    def test_randomize_seed_checked_when_built(self, seed, message):
+        with pytest.raises(ValueError) as caught:
+            TiePolicy.randomize(seed)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**70])
+    def test_randomize_takes_non_negative_integer_seeds(self, seed):
+        policy = TiePolicy.randomize(seed)
+        assert policy.seed == seed
+        assert encode_permutation((2, 2, 1, 2), policy) == encode_permutation((2, 2, 1, 2), policy)
+
     def test_randomize_deterministic(self):
         window = (2, 2, 1, 2)
         a = encode_permutation(window, TiePolicy.randomize(5))
@@ -207,32 +225,32 @@ def descending_reference(window):
 
 
 class TestPermutationTable:
-    """Classical codes as ``permutation_table(n)[permutation_index(windows)]``."""
+    """Classical codes as ``permutation_table(n)[index]``, each row's index read as a one-window series."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_window_over_n_values(self, n):
         windows = np.array(list(itertools.product(range(n), repeat=n)), dtype=np.float64)
         table = permutation_table(n)
         for w in (windows, -windows):
-            assert np.array_equal(table[permutation_index(w)], descending_permutations(w))
+            assert np.array_equal(table[window_permutation_index(w, n)[..., 0]], descending_permutations(w))
         # and against a plain sort on a sample
         sample = windows[:: max(1, windows.shape[0] // 300)]
         expected = [descending_reference(w) for w in sample.tolist()]
-        assert table[permutation_index(sample)].tolist() == expected
+        assert table[window_permutation_index(sample, n)[..., 0]].tolist() == expected
 
     def test_random_tied_float_windows(self):
         rng = np.random.default_rng(17)
         windows = rng.choice([-1.5, 0.0, 0.25, 2.0, 7.5], size=(3000, 7))
         table = permutation_table(7)
         for w in (windows, -windows):
-            codes = table[permutation_index(w)]
+            codes = table[window_permutation_index(w, 7)[..., 0]]
             assert np.array_equal(codes, descending_permutations(w))
             assert codes.tolist() == [descending_reference(row.tolist()) for row in w]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_index_is_a_bijection_on_tie_free_windows(self, n):
         windows = np.array(list(itertools.permutations(range(n))))
-        index = permutation_index(windows)
+        index = window_permutation_index(windows, n)[..., 0]
         assert index.min() >= 0 and index.max() < math.factorial(n)
         assert np.array_equal(np.bincount(index, minlength=math.factorial(n)), np.ones(math.factorial(n)))
 
