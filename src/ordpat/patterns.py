@@ -62,7 +62,7 @@ def check_finite(values: np.ndarray, what: str = "series") -> None:
 
 
 def check_real(values: np.ndarray, what: str = "series") -> None:
-    """``check_finite``, after a ValueError naming the dtype unless ``values`` are boolean, integer or real."""
+    """Raise ValueError naming the dtype unless ``values`` are boolean, integer or real; then ``check_finite``."""
     if values.dtype.kind not in "biuf":
         raise ValueError(f"{what} values must be boolean, integer or real numbers, got dtype {values.dtype}")
     check_finite(values, what)
