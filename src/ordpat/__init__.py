@@ -19,16 +19,11 @@ from .dependence import (
     DependenceReport,
     VarianceEstimate,
     analyze_pair,
-    anti_estimates,
     classical_dependence,
-    coincidence_probability,
-    comparison_value,
     confidence_interval,
     dependence_estimates,
     long_run_variance,
-    score_comparison_value,
     standardized_coefficient,
-    total_score,
 )
 from .exceptions import DataFormatError, NumericalWarning
 from .io import (

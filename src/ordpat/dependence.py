@@ -9,8 +9,11 @@ measured by
 * the total score: the mean metric-weighted similarity of the two
   patterns, which also credits near-misses.
 
-Kernel-weighted long-run variances give asymptotic confidence intervals
-for the probability-type estimators; one moving-block bootstrap of the
+Each point estimate of a pair is a field of one ``DependenceEstimates``
+(``dependence_estimates``, ``classical_dependence``). Kernel-weighted
+long-run variances of the per-window coincidences and scores
+(``analyze_pair``) give asymptotic confidence intervals for the
+probability-type estimators; one moving-block bootstrap of the
 window pattern sequence covers the comparison value and the
 standardized coefficient. The classical tie-handling baselines run the
 same pipeline through permutation patterns and the plain L1 metric.
@@ -58,7 +61,7 @@ from .exceptions import NumericalWarning
 from .metric import WeightScheme, scheme_for_length
 from .patterns import (
     TiePolicy, check_finite, check_integer, check_real, descending_permutations, pattern_index,
-    pattern_keys, permutation_table, randomize_values, smallest_gap,
+    permutation_table, randomize_values, smallest_gap,
 )
 
 
@@ -319,57 +322,9 @@ def _score_slices(
         yield scheme.weights_for(distance(codes[:half], codes[half:]))
 
 
-def _row_scores(
-    xs: Sequence[SeriesLike],
-    ys: Sequence[SeriesLike],
-    n: int,
-    stride: int,
-    scheme: WeightScheme,
-    policies: Optional[Sequence[TiePolicy]] = None,
-) -> np.ndarray:
-    """Per-window scores of the pairs (xs[k], ys[k]), an (R, W) array: ``_score_slices`` joined."""
-    return np.concatenate(list(_score_slices(xs, ys, n, stride, scheme, policies)))
-
-
 # ---------------------------------------------------------------------------
-# single estimators
+# standardized coefficient of four probability estimates
 # ---------------------------------------------------------------------------
-
-def coincidence_probability(
-    x: SeriesLike, y: SeriesLike, n: int, stride: int = 1
-) -> tuple[float, np.ndarray]:
-    """Fraction of simultaneous windows with identical patterns.
-
-    Returns the estimate together with the per-window 0/1 indicator
-    sequence, which feeds the long-run variance estimator.
-    """
-    cx, cy = _stacked_codes([x, y], n, stride)
-    indicators = (pattern_keys(cx) == pattern_keys(cy)).astype(np.float64)
-    return float(indicators.sum() / indicators.shape[0]), indicators
-
-
-def comparison_value(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> float:
-    """Coincidence probability the pair would have under independence.
-
-    Sum over patterns of the product of the two empirical pattern
-    frequencies, computed on the same window grid.
-    """
-    cx, cy = _stacked_codes([x, y], n, stride)
-    _, (x_hist, y_hist), _ = pattern_index(cx, cy)
-    return int(x_hist @ y_hist) / (cx.shape[0] * cx.shape[0])
-
-
-def anti_estimates(x: SeriesLike, y: SeriesLike, n: int, stride: int = 1) -> tuple[float, float]:
-    """Coincidence probability and comparison value of x against -y.
-
-    These carry the anti-monotone side of the standardized coefficient.
-    The codes of -y follow from those of y: a window's ranks reverse.
-    """
-    cx, cy = _stacked_codes([x, y], n, stride)
-    (x_ids, neg_ids), (x_hist, neg_hist), _ = pattern_index(cx, _negated_codes(cy))
-    count = cx.shape[0]
-    return int(np.count_nonzero(x_ids == neg_ids)) / count, int(x_hist @ neg_hist) / (count * count)
-
 
 def _excess(prob: np.ndarray, comp: np.ndarray) -> np.ndarray:
     # ((prob - comp) / (1 - comp))^+, defined as 0 where comp is 1
@@ -404,42 +359,6 @@ def standardized_coefficient(
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
     _warn_degenerate(q_hat, s_hat)
     return float(_coefficients(p_hat, q_hat, r_hat, s_hat))
-
-
-def total_score(
-    x: SeriesLike,
-    y: SeriesLike,
-    n: int,
-    stride: int = 1,
-    scheme: Optional[WeightScheme] = None,
-) -> tuple[float, np.ndarray]:
-    """Mean metric-weighted pattern similarity over simultaneous windows.
-
-    Returns the mean score and the per-window score sequence (input to
-    the long-run variance estimator). Defaults to the step scheme for
-    the given length.
-    """
-    scores = _row_scores([x], [y], n, stride, scheme or scheme_for_length(n))[0]
-    return float(scores.sum() / scores.shape[0]), scores
-
-
-def score_comparison_value(
-    x: SeriesLike,
-    y: SeriesLike,
-    n: int,
-    stride: int = 1,
-    scheme: Optional[WeightScheme] = None,
-) -> float:
-    """Expected total score under independence of the two series.
-
-    Sum over pattern pairs (t, u) of score(t, u) weighted by the product
-    of the empirical frequencies of t in x and u in y. With the exact
-    scheme this collapses to the comparison value.
-    """
-    codes = _stacked_codes([x, y], n, stride)
-    _, hists, patterns = pattern_index(*codes)
-    total = _score_comparisons(hists, patterns, scheme or scheme_for_length(n), _kernels.df_rows)
-    return float(total[0, 1] / (codes.shape[1] * codes.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +654,9 @@ def block_bootstrap_ci(
     check_integer("replicates", replicates)
     if replicates < 2:
         raise ValueError("need at least 2 bootstrap replicates")
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     gauges, num_windows = ids.shape
     arrays = 2 * gauges - 1
     if block is None:

@@ -17,15 +17,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels
+from .patterns import check_patterns, whole_numbers
 
 
 def _code_pair(t: Sequence[int], u: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Two equally long patterns as 1-d int64 codes, checked by ``check_patterns``."""
     if len(t) != len(u):
         raise ValueError(f"pattern length mismatch: {len(t)} vs {len(u)}")
-    pair = np.asarray(t, dtype=np.int64), np.asarray(u, dtype=np.int64)
-    if any(codes.ndim != 1 or codes.shape[0] == 0 for codes in pair):
+    if any(np.ndim(codes) != 1 or len(codes) == 0 for codes in (t, u)):
         raise ValueError("pattern must be a non-empty 1-d sequence of codes")
-    return pair
+    return check_patterns(t, len(t))[0], check_patterns(u, len(u))[0]
 
 
 def l1_distance(t: Sequence[int], u: Sequence[int]) -> int:
@@ -84,14 +85,8 @@ class WeightScheme:
         return table
 
     def weights_for(self, distances: np.ndarray) -> np.ndarray:
-        """Vectorized weight of a non-negative integer distance array."""
-        distances = np.asarray(distances)
-        if distances.dtype.kind not in "biu":
-            whole = np.isfinite(distances) & (distances == np.round(distances))
-            if not whole.all():
-                bad = distances[~whole].ravel()[0]
-                raise ValueError(f"distance must be an integer, got {bad}")
-        distances = distances.astype(np.int64, copy=False)
+        """Vectorized weight of a non-negative array of whole numbers (``whole_numbers``)."""
+        distances = whole_numbers(distances, "distance")
         if distances.min(initial=0) < 0:
             raise ValueError("distance must be non-negative")
         # distances past the table score 0, the weight appended at its end

@@ -51,13 +51,18 @@ def encode_pattern(window: Sequence[float]) -> Pattern:
     return tuple(int(c) for c in _kernels.rank_codes(arr))
 
 
+def _first(bad: np.ndarray) -> tuple[tuple[int, ...], int | tuple[int, ...]]:
+    """The index tuple of the first True entry of ``bad``, and how a message names it (an int if 1-d)."""
+    index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    return index, index[0] if len(index) == 1 else index
+
+
 def check_finite(values: np.ndarray, what: str = "series") -> None:
     """Raise ValueError naming the first NaN or infinite entry of ``values`` (an index tuple if N-d)."""
     if values.dtype.kind in "fc":
         bad = ~np.isfinite(values)
         if bad.any():
-            index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), values.shape))
-            where = index[0] if len(index) == 1 else index
+            index, where = _first(bad)
             raise ValueError(f"{what} value at index {where} is not finite ({values[index]})")
 
 
@@ -66,6 +71,25 @@ def check_real(values: np.ndarray, what: str = "series") -> None:
     if values.dtype.kind not in "biuf":
         raise ValueError(f"{what} values must be boolean, integer or real numbers, got dtype {values.dtype}")
     check_finite(values, what)
+
+
+def whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as int64 if they are boolean or integer, or real floats that are finite and whole.
+
+    Any other dtype, or a float that is not a finite whole number, is a
+    ValueError naming the dtype, or the first such value and its index (an
+    index tuple if N-d, whose first entry is the row).
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"{what} values must be boolean, integer or whole real numbers, got dtype {values.dtype}")
+    if values.dtype.kind == "f":
+        bad = ~(np.isfinite(values) & (values == np.round(values)))
+        if bad.any():
+            index, where = _first(bad)
+            at = f" at index {where}" if index else ""  # a 0-d array has no index
+            raise ValueError(f"{what} must be an integer, got {values[index]}{at}")
+    return values.astype(np.int64, copy=False)
 
 
 def check_integer(name: str, value) -> None:
@@ -83,9 +107,10 @@ def valid_rows(codes: np.ndarray) -> np.ndarray:
 def check_patterns(codes: Sequence[int], n: int) -> np.ndarray:
     """One pattern of length n, or a (rows, n) array of them, as (rows, n) int64 codes.
 
-    Raises ValueError naming the first row that is not a pattern of length n.
+    Codes follow ``whole_numbers``. Raises ValueError naming the first row
+    that is not a pattern of length n.
     """
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = whole_numbers(codes, "pattern code")
     if codes.ndim not in (1, 2) or codes.shape[-1] != n:
         raise ValueError(f"not a valid pattern of length {n}: array of shape {codes.shape}")
     rows = codes.reshape(-1, n)
@@ -167,10 +192,11 @@ def encode_permutation(window: Sequence[float], policy: TiePolicy) -> Optional[P
     first, so a constant window maps to (n, ..., 1). Under "randomize",
     seeded noise below the smallest gap is added before encoding.
     """
-    arr = np.asarray(window, dtype=np.float64)
+    arr = np.asarray(window)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise ValueError("empty window")
-    check_finite(arr, "window")
+    check_real(arr, "window")
+    arr = arr.astype(np.float64)
     if policy.kind == "skip":
         # a plain np.unique would import numpy.ma
         if (np.diff(np.sort(arr)) == 0).any():

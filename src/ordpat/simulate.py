@@ -58,10 +58,13 @@ class IngarchSpec:
             raise ValueError("sum(beta) + sum(alpha) must be < 1 for stationarity")
         check_integer("length", self.length)
         check_integer("burn_in", self.burn_in)
+        check_integer("seed", self.seed)
         if self.length < 1:
             raise ValueError("length must be >= 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def stationary_mean(self) -> float:

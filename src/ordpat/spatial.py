@@ -23,6 +23,7 @@ from . import _kernels
 from .exceptions import NumericalWarning
 from .patterns import (
     MAX_ENUM_LENGTH, check_finite, check_integer, check_patterns, enumerate_patterns, pattern_index, pattern_keys,
+    whole_numbers,
 )
 
 
@@ -105,7 +106,7 @@ def pattern_frequencies(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows come in key (lexicographic) order, observed rows only. Raises
     ValueError on a row that is not a pattern.
     """
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[0] == 0:
         raise ValueError("no patterns to tabulate")
     _, (counts,), patterns = pattern_index(check_patterns(codes, codes.shape[1]))
@@ -218,7 +219,7 @@ def spatial_significance(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level alpha must lie strictly between 0 and 1, got {alpha}")
-    patterns = np.asarray(patterns, dtype=np.int64)
+    patterns = whole_numbers(patterns, "pattern code")  # the dtype rule only: no per-row sort
     observed = np.asarray(observed, dtype=np.float64)
     baseline = np.asarray(baseline, dtype=np.float64)
     if patterns.ndim != 2 or not observed.shape == baseline.shape == patterns.shape[:1]:

@@ -19,16 +19,11 @@ import pytest
 from oracles import oracle_estimates
 from ordpat._kernels import df_rows, encode_windows
 from ordpat.dependence import (
-    _row_scores,
+    _score_slices,
     analyze_pair,
-    anti_estimates,
     classical_dependence,
-    coincidence_probability,
-    comparison_value,
-    confidence_interval,
     dependence_estimates,
     long_run_variance,
-    total_score,
 )
 from ordpat.metric import GENERALIZED_LONG, GENERALIZED_SHORT, l1_distance, pattern_distance
 from ordpat.patterns import TiePolicy, encode_pattern, encode_permutation, enumerate_patterns, fubini
@@ -148,7 +143,7 @@ def _simulated_coherence(beta1: float, replications: int = 1000) -> dict:
     x, y = simulate_pairs(spec, replications)
     # (replications, windows) scores of every pair from one stacked call per table
     result = {
-        name: float(_row_scores(x, y, 4, 1, scheme).mean(axis=1).mean())
+        name: float(np.concatenate(list(_score_slices(x, y, 4, 1, scheme))).mean(axis=1).mean())
         for name, scheme in (("short", GENERALIZED_SHORT), ("long", GENERALIZED_LONG))
     }
     _COHERENCE_CACHE[beta1] = result
@@ -213,7 +208,7 @@ def test_06_tie_handling_ordering():
         x, y = _tied_class_pair(3000 + seed)
         good = True
         for n in (4, 6):
-            tie_aware = total_score(x, y, n, scheme=GENERALIZED_LONG)[0]
+            tie_aware = dependence_estimates(x, y, n, scheme=GENERALIZED_LONG).total_score
             first = classical_dependence(
                 x, y, n, policy=TiePolicy.first_appearance()
             ).total_score
@@ -235,19 +230,12 @@ def test_06_tie_handling_ordering():
 
 def _estimators_match_oracle(x, y, n) -> bool:
     ref = oracle_estimates(list(x), list(y), n, weights=dict(GENERALIZED_SHORT.mapping))
-    p_hat, _ = coincidence_probability(np.array(x), np.array(y), n)
-    q_hat = comparison_value(np.array(x), np.array(y), n)
-    r_hat, s_hat = anti_estimates(np.array(x), np.array(y), n)
-    s_total, _ = total_score(np.array(x), np.array(y), n, scheme=GENERALIZED_SHORT)
-    return (
-        p_hat == ref["coincidence"]
-        and q_hat == ref["comparison"]
-        and r_hat == ref["anti_coincidence"]
-        and s_hat == ref["anti_comparison"]
-        and s_total == ref["total_score"]
-    )
+    est = dependence_estimates(np.array(x), np.array(y), n, scheme=GENERALIZED_SHORT)
+    return all(getattr(est, field) == value for field, value in ref.items())
 
 
+# degenerate marginals (all-equal patterns) are expected in exhaustive runs
+@pytest.mark.filterwarnings("ignore::ordpat.exceptions.NumericalWarning")
 def test_07_estimator_oracle_equivalence():
     mismatches = 0
     checked = 0
@@ -313,10 +301,8 @@ def test_09_ci_coverage():
         rng = np.random.default_rng(child)
         x = rng.integers(0, 3, size=size)
         y = rng.integers(0, 3, size=size)
-        p_hat, indicators = coincidence_probability(x, y, 2)
-        sigma2 = long_run_variance(indicators).sigma2  # Bartlett, ceil(W^(1/3))
-        low, high = confidence_interval(p_hat, sigma2, len(indicators), level=0.95)
-        covered += low <= true_p <= high
+        var = analyze_pair(x, y, 2, replicates=2).coincidence_variance  # Bartlett, ceil(W^(1/3))
+        covered += var.ci_low <= true_p <= var.ci_high
     rate = covered / replications
     report(
         "95% interval coverage in [90%, 98%]",

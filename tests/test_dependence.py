@@ -28,87 +28,88 @@ from ordpat.cli import run_pairwise
 from ordpat.dependence import (
     ClassSeries,
     analyze_pair,
-    anti_estimates,
     classical_dependence,
-    coincidence_probability,
-    comparison_value,
     confidence_interval,
     default_bandwidth,
     dependence_estimates,
     long_run_variance,
-    score_comparison_value,
     standardized_coefficient,
-    total_score,
 )
 from ordpat.exceptions import NumericalWarning
 from ordpat.metric import CLASSICAL_SHORT, EXACT, GENERALIZED_SHORT, scheme_for_length
 from ordpat.patterns import (
-    TiePolicy, encode_pattern, pattern_index, pattern_keys, permutation_table, randomize_values,
+    TiePolicy, encode_pattern, encode_permutation, pattern_index, pattern_keys, permutation_table,
+    randomize_values,
 )
 from ordpat.spatial import ClassMatrix
 
 
+def row_scores(xs, ys, n, stride, scheme, policies=None):
+    """Per-window scores of the pairs (xs[k], ys[k]), an (R, W) array: ``_score_slices`` joined."""
+    return np.concatenate(list(dependence._score_slices(xs, ys, n, stride, scheme, policies)))
+
+
+# monotone and constant series have degenerate marginals, which warn
+@pytest.mark.filterwarnings("ignore::ordpat.exceptions.NumericalWarning")
 class TestCoincidenceProbability:
     def test_identical_series(self):
         rng = np.random.default_rng(0)
         x = rng.integers(0, 5, size=60)
-        p_hat, indicators = coincidence_probability(x, x, 4)
-        assert p_hat == 1.0
-        assert indicators.sum() == len(indicators) == 57
+        est = dependence_estimates(x, x, 4)
+        assert est.coincidence == 1.0
+        assert est.num_windows == 57
 
     def test_opposite_monotone(self):
-        p_hat, _ = coincidence_probability([1, 2, 3, 4, 5], [5, 4, 3, 2, 1], 2)
-        assert p_hat == 0.0
+        assert dependence_estimates([1, 2, 3, 4, 5], [5, 4, 3, 2, 1], 2).coincidence == 0.0
 
     def test_monotone_equivalent_with_ties(self):
-        p_hat, _ = coincidence_probability([1, 1, 2, 2], [3, 3, 5, 5], 2)
-        assert p_hat == 1.0
+        assert dependence_estimates([1, 1, 2, 2], [3, 3, 5, 5], 2).coincidence == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            coincidence_probability([1, 2, 3], [1, 2], 2)
+            dependence_estimates([1, 2, 3], [1, 2], 2)
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="shorter"):
-            coincidence_probability([1, 2], [2, 1], 3)
+            dependence_estimates([1, 2], [2, 1], 3)
 
 
+@pytest.mark.filterwarnings("ignore::ordpat.exceptions.NumericalWarning")
 class TestComparisonValue:
     def test_constant_series(self):
         x = np.full(30, 7)
-        assert comparison_value(x, x, 3) == 1.0
+        assert dependence_estimates(x, x, 3).comparison == 1.0
 
     def test_disjoint_supports(self):
-        assert comparison_value(np.arange(20), -np.arange(20), 2) == 0.0
+        assert dependence_estimates(np.arange(20), -np.arange(20), 2).comparison == 0.0
 
     def test_matches_bruteforce_on_random_pair(self):
         rng = np.random.default_rng(11)
         x = rng.integers(0, 3, size=500)
         y = rng.integers(0, 3, size=500)
         expected = oracle_estimates(x.tolist(), y.tolist(), 2)["comparison"]
-        assert comparison_value(x, y, 2) == expected
+        assert dependence_estimates(x, y, 2).comparison == expected
 
 
+@pytest.mark.filterwarnings("ignore::ordpat.exceptions.NumericalWarning")
 class TestAntiEstimates:
     def test_negated_series(self):
         rng = np.random.default_rng(2)
         x = rng.integers(0, 5, size=50)
-        r_hat, _ = anti_estimates(x, -x, 3)
-        assert r_hat == 1.0
+        assert dependence_estimates(x, -x, 3).anti_coincidence == 1.0
 
     def test_strictly_monotone(self):
         x = np.arange(30)
-        r_hat, _s = anti_estimates(x, x, 2)
-        assert r_hat == 0.0
+        assert dependence_estimates(x, x, 2).anti_coincidence == 0.0
 
     def test_ties_against_bruteforce(self):
         rng = np.random.default_rng(3)
         x = rng.integers(0, 2, size=80)
         y = rng.integers(0, 2, size=80)
         ref = oracle_estimates(x.tolist(), y.tolist(), 3)
-        r_hat, s_hat = anti_estimates(x, y, 3)
-        assert r_hat == ref["anti_coincidence"]
-        assert s_hat == ref["anti_comparison"]
+        est = dependence_estimates(x, y, 3)
+        assert est.anti_coincidence == ref["anti_coincidence"]
+        assert est.anti_comparison == ref["anti_comparison"]
 
 
 class TestStandardizedCoefficient:
@@ -164,42 +165,43 @@ class TestTotalScore:
     def test_identical_series(self):
         rng = np.random.default_rng(6)
         x = rng.integers(0, 4, size=40)
-        value, scores = total_score(x, x, 4)
-        assert value == 1.0
-        assert np.all(scores == 1.0)
+        assert dependence_estimates(x, x, 4).total_score == 1.0
+        assert np.all(row_scores([x], [x], 4, 1, scheme_for_length(4)) == 1.0)
 
     def test_constant_against_blip_series(self):
         # y has runs long enough for some constant windows, so scores mix
         x = np.full(24, 5)
         y = np.array([5, 5, 5, 4, 5, 5, 5, 5] * 3)
-        value, scores = total_score(x, y, 4, scheme=GENERALIZED_SHORT)
-        assert set(np.unique(scores)) == {0.5, 1.0}
+        value = dependence_estimates(x, y, 4, scheme=GENERALIZED_SHORT).total_score
+        assert set(np.unique(row_scores([x], [y], 4, 1, GENERALIZED_SHORT))) == {0.5, 1.0}
         assert 0.5 < value <= 1.0
 
+    @pytest.mark.filterwarnings("ignore::ordpat.exceptions.NumericalWarning")
     def test_disjoint_structures_score_zero(self):
         x = np.arange(30)
-        value, scores = total_score(x, -x, 4, scheme=GENERALIZED_SHORT)
-        assert value == 0.0 and np.all(scores == 0.0)
+        value = dependence_estimates(x, -x, 4, scheme=GENERALIZED_SHORT).total_score
+        assert value == 0.0 and np.all(row_scores([x], [-x], 4, 1, GENERALIZED_SHORT) == 0.0)
 
     def test_exact_scheme_recovers_coincidence(self):
         rng = np.random.default_rng(7)
         x = rng.integers(0, 3, size=200)
         y = rng.integers(0, 3, size=200)
-        p_hat, _ = coincidence_probability(x, y, 3)
-        value, _ = total_score(x, y, 3, scheme=EXACT)
-        assert value == p_hat
+        est = dependence_estimates(x, y, 3, scheme=EXACT)
+        assert est.total_score == est.coincidence
 
 
 class TestScoreComparison:
+    @pytest.mark.filterwarnings("ignore::ordpat.exceptions.NumericalWarning")
     def test_constant_series(self):
         x = np.full(20, 2)
-        assert score_comparison_value(x, x, 3) == 1.0
+        assert dependence_estimates(x, x, 3).score_comparison == 1.0
 
     def test_exact_scheme_recovers_comparison(self):
         rng = np.random.default_rng(8)
         x = rng.integers(0, 4, size=300)
         y = rng.integers(0, 4, size=300)
-        assert score_comparison_value(x, y, 3, scheme=EXACT) == comparison_value(x, y, 3)
+        est = dependence_estimates(x, y, 3, scheme=EXACT)
+        assert est.score_comparison == est.comparison
 
     def test_against_permutation_resampling(self):
         # independence-hypothesis score == expected score of randomly
@@ -207,7 +209,7 @@ class TestScoreComparison:
         rng = np.random.default_rng(9)
         x = rng.integers(0, 3, size=400)
         y = rng.integers(0, 3, size=400)
-        value = score_comparison_value(x, y, 4, scheme=GENERALIZED_SHORT)
+        value = dependence_estimates(x, y, 4, scheme=GENERALIZED_SHORT).score_comparison
         from ordpat._kernels import df_rows, encode_windows
 
         cx = encode_windows(x, 4, 1)
@@ -223,11 +225,11 @@ class TestScoreComparison:
         rng = np.random.default_rng(12 + n)
         x = rng.integers(0, 5, size=600)
         y = rng.integers(0, 5, size=600)
-        whole = score_comparison_value(x, y, n)
+        whole = dependence_estimates(x, y, n).score_comparison
         classical = classical_dependence(x, y, n).score_comparison
         # a few cells: one distinct x-pattern per distance table
         monkeypatch.setattr(_kernels, "CELL_BUDGET", 5)
-        assert score_comparison_value(x, y, n) == whole
+        assert dependence_estimates(x, y, n).score_comparison == whole
         assert classical_dependence(x, y, n).score_comparison == classical
 
 
@@ -489,7 +491,7 @@ class TestClassicalBaselines:
             classical_dependence(x, y, 4, stride=stride)
         policy = TiePolicy.first_appearance()
         with pytest.raises(ValueError, match="stride must be >= 1"):
-            dependence._row_scores([x], [y], 4, stride, CLASSICAL_SHORT, [policy])
+            row_scores([x], [y], 4, stride, CLASSICAL_SHORT, [policy])
 
     def test_tie_free_pair_matches_generalized(self):
         rng = np.random.default_rng(19)
@@ -522,8 +524,7 @@ class TestClassicalBaselines:
             warnings.simplefilter("ignore", NumericalWarning)
             est = classical_dependence(x, x, 4, policy=TiePolicy.randomize(3))
         assert est.total_score < 1.0
-        generalized, _ = total_score(x, x, 4)
-        assert generalized == 1.0
+        assert dependence_estimates(x, x, 4).total_score == 1.0
 
     def test_first_appearance_on_constant_series(self):
         x = np.full(40, 2)
@@ -605,8 +606,6 @@ class TestIdCore:
             assert got.score_comparison == score_comparison
             # plain floats, so printed and repr'd results do not change form
             assert {type(getattr(got, f)) for f in (*ORACLE_FIELDS, "score_comparison")} == {float}
-        assert score_comparison_value(x, y, n, stride) == score_comparison
-        assert {type(v) for v in anti_estimates(x, y, n, stride)} == {float}
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -624,7 +623,7 @@ class TestIdCore:
         ]
         score_comparison = explicit_score_comparison(*patterns, oracle_l1, dict(scheme.mapping))
         # skip drops no window of tie-free series, so it scores as first-appearance
-        scores = dependence._row_scores([x], [y], n, stride, scheme, [TiePolicy.first_appearance()])[0]
+        scores = row_scores([x], [y], n, stride, scheme, [TiePolicy.first_appearance()])[0]
         for policy in (TiePolicy.first_appearance(), TiePolicy.skip()):
             got = classical_dependence(x, y, n, stride, policy)
             assert {f: getattr(got, f) for f in ORACLE_FIELDS[:4]} == {
@@ -672,7 +671,7 @@ class TestIdCore:
         expected = scheme.weights_for(df_rows(cx, cy))
         assert scores.dtype == expected.dtype
         assert scores.tobytes() == expected.tobytes()
-        assert total_score(x, y, n)[1].tobytes() == expected.tobytes()
+        assert row_scores([x], [y], n, 1, scheme)[0].tobytes() == expected.tobytes()
         # G = 4: every pair of the stack gets the scores of its own kernel call
         codes = encode_windows(np.stack([x, y, rng.integers(0, 5, size=400), (x + y) % 5]), n)
         _, _, scores, _, _, _ = dependence._estimates_from_codes(
@@ -757,7 +756,7 @@ class TestAnalyzePair:
 
 
 class TestClassicalTotalScore:
-    """The classical total score from ``_row_scores`` alone is the full pipeline's."""
+    """The classical total score from ``_score_slices`` alone is the full pipeline's."""
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_equals_full_pipeline(self, n):
@@ -766,7 +765,7 @@ class TestClassicalTotalScore:
         y = rng.integers(0, 12, size=150)
         scheme = scheme_for_length(n, classical=True)
         for policy in (TiePolicy.first_appearance(), TiePolicy.randomize(4)):
-            scores = dependence._row_scores([x], [y], n, 1, scheme, [policy])[0]
+            scores = row_scores([x], [y], n, 1, scheme, [policy])[0]
             full = classical_dependence(x, y, n, 1, policy)
             assert scores.sum() / scores.shape[0] == full.total_score
 
@@ -791,7 +790,7 @@ class TestClassicalRowScores:
     def test_skip_rejected(self):
         x = np.arange(20.0)
         with pytest.raises(ValueError, match="skip policy drops windows: use classical_dependence"):
-            dependence._row_scores([x], [x[::-1]], 4, 1, CLASSICAL_SHORT, [TiePolicy.skip()])
+            row_scores([x], [x[::-1]], 4, 1, CLASSICAL_SHORT, [TiePolicy.skip()])
 
     def test_stacked_scores_stay_under_memory_budget(self, monkeypatch, traced_peak):
         # one chunk of 200 pairs x 1000 values at n=6: a single int64
@@ -806,7 +805,7 @@ class TestClassicalRowScores:
         for policies in ([TiePolicy.first_appearance()] * 200,
                          [TiePolicy.randomize(k) for k in range(200)]):
             permutation_table.cache_clear()
-            scores, peak = traced_peak(lambda: dependence._row_scores(xs, ys, 6, 1, scheme, policies))
+            scores, peak = traced_peak(lambda: row_scores(xs, ys, 6, 1, scheme, policies))
             assert scores.shape == (200, 995)
             assert peak < 16 * 2**20
 
@@ -815,7 +814,7 @@ class TestClassicalRowScores:
     @pytest.mark.parametrize("n", [4, 6])
     def test_core_window_scores_equal_row_scores(self, n, stride, budget, monkeypatch):
         # the core gathers classical symbols from its numbered pattern table;
-        # _row_scores takes them from the Lehmer index of every window. A
+        # _score_slices takes them from the Lehmer index of every window. A
         # budget of 500 cells cuts the core's rows of ~300 windows into slices.
         monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
         rng = np.random.default_rng(10 * n + stride)
@@ -831,12 +830,12 @@ class TestClassicalRowScores:
 
         # pairs 0|1, 0|2 and 1|2 of three tied series under first-appearance
         xs, ys, first = tied[[0, 0, 1]], tied[[1, 2, 2]], [TiePolicy.first_appearance()] * 3
-        rows = dependence._row_scores(list(xs), list(ys), n, stride, scheme, first)
+        rows = row_scores(list(xs), list(ys), n, stride, scheme, first)
         assert core_scores(tied).tobytes() == rows.tobytes()
         # one randomized pair, its noise added as classical_dependence adds it
         x, y = rng.poisson(2.0, size=(2, 300))
         policy = TiePolicy.randomize(n + stride)
-        rows = dependence._row_scores([x], [y], n, stride, scheme, [policy])
+        rows = row_scores([x], [y], n, stride, scheme, [policy])
         assert core_scores(dependence._tie_broken(np.stack([x, y]), [policy])).tobytes() == rows.tobytes()
 
 
@@ -943,6 +942,17 @@ class TestBatchedBootstrap:
         rng = np.random.default_rng(17)
         parts = [rng.integers(0, high, size=(count, spans)) for count in (1, 2, 3, 5, replicates - 11)]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("seed,message", [
+        (True, "seed must be an integer, got True"), (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"), (-1, "seed must be non-negative, got -1"),
+    ])
+    def test_bad_seed_rejected(self, seed, message):
+        x = np.arange(120) % 5
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            analyze_pair(x, x[::-1], 3, replicates=5, seed=seed)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_pairwise(ClassMatrix(np.column_stack([x, x[::-1]]), ("a", "b")), n=3, replicates=5, seed=seed)
 
     def test_numpy_integer_block_and_replicates_accepted(self):
         x = np.arange(120) % 5
@@ -1064,12 +1074,16 @@ class TestJointBootstrap:
 
 
 class TestIntegerArguments:
+    # the first five keys name a point estimate; each reads its DependenceEstimates field
     ESTIMATORS = {
-        "coincidence_probability": coincidence_probability,
-        "comparison_value": comparison_value,
-        "anti_estimates": anti_estimates,
-        "total_score": total_score,
-        "score_comparison_value": score_comparison_value,
+        **{
+            name: lambda x, y, n, stride=1, field=field: getattr(dependence_estimates(x, y, n, stride), field)
+            for name, field in (
+                ("coincidence_probability", "coincidence"), ("comparison_value", "comparison"),
+                ("anti_estimates", "anti_coincidence"), ("total_score", "total_score"),
+                ("score_comparison_value", "score_comparison"),
+            )
+        },
         "dependence_estimates": dependence_estimates,
         "classical_dependence": classical_dependence,
         "analyze_pair": lambda x, y, n, stride=1: analyze_pair(x, y, n, stride, replicates=5),
@@ -1089,11 +1103,7 @@ class TestIntegerArguments:
     def test_numpy_integer_n_and_stride_accepted(self, name):
         x = np.arange(60) % 5
         call = self.ESTIMATORS[name]
-        got, expected = call(x, x[::-1], np.int64(4), np.int32(2)), call(x, x[::-1], 4, 2)
-        if isinstance(expected, tuple) and isinstance(expected[-1], np.ndarray):
-            assert got[0] == expected[0] and got[1].tobytes() == expected[1].tobytes()
-        else:
-            assert got == expected
+        assert call(x, x[::-1], np.int64(4), np.int32(2)) == call(x, x[::-1], 4, 2)
 
 
 class TestNonFiniteInput:
@@ -1136,6 +1146,8 @@ class TestNonNumericInput:
             classical_dependence(self.Y, values, 4)
         with pytest.raises(ValueError, match=f"^window {message}$"):
             encode_pattern(values[:3])
+        with pytest.raises(ValueError, match=f"^window {message}$"):
+            encode_permutation(values[:3], TiePolicy.first_appearance())
 
     def test_boolean_integer_and_real_series_pass(self):
         expected = dependence_estimates(self.X, self.Y, 3)

@@ -29,9 +29,7 @@ import io
 import numpy as np
 
 from ordpat.cli import main
-from ordpat.dependence import (
-    _row_scores, analyze_pair, classical_dependence, dependence_estimates, score_comparison_value,
-)
+from ordpat.dependence import _score_slices, analyze_pair, classical_dependence, dependence_estimates
 from ordpat.io import PAIR_COLUMNS, save_class_matrix
 from ordpat.metric import scheme_for_length
 from ordpat.patterns import TiePolicy
@@ -183,17 +181,17 @@ def output_digests(tmp_path, capsys) -> dict:
             repr(dependence_estimates(x, y, n)).encode()
         )
     digests["score_comparison_value n=5, length 20000"] = _sha(
-        repr(score_comparison_value(x, y, 5)).encode()
+        repr(dependence_estimates(x, y, 5).score_comparison).encode()
     )
     xs, ys = np.random.default_rng(8).integers(0, 5, size=(2, 10, 500))
     for n in (4, 6):
         digests[f"_row_scores n={n}, 10 pairs of length 500"] = _sha(
-            _row_scores(xs, ys, n, 1, scheme_for_length(n)).tobytes()
+            np.concatenate(list(_score_slices(xs, ys, n, 1, scheme_for_length(n)))).tobytes()
         )
         classical = scheme_for_length(n, classical=True)
         for policies in ([TiePolicy.first_appearance()] * 10, [TiePolicy.randomize(40 + k) for k in range(10)]):
             digests[f"_row_scores {policies[0].kind} n={n}, 10 pairs of length 500"] = _sha(
-                _row_scores(xs, ys, n, 1, classical, policies).tobytes()
+                np.concatenate(list(_score_slices(xs, ys, n, 1, classical, policies))).tobytes()
             )
     x, y = np.random.default_rng(81).poisson(4.0, size=(2, 100_000))
     digests["analyze_pair n=4, 20 replicates, length 100000"] = _sha(

@@ -19,9 +19,7 @@ from ordpat.cli import (
     _resolve_scheme, build_parser, main, run_benchmark, run_benchmark_data, run_benchmark_simulated,
     run_pairwise,
 )
-from ordpat.dependence import (
-    KERNELS, analyze_pair, classical_dependence, score_comparison_value, total_score,
-)
+from ordpat.dependence import KERNELS, analyze_pair, classical_dependence, dependence_estimates
 from ordpat.patterns import TiePolicy
 from ordpat.exceptions import DataFormatError
 from ordpat.io import (
@@ -75,6 +73,21 @@ class TestPackage:
         }
         assert ordpat.__all__ == sorted(ordpat.__all__)
         assert set(ordpat.__all__) == public
+
+    def test_public_api_is_pinned(self):
+        # an addition to or a removal from the public API is an edit of this list
+        assert ordpat.__all__ == [
+            "CLASSICAL_LONG", "CLASSICAL_SHORT", "ClassMatrix", "ClassSeries", "DataFormatError",
+            "DependenceEstimates", "DependenceReport", "EXACT", "FLOOD_CLASSES", "GENERALIZED_LONG",
+            "GENERALIZED_SHORT", "IngarchSpec", "NumericalWarning", "PatternTable", "SCHEMES",
+            "SpatialReport", "TiePolicy", "VarianceEstimate", "WeightScheme", "analyze_pair",
+            "analyze_spatial", "baseline_frequencies", "classical_dependence", "classify_peak",
+            "confidence_interval", "cramers_v", "cramers_v_autocorrelation", "dependence_estimates",
+            "encode_pattern", "encode_permutation", "enumerate_patterns", "fubini", "get_scheme",
+            "l1_distance", "load_class_matrix", "long_run_variance", "pattern_distance",
+            "pattern_frequencies", "save_class_matrix", "scheme_for_length", "score",
+            "simulate_ingarch", "spatial_encode", "spatial_significance", "standardized_coefficient",
+        ]
 
 
 class TestClassify:
@@ -266,7 +279,7 @@ class TestPairwiseDriver:
         labels, matrices, _ = run_pairwise(matrix, n=4, replicates=4, seed=3)
         for i, a in enumerate(labels):
             for j, b in enumerate(labels):
-                expected = score_comparison_value(matrix.column(a), matrix.column(b), 4)
+                expected = dependence_estimates(matrix.column(a), matrix.column(b), 4).score_comparison
                 assert matrices["comparison"][i, j] == expected
 
     def test_duplicated_column_dominates(self):
@@ -313,7 +326,7 @@ class TestBenchmarkDriver:
         x, y = matrix.column("g0"), matrix.column("g1")
         rows = run_benchmark([x], [y], [[17 + n]], lengths=(n,))
         expected = {
-            "generalized": total_score(x, y, n)[0],
+            "generalized": dependence_estimates(x, y, n).total_score,
             "randomized": classical_dependence(x, y, n, 1, TiePolicy.randomize(17 + n)).total_score,
             "first_appearance": classical_dependence(x, y, n, 1, TiePolicy.first_appearance()).total_score,
         }

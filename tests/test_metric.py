@@ -64,6 +64,17 @@ class TestDistances:
         with pytest.raises(ValueError, match="mismatch"):
             pattern_distance((1, 2), (1, 2, 3))
 
+    def test_codes_must_be_patterns(self):
+        for call in (l1_distance, pattern_distance):
+            with pytest.raises(ValueError, match="^pattern code must be an integer, got 1.5 at index 0$"):
+                call((1.5, 2), (1, 2))
+            with pytest.raises(ValueError, match=r"^not a valid pattern of length 2: \[0, 7\]$"):
+                call((0, 7), (1, 1))
+            with pytest.raises(ValueError, match="got dtype <U1$"):
+                call(("1", "2"), (1, 2))
+            with pytest.raises(ValueError, match="non-empty 1-d"):
+                call([[1]], [[1]])
+
     def test_never_exceeds_l1(self):
         entries = table_rows(3)
         for t, u in itertools.product(entries, repeat=2):
@@ -132,6 +143,8 @@ class TestWeightSchemes:
         for bad in ([0.9, 1.5, 2.5], [[0.0, 1.0], [np.nan, 2.0]], [np.inf]):
             with pytest.raises(ValueError, match="must be an integer"):
                 GENERALIZED_SHORT.weights_for(bad)
+        with pytest.raises(ValueError, match="^distance values must be boolean, integer or whole real numbers"):
+            GENERALIZED_SHORT.weights_for(["1"])
         # integral floats are integers; integer arrays skip the check
         np.testing.assert_array_equal(GENERALIZED_SHORT.weights_for([0.0, 1.0, 2.0]), [1.0, 0.5, 0.0])
         np.testing.assert_array_equal(

@@ -357,6 +357,21 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=r"\[2, 2, 2\]"):
             check_patterns((2, 2, 2), 3)
 
+    def test_codes_must_be_whole_numbers(self):
+        # an int64 cast would read 1.9 as 1 and parse strings
+        with pytest.raises(ValueError, match=r"^pattern code must be an integer, got 1.9 at index \(0, 0\)$"):
+            check_patterns([[1.9, 2, 3], [1, 2, 3]], 3)
+        with pytest.raises(ValueError, match="^pattern code must be an integer, got 1.5 at index 0$"):
+            enumerate_patterns(3).index_of((1.5, 2, 3))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"got {bad} at index 2"):
+                check_patterns([1.0, 2.0, bad], 3)
+        message = "^pattern code values must be boolean, integer or whole real numbers, got dtype <U1$"
+        with pytest.raises(ValueError, match=message):
+            check_patterns(["1", "2", "3"], 3)
+        assert check_patterns([[1.0, 2.0, 1.0]], 3).tolist() == [[1, 2, 1]]
+        assert check_patterns(np.array([True, True]), 2).tolist() == [[1, 1]]
+
 
 class TestPatternKeys:
     def test_keys_unique_and_order_preserving(self):

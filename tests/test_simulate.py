@@ -36,6 +36,14 @@ class TestIngarchSpec:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             IngarchSpec(beta0=1.0, **{name: value})
 
+    @pytest.mark.parametrize("seed,message", [
+        (True, "seed must be an integer, got True"), (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"), (-1, "seed must be non-negative, got -1"),
+    ])
+    def test_bad_seed_rejected(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IngarchSpec(beta0=1.0, seed=seed)
+
     def test_numpy_integer_length_and_burn_in_accepted(self):
         spec = IngarchSpec(beta0=1.0, length=np.int64(30), burn_in=np.int32(5), seed=3)
         np.testing.assert_array_equal(
@@ -114,9 +122,7 @@ class TestCoherenceBenchmark:
     def test_identical_streams_score_one(self):
         spec = IngarchSpec(beta0=2.0, beta=(0.3,), length=200, seed=4)
         counts = simulate_ingarch(spec)
-        from ordpat.dependence import total_score
-
-        assert total_score(counts, counts, 4)[0] == 1.0
+        assert dependence_estimates(counts, counts, 4).total_score == 1.0
 
     def test_streams_are_independent(self):
         # the coefficient between the two simulated streams stays near zero

@@ -156,6 +156,8 @@ class TestFrequencies:
             pattern_frequencies(np.empty((0, 3), dtype=np.int64))
         with pytest.raises(ValueError, match="not a valid pattern"):
             pattern_frequencies([(1, 3)])
+        with pytest.raises(ValueError, match=r"^pattern code must be an integer, got 1.9 at index \(0, 0\)$"):
+            pattern_frequencies([[1.9, 2, 3], [1, 2, 3]])
 
 
 class TestBaseline:
@@ -225,6 +227,8 @@ class TestBaseline:
             baseline_frequencies(matrix, matrix.gauges, patterns=[(1, 2, 1)])
         with pytest.raises(ValueError, match="not a valid pattern"):
             baseline_frequencies(matrix, matrix.gauges, patterns=[])  # one empty pattern
+        with pytest.raises(ValueError, match=r"^pattern code must be an integer, got 1.5 at index \(0, 0\)$"):
+            baseline_frequencies(matrix, matrix.gauges, patterns=[(1.5, 2)])
         no_rows = np.empty((0, 2), dtype=np.int64)
         assert baseline_frequencies(matrix, matrix.gauges, patterns=no_rows).shape == (0,)
 
@@ -340,6 +344,12 @@ class TestSignificance:
     def test_no_events_rejected(self, num_events):
         with pytest.raises(ValueError, match=f"num_events must be at least 1, got {num_events}"):
             spatial_significance([(1, 2)], [1.0], [0.5], num_events=num_events)
+
+    def test_fractional_or_text_patterns_rejected(self):
+        with pytest.raises(ValueError, match=r"^pattern code must be an integer, got 1.5 at index \(0, 0\)$"):
+            spatial_significance([(1.5, 2)], [1.0], [0.5], num_events=100)
+        with pytest.raises(ValueError, match="got dtype <U1$"):
+            spatial_significance([("1", "2")], [1.0], [0.5], num_events=100)
 
     def test_mismatched_tables_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
