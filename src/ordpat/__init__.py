@@ -20,17 +20,13 @@ from .dependence import (
     VarianceEstimate,
     analyze_pair,
     classical_dependence,
-    confidence_interval,
     dependence_estimates,
-    long_run_variance,
-    standardized_coefficient,
 )
 from .exceptions import DataFormatError, NumericalWarning
 from .io import (
     FLOOD_CLASSES,
     classify_peak,
     load_class_matrix,
-    save_class_matrix,
 )
 from .metric import (
     CLASSICAL_LONG,
@@ -60,8 +56,6 @@ from .spatial import (
     SpatialReport,
     analyze_spatial,
     baseline_frequencies,
-    cramers_v,
-    cramers_v_autocorrelation,
     pattern_frequencies,
     spatial_encode,
     spatial_significance,

@@ -27,7 +27,6 @@ from .io import (
     pair_record,
     pattern_label,
     pattern_labels,
-    save_class_matrix,
     spatial_rows,
     write_csv,
     write_pairs_long,
@@ -317,15 +316,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_plot_data(args) -> int:
-    matrix = load_class_matrix(args.data)
-    gauges = args.gauges or matrix.gauges
-    subset = ClassMatrix(matrix.subset_columns(gauges), gauges, matrix.event_ids)
-    save_class_matrix(subset, args.out, id_label="index")
-    print(f"wrote {args.out} ({matrix.num_events} rows, {len(gauges)} gauges)")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -429,12 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="flood class of non-exceedance probabilities")
     p.add_argument("probabilities", nargs="+", help="values in [0, 1]")
     p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("plot-data", help="emit per-gauge series for plotting")
-    _add_flags(p, "gauges")
-    p.add_argument("--data", required=True, help="class matrix CSV")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_plot_data)
 
     return parser
 

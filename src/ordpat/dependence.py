@@ -60,8 +60,8 @@ from . import _kernels
 from .exceptions import NumericalWarning
 from .metric import WeightScheme, scheme_for_length
 from .patterns import (
-    TiePolicy, check_finite, check_integer, check_real, descending_permutations, pattern_index,
-    permutation_table, randomize_values, smallest_gap,
+    TiePolicy, check_finite, check_integer, check_number, check_real, descending_permutations,
+    pattern_index, permutation_table, randomize_values, smallest_gap,
 )
 
 
@@ -186,15 +186,6 @@ def _score_comparisons(
     return total
 
 
-def _warn_degenerate(q_hat: float, s_hat: float, prefix: str = "", stacklevel: int = 3) -> None:
-    """One warning if either comparison value of a pair is 1."""
-    sides = [side for comp, side in ((q_hat, "monotone"), (s_hat, "anti-monotone")) if comp >= 1.0]
-    if sides:
-        values = "values are 1, terms" if len(sides) == 2 else "value is 1, term"
-        message = f"{prefix}degenerate marginal: {' and '.join(sides)} comparison {values} set to 0"
-        warnings.warn(message, NumericalWarning, stacklevel=stacklevel)
-
-
 def _pair_terms(
     hists: np.ndarray, rates: np.ndarray, first: np.ndarray, second: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -275,7 +266,10 @@ def _estimates_from_codes(
     rates = np.count_nonzero(same, axis=1)[None] / num_windows
     terms = [t[0] for t in _pair_terms(hists[None], rates, first, second)]
     for k in (np.maximum(terms[1], terms[3]) >= 1.0).nonzero()[0].tolist():  # q̂ or ŝ is 1
-        _warn_degenerate(terms[1][k], terms[3][k], f"{labels[first[k]]}|{labels[second[k]]}: ", 4)
+        sides = [side for comp, side in zip((terms[1][k], terms[3][k]), ("monotone", "anti-monotone")) if comp >= 1]
+        values = "values are 1, terms" if len(sides) == 2 else "value is 1, term"
+        message = f"degenerate marginal: {' and '.join(sides)} comparison {values} set to 0"
+        warnings.warn(f"{labels[first[k]]}|{labels[second[k]]}: {message}", NumericalWarning, stacklevel=3)
     comparisons = _score_comparisons(hists[:gauges], symbols, scheme, distance) / num_windows**2
     comparisons[second, first] = comparisons[first, second]  # symmetric as the upper triangle
     scores = np.empty((pairs, num_windows))
@@ -334,31 +328,16 @@ def _excess(prob: np.ndarray, comp: np.ndarray) -> np.ndarray:
 
 
 def _coefficients(p_hat, q_hat, r_hat, s_hat) -> np.ndarray:
-    """Standardized coefficient, elementwise; degenerate terms are 0."""
+    """Standardized coefficient ((p - q)/(1 - q))^+ - ((r - s)/(1 - s))^+ in [-1, 1], elementwise.
+
+    A degenerate marginal (comparison value 1, every window showing one
+    pattern) makes its term 0/0, defined as 0: excess dependence is
+    indistinguishable there. The core warns of it, naming the pair.
+    """
     p_hat, q_hat, r_hat, s_hat = (
         np.asarray(v, dtype=np.float64) for v in (p_hat, q_hat, r_hat, s_hat)
     )
     return _excess(p_hat, q_hat) - _excess(r_hat, s_hat)
-
-
-def standardized_coefficient(
-    p_hat: float, q_hat: float, r_hat: float, s_hat: float
-) -> float:
-    """Positive-part contrast of the monotone and anti-monotone sides.
-
-    ((p - q)/(1 - q))^+ - ((r - s)/(1 - s))^+ in [-1, 1], for four
-    probabilities in [0, 1]; any other input is a ValueError. A degenerate
-    marginal (comparison value 1, so every window shows one single
-    pattern) makes a term 0/0; that term is defined as 0 with a warning
-    since excess dependence is indistinguishable there.
-    """
-    for name, value in zip(("p_hat", "q_hat", "r_hat", "s_hat"), (p_hat, q_hat, r_hat, s_hat)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    _warn_degenerate(q_hat, s_hat)
-    return float(_coefficients(p_hat, q_hat, r_hat, s_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +446,14 @@ KERNELS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    """Long-run variance estimate, optionally with a confidence interval."""
+    """Long-run variance estimate of a per-window sequence and the normal confidence interval it gives."""
 
     sigma2: float
     kernel: str
     bandwidth: float
-    ci_low: Optional[float] = None
-    ci_high: Optional[float] = None
-    level: Optional[float] = None
+    ci_low: float
+    ci_high: float
+    level: float
 
 
 def default_bandwidth(count: int) -> int:
@@ -485,9 +464,15 @@ def default_bandwidth(count: int) -> int:
 def _long_run_variances(
     rows: np.ndarray, kernel: str, bandwidth: Optional[float], name: Callable[[int], str] = lambda k: ""
 ) -> tuple[np.ndarray, float]:
-    """``long_run_variance`` of every sequence along the last axis of ``rows``, and the bandwidth.
+    """Kernel-weighted long-run variance of every sequence along the last axis of ``rows``, and the bandwidth.
 
-    Each row takes one dot product per lag, the same in any stack; a warning starts ``name(row)``.
+    Each is the centered double sum (1/N) sum_ij k((i-j)/b) d_i d_j, the
+    variance of the normalized partial sums, from autocovariances: one dot
+    product per lag, the same in any stack. Finite-sample kernel sums can
+    dip below zero. The sum of the L + 1 lag terms (L the largest lag) is
+    off by up to (L + 1) * eps * g0 from rounding, g0 the lag-0 term, so a
+    sum no further below 0 is set to 0; one further below is truncated to
+    0 with a warning that starts ``name(row)``.
     """
     count = rows.shape[-1]
     if count < 2:
@@ -497,6 +482,7 @@ def _long_run_variances(
         raise ValueError(f"unknown kernel {kernel!r}; known: {sorted(KERNELS)}")
     if bandwidth is None:
         bandwidth = default_bandwidth(count)
+    check_number("bandwidth", bandwidth)
     if not math.isfinite(bandwidth):
         raise ValueError(f"bandwidth must be finite, got {bandwidth}")
     if bandwidth < 1:
@@ -513,54 +499,14 @@ def _long_run_variances(
             np.matmul(centered[:, None, : count - lag], centered[:, lag:, None], out=acov[:, lag])
         weighted = acov.reshape(block.shape[0], -1) / count * kernel_weights
         sigma2[part] = weighted[:, 0] + 2.0 * weighted[:, 1:].sum(axis=1)
-        sigma2[part][(block == block[:, :1]).all(axis=1)] = 0.0  # constant rows
+        tolerance = (max_lag + 1) * np.finfo(np.float64).eps * weighted[:, 0]
+        rounding = (sigma2[part] < 0.0) & (sigma2[part] >= -tolerance)
+        sigma2[part][(block == block[:, :1]).all(axis=1) | rounding] = 0.0  # constant rows, rounding
     for row in np.flatnonzero(sigma2 < 0.0).tolist():
         message = f"{name(row)}long-run variance estimate {sigma2[row]:.3e} is negative; truncated to 0"
         warnings.warn(message, NumericalWarning, stacklevel=3)
         sigma2[row] = 0.0
     return sigma2.reshape(rows.shape[:-1]), float(bandwidth)
-
-
-def long_run_variance(
-    sequence: np.ndarray,
-    kernel: str = "bartlett",
-    bandwidth: Optional[float] = None,
-) -> VarianceEstimate:
-    """Kernel-weighted autocovariance sum of a stationary sequence.
-
-    Estimates the variance of the normalized partial sums, i.e. the
-    centered double sum (1/N) sum_ij k((i-j)/b) d_i d_j computed via
-    autocovariances. Finite-sample kernel sums can dip below zero; those
-    are truncated to 0 with a warning.
-    """
-    seq = np.asarray(sequence, dtype=np.float64)
-    if seq.ndim != 1:
-        raise ValueError("need a 1-d sequence of length >= 2")
-    sigma2, bandwidth = _long_run_variances(seq, kernel, bandwidth)
-    return VarianceEstimate(sigma2=float(sigma2), kernel=kernel, bandwidth=bandwidth)
-
-
-def confidence_interval(
-    point: float,
-    sigma2: float,
-    count: int,
-    level: float = 0.95,
-) -> tuple[float, float]:
-    """Normal-approximation interval point +- z * sigma / sqrt(count), clipped to [0, 1].
-
-    The points it serves, the coincidence probability and the total
-    score, are probabilities.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie strictly between 0 and 1")
-    if not (math.isfinite(point) and math.isfinite(sigma2)):
-        raise ValueError(f"point {point} and variance {sigma2} must be finite")
-    if sigma2 < 0.0:
-        raise ValueError("variance must be non-negative")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    low, high = _interval_bounds(np.float64(point), np.float64(sigma2), count, level)
-    return float(low), float(high)
 
 
 def _interval_bounds(
@@ -649,6 +595,7 @@ def block_bootstrap_ci(
     formulas. Returns (comparison_ci, coefficient_ci), (K, 2) arrays over
     the pairs i < j in row-major order.
     """
+    check_number("level", level)
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
     check_integer("replicates", replicates)

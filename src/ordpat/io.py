@@ -131,13 +131,6 @@ def _parse_cells(path: Path, line_no: int, gauges: Sequence[str], cells: Sequenc
     return parsed
 
 
-def save_class_matrix(matrix: ClassMatrix, path: PathLike, id_label: str = "event") -> None:
-    """Write a class matrix in the loader's format (round-trip exact)."""
-    ids = matrix.event_ids or tuple(str(i + 1) for i in range(matrix.num_events))
-    rows = ([event_id, *row.tolist()] for event_id, row in zip(ids, matrix.classes))
-    write_csv(path, [id_label, *matrix.gauges], rows)
-
-
 # ---------------------------------------------------------------------------
 # report emission
 # ---------------------------------------------------------------------------

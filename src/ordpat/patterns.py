@@ -98,6 +98,12 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_number(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a real number (a Python or numpy one, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def valid_rows(codes: np.ndarray) -> np.ndarray:
     """Per row of a (..., n) code array: True if its values are exactly {1..m}."""
     ordered = np.sort(np.asarray(codes, dtype=np.int64), axis=-1)

@@ -22,8 +22,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import NumericalWarning
 from .patterns import (
-    MAX_ENUM_LENGTH, check_finite, check_integer, check_patterns, enumerate_patterns, pattern_index, pattern_keys,
-    whole_numbers,
+    MAX_ENUM_LENGTH, check_patterns, enumerate_patterns, pattern_index, pattern_keys, whole_numbers,
 )
 
 
@@ -298,43 +297,3 @@ def analyze_spatial(
         gauges=gauge_subset,
     )
 
-
-def cramers_v(a: np.ndarray, b: np.ndarray) -> float:
-    """Cramér's V of the contingency table of two categorical vectors.
-
-    Degenerate tables: 1x1 (both vectors constant) is taken as perfect
-    association (1.0); a single constant margin admits no association (0.0).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1 or a.shape[0] == 0:
-        raise ValueError("need two equal-length 1-d vectors")
-    check_finite(a, "first vector")
-    check_finite(b, "second vector")
-    _, ia = np.unique(a, return_inverse=True)
-    _, ib = np.unique(b, return_inverse=True)
-    rows = ia.max() + 1
-    cols = ib.max() + 1
-    if rows == 1 and cols == 1:
-        return 1.0
-    if min(rows, cols) == 1:
-        return 0.0
-    table = np.zeros((rows, cols), dtype=np.int64)
-    np.add.at(table, (ia, ib), 1)
-    total = table.sum()
-    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / total
-    with np.errstate(invalid="ignore", divide="ignore"):
-        chi2 = float(np.where(expected > 0, (table - expected) ** 2 / expected, 0.0).sum())
-    return float(np.sqrt(chi2 / (total * (min(rows, cols) - 1))))
-
-
-def cramers_v_autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
-    """Per-lag Cramér's V of (value_t, value_{t+k}) for k = 1..max_lag."""
-    values = np.asarray(series)
-    if values.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    check_finite(values)
-    check_integer("max_lag", max_lag)
-    if max_lag < 1 or max_lag >= values.shape[0] / 2:
-        raise ValueError("max_lag must satisfy 1 <= max_lag < len(series)/2")
-    return np.array([cramers_v(values[:-k], values[k:]) for k in range(1, max_lag + 1)])

@@ -19,11 +19,11 @@ import pytest
 from oracles import oracle_estimates
 from ordpat._kernels import df_rows, encode_windows
 from ordpat.dependence import (
+    _long_run_variances,
     _score_slices,
     analyze_pair,
     classical_dependence,
     dependence_estimates,
-    long_run_variance,
 )
 from ordpat.metric import GENERALIZED_LONG, GENERALIZED_SHORT, l1_distance, pattern_distance
 from ordpat.patterns import TiePolicy, encode_pattern, encode_permutation, enumerate_patterns, fubini
@@ -348,7 +348,7 @@ def test_10_variance_oracle():
     for child in np.random.SeedSequence(717171).spawn(seeds):
         rng = np.random.default_rng(child)
         indicators = (rng.random(10_000) < 0.3).astype(float)
-        sigma2 = long_run_variance(indicators).sigma2
+        sigma2 = _long_run_variances(indicators, "bartlett", None)[0]
         hits += abs(sigma2 - target) <= 0.15 * target
     report(
         "variance oracle: iid Bernoulli(0.3) within 15% of 0.21",

@@ -29,11 +29,8 @@ from ordpat.dependence import (
     ClassSeries,
     analyze_pair,
     classical_dependence,
-    confidence_interval,
     default_bandwidth,
     dependence_estimates,
-    long_run_variance,
-    standardized_coefficient,
 )
 from ordpat.exceptions import NumericalWarning
 from ordpat.metric import CLASSICAL_SHORT, EXACT, GENERALIZED_SHORT, scheme_for_length
@@ -114,7 +111,7 @@ class TestAntiEstimates:
 
 class TestStandardizedCoefficient:
     def test_arithmetic(self):
-        assert standardized_coefficient(0.6, 0.2, 0.1, 0.3) == pytest.approx(0.5)
+        assert dependence._coefficients(0.6, 0.2, 0.1, 0.3) == pytest.approx(0.5)
 
     def test_self_dependence(self):
         rng = np.random.default_rng(4)
@@ -124,26 +121,13 @@ class TestStandardizedCoefficient:
         # the monotone term alone is 1; the anti side is clipped at 0
         assert (est.coincidence - est.comparison) / (1 - est.comparison) == 1.0
 
-    @pytest.mark.parametrize("position", range(4))
-    def test_non_finite_input_rejected(self, position):
-        values = [0.6, 0.2, 0.1, 0.3]
-        values[position] = np.nan
-        name = ("p_hat", "q_hat", "r_hat", "s_hat")[position]
-        with pytest.raises(ValueError, match=f"{name} must be finite, got nan"):
-            standardized_coefficient(*values)
-
-    def test_probability_above_one_rejected(self):
-        with pytest.raises(ValueError, match=r"p_hat must lie in \[0, 1\], got 2.0"):
-            standardized_coefficient(2.0, 0.2, 0.1, 0.3)
-
-    def test_negative_probability_rejected(self):
-        with pytest.raises(ValueError, match=r"q_hat must lie in \[0, 1\], got -0.5"):
-            standardized_coefficient(0.5, -0.5, 0.1, 0.3)
-
     def test_degenerate_marginal_warns(self):
-        with pytest.warns(NumericalWarning, match="degenerate"):
-            value = standardized_coefficient(1.0, 1.0, 0.0, 0.5)
-        assert value == 0.0
+        # a constant series shows one pattern, as does its negation: both terms are 0/0
+        message = r"^x\|y: degenerate marginal: monotone and anti-monotone comparison values are 1, terms set to 0$"
+        with pytest.warns(NumericalWarning, match=message):
+            est = dependence_estimates(np.full(10, 2), np.full(10, 3), 3)
+        assert (est.comparison, est.anti_comparison, est.coefficient) == (1.0, 1.0, 0.0)
+        assert dependence._coefficients(1.0, 1.0, 0.0, 0.5) == 0.0
 
     def test_degenerate_pair_warning_names_the_pair(self):
         # x rises in every window and y falls: only the anti-monotone side is degenerate
@@ -331,19 +315,18 @@ class TestLongRunVariance:
             ("truncated", lambda u: 1.0 if abs(u) <= 1 else 0.0),
             ("parzen", parzen),
         ):
-            est = long_run_variance(values, kernel=kernel_name, bandwidth=6)
+            sigma2 = dependence._long_run_variances(values, kernel_name, 6)[0]
             ref = oracle_long_run_variance(values.tolist(), kernel, 6)
-            assert est.sigma2 == pytest.approx(ref, rel=1e-12)
+            assert sigma2 == pytest.approx(ref, rel=1e-12)
 
     def test_constant_sequence_is_zero(self):
-        est = long_run_variance(np.full(100, 0.4))
-        assert est.sigma2 == 0.0
+        assert dependence._long_run_variances(np.full(100, 0.4), "bartlett", None)[0] == 0.0
 
     def test_iid_bernoulli_close_to_closed_form(self):
         rng = np.random.default_rng(17)
         values = (rng.random(10_000) < 0.3).astype(float)
-        est = long_run_variance(values)  # default bartlett, ceil(N^(1/3))
-        assert est.sigma2 == pytest.approx(0.21, rel=0.15)
+        sigma2 = dependence._long_run_variances(values, "bartlett", None)[0]  # bandwidth ceil(N^(1/3))
+        assert sigma2 == pytest.approx(0.21, rel=0.15)
 
     def test_autocorrelated_matches_batch_means(self):
         # AR(1)-driven indicators; batch-means is the independent oracle
@@ -354,11 +337,11 @@ class TestLongRunVariance:
         for t in range(1, size):
             z[t] = 0.6 * z[t - 1] + rng.normal()
         indicators = (z > 0).astype(float)
-        est = long_run_variance(indicators)
+        sigma2 = dependence._long_run_variances(indicators, "bartlett", None)[0]
         batch = size // batches
         means = indicators[: batch * batches].reshape(batches, batch).mean(axis=1)
         batch_means_var = batch * means.var(ddof=1)
-        assert est.sigma2 == pytest.approx(batch_means_var, rel=0.25)
+        assert sigma2 == pytest.approx(batch_means_var, rel=0.25)
 
     def test_negative_truncation_warns(self):
         # the truncated kernel is not positive semi-definite; alternating
@@ -366,8 +349,22 @@ class TestLongRunVariance:
         values = np.array([1.0, -1.0] * 30)
         message = r"^long-run variance estimate -9\.667e-01 is negative; truncated to 0$"
         with pytest.warns(NumericalWarning, match=message):
-            est = long_run_variance(values, kernel="truncated", bandwidth=1)
-        assert est.sigma2 == 0.0
+            sigma2 = dependence._long_run_variances(values, "truncated", 1)[0]
+        assert sigma2 == 0.0
+
+    def test_rounding_level_sums_are_zero_without_a_warning(self):
+        # far past the last lag every kernel weight is 1, so each sum is (1/N) (sum of the
+        # centered sequence)^2, 0 in exact arithmetic; the pairs of this flood-like matrix
+        # give 30 float sums down to -9.7e-16, which warned before sums within rounding were 0
+        rng = np.random.default_rng(7)
+        base = rng.choice(6, p=[0.1, 0.45, 0.2, 0.12, 0.08, 0.05], size=300) - 1
+        classes = np.clip(base[:, None] + rng.choice([-1, 0, 1], p=[0.2, 0.6, 0.2], size=(300, 8)), -1, 4)
+        matrix = ClassMatrix(classes, tuple(f"g{i}" for i in range(8)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, reports = run_pairwise(matrix, kernel="parzen", bandwidth=1e300, replicates=2)
+        sigma2 = [v.sigma2 for r in reports for v in (r.coincidence_variance, r.score_variance)]
+        assert min(sigma2) == 0.0 and max(sigma2) < 1e-15
 
     @pytest.mark.parametrize("kernel", sorted(dependence.KERNELS))
     @pytest.mark.parametrize("bandwidth", [None, 1, 2.5, "past W"])
@@ -391,59 +388,55 @@ class TestLongRunVariance:
             nested, _ = dependence._long_run_variances(rows.reshape(2, 7, length), kernel, bandwidth)
         with warnings.catch_warnings(record=True) as single:
             warnings.simplefilter("always")
-            expected = [long_run_variance(row, kernel, bandwidth) for row in rows]
-        assert sigma2.tobytes() == np.array([e.sigma2 for e in expected]).tobytes()
+            expected = [dependence._long_run_variances(row, kernel, bandwidth) for row in rows]
+        assert sigma2.tobytes() == np.array([float(e[0]) for e in expected]).tobytes()
         reference = [dot_product_long_run_variance(row, kernel, bandwidth) for row in rows]
         assert sigma2.tobytes() == np.array(reference).tobytes()
-        assert {used} == {e.bandwidth for e in expected}
+        assert {used} == {e[1] for e in expected}
         assert [str(w.message) for w in stacked] == 2 * [str(w.message) for w in single]
         assert nested.shape == (2, 7) and nested.tobytes() == sigma2.tobytes()
 
     def test_degenerate_input_rejected(self):
-        with pytest.raises(ValueError):
-            long_run_variance(np.array([1.0]))
-        with pytest.raises(ValueError):
-            long_run_variance(np.ones(10), kernel="box")
-        with pytest.raises(ValueError):
-            long_run_variance(np.ones(10), bandwidth=0.2)
+        with pytest.raises(ValueError, match="length >= 2"):
+            dependence._long_run_variances(np.array([1.0]), "bartlett", None)
+        with pytest.raises(ValueError, match="unknown kernel 'box'"):
+            dependence._long_run_variances(np.ones(10), "box", None)
+        with pytest.raises(ValueError, match="bandwidth must be >= 1"):
+            dependence._long_run_variances(np.ones(10), "bartlett", 0.2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sequence_rejected(self, bad):
         values = np.arange(10.0)
         values[3] = bad
         with pytest.raises(ValueError, match="sequence value at index 3 is not finite"):
-            long_run_variance(values)
+            dependence._long_run_variances(values, "bartlett", None)
 
     @pytest.mark.parametrize("bandwidth", [np.inf, -np.inf, np.nan])
     def test_non_finite_bandwidth_rejected(self, bandwidth):
         for values in (np.ones(10), np.arange(10.0)):
             with pytest.raises(ValueError, match="bandwidth must be finite"):
-                long_run_variance(values, bandwidth=bandwidth)
+                dependence._long_run_variances(values, "bartlett", bandwidth)
 
 
 class TestConfidenceInterval:
     def test_degenerate_variance(self):
-        assert confidence_interval(0.4, 0.0, 100) == (0.4, 0.4)
+        assert dependence._interval_bounds(0.4, 0.0, 100, 0.95) == (0.4, 0.4)
 
     def test_known_normal_quantile(self):
-        low, high = confidence_interval(0.5, 0.25, 100, level=0.95)
+        low, high = dependence._interval_bounds(0.5, 0.25, 100, 0.95)
         assert low == pytest.approx(0.402, abs=5e-4)
         assert high == pytest.approx(0.598, abs=5e-4)
 
     def test_clipping(self):
-        low, high = confidence_interval(0.02, 1.0, 10)
+        low, high = dependence._interval_bounds(0.02, 1.0, 10, 0.95)
         assert low == 0.0 and high <= 1.0
-        low, high = confidence_interval(0.98, 1.0, 10)
+        low, high = dependence._interval_bounds(0.98, 1.0, 10, 0.95)
         assert low >= 0.0 and high == 1.0
 
     def test_invalid_level(self):
-        with pytest.raises(ValueError):
-            confidence_interval(0.5, 0.1, 10, level=1.0)
-
-    @pytest.mark.parametrize("point,sigma2", [(0.5, np.nan), (np.nan, 0.1), (0.5, np.inf)])
-    def test_non_finite_point_or_variance_rejected(self, point, sigma2):
-        with pytest.raises(ValueError, match="must be finite"):
-            confidence_interval(point, sigma2, 10)
+        x = np.arange(40) % 5
+        with pytest.raises(ValueError, match="confidence level must lie strictly between 0 and 1"):
+            analyze_pair(x, x[::-1], 3, replicates=5, level=1.0)
 
     @pytest.mark.parametrize("clips", [True, False])
     @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
@@ -469,7 +462,6 @@ class TestConfidenceInterval:
         expected = [(max(low, 0.0), min(high, 1.0)) for low, high in raw]
         low, high = dependence._interval_bounds(points, sigma2, 37, level)
         assert list(zip(low.tolist(), high.tolist())) == expected
-        assert [confidence_interval(p, s2, 37, level) for p, s2 in zip(points, sigma2)] == expected
 
     def test_report_intervals_are_confidence_intervals(self):
         rng = np.random.default_rng(26)
@@ -479,7 +471,7 @@ class TestConfidenceInterval:
         est = report.estimates
         for var, point in ((report.coincidence_variance, est.coincidence),
                            (report.score_variance, est.total_score)):
-            expected = confidence_interval(point, var.sigma2, est.num_windows, 0.9)
+            expected = dependence._interval_bounds(point, var.sigma2, est.num_windows, 0.9)
             assert (var.ci_low, var.ci_high) == expected
 
 
@@ -652,7 +644,7 @@ class TestIdCore:
             expected = oracle_classical_estimates(x.tolist(), y.tolist(), n, stride, dict(scheme.mapping), skip)
             got = classical_dependence(x, y, n, stride, policy)
             assert {f: getattr(got, f) for f in fields} == expected
-            assert got.coefficient == standardized_coefficient(*(expected[f] for f in fields[:4]))
+            assert got.coefficient == dependence._coefficients(*(expected[f] for f in fields[:4]))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     # 1: one pair per distance call
@@ -753,6 +745,14 @@ class TestAnalyzePair:
         for block in (None, 0):
             with pytest.raises(ValueError, match="bandwidth must be >= 1"):
                 analyze_pair(x, y, 4, bandwidth=0.5, block=block)
+
+    @pytest.mark.parametrize("argument,value", [
+        ("bandwidth", True), ("bandwidth", "3"), ("level", True), ("level", "0.9"),
+    ])
+    def test_non_real_bandwidth_or_level_rejected(self, argument, value):
+        x = np.arange(60) % 5
+        with pytest.raises(ValueError, match=f"^{argument} must be a real number, got {value!r}$"):
+            analyze_pair(x, x[::-1], 4, replicates=5, **{argument: value})
 
 
 class TestClassicalTotalScore:

@@ -28,9 +28,10 @@ import io
 
 import numpy as np
 
+from conftest import save_class_matrix
 from ordpat.cli import main
 from ordpat.dependence import _score_slices, analyze_pair, classical_dependence, dependence_estimates
-from ordpat.io import PAIR_COLUMNS, save_class_matrix
+from ordpat.io import PAIR_COLUMNS
 from ordpat.metric import scheme_for_length
 from ordpat.patterns import TiePolicy
 from ordpat.spatial import ClassMatrix

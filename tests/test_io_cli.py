@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ordpat
+from conftest import save_class_matrix
 from ordpat import cli
 from ordpat.cli import (
     _resolve_scheme, build_parser, main, run_benchmark, run_benchmark_data, run_benchmark_simulated,
@@ -26,7 +27,6 @@ from ordpat.io import (
     FLOOD_CLASSES,
     classify_peak,
     load_class_matrix,
-    save_class_matrix,
     write_symmetric_matrix,
 )
 from ordpat.spatial import ClassMatrix
@@ -82,11 +82,17 @@ class TestPackage:
             "GENERALIZED_SHORT", "IngarchSpec", "NumericalWarning", "PatternTable", "SCHEMES",
             "SpatialReport", "TiePolicy", "VarianceEstimate", "WeightScheme", "analyze_pair",
             "analyze_spatial", "baseline_frequencies", "classical_dependence", "classify_peak",
-            "confidence_interval", "cramers_v", "cramers_v_autocorrelation", "dependence_estimates",
-            "encode_pattern", "encode_permutation", "enumerate_patterns", "fubini", "get_scheme",
-            "l1_distance", "load_class_matrix", "long_run_variance", "pattern_distance",
-            "pattern_frequencies", "save_class_matrix", "scheme_for_length", "score",
-            "simulate_ingarch", "spatial_encode", "spatial_significance", "standardized_coefficient",
+            "dependence_estimates", "encode_pattern", "encode_permutation", "enumerate_patterns",
+            "fubini", "get_scheme", "l1_distance", "load_class_matrix", "pattern_distance",
+            "pattern_frequencies", "scheme_for_length", "score", "simulate_ingarch", "spatial_encode",
+            "spatial_significance",
+        ]
+
+    def test_subcommands_are_pinned(self):
+        # an addition to or a removal from the CLI is an edit of this list
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == [
+            "benchmark", "classify", "encode", "enumerate", "pairwise", "simulate", "spatial",
         ]
 
 
@@ -233,17 +239,6 @@ class TestEmission:
         assert [row[0] for row in rows] == ["a", "b"]
         np.testing.assert_array_equal([[float(v) for v in row[1:]] for row in rows], values)
 
-    def test_plot_data_round_trip(self, tmp_path):
-        matrix = synthetic_matrix(rows=30)
-        data, path = tmp_path / "m.csv", tmp_path / "plot.csv"
-        save_class_matrix(matrix, data)
-        assert main(["plot-data", "--data", str(data), "--gauges", "g0,g1", "--out", str(path)]) == 0
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,g0,g1"
-        assert len(lines) == 31
-        values = np.array([[int(v) for v in line.split(",")[1:]] for line in lines[1:]])
-        np.testing.assert_array_equal(values, matrix.classes[:, :2])
-
     def test_pattern_labels_match_pattern_label(self):
         from ordpat.io import pattern_label, pattern_labels
         from ordpat.patterns import enumerate_patterns
@@ -254,13 +249,6 @@ class TestEmission:
         assert pattern_labels(np.empty((0, 3), dtype=np.int64)) == []
         with pytest.raises(ValueError, match="one digit"):
             pattern_labels(np.array([[10, 1]]))
-
-    def test_plot_data_empty_matrix_header_only(self, tmp_path):
-        # plot-data writes the gauge subset as a class matrix with an "index" column
-        empty = ClassMatrix(classes=np.empty((0, 2), dtype=np.int64), gauges=("a", "b"))
-        path = tmp_path / "empty.csv"
-        save_class_matrix(empty, path, id_label="index")
-        assert path.read_text() == "index,a,b\n"
 
 
 class TestPairwiseDriver:
@@ -456,7 +444,6 @@ class TestCli:
         pytest.param(["spatial", "--data", "{data}", "--include-zero"], id="spatial-include-zero"),
         pytest.param(["benchmark", "--replications", "3", "--length", "40"], id="benchmark"),
         pytest.param(["benchmark", "--data", "{data}", "--lengths", "4"], id="benchmark-data"),
-        pytest.param(["plot-data", "--data", "{data}", "--out", "{out}"], id="plot-data"),
     ])
     def test_subcommand_leaves_numpy_ma_unimported(self, argv, matrix_file, tmp_path):
         # the first np.quantile, np.union1d or plain np.unique imports
@@ -547,7 +534,7 @@ class TestCli:
 
     def test_gauges_flag_is_a_comma_list(self):
         parser = build_parser()
-        for argv in (["spatial", "--data", "m.csv"], ["plot-data", "--data", "m.csv", "--out", "o.csv"]):
+        for argv in (["spatial", "--data", "m.csv"], ["pairwise", "--data", "m.csv"]):
             assert parser.parse_args(argv).gauges == ()
             assert parser.parse_args([*argv, "--gauges", ""]).gauges == ()
             assert parser.parse_args([*argv, "--gauges", "a,b"]).gauges == ("a", "b")
@@ -649,7 +636,6 @@ class TestCli:
         pytest.param(["benchmark", "--data", "{data}", "--lengths", "4"], id="benchmark-data"),
         pytest.param(["simulate", "--length", "20"], id="simulate"),
         pytest.param(["classify", "0.5", "0.95"], id="classify"),
-        pytest.param(["plot-data", "--data", "{data}", "--out", "{out}"], id="plot-data"),
     ])
     def test_every_declared_flag_is_read_or_rejected(self, argv, tmp_path, capsys):
         # a flag that the handler does not read in this run must be a usage
@@ -680,17 +666,15 @@ class TestCli:
         assert main(["benchmark", "--replications", "0"]) == 2
         assert "replications must be >= 1" in capsys.readouterr().err
 
-    def test_repeated_gauge_label_is_data_error(self, matrix_file, tmp_path, capsys):
+    def test_repeated_gauge_label_is_data_error(self, matrix_file, capsys):
         data = str(matrix_file)
         for argv in (
             ["pairwise", "--data", data, "--n", "2", "--replicates", "4"],
             ["benchmark", "--data", data, "--lengths", "2"],
             ["spatial", "--data", data],
-            ["plot-data", "--data", data, "--out", str(tmp_path / "panel.csv")],
         ):
             assert main([*argv, "--gauges", "aue,zwickau,aue"]) == 2
             assert "gauge list repeats the label 'aue'" in capsys.readouterr().err
-        assert not (tmp_path / "panel.csv").exists()
 
     def test_benchmark_data_with_one_gauge_is_data_error(self, matrix_file, capsys):
         assert main(["benchmark", "--data", str(matrix_file), "--gauges", "aue"]) == 2
@@ -838,13 +822,3 @@ class TestCli:
         assert main(["simulate", "--length", "50", "--seed", "5", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         assert out_a.read_text().splitlines()[0] == "index,count"
-
-    def test_plot_data(self, matrix_file, tmp_path):
-        out = tmp_path / "panel.csv"
-        assert main([
-            "plot-data", "--data", str(matrix_file),
-            "--gauges", "aue,zwickau", "--out", str(out),
-        ]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "index,aue,zwickau"
-        assert len(lines) == 6

@@ -13,8 +13,6 @@ from ordpat.spatial import (
     ClassMatrix,
     analyze_spatial,
     baseline_frequencies,
-    cramers_v,
-    cramers_v_autocorrelation,
     pattern_frequencies,
     spatial_encode,
     spatial_significance,
@@ -396,62 +394,3 @@ class TestSignificance:
                 hits += 1
         assert hits <= 1  # >= 90% of seeds show nothing significant
 
-
-class TestCramersV:
-    def test_identical_vectors(self):
-        values = np.array([0, 1, 2, 0, 1, 2, 0, 1])
-        assert cramers_v(values, values) == pytest.approx(1.0)
-
-    def test_lagged_copy_perfect_association(self):
-        series = np.array([0, 1] * 50)
-        vs = cramers_v_autocorrelation(series, max_lag=3)
-        assert vs[0] == pytest.approx(1.0)
-
-    def test_constant_series_definitionally_one(self):
-        vs = cramers_v_autocorrelation(np.full(40, 3), max_lag=2)
-        assert np.all(vs == 1.0)
-
-    def test_one_constant_margin_is_zero(self):
-        a = np.full(30, 1)
-        b = np.arange(30) % 3
-        assert cramers_v(a, b) == 0.0
-
-    def test_independent_uniform_classes_small(self):
-        rng = np.random.default_rng(6)
-        series = rng.integers(0, 5, size=5000)
-        vs = cramers_v_autocorrelation(series, max_lag=100)
-        assert vs.mean() < 0.05
-        assert np.all((vs >= 0.0) & (vs <= 1.0))
-
-    def test_flood_like_series_in_unit_range(self):
-        rng = np.random.default_rng(7)
-        base = rng.choice([0, 0, 0, 1, 1, 2, 3, 4], size=500)
-        vs = cramers_v_autocorrelation(base, max_lag=50)
-        assert np.all((vs >= 0.0) & (vs <= 1.0))
-
-    def test_lag_bounds(self):
-        with pytest.raises(ValueError):
-            cramers_v_autocorrelation(np.arange(10), max_lag=5)
-        with pytest.raises(ValueError):
-            cramers_v_autocorrelation(np.arange(10), max_lag=0)
-
-    def test_non_finite_values_rejected(self):
-        with pytest.raises(ValueError, match=r"^first vector value at index 1 is not finite \(nan\)$"):
-            cramers_v([1, np.nan, 2, 2], [1, 2, np.nan, 1])
-        with pytest.raises(ValueError, match=r"^second vector value at index 3 is not finite \(inf\)$"):
-            cramers_v([1, 2, 2, 1], [1, 2, 1, np.inf])
-
-    def test_autocorrelation_of_non_finite_series_rejected(self):
-        series = np.arange(10.0) % 3
-        series[6] = np.nan
-        with pytest.raises(ValueError, match=r"^series value at index 6 is not finite \(nan\)$"):
-            cramers_v_autocorrelation(series, max_lag=2)
-
-    def test_non_integer_lag_rejected(self):
-        for value in (2.5, 2.0, True):
-            with pytest.raises(ValueError, match=f"max_lag must be an integer, got {value!r}"):
-                cramers_v_autocorrelation(np.arange(10), max_lag=value)
-        np.testing.assert_array_equal(
-            cramers_v_autocorrelation(np.arange(10) % 3, max_lag=np.int64(2)),
-            cramers_v_autocorrelation(np.arange(10) % 3, max_lag=2),
-        )
