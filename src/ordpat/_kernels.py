@@ -1,16 +1,19 @@
 """Hot inner loops: window rank-encoding and pattern distances.
 
 All kernels are exact integer computations in numpy. The encoders take
-the sliding windows of a series, or of a stack of equally long series,
-along the last axis; each series is encoded once (the block bootstrap
-resamples encoded windows, not values). Neither encoder sorts:
-``encode_windows`` gives the tie-aware dense ranks,
+every sliding window of a series, or of a stack of equally long series,
+along the last axis, at step 1. A caller that wants a step s takes every
+s-th window of the result: window w at step s is window w * s at step
+1, and its codes read only its values. Each series is encoded once (the
+block bootstrap resamples encoded windows, not values). Neither encoder
+sorts: ``encode_windows`` gives the tie-aware dense ranks,
 ``window_permutation_index`` the Lehmer index of the classical descending
 permutation (``patterns.permutation_table`` turns it into codes). Both
-read each pair of window positions (i, i + d) from one comparison per lag
-d over the series where windows overlap at that lag, and compare the two
-window columns directly where they do not. ``rank_codes`` ranks windows
-given as (..., n) rows, the one-window case of the same code.
+compare each lag d once over the series, op(x[..., :L-d], x[..., d:]),
+and read the result in place as the pairs (i, i + d) of window
+positions: position i of window w is t = w + i. ``rank_codes`` ranks
+windows given as (..., n) rows, the one-window case of the same code,
+comparing the window columns directly.
 
 Pattern codes lie in 1..n with n <= 15, so both pipelines keep them as
 int8 from the encoder to the distance. One kernel per pattern metric,
@@ -38,11 +41,10 @@ per chunk.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 # Pattern keys pack n codes as base-(n+1) digits in an int64; (n+1)^n
 # stays below 2^63 up to n = 15.
@@ -82,20 +84,16 @@ def check_pattern_length(n: int) -> None:
         )
 
 
-def window_count(length: int, n: int, stride: int) -> int:
-    """Number of windows of length ``n`` advanced by ``stride`` in a series."""
-    if length < n:
-        return 0
-    return (length - n) // stride + 1
+def window_count(length: int, n: int) -> int:
+    """Number of sliding windows of length ``n`` in a series."""
+    return max(length - n + 1, 0)
 
 
-def encode_windows(
-    values: np.ndarray, n: int, stride: int = 1, *, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def encode_windows(values: np.ndarray, n: int, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Dense-rank every sliding window of ``values`` along its last axis.
 
     For a 1-d series the result is an int8 array of shape (num_windows, n);
-    row w holds the rank codes of ``values[w*stride : w*stride + n]``.
+    row w holds the rank codes of ``values[w : w + n]``.
     Leading axes of ``values`` (a stack of equally long series) are kept.
     The code of x_j is 1 plus the number of distinct window values below
     x_j, each value counted once, at its first position. Equal values
@@ -105,10 +103,10 @@ def encode_windows(
     """
     check_pattern_length(n)
     values = np.asarray(values)
-    num = window_count(values.shape[-1], n, stride)
+    num = window_count(values.shape[-1], n)
     codes = np.empty((*values.shape[:-1], num, n), dtype=np.int8) if out is None else out
     # per window and series: n first-position flags, n codes, a comparison and its masked copy
-    return _by_window(_rank_block, values, n, stride, codes, n / 2)
+    return _by_window(_rank_block, values, n, codes, n / 2)
 
 
 def rank_codes(windows: np.ndarray) -> np.ndarray:
@@ -117,17 +115,17 @@ def rank_codes(windows: np.ndarray) -> np.ndarray:
     n = windows.shape[-1]
     codes = np.empty(windows.shape, dtype=np.int8)
     if windows.ndim == 1:
-        _rank_block(windows, None, n, codes)
+        _rank_block(partial(_column_pairs, windows), n, codes)
         return codes
     rows, flat = windows.reshape(-1, n), codes.reshape(-1, n)
     # a slice of rows is its (n, rows) position view, copied (and charged) where the rows lie apart
     for part in chunks(rows.shape[0], n / 2 + n * windows.itemsize / 8):
         cols = rows[part].T
-        _rank_block(cols if cols.strides[-1] == cols.itemsize else cols.copy(), None, n, flat[part])
+        _rank_block(partial(_column_pairs, cols if cols.strides[-1] == cols.itemsize else cols.copy()), n, flat[part])
     return codes
 
 
-def window_permutation_index(values: np.ndarray, n: int, stride: int = 1) -> np.ndarray:
+def window_permutation_index(values: np.ndarray, n: int) -> np.ndarray:
     """Lehmer index in [0, n!) of each window's descending permutation, as (..., num_windows) int64.
 
     Windows are those of ``encode_windows``. The permutation lists
@@ -138,69 +136,58 @@ def window_permutation_index(values: np.ndarray, n: int, stride: int = 1) -> np.
     positions listed before i.
     """
     values = np.asarray(values)
-    index = np.empty((*values.shape[:-1], window_count(values.shape[-1], n, stride)), dtype=np.int64)
-    return _by_window(_lehmer_block, values, n, stride, index, n / 4)  # n - 1 digits, a comparison
+    index = np.empty((*values.shape[:-1], window_count(values.shape[-1], n)), dtype=np.int64)
+    return _by_window(_lehmer_block, values, n, index, n / 4)  # n - 1 digits, a comparison
 
 
-def _by_window(block, values: np.ndarray, n: int, stride: int, out: np.ndarray, cells: float) -> np.ndarray:
-    """Fill ``out`` by ``block(cols, span, stride, out_part)`` per slice of windows, ``cells`` a window.
-
-    ``cols`` is the (n, ..., num) position view [i, ..., w] = span[..., w * stride + i].
-    """
+def _by_window(block, values: np.ndarray, n: int, out: np.ndarray, cells: float) -> np.ndarray:
+    """Fill ``out`` by ``block(pairs, n, out_part)`` per slice of windows, ``cells`` a window."""
     lead = values.ndim - 1
     for part in chunks(out.shape[lead], math.prod(values.shape[:-1]) * cells):
-        span = values[..., part.start * stride : (part.stop - 1) * stride + n]
-        *steps, step = span.strides
-        cols = as_strided(span, (n, *span.shape[:-1], part.stop - part.start), (step, *steps, stride * step))
-        block(cols, span, stride, out[(slice(None),) * lead + (part,)])
+        span = values[..., part.start : part.stop + n - 1]
+        block(partial(_lag_pairs, span, n), n, out[(slice(None),) * lead + (part,)])
     return out
 
 
-def _pairs(op, cols: np.ndarray, d: int, values: Optional[np.ndarray], stride: int) -> np.ndarray:
-    """op(x_i, x_{i+d}) of every window for i < n - d, as (n - d, ..., num).
+def _lag_pairs(span: np.ndarray, n: int, op, d: int) -> np.ndarray:
+    """op(x_i, x_{i+d}) of every sliding window of ``span`` for i < n - d, as (n - d, ..., num).
 
-    Where windows overlap at lag d (stride < n - d), each pair of series
-    values at lag d is compared once: the pairs whose first value lies at
-    offset i0 modulo the stride form one contiguous lag row, which window
-    position i = i0 + k * stride reads from k on. Otherwise the window
-    columns are compared directly, the window axis innermost.
+    Lag d is one comparison over the series, read in place: position i of
+    window w is t = w + i, so the positions share memory.
     """
-    n, num = cols.shape[0], cols.shape[-1]
-    if stride >= n - d:
-        return op(cols[: n - d], cols[d:]) if cols.flags.c_contiguous else op(cols[: n - d], cols[d:], order="C")
-    pairs = np.empty(cols[: n - d].shape, dtype=bool)
-    for i0 in range(stride):
-        rows = (n - d - 1 - i0) // stride + 1
-        end = i0 + (num + rows - 1) * stride
-        lag = op(values[..., i0:end:stride], values[..., i0 + d : end + d : stride], order="C")
-        *steps, step = lag.strides
-        pairs[i0::stride] = np.ndarray((rows, *lag.shape[:-1], num), lag.dtype, lag, 0, (step, *steps, step))
-    return pairs
+    lag = op(span[..., : span.shape[-1] - d], span[..., d:], order="C")
+    *steps, step = lag.strides
+    return np.ndarray((n - d, *lag.shape[:-1], span.shape[-1] - n + 1), lag.dtype, lag, 0, (step, *steps, step))
 
 
-def _rank_block(cols: np.ndarray, values: Optional[np.ndarray], stride: int, out: np.ndarray) -> None:
-    """Rank codes of the windows at (n, ..., num) positions ``cols`` into ``out`` (..., num, n)."""
-    n = cols.shape[0]
+def _column_pairs(cols: np.ndarray, op, d: int) -> np.ndarray:
+    """op(x_i, x_{i+d}) of the windows at (n, ..., num) positions ``cols`` for i < n - d."""
+    return op(cols[: cols.shape[0] - d], cols[d:])
+
+
+def _rank_block(pairs, n: int, out: np.ndarray) -> None:
+    """Rank codes into ``out`` (..., num, n) of the windows whose position pairs ``pairs(op, d)`` compares."""
+    shape = (n, *out.shape[:-1])
     # first[k]: x_k is the first position of its value in the window
-    first = np.ones(cols.shape, dtype=bool)
+    first = np.ones(shape, dtype=bool)
     for d in range(1, n):
-        np.logical_and(first[d:], _pairs(np.not_equal, cols, d, values, stride), out=first[d:])
+        np.logical_and(first[d:], pairs(np.not_equal, d), out=first[d:])
     # x_k raises the code of every larger value from its first position
-    codes = np.ones(cols.shape, dtype=np.int8)
+    codes = np.ones(shape, dtype=np.int8)
     for d in range(1, n):
-        codes[d:] += _pairs(np.less, cols, d, values, stride) & first[:-d]
-        codes[:-d] += _pairs(np.greater, cols, d, values, stride) & first[d:]
+        codes[d:] += pairs(np.less, d) & first[:-d]
+        codes[:-d] += pairs(np.greater, d) & first[d:]
     for j in range(n):
         out[..., j] = codes[j]
 
 
-def _lehmer_block(cols: np.ndarray, values: Optional[np.ndarray], stride: int, out: np.ndarray) -> None:
-    """Lehmer indices of the windows at (n, ..., num) positions ``cols`` into ``out`` (..., num)."""
-    n = cols.shape[0]
-    # digit i counts the x_j >= x_i with j > i: lag d adds the pairs (i, i + d)
-    digits = _pairs(np.less_equal, cols, 1, values, stride).view(np.int8)
+def _lehmer_block(pairs, n: int, out: np.ndarray) -> None:
+    """Lehmer indices into ``out`` (..., num) of the windows whose position pairs ``pairs(op, d)`` compares."""
+    # digit i counts the x_j >= x_i with j > i: lag d adds the pairs (i, i + d), into a
+    # fresh array, since the positions of a lag view share memory
+    digits = pairs(np.less_equal, 1).astype(np.int8, order="C")
     for d in range(2, n):
-        digits[: n - d] += _pairs(np.less_equal, cols, d, values, stride)
+        digits[: n - d] += pairs(np.less_equal, d)
     out[...] = digits[0] if n > 1 else 0
     for i in range(1, n - 1):  # Horner's rule in the factorial base: digit i has radix n - i
         out *= n - i

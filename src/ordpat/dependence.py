@@ -122,20 +122,22 @@ def _series_list(series: Sequence[SeriesLike], n: int, stride: int) -> list[np.n
 
 
 def _stacked_codes(series: Sequence[SeriesLike], n: int, stride: int) -> np.ndarray:
-    """(G, W, n) rank codes of equally long series, encoded into one int8 array.
+    """(G, W, n) rank codes of the windows at step ``stride`` of equally long series.
 
     Series are encoded in groups under the cell budget, a stacked group
     costing one cell per value; a series too long to share a group is
-    encoded as it is, without a copy.
+    encoded as it is, without a copy. The step is a slice of the codes of
+    every window: a step s > 1 encodes s times the windows it keeps and
+    holds the step-1 codes, still linear in the input.
     """
     values = _series_list(series, n, stride)
     length = values[0].shape[0]
-    codes = np.empty((len(values), _kernels.window_count(length, n, stride), n), dtype=np.int8)
+    codes = np.empty((len(values), _kernels.window_count(length, n), n), dtype=np.int8)
     for part in _kernels.chunks(len(values), length):
         group = values[part]
         stack = group[0][None] if len(group) == 1 else np.stack(group)
-        _kernels.encode_windows(stack, n, stride, out=codes[part])
-    return codes
+        _kernels.encode_windows(stack, n, out=codes[part])
+    return codes[:, ::stride]
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +310,9 @@ def _score_slices(
     for part in _kernels.chunks(len(xs), 2 * n * series[0].shape[0]):
         values = np.stack(xs[part] + ys[part])
         if policies is None:
-            codes, distance = _kernels.encode_windows(values, n, stride), _kernels.df_rows
+            codes, distance = _kernels.encode_windows(values, n)[:, ::stride], _kernels.df_rows
         else:
-            index = _kernels.window_permutation_index(_tie_broken(values, policies[part]), n, stride)
+            index = _kernels.window_permutation_index(_tie_broken(values, policies[part]), n)[:, ::stride]
             codes, distance = np.take(permutation_table(n), index, axis=0), _kernels.l1_rows
         half = codes.shape[0] // 2
         yield scheme.weights_for(distance(codes[:half], codes[half:]))
@@ -418,7 +420,7 @@ def classical_dependence(
     """
     values = _series_list([x, y], n, stride)
     scheme = scheme_for_length(n, classical=True)
-    codes = _kernels.encode_windows(_tie_broken(np.stack(values), [policy]), n, stride)
+    codes = _kernels.encode_windows(_tie_broken(np.stack(values), [policy]), n)[:, ::stride]
     if policy.kind == "skip":
         keep = (codes.max(axis=-1) == n).all(axis=0)
         if not keep.any():

@@ -84,7 +84,6 @@ def load_class_matrix(path: PathLike) -> ClassMatrix:
             dupe = next(g for g in gauges if gauges.count(g) > 1)
             raise DataFormatError(f"{path}: duplicate gauge label {dupe!r}")
 
-        event_ids: list[str] = []
         line_nos: list[int] = []
         rows: list[list[int]] = []
         for line_no, row in enumerate(reader, start=2):
@@ -94,7 +93,6 @@ def load_class_matrix(path: PathLike) -> ClassMatrix:
                 raise DataFormatError(
                     f"{path}, line {line_no}: expected {len(header)} cells, found {len(row)}"
                 )
-            event_ids.append(row[0].strip())
             line_nos.append(line_no)
             if strict:
                 parsed = _parse_cells(path, line_no, gauges, row[1:])
@@ -114,7 +112,7 @@ def load_class_matrix(path: PathLike) -> ClassMatrix:
         raise DataFormatError(
             f"{path}, line {line_nos[k]}, gauge {gauges[j]!r}: {rows[k][j]} is not an integer in the int64 range"
         ) from None
-    return ClassMatrix(classes=classes, gauges=tuple(gauges), event_ids=tuple(event_ids))
+    return ClassMatrix(classes=classes, gauges=tuple(gauges))
 
 
 def _parse_cells(path: Path, line_no: int, gauges: Sequence[str], cells: Sequence[str]) -> list[int]:

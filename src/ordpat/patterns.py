@@ -76,20 +76,28 @@ def check_real(values: np.ndarray, what: str = "series") -> None:
 def whole_numbers(values, what: str) -> np.ndarray:
     """``values`` as int64 if they are boolean or integer, or real floats that are finite and whole.
 
-    Any other dtype, or a float that is not a finite whole number, is a
-    ValueError naming the dtype, or the first such value and its index (an
-    index tuple if N-d, whose first entry is the row).
+    Any other dtype, a float that is not a finite whole number, or a value
+    past the int64 range is a ValueError naming the dtype, or the first
+    such value and its index (an index tuple if N-d, whose first entry is
+    the row).
     """
     values = np.asarray(values)
     if values.dtype.kind not in "biuf":
         raise ValueError(f"{what} values must be boolean, integer or whole real numbers, got dtype {values.dtype}")
     if values.dtype.kind == "f":
-        bad = ~(np.isfinite(values) & (values == np.round(values)))
-        if bad.any():
-            index, where = _first(bad)
-            at = f" at index {where}" if index else ""  # a 0-d array has no index
-            raise ValueError(f"{what} must be an integer, got {values[index]}{at}")
+        _reject_first(~(np.isfinite(values) & (values == np.round(values))), values, f"{what} must be an integer")
+    if values.dtype.kind in "fu":  # the dtypes whose values int64 may not hold, by ClassMatrix's rule
+        outside = ~(np.abs(values) < 2.0**63) if values.dtype.kind == "f" else values > np.iinfo(np.int64).max
+        _reject_first(outside, values, f"{what} must lie in the int64 range")
     return values.astype(np.int64, copy=False)
+
+
+def _reject_first(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) naming the first value that ``bad`` flags and its index, if any."""
+    if bad.any():
+        index, where = _first(bad)
+        at = f" at index {where}" if index else ""  # a 0-d array has no index
+        raise ValueError(f"{message}, got {values[index]}{at}")
 
 
 def check_integer(name: str, value) -> None:

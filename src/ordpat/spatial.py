@@ -22,7 +22,8 @@ import numpy as np
 from . import _kernels
 from .exceptions import NumericalWarning
 from .patterns import (
-    MAX_ENUM_LENGTH, check_patterns, enumerate_patterns, pattern_index, pattern_keys, whole_numbers,
+    MAX_ENUM_LENGTH, check_integer, check_number, check_patterns, enumerate_patterns, pattern_index, pattern_keys,
+    whole_numbers,
 )
 
 
@@ -40,7 +41,6 @@ class ClassMatrix:
 
     classes: np.ndarray
     gauges: tuple[str, ...]
-    event_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.classes)
@@ -50,8 +50,6 @@ class ClassMatrix:
             raise ValueError(f"{arr.shape[1]} columns but {len(self.gauges)} gauge labels")
         if len(set(self.gauges)) != len(self.gauges):
             raise ValueError("duplicate gauge labels")
-        if self.event_ids and len(self.event_ids) != arr.shape[0]:
-            raise ValueError(f"{arr.shape[0]} rows but {len(self.event_ids)} event ids")
         if arr.dtype.kind in "fuO":  # the dtypes whose values int64 may not hold; the loader gives int64
             if arr.dtype.kind == "f":
                 bad = ~(np.abs(arr) < 2.0**63) | (arr != np.round(arr))  # NaN and inf included
@@ -216,6 +214,8 @@ def spatial_significance(
     Warns below K = 30 where the normal approximation is shaky. A
     frequency outside [0, 1], NaN included, or K below 1 is a ValueError.
     """
+    check_number("alpha", alpha)
+    check_integer("num_events", num_events)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level alpha must lie strictly between 0 and 1, got {alpha}")
     patterns = whole_numbers(patterns, "pattern code")  # the dtype rule only: no per-row sort

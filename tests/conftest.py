@@ -8,9 +8,8 @@ from ordpat.io import write_csv
 
 
 def save_class_matrix(matrix, path) -> None:
-    """Write a class matrix in the loader's format (round-trip exact): an ``event`` id column, then the gauges."""
-    ids = matrix.event_ids or tuple(str(i + 1) for i in range(matrix.num_events))
-    rows = ([event_id, *row.tolist()] for event_id, row in zip(ids, matrix.classes))
+    """Write a class matrix in the loader's format (round-trip exact): an ``event`` id column 1..K, then the gauges."""
+    rows = ([k, *row] for k, row in enumerate(matrix.classes.tolist(), start=1))
     write_csv(path, ["event", *matrix.gauges], rows)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_estimates
-from ordpat._kernels import df_rows, encode_windows
+from ordpat._kernels import df_rows, encode_windows, rank_codes
 from ordpat.dependence import (
     _long_run_variances,
     _score_slices,
@@ -97,7 +97,7 @@ def test_03_metric_axioms():
     for n in (4, 5):
         rng = np.random.default_rng(n)
         draws = rng.integers(1, n + 1, size=(3, 100_000, n)).reshape(3, -1)
-        a, b, c = (encode_windows(row, n, n) for row in draws)
+        a, b, c = (rank_codes(row.reshape(-1, n)) for row in draws)
         dab, dba = df_rows(a, b), df_rows(b, a)
         violations += int(np.sum(dab != dba))
         violations += int(np.sum((dab == 0) != np.all(a == b, axis=1)))
@@ -399,7 +399,7 @@ def test_12_monotone_invariance():
         gaps = rng.uniform(0.25, 2.0, size=8)
         table = rng.uniform(-5.0, 5.0) + np.concatenate([[0.0], np.cumsum(gaps)])
         same_codes = np.array_equal(
-            encode_windows(table[x], 3, 1), encode_windows(x, 3, 1)
+            encode_windows(table[x], 3), encode_windows(x, 3)
         )
         before = dependence_estimates(x, y, 3)
         after = dependence_estimates(table[x], table[y], 3)

@@ -196,8 +196,8 @@ class TestScoreComparison:
         value = dependence_estimates(x, y, 4, scheme=GENERALIZED_SHORT).score_comparison
         from ordpat._kernels import df_rows, encode_windows
 
-        cx = encode_windows(x, 4, 1)
-        cy = encode_windows(y, 4, 1)
+        cx = encode_windows(x, 4)
+        cy = encode_windows(y, 4)
         draws = 400_000
         ix = rng.integers(0, len(cx), size=draws)
         iy = rng.integers(0, len(cy), size=draws)
@@ -822,7 +822,7 @@ class TestClassicalRowScores:
         tied = np.repeat(rng.integers(0, 3, size=(3, 100)), 3, axis=1)  # plateaus: ties everywhere
 
         def core_scores(values):
-            codes = encode_windows(values, n, stride)
+            codes = encode_windows(values, n)[:, ::stride]
             labels = [str(k) for k in range(len(values))]
             return dependence._estimates_from_codes(
                 codes, dependence._permutation_codes, scheme, stride, _kernels.l1_rows, labels

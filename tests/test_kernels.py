@@ -17,22 +17,22 @@ def oracle_codes(values, n, stride=1):
 
 
 def test_window_count():
-    assert _kernels.window_count(10, 4, 1) == 7
-    assert _kernels.window_count(10, 4, 4) == 2
-    assert _kernels.window_count(4, 4, 1) == 1
-    assert _kernels.window_count(3, 4, 1) == 0
+    assert _kernels.window_count(10, 4) == 7
+    assert _kernels.encode_windows(np.arange(10), 4)[::4].shape == (2, 4)  # a step of 4
+    assert _kernels.window_count(4, 4) == 1
+    assert _kernels.window_count(3, 4) == 0
 
 
 def test_encode_windows_numpy_known_values():
-    codes = _kernels.encode_windows(np.array([5, 5, 5, 4]), 4, 1)
+    codes = _kernels.encode_windows(np.array([5, 5, 5, 4]), 4)
     assert codes.tolist() == [[2, 2, 2, 1]]
-    codes = _kernels.encode_windows(np.array([1, 2, 4, 3, 3]), 4, 1)
+    codes = _kernels.encode_windows(np.array([1, 2, 4, 3, 3]), 4)
     assert codes.tolist() == [[1, 2, 4, 3], [1, 3, 2, 2]]
 
 
 def test_encode_windows_stride():
     values = np.array([3, 1, 4, 1, 5, 9, 2, 6])
-    by_stride = _kernels.encode_windows(values, 2, 3)
+    by_stride = _kernels.encode_windows(values, 2)[::3]
     assert by_stride.shape == (3, 2)
     assert by_stride.tolist() == [[2, 1], [1, 2], [1, 2]]
 
@@ -43,15 +43,15 @@ def test_encode_windows_matches_oracle(dtype, n, stride):
     rng = np.random.default_rng(101)
     values = rng.integers(-3, 4, size=500).astype(dtype)
     np.testing.assert_array_equal(
-        _kernels.encode_windows(values, n, stride), oracle_codes(values.tolist(), n, stride)
+        _kernels.encode_windows(values, n)[::stride], oracle_codes(values.tolist(), n, stride)
     )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_distances_match_oracle(n):
     rng = np.random.default_rng(7)
-    a = _kernels.encode_windows(rng.integers(0, n + 1, size=300), n, 1)
-    b = _kernels.encode_windows(rng.integers(0, n + 1, size=300), n, 1)
+    a = _kernels.encode_windows(rng.integers(0, n + 1, size=300), n)
+    b = _kernels.encode_windows(rng.integers(0, n + 1, size=300), n)
     rows = list(zip(a.tolist(), b.tolist()))
     np.testing.assert_array_equal(_kernels.df_rows(a, b), [oracle_shift_min_l1(t, u) for t, u in rows])
     np.testing.assert_array_equal(
@@ -73,8 +73,8 @@ def test_distances_match_oracle(n):
 def test_sorting_network_distance_matches_oracle(n):
     # random rows of every length the keys allow, the widest network included
     rng = np.random.default_rng(300 + n)
-    a = _kernels.encode_windows(rng.integers(0, n + 2, size=200), n, 1)
-    b = _kernels.encode_windows(rng.integers(0, n + 2, size=200), n, 1)
+    a = _kernels.encode_windows(rng.integers(0, n + 2, size=200), n)
+    b = _kernels.encode_windows(rng.integers(0, n + 2, size=200), n)
     expected = [oracle_shift_min_l1(t, u) for t, u in zip(a.tolist(), b.tolist())]
     got = _kernels.df_rows(a, b)
     assert got.dtype == np.int64
@@ -108,7 +108,7 @@ def test_rank_kernel_matches_oracle(kind, n):
     values = _kernel_inputs(kind, 400, np.random.default_rng(n))
     for stride in _strides(n):
         np.testing.assert_array_equal(
-            _kernels.encode_windows(values, n, stride), oracle_codes(values.tolist(), n, stride)
+            _kernels.encode_windows(values, n)[::stride], oracle_codes(values.tolist(), n, stride)
         )
 
 
@@ -118,7 +118,7 @@ def test_lehmer_index_matches_oracle(kind, n):
     values = _kernel_inputs(kind, 400, np.random.default_rng(50 + n))
     table = permutation_table(n)
     for stride in _strides(n):
-        index = _kernels.window_permutation_index(values, n, stride)
+        index = _kernels.window_permutation_index(values, n)[::stride]
         assert index.dtype == np.int64
         windows = sliding_window_view(values, n)[::stride]
         np.testing.assert_array_equal(table[index], descending_permutations(windows))
@@ -147,8 +147,8 @@ def test_encoders_straddle_window_slices(budget, n, monkeypatch):
     stack = rng.integers(0, 4, size=(3, 70))
     monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
     for stride in _strides(n):
-        codes = _kernels.encode_windows(stack, n, stride)
-        index = _kernels.window_permutation_index(stack, n, stride)
+        codes = _kernels.encode_windows(stack, n)[:, ::stride]
+        index = _kernels.window_permutation_index(stack, n)[:, ::stride]
         for row, row_codes, row_index in zip(stack.tolist(), codes, index):
             np.testing.assert_array_equal(row_codes, oracle_codes(row, n, stride))
             np.testing.assert_array_equal(
@@ -174,32 +174,32 @@ def test_l1_rows_broadcast_into_int64():
 def test_stacked_series_encode_row_by_row():
     rng = np.random.default_rng(3)
     stack = rng.integers(0, 4, size=(5, 60))
-    codes = _kernels.encode_windows(stack, 4, 2)
-    assert codes.shape == (5, 29, 4)
+    codes = _kernels.encode_windows(stack, 4)
+    assert codes.shape == (5, 57, 4)
     for row, row_codes in zip(stack, codes):
-        np.testing.assert_array_equal(row_codes, _kernels.encode_windows(row, 4, 2))
+        np.testing.assert_array_equal(row_codes, _kernels.encode_windows(row, 4))
 
 
 @pytest.mark.parametrize("budget", [1, 16, 1 << 30])
 def test_encode_in_window_slices_into_out(budget, monkeypatch):
     rng = np.random.default_rng(5)
     stack = rng.integers(0, 4, size=(3, 80))
-    expected = _kernels.encode_windows(stack, 5, 2)
+    expected = _kernels.encode_windows(stack, 5)
     monkeypatch.setattr(_kernels, "CELL_BUDGET", budget)
-    np.testing.assert_array_equal(_kernels.encode_windows(stack, 5, 2), expected)
-    out = np.zeros((3, 38, 5), dtype=np.int8)
-    assert _kernels.encode_windows(stack, 5, 2, out=out) is out
+    np.testing.assert_array_equal(_kernels.encode_windows(stack, 5), expected)
+    out = np.zeros((3, 76, 5), dtype=np.int8)
+    assert _kernels.encode_windows(stack, 5, out=out) is out
     np.testing.assert_array_equal(out, expected)
 
 
 def test_too_short_series_has_no_windows():
-    assert _kernels.encode_windows(np.arange(3), 4, 1).shape == (0, 4)
+    assert _kernels.encode_windows(np.arange(3), 4).shape == (0, 4)
 
 
 def test_codes_are_int8_for_series_stacks_and_empty_input():
     rng = np.random.default_rng(4)
     assert _kernels.encode_windows(rng.integers(0, 5, size=50), 4).dtype == np.int8
-    assert _kernels.encode_windows(rng.normal(size=(3, 50)), 6, 2).dtype == np.int8
+    assert _kernels.encode_windows(rng.normal(size=(3, 50)), 6).dtype == np.int8
     assert _kernels.encode_windows(np.arange(3), 4).dtype == np.int8
     assert _kernels.encode_windows(np.zeros((2, 3)), 4).dtype == np.int8
 
@@ -239,7 +239,7 @@ def test_pattern_length_limit_guards_key_overflow():
     top = np.arange(15, 0, -1)[None, :]
     assert pattern_keys(top)[0] == sum(int(c) * 16 ** (14 - j) for j, c in enumerate(top[0]))
     with pytest.raises(ValueError, match="overflow"):
-        _kernels.encode_windows(np.arange(40.0), 16, 1)
+        _kernels.encode_windows(np.arange(40.0), 16)
     with pytest.raises(ValueError, match="overflow"):
         pattern_keys(np.arange(16, 0, -1)[None, :])
 

@@ -42,7 +42,7 @@ def random_patterns(n, count, seed):
     windows = rng.integers(1, n + 1, size=(count, n))
     from ordpat._kernels import encode_windows
 
-    return np.vstack([encode_windows(w, n, 1) for w in windows])
+    return np.vstack([encode_windows(w, n) for w in windows])
 
 
 class TestDistances:
@@ -136,6 +136,10 @@ class TestWeightSchemes:
             GENERALIZED_SHORT.weights_for(np.array([[0, 1], [2, -3]]))
         with pytest.raises(ValueError, match="non-negative"):
             GENERALIZED_SHORT.weight(-1)
+        # a uint64 past int64 is named, not wrapped round to a negative distance
+        message = "^distance must lie in the int64 range, got 18446744073709551615 at index 0$"
+        with pytest.raises(ValueError, match=message):
+            GENERALIZED_SHORT.weights_for(np.array([2**64 - 1], dtype=np.uint64))
 
     def test_fractional_distances_rejected(self):
         with pytest.raises(ValueError, match="must be an integer, got 1.5"):

@@ -310,9 +310,10 @@ class TestSignificance:
             spatial_significance([(1, 1)], [1.0], [1.0], num_events=10)
         assert [str(w.message) for w in caught] == ["only 10 events; spatial z-statistics are asymptotic"]
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, float("nan")])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, float("nan"), "0.05"])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
-        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+        rule = "be a real number" if isinstance(alpha, str) else "lie strictly between 0 and 1"
+        with pytest.raises(ValueError, match=f"alpha must {rule}"):
             spatial_significance([(1, 2)], [1.0], [0.5], num_events=100, alpha=alpha)
 
     @pytest.mark.parametrize("observed,baseline,message", [
@@ -338,9 +339,10 @@ class TestSignificance:
         assert report.z.tolist() == [0.0]
         assert report.significant.tolist() == [False]
 
-    @pytest.mark.parametrize("num_events", [0, -3])
+    @pytest.mark.parametrize("num_events", [0, -3, 2.5, True, "40"])
     def test_no_events_rejected(self, num_events):
-        with pytest.raises(ValueError, match=f"num_events must be at least 1, got {num_events}"):
+        rule = "be at least 1" if type(num_events) is int else "be an integer"
+        with pytest.raises(ValueError, match=f"^num_events must {rule}, got {num_events!r}$"):
             spatial_significance([(1, 2)], [1.0], [0.5], num_events=num_events)
 
     def test_fractional_or_text_patterns_rejected(self):
@@ -348,6 +350,12 @@ class TestSignificance:
             spatial_significance([(1.5, 2)], [1.0], [0.5], num_events=100)
         with pytest.raises(ValueError, match="got dtype <U1$"):
             spatial_significance([("1", "2")], [1.0], [0.5], num_events=100)
+        # values past int64 are named, not wrapped round to a negative code
+        message = r"^pattern code must lie in the int64 range, got {} at index \(0, 0\)$"
+        too_big = [(np.array([[2**63, 1]], dtype=np.uint64), "9223372036854775808"), ([[1e19, 1.0]], r"1e\+19")]
+        for row, shown in too_big:
+            with pytest.raises(ValueError, match=message.format(shown)):
+                spatial_significance(row, [1.0], [0.5], num_events=100)
 
     def test_mismatched_tables_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
